@@ -231,8 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
                            default="auto", help="linear-system mode for "
                            "derivatives")
         p.add_argument("--output", help="write the result here instead of stdout")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for any randomized choices")
 
     p = sub.add_parser("check-dpp", help="verify the parametrized ruleset")
     common(p, params=False)

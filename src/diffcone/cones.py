@@ -8,11 +8,34 @@ R^n x K* x R_+, the set used by the homogeneous self-dual embedding.
 At nonsmooth points a deterministic subgradient selection is returned: the
 orthant uses the strict mask (v > 0), and a second-order cone point with
 ||x|| = |t| uses the boundary-formula limit.
+
+Run layout.  The rows of K* are laid out as n_zero free rows, n_nonneg
+orthant rows, then the second-order blocks in ``soc_dims`` order.
+``ConeSpec.soc_runs`` groups the second-order blocks, once per spec, into
+maximal runs of k consecutive blocks that share a dimension d, each stored
+as ``(start, stop, k, d)`` with row offsets into the cone vector.  Every
+operation over K* is one walk of that table (``_walk_runs``):
+
+* the orthant rows and runs with d == 1 (halflines) are flat slices;
+* a run of k >= RUN_MIN_BLOCKS blocks is the zero-copy view
+  ``v[start:stop].reshape(k, d)`` and is handled by one vectorised pass
+  (row norms, then masks for the interior, polar, apex and boundary cases);
+* the blocks of a shorter run, a lone block above all, keep the scalar
+  ``_project_soc``/``_dproject_soc`` in the hot projections.  On a
+  2-vCPU x86 host the masked pass costs a fixed ~15-25 us against ~4-8 us
+  per block on the scalar path, so it loses below about four blocks, and
+  problems with one or two second-order blocks call these functions
+  hundreds of thousands of times.
+
+The single-block functions ``project``/``dproject`` stay as the reference
+the run kernels are tested against.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,6 +63,10 @@ ZERO = "zero"
 FREE = "free"
 NONNEG = "nonneg"
 SOC = "soc"
+
+# Shortest run of equal-dimension second-order blocks that the projections
+# handle as one vectorised pass; see the module docstring.
+RUN_MIN_BLOCKS = 4
 
 
 @dataclass(frozen=True)
@@ -79,6 +106,21 @@ class ConeSpec:
     @property
     def total_dim(self) -> int:
         return self.n_zero + self.n_nonneg + sum(self.soc_dims)
+
+    @cached_property
+    def soc_runs(self) -> tuple[tuple[int, int, int, int], ...]:
+        """Maximal runs of equal-dimension second-order blocks.
+
+        One ``(start, stop, k, d)`` per run of k consecutive blocks of
+        dimension d, with row offsets into the cone vector.
+        """
+        runs = []
+        start = self.n_zero + self.n_nonneg
+        for d, group in itertools.groupby(self.soc_dims):
+            k = sum(1 for _ in group)
+            runs.append((start, start + k * d, k, d))
+            start += k * d
+        return tuple(runs)
 
     def blocks(self) -> list[ConeBlock]:
         out = []
@@ -192,35 +234,133 @@ def _block_jacobian(block: ConeBlock, v: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Dual cone and embedding projections
+# Run kernels: each takes (k, d) views of a run of k blocks, d >= 2
 
-def _apply_blocks(blocks, v, fn):
-    out = np.empty_like(v, dtype=float)
-    off = 0
-    for b in blocks:
-        out[off:off + b.dim] = fn(b, v[off:off + b.dim])
-        off += b.dim
-    if off != v.size:
-        raise ShapeError(f"cone blocks cover {off} rows, vector has {v.size}")
+def _run_norms(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cone coordinate t and ||x|| of every block in a run."""
+    X = V[:, 1:]
+    return V[:, 0], np.sqrt(np.einsum("ij,ij->i", X, X))
+
+
+def _project_soc_run(V: np.ndarray) -> np.ndarray:
+    t, nx = _run_norms(V)
+    inside = nx <= t
+    polar = nx <= -t
+    alpha = 0.5 * (t + nx)
+    # the remaining (boundary) rows have nx > |t| >= 0
+    scale = np.where(inside, 1.0,
+                     np.where(polar, 0.0,
+                              alpha / np.where(inside | polar, 1.0, nx)))
+    out = V * scale[:, None]
+    out[:, 0] = np.where(inside, t, np.where(polar, 0.0, alpha))
     return out
+
+
+def _boundary_frame(V: np.ndarray):
+    """Masks of the derivative's cases and the boundary-formula terms.
+
+    Returns the interior, polar and apex masks as (k, 1) columns (in that
+    order of precedence), the unit vectors u = x / ||x|| and the mantle
+    factor beta = (t + ||x||) / (2 ||x||) as a (k, 1) column; u and beta
+    are finite placeholders on rows that are not boundary rows.
+    """
+    t, nx = _run_norms(V)
+    inside = nx < t
+    polar = nx < -t
+    apex = nx == 0.0
+    safe = np.where(inside | polar | apex, 1.0, nx)
+    U = V[:, 1:] / safe[:, None]
+    beta = 0.5 * (t + nx) / safe
+    return inside[:, None], polar[:, None], apex[:, None], U, beta[:, None]
+
+
+def _dproject_soc_run(V: np.ndarray, DV: np.ndarray) -> np.ndarray:
+    inside, polar, apex, U, beta = _boundary_frame(V)
+    dt, DX = DV[:, :1], DV[:, 1:]
+    ut_dx = np.einsum("ij,ij->i", U, DX)[:, None]
+    a = 0.5 * (dt + ut_dx)
+    out = np.empty_like(DV)
+    out[:, :1] = a
+    out[:, 1:] = a * U + beta * (DX - ut_dx * U)
+    return np.where(inside, DV,
+                    np.where(polar, 0.0, np.where(apex, 0.5 * DV, out)))
+
+
+def _jacobian_diagonal_soc_run(V: np.ndarray) -> np.ndarray:
+    inside, polar, apex, U, beta = _boundary_frame(V)
+    out = np.empty_like(V)
+    out[:, 0] = 0.5
+    out[:, 1:] = beta + (0.5 - beta) * U ** 2
+    return np.where(inside, 1.0,
+                    np.where(polar, 0.0, np.where(apex, 0.5, out)))
+
+
+def _margin_soc_run(V: np.ndarray) -> np.ndarray:
+    t, nx = _run_norms(V)
+    return np.abs(nx - np.abs(t))[:, None]
+
+
+# ---------------------------------------------------------------------------
+# The run-table walk and the operations built on it
+
+def _walk_runs(spec: ConeSpec, off: int, out: np.ndarray, ins: tuple,
+               orthant, run, single=None) -> None:
+    """Fill the orthant and second-order rows of ``out`` from ``ins``.
+
+    Rows are those of K* shifted by ``off``; the free rows are left to the
+    caller.  ``orthant`` gets flat slices (the orthant rows and d == 1
+    runs), ``run`` gets (k, d) views, and ``single``, when given, replaces
+    ``run`` on the blocks of runs shorter than RUN_MIN_BLOCKS, one 1-D view
+    at a time.
+    """
+    lo = off + spec.n_zero
+    hi = lo + spec.n_nonneg
+    if hi > lo:
+        out[lo:hi] = orthant(*(a[lo:hi] for a in ins))
+    for start, stop, k, d in spec.soc_runs:
+        seg = slice(off + start, off + stop)
+        if d == 1:
+            out[seg] = orthant(*(a[seg] for a in ins))
+        elif k < RUN_MIN_BLOCKS and single is not None:
+            for b in range(off + start, off + stop, d):
+                out[b:b + d] = single(*(a[b:b + d] for a in ins))
+        else:
+            out[seg].reshape(k, d)[...] = run(
+                *(a[seg].reshape(k, d) for a in ins))
+
+
+def _clamp(v: np.ndarray) -> np.ndarray:
+    return np.maximum(v, 0.0)
+
+
+def _dclamp(v: np.ndarray, dv: np.ndarray) -> np.ndarray:
+    return np.where(v > 0.0, dv, 0.0)
+
+
+def _check_length(v: np.ndarray, size: int) -> None:
+    if v.size != size:
+        raise ShapeError(f"expected length {size}, got {v.size}")
 
 
 def project_dual_cone(v: np.ndarray, spec: ConeSpec) -> np.ndarray:
     """Projection of an m-vector onto K*."""
     v = np.asarray(v, dtype=float)
-    return _apply_blocks(spec.dual_blocks(), v, project)
+    _check_length(v, spec.total_dim)
+    out = np.empty_like(v)
+    out[:spec.n_zero] = v[:spec.n_zero]
+    _walk_runs(spec, 0, out, (v,), _clamp, _project_soc_run, _project_soc)
+    return out
 
 
 def dproject_dual_cone(v: np.ndarray, dv: np.ndarray, spec: ConeSpec) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     dv = np.asarray(dv, dtype=float)
+    _check_length(v, spec.total_dim)
+    _check_length(dv, spec.total_dim)
     out = np.empty_like(dv)
-    off = 0
-    for b in spec.dual_blocks():
-        out[off:off + b.dim] = dproject(b, v[off:off + b.dim], dv[off:off + b.dim])
-        off += b.dim
-    if off != v.size:
-        raise ShapeError(f"cone blocks cover {off} rows, vector has {v.size}")
+    out[:spec.n_zero] = dv[:spec.n_zero]
+    _walk_runs(spec, 0, out, (v, dv), _dclamp, _dproject_soc_run,
+               _dproject_soc)
     return out
 
 
@@ -228,11 +368,10 @@ def project_embedding(z: np.ndarray, spec: ConeSpec, n: int) -> np.ndarray:
     """Projection onto R^n x K* x R_+ (the embedding's product set)."""
     z = np.asarray(z, dtype=float)
     m = spec.total_dim
-    if z.size != n + m + 1:
-        raise ShapeError(f"expected length {n + m + 1}, got {z.size}")
+    _check_length(z, n + m + 1)
     out = np.empty_like(z)
-    out[:n] = z[:n]
-    out[n:n + m] = project_dual_cone(z[n:n + m], spec)
+    out[:n + spec.n_zero] = z[:n + spec.n_zero]
+    _walk_runs(spec, n, out, (z,), _clamp, _project_soc_run, _project_soc)
     out[n + m] = max(z[n + m], 0.0)
     return out
 
@@ -242,11 +381,12 @@ def dproject_embedding(z: np.ndarray, dz: np.ndarray, spec: ConeSpec, n: int) ->
     z = np.asarray(z, dtype=float)
     dz = np.asarray(dz, dtype=float)
     m = spec.total_dim
-    if z.size != n + m + 1 or dz.size != n + m + 1:
-        raise ShapeError(f"expected length {n + m + 1}")
+    _check_length(z, n + m + 1)
+    _check_length(dz, n + m + 1)
     out = np.empty_like(dz)
-    out[:n] = dz[:n]
-    out[n:n + m] = dproject_dual_cone(z[n:n + m], dz[n:n + m], spec)
+    out[:n + spec.n_zero] = dz[:n + spec.n_zero]
+    _walk_runs(spec, n, out, (z, dz), _dclamp, _dproject_soc_run,
+               _dproject_soc)
     out[n + m] = dz[n + m] if z[n + m] > 0.0 else 0.0
     return out
 
@@ -271,40 +411,17 @@ def embedding_jacobian(z: np.ndarray, spec: ConeSpec, n: int) -> np.ndarray:
 def embedding_jacobian_diagonal(z: np.ndarray, spec: ConeSpec, n: int) -> np.ndarray:
     """Diagonal of the embedding-projection Jacobian at z.
 
-    Exact except that second-order-cone boundary blocks contribute only
-    their diagonal (the off-diagonal part is rank two per block); intended
-    as a preconditioner for systems involving the full Jacobian.
+    Second-order-cone boundary blocks contribute only their diagonal (the
+    off-diagonal part is rank two per block); intended as a preconditioner
+    for systems involving the full Jacobian.
     """
     z = np.asarray(z, dtype=float)
     m = spec.total_dim
     N = n + m + 1
-    if z.size != N:
-        raise ShapeError(f"expected length {N}, got {z.size}")
+    _check_length(z, N)
     diag = np.ones(N)
-    off = n
-    for b in spec.dual_blocks():
-        part = z[off:off + b.dim]
-        if b.kind == ZERO:
-            diag[off:off + b.dim] = 0.0
-        elif b.kind == FREE:
-            pass
-        elif b.kind == NONNEG or b.dim == 1:
-            diag[off:off + b.dim] = (part > 0.0).astype(float)
-        else:
-            t, x = part[0], part[1:]
-            nx = np.linalg.norm(x)
-            if nx < t:
-                pass
-            elif nx < -t:
-                diag[off:off + b.dim] = 0.0
-            elif nx == 0.0:
-                diag[off:off + b.dim] = 0.5
-            else:
-                u2 = (x / nx) ** 2
-                beta = 0.5 * (t + nx) / nx
-                diag[off] = 0.5
-                diag[off + 1:off + b.dim] = beta + (0.5 - beta) * u2
-        off += b.dim
+    _walk_runs(spec, n, diag, (z,), lambda v: (v > 0.0).astype(float),
+               _jacobian_diagonal_soc_run)
     diag[N - 1] = 1.0 if z[N - 1] > 0.0 else 0.0
     return diag
 
@@ -318,14 +435,8 @@ def smooth_margin(z: np.ndarray, spec: ConeSpec, n: int) -> float:
     """
     z = np.asarray(z, dtype=float)
     m = spec.total_dim
-    margin = abs(z[n + m])
-    off = n
-    for b in spec.dual_blocks():
-        part = z[off:off + b.dim]
-        if b.kind == NONNEG or (b.kind == SOC and b.dim == 1):
-            margin = min(margin, float(np.min(np.abs(part))) if part.size else margin)
-        elif b.kind == SOC:
-            t, x = part[0], part[1:]
-            margin = min(margin, abs(np.linalg.norm(x) - abs(t)))
-        off += b.dim
-    return float(margin)
+    _check_length(z, n + m + 1)
+    rows = np.full(n + m + 1, np.inf)
+    rows[n + m] = abs(z[n + m])
+    _walk_runs(spec, n, rows, (z,), np.abs, _margin_soc_run)
+    return float(rows.min())

@@ -11,6 +11,7 @@ one side is parameter-affine and the other is parameter-free.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping
@@ -254,22 +255,42 @@ def _mono_from_sign(s: Sign) -> frozenset:
 
 
 def _normalize_index(meta, dims):
-    """Normalize an index key to ((start, stop, step), ...) per axis."""
+    """Normalize an index key to ((start, stop, step), ...) per axis.
+
+    Each axis takes an int, a ``slice`` or a (start, stop, step) triple.
+    """
     if meta is None:
         raise ShapeError("index atom requires slices")
-    key = tuple(meta)
+    key = tuple(meta) if isinstance(meta, (tuple, list)) else (meta,)
     if len(key) != len(dims):
         raise ShapeError(f"index key covers {len(key)} axes, expected {len(dims)}")
-    norm = []
-    for (axis_len, item) in zip(dims, key):
-        if isinstance(item, int):
-            item = (item, item + 1, 1)
-        start, stop, step = item
-        start, stop, step = slice(start, stop, step).indices(axis_len)
-        if step <= 0:
-            raise ShapeError("index step must be positive")
-        norm.append((start, stop, step))
-    return tuple(norm)
+    return tuple(_normalize_axis(item, axis_len)
+                 for axis_len, item in zip(dims, key))
+
+
+def _normalize_axis(item, axis_len):
+    if isinstance(item, slice):
+        item = (item.start, item.stop, item.step)
+    elif not isinstance(item, (tuple, list)):
+        try:
+            i = operator.index(item)
+        except TypeError:
+            raise ShapeError(
+                f"index key item {item!r} is not an int, a slice or a "
+                f"(start, stop, step) triple") from None
+        if not -axis_len <= i < axis_len:
+            raise ShapeError(f"index {i} out of range for axis of length {axis_len}")
+        i %= axis_len
+        item = (i, i + 1, 1)
+    if len(item) != 3:
+        raise ShapeError(f"index key item {item!r} is not a (start, stop, step) triple")
+    try:
+        start, stop, step = slice(*item).indices(axis_len)
+    except (TypeError, ValueError) as exc:
+        raise ShapeError(f"bad index key item {item!r}: {exc}") from None
+    if step <= 0:
+        raise ShapeError("index step must be positive")
+    return (start, stop, step)
 
 
 def _index_out_dims(norm):
@@ -458,15 +479,7 @@ class Expression:
         return matmul(_wrap_exact(other), self)
 
     def __getitem__(self, key):
-        if not isinstance(key, tuple):
-            key = (key,)
-        items = []
-        for item in key:
-            if isinstance(item, slice):
-                items.append((item.start, item.stop, item.step))
-            else:
-                items.append(int(item))
-        return index(self, tuple(items))
+        return index(self, key)
 
     def evaluate(self, values: Mapping[str, np.ndarray] | None = None) -> np.ndarray:
         return evaluate(self, values or {})
@@ -680,6 +693,8 @@ def sum_entries(a) -> Expression:
 
 
 def index(a, key) -> Expression:
+    """Slice ``a``; ``key`` holds one int, ``slice`` or (start, stop, step)
+    triple per axis; a lone int or slice is a one-axis key."""
     return make_node("index", [a], meta=key)
 
 

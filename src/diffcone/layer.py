@@ -36,7 +36,7 @@ class ForwardResult:
     outputs: dict | None
     status: str
     info: dict
-    _layer_id: int
+    _layer_token: object
     _data: ConeProgramData | None = None
     _solution: ConeSolution | None = None
     _z: np.ndarray | None = None
@@ -53,6 +53,8 @@ class Layer:
                  problem: Problem | None = None):
         self.asa = asa
         self.settings = settings
+        # identifies this layer's tapes; unlike id(self), never reused
+        self._token = object()
         self.problem = problem
         self.parameter_order = tuple(s.name for s in asa.param_layout)
         self.variable_order = tuple(s.name for s in asa.variable_layout)
@@ -98,7 +100,7 @@ class Layer:
         theta_aug = self.asa.theta_aug(theta)
         if sol.status != OPTIMAL:
             return ForwardResult(outputs=None, status=sol.status, info=info,
-                                 _layer_id=id(self), _data=data, _solution=sol)
+                                 _layer_token=self._token, _data=data, _solution=sol)
         outputs = retrieve(self.asa, sol.x)
         info["objective"] = float(
             data.c @ sol.x + self.asa.objective_offset_map @ theta_aug)
@@ -106,7 +108,7 @@ class Layer:
             info["objective"] = -info["objective"]
         z = normalized_point(sol)
         return ForwardResult(outputs=outputs, status=sol.status, info=info,
-                             _layer_id=id(self), _data=data, _solution=sol, _z=z)
+                             _layer_token=self._token, _data=data, _solution=sol, _z=z)
 
     # -- backward -----------------------------------------------------------
 
@@ -117,7 +119,7 @@ class Layer:
         Returns (gradients-by-parameter-name, info); info carries the
         least-squares fallback flag from the solver adjoint.
         """
-        if result._layer_id != id(self):
+        if result._layer_token is not self._token:
             raise SolveStatusError("tape belongs to a different layer")
         if not result.ok or result._solution is None:
             raise SolveStatusError(

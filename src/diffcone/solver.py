@@ -57,7 +57,6 @@ class SolverSettings:
     check_interval: int = 25
     refine_interval: int = 250
     refine_steps: int = 10
-    seed: int = 0  # reserved for randomized initialization; unused by default
 
     def __post_init__(self):
         if self.max_iters <= 0:
@@ -81,10 +80,9 @@ def _block_row_scales(scales: np.ndarray, spec) -> np.ndarray:
     """Make second-order-cone rows share one scale; cone membership of a
     scaled slack requires a uniform positive factor per block."""
     out = scales.copy()
-    off = spec.n_zero + spec.n_nonneg
-    for d in spec.soc_dims:
-        out[off:off + d] = np.max(scales[off:off + d])
-        off += d
+    for start, stop, k, d in spec.soc_runs:
+        block = out[start:stop].reshape(k, d)
+        block[...] = block.max(axis=1, keepdims=True)
     return out
 
 

@@ -7,12 +7,14 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize as scipy_minimize
 
 from diffcone.cones import (
+    RUN_MIN_BLOCKS,
     ConeBlock,
     ConeSpec,
     dproject,
     dproject_embedding,
     dual_block,
     embedding_jacobian,
+    embedding_jacobian_diagonal,
     project,
     project_embedding,
     smooth_margin,
@@ -247,3 +249,93 @@ def test_projection_is_idempotent_and_in_cone(seed, kind):
         assert np.all(p == 0)
     elif kind == "soc":
         assert np.linalg.norm(p[1:]) <= p[0] + 1e-12
+
+
+class TestRunTable:
+    def test_runs_group_equal_dimensions(self):
+        spec = ConeSpec(2, 3, (1, 1, 3, 3, 3, 2, 4, 4, 1))
+        assert spec.soc_runs == ((5, 7, 2, 1), (7, 16, 3, 3), (16, 18, 1, 2),
+                                 (18, 26, 2, 4), (26, 27, 1, 1))
+        assert ConeSpec(1, 2, ()).soc_runs == ()
+
+
+# x parts with norms that are exact in any summation order, so points built
+# from them sit exactly on ||x|| = |t| for every norm the kernels compute
+_EXACT_NORM_X = {1: [3.0], 2: [3.0, 4.0], 3: [1.0, 2.0, 2.0],
+                 4: [2.0, 4.0, 5.0, 6.0]}
+
+
+def _random_run_spec(rng):
+    """Mixes d == 1 blocks, equal-dimension runs of every length around
+    RUN_MIN_BLOCKS, and runs broken by a block of another dimension."""
+    dims = []
+    for _ in range(int(rng.integers(1, 6))):
+        d = int(rng.choice([1, 2, 3, 5]))
+        dims += [d] * int(rng.integers(1, 2 * RUN_MIN_BLOCKS))
+    return ConeSpec(int(rng.integers(0, 3)), int(rng.integers(0, 4)),
+                    tuple(dims))
+
+
+def _force_case(rng, block):
+    """A random point of one second-order block, or one forced onto the
+    apex, into the polar cone, or onto the boundary ||x|| = |t|."""
+    case = rng.choice(["random", "apex", "polar", "boundary"])
+    d = block.size
+    if case == "random" or d == 1:
+        return
+    if case == "apex":
+        block[:] = 0.0
+    elif case == "polar":
+        block[0] = -np.linalg.norm(block[1:]) - rng.exponential()
+    else:
+        x = rng.permutation(_EXACT_NORM_X[d - 1]) * rng.choice([-1.0, 1.0], d - 1)
+        x *= 2.0 ** int(rng.integers(-3, 4))
+        block[1:] = x
+        block[0] = rng.choice([-1.0, 1.0]) * np.sqrt(np.sum(x * x))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_run_kernel_matches_blockwise_reference(seed):
+    """The run-table walk against project/dproject applied block by block.
+
+    Free and orthant rows and the blocks of runs shorter than
+    RUN_MIN_BLOCKS (scalar path) match exactly; blocks of vectorised runs
+    match to 1e-15 relative to the block's input.
+    """
+    rng = np.random.default_rng(seed)
+    spec = _random_run_spec(rng)
+    n = int(rng.integers(0, 3))
+    m = spec.total_dim
+    z = 2.0 * rng.standard_normal(n + m + 1)
+    dz = rng.standard_normal(n + m + 1)
+    vectorised = np.zeros(n + m + 1, dtype=bool)
+    off = n + spec.n_zero + spec.n_nonneg
+    for d in spec.soc_dims:
+        _force_case(rng, z[off:off + d])
+        off += d
+    for start, stop, k, d in spec.soc_runs:
+        vectorised[n + start:n + stop] = d > 1 and k >= RUN_MIN_BLOCKS
+
+    pz = project_embedding(z, spec, n)
+    dpz = dproject_embedding(z, dz, spec, n)
+    want_p, want_dp = z.copy(), dz.copy()
+    want_p[-1] = max(z[-1], 0.0)
+    want_dp[-1] = dz[-1] if z[-1] > 0 else 0.0
+    off = n
+    for blk in spec.dual_blocks():
+        seg = slice(off, off + blk.dim)
+        want_p[seg] = project(blk, z[seg])
+        want_dp[seg] = dproject(blk, z[seg], dz[seg])
+        if vectorised[off]:
+            scale_p = np.max(np.abs(z[seg]))
+            scale_dp = np.max(np.abs(dz[seg]))
+            assert np.max(np.abs(pz[seg] - want_p[seg])) <= 1e-15 * scale_p
+            assert np.max(np.abs(dpz[seg] - want_dp[seg])) <= 1e-15 * scale_dp
+        off += blk.dim
+    np.testing.assert_array_equal(pz[~vectorised], want_p[~vectorised])
+    np.testing.assert_array_equal(dpz[~vectorised], want_dp[~vectorised])
+
+    np.testing.assert_allclose(embedding_jacobian_diagonal(z, spec, n),
+                               np.diag(embedding_jacobian(z, spec, n)),
+                               rtol=0, atol=1e-15)

@@ -84,6 +84,20 @@ class TestShapeRules:
         with pytest.raises(ShapeError):
             reshape(M, (5,))
 
+    def test_index_accepts_slices(self):
+        x = variable("x", 5)
+        assert index(x, (slice(0, 2),)).shape.dims == (2,)
+        assert index(x, slice(1, None, 2)).shape.dims == (2,)
+        assert index(x, (slice(0, 2),)).meta == index(x, ((0, 2, 1),)).meta
+        assert index(x, -1).meta == ((4, 5, 1),)
+
+    @pytest.mark.parametrize("key", [
+        ("a",), (1.5,), ((0, 1),), (slice(0, 2, 0),), (slice(4, 0, -1),),
+        (5,), (0, 1), None])
+    def test_index_malformed_key_raises_shape_error(self, key):
+        with pytest.raises(ShapeError):
+            index(variable("x", 5), key)
+
     def test_transpose(self):
         assert transpose(variable("M", (3, 4))).shape.dims == (4, 3)
         assert transpose(variable("v", 3)).shape.dims == (3,)

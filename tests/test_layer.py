@@ -163,6 +163,18 @@ class TestBackward:
         with pytest.raises(SolveStatusError, match="different layer"):
             layer_b.backward(res, {"y": np.zeros(3)})
 
+    def test_tape_of_collected_layer_rejected(self, rng):
+        # in CPython a layer built right after another is freed takes its
+        # memory, and so its id(); the old tape must still be refused
+        fx = relu_fixture(3)
+        layer_a = Layer.compile(fx.problem, TIGHT)
+        res = layer_a.forward(fx.sample(rng))
+        asa, problem = layer_a.asa, fx.problem
+        del layer_a
+        layer_b = Layer(asa, TIGHT, problem)
+        with pytest.raises(SolveStatusError, match="different layer"):
+            layer_b.backward(res, {"y": np.zeros(3)})
+
     @pytest.mark.parametrize("fixture_name", [
         "relu", "sparsemax", "nonneg_least_squares"])
     def test_backward_matches_finite_differences(self, fixture_name, rng):
