@@ -25,8 +25,6 @@ from .cones import (
     project_embedding,
 )
 from .derivatives import (
-    MOperator,
-    SkewOperator,
     adjoint_derivative,
     forward_derivative,
     solve_m_system,
@@ -79,15 +77,7 @@ from .io import (
     read_cone_data,
     write_cone_data,
 )
-from .layer import (
-    ForwardResult,
-    Layer,
-    backward,
-    backward_batch,
-    compile_layer,
-    forward,
-    forward_batch,
-)
+from .layer import ForwardResult, Layer
 from .problem import (
     Constraint,
     DppReport,
@@ -101,6 +91,7 @@ from .problem import (
 )
 from .solver import (
     ConeSolution,
+    MOperator,
     SolverSettings,
     normalized_point,
     residuals,

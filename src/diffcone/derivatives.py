@@ -4,7 +4,7 @@ Both directions differentiate the normalized residual map of the
 homogeneous self-dual embedding implicitly: with z the solver's normalized
 point, Pi the projection onto R^n x K* x R_+, and
 
-    M = (Q - I) DPi(z) + I,
+    M = (Q - I) DPi(z) + I    (``solver.MOperator``),
 
 a forward perturbation (dA, db, dc) induces dz = -M^{-1} (dQ Pi(z)) and an
 output cotangent dx induces g = M^{-T} (dx, 0, -x'dx), from which the data
@@ -27,18 +27,11 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import get_lapack_funcs
 
 from .canon import ConeProgramData
-from .cones import (
-    dproject_dual_cone,
-    dproject_embedding,
-    embedding_jacobian,
-    project_embedding,
-)
+from .cones import dproject_dual_cone, project_embedding
 from .errors import ShapeError, SolveStatusError
-from .solver import OPTIMAL, ConeSolution, normalized_point, skew_matrix
+from .solver import OPTIMAL, ConeSolution, MOperator, normalized_point, skew_matrix
 
 __all__ = [
-    "SkewOperator",
-    "MOperator",
     "solve_m_system",
     "adjoint_derivative",
     "forward_derivative",
@@ -48,74 +41,6 @@ __all__ = [
 ]
 
 DIRECT_LIMIT = 512  # direct dense solve below this size, LSQR above
-
-
-class SkewOperator:
-    """Products with Q = [[0, A', c], [-A, 0, b], [-c', -b', 0]].
-
-    Q is never materialized for products; ``matrix`` returns the sparse
-    form when a dense/direct path wants it.
-    """
-
-    def __init__(self, data: ConeProgramData):
-        self.data = data
-        self.m, self.n = data.A.shape
-        self._A = data.A.tocsr()
-        self._AT = self._A.T.tocsr()
-
-    @property
-    def size(self) -> int:
-        return self.n + self.m + 1
-
-    def matvec(self, u: np.ndarray) -> np.ndarray:
-        n, m = self.n, self.m
-        ux, uy, uw = u[:n], u[n:n + m], u[-1]
-        out = np.empty_like(u)
-        out[:n] = self._AT @ uy + self.data.c * uw
-        out[n:n + m] = -(self._A @ ux) + self.data.b * uw
-        out[-1] = -(self.data.c @ ux) - (self.data.b @ uy)
-        return out
-
-    def rmatvec(self, u: np.ndarray) -> np.ndarray:
-        return -self.matvec(u)  # skew symmetry
-
-    def matrix(self) -> sp.csc_matrix:
-        return skew_matrix(self.data)
-
-
-class MOperator:
-    """Action and adjoint action of M = (Q - I) DPi(z) + I."""
-
-    def __init__(self, skew: SkewOperator, z: np.ndarray):
-        self.skew = skew
-        self.z = np.asarray(z, dtype=float)
-        self.spec = skew.data.cones
-        if self.z.size != skew.size:
-            raise ShapeError(
-                f"z has length {self.z.size}, expected {skew.size}")
-
-    @property
-    def size(self) -> int:
-        return self.skew.size
-
-    def matvec(self, u: np.ndarray) -> np.ndarray:
-        p = dproject_embedding(self.z, u, self.spec, self.skew.n)
-        return self.skew.matvec(p) - p + u
-
-    def rmatvec(self, u: np.ndarray) -> np.ndarray:
-        # DPi is symmetric, so M' u = DPi (Q' - I) u + u.
-        w = self.skew.rmatvec(u) - u
-        return dproject_embedding(self.z, w, self.spec, self.skew.n) + u
-
-    def materialize(self) -> np.ndarray:
-        dpi = embedding_jacobian(self.z, self.spec, self.skew.n)
-        Q = self.skew.matrix().toarray()
-        return (Q - np.eye(self.size)) @ dpi + np.eye(self.size)
-
-    def as_linear_operator(self, transpose: bool = False) -> spla.LinearOperator:
-        mv = self.rmatvec if transpose else self.matvec
-        rmv = self.matvec if transpose else self.rmatvec
-        return spla.LinearOperator((self.size, self.size), matvec=mv, rmatvec=rmv)
 
 
 def solve_m_system(M: MOperator, rhs: np.ndarray, mode: str = "auto",
@@ -252,8 +177,7 @@ def adjoint_derivative(data: ConeProgramData, sol: ConeSolution,
         raise ShapeError(f"dx has length {dx.shape}, expected {n}")
     if z is None:
         z = normalized_point(sol)
-    skew = SkewOperator(data)
-    M = MOperator(skew, z)
+    M = MOperator(skew_matrix(data), data.cones, z)
     pi = project_embedding(z, data.cones, n)
     dz = np.concatenate([dx, np.zeros(m), [-float(sol.x @ dx)]])
     g, info = solve_m_system(M, dz, mode=mode, transpose=True, deflate=z)
@@ -281,8 +205,7 @@ def forward_derivative(data: ConeProgramData, sol: ConeSolution,
         raise ShapeError("perturbation dims do not match the problem data")
     if z is None:
         z = normalized_point(sol)
-    skew = SkewOperator(data)
-    M = MOperator(skew, z)
+    M = MOperator(skew_matrix(data), data.cones, z)
     pi = project_embedding(z, data.cones, n)
 
     px, py, pw = pi[:n], pi[n:n + m], pi[-1]

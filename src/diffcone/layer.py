@@ -9,7 +9,7 @@ solver adjoint, and the canonicalizer adjoint.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +21,20 @@ from .problem import Problem, check_dpp
 from .solver import OPTIMAL, ConeSolution, SolverSettings, normalized_point, solve
 from .derivatives import adjoint_derivative
 
-__all__ = ["Layer", "ForwardResult", "compile_layer", "forward", "backward",
-           "forward_batch", "backward_batch"]
+__all__ = ["Layer", "ForwardResult"]
+
+
+def _numeric(value, what: str) -> np.ndarray:
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ShapeError(f"{what} is not numeric: {value!r}") from None
+
+
+def _require_mapping(arg, what: str):
+    if not isinstance(arg, Mapping):
+        raise ShapeError(f"{what} must be a mapping of names to values, "
+                         f"got {type(arg).__name__}")
 
 
 @dataclass(frozen=True)
@@ -75,12 +87,15 @@ class Layer:
     # -- forward ------------------------------------------------------------
 
     def _bind(self, values: dict) -> np.ndarray:
+        _require_mapping(values, "parameter values")
         unknown = set(values) - set(self.parameter_order)
         if unknown:
             raise ShapeError(f"unknown parameters bound: {sorted(unknown)}")
+        values = {name: _numeric(v, f"value for parameter {name!r}")
+                  for name, v in values.items()}
         for name, (nonneg, nonpos) in self._param_attrs.items():
             if name in values:
-                arr = np.asarray(values[name], dtype=float)
+                arr = values[name]
                 if nonneg and np.any(arr < 0):
                     raise ShapeError(
                         f"parameter {name!r} is declared nonneg but got a "
@@ -124,11 +139,13 @@ class Layer:
         if not result.ok or result._solution is None:
             raise SolveStatusError(
                 f"cannot backpropagate through a {result.status} solve")
+        _require_mapping(cotangents, "cotangents")
         flat = np.zeros(self.asa.retrieval.shape[0])
         for slot in self.asa.variable_layout:
             if slot.name not in cotangents:
                 continue
-            arr = np.asarray(cotangents[slot.name], dtype=float)
+            arr = _numeric(cotangents[slot.name],
+                           f"cotangent for {slot.name!r}")
             if arr.shape != slot.dims:
                 raise ShapeError(
                     f"cotangent for {slot.name!r} has shape {arr.shape}, "
@@ -146,44 +163,12 @@ class Layer:
 
     # -- batching -----------------------------------------------------------
 
-    def forward_batch(self, batch: list[dict], max_workers: int | None = None
-                      ) -> list[ForwardResult]:
+    def forward_batch(self, batch: list[dict]) -> list[ForwardResult]:
         """Elementwise forward passes; equals sequential application."""
-        if max_workers is None or max_workers <= 1 or len(batch) <= 1:
-            return [self.forward(v) for v in batch]
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(self.forward, batch))
+        return [self.forward(v) for v in batch]
 
     def backward_batch(self, results: list[ForwardResult],
-                       cotangents: list[dict],
-                       max_workers: int | None = None) -> list[tuple[dict, dict]]:
+                       cotangents: list[dict]) -> list[tuple[dict, dict]]:
         if len(results) != len(cotangents):
             raise ShapeError("results and cotangents must have equal lengths")
-        if max_workers is None or max_workers <= 1 or len(results) <= 1:
-            return [self.backward(r, c) for r, c in zip(results, cotangents)]
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(lambda rc: self.backward(*rc),
-                                 zip(results, cotangents)))
-
-
-def compile_layer(problem: Problem, settings: SolverSettings | None = None) -> Layer:
-    return Layer.compile(problem, settings)
-
-
-def forward(layer: Layer, values: dict, warm_start=None) -> ForwardResult:
-    return layer.forward(values, warm_start=warm_start)
-
-
-def backward(layer: Layer, result: ForwardResult, cotangents: dict,
-             mode: str = "auto") -> tuple[dict, dict]:
-    return layer.backward(result, cotangents, mode=mode)
-
-
-def forward_batch(layer: Layer, batch: list[dict],
-                  max_workers: int | None = None) -> list[ForwardResult]:
-    return layer.forward_batch(batch, max_workers=max_workers)
-
-
-def backward_batch(layer: Layer, results, cotangents,
-                   max_workers: int | None = None):
-    return layer.backward_batch(results, cotangents, max_workers=max_workers)
+        return [self.backward(r, c) for r, c in zip(results, cotangents)]

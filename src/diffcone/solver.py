@@ -9,7 +9,9 @@ Gauss-Newton steps on the normalized residual map
     N(z) = ((Q - I) Pi + I)(z / |w|),
 
 whose root encodes an exact primal-dual solution; on well-behaved problems
-this reaches residuals near machine precision in a few steps.  Statuses for
+this reaches residuals near machine precision in a few steps.  The
+Jacobian of the residual map, M = (Q - I) DPi(z) + I, is ``MOperator``;
+the polish and the derivatives module both solve with it.  Statuses for
 infeasible and unbounded problems come from certificate residuals on the
 embedding iterates.
 """
@@ -26,6 +28,7 @@ import scipy.sparse.linalg as spla
 from .canon import ConeProgramData
 from .cones import (
     dproject_embedding,
+    embedding_jacobian,
     embedding_jacobian_diagonal,
     project_dual_cone,
     project_embedding,
@@ -35,6 +38,7 @@ from .errors import ShapeError, SolveStatusError
 __all__ = [
     "SolverSettings",
     "ConeSolution",
+    "MOperator",
     "solve",
     "normalized_point",
     "residuals",
@@ -118,15 +122,23 @@ def _equilibrate(data: ConeProgramData, passes: int = 10):
 
 
 def skew_matrix(data: ConeProgramData) -> sp.csc_matrix:
-    """Q = [[0, A', c], [-A, 0, b], [-c', -b', 0]]."""
+    """Q = [[0, A', c], [-A, 0, b], [-c', -b', 0]].
+
+    Q = U - U' for the strict upper triangle U = [[0, A', c], [0, 0, b],
+    [0, 0, 0]], which is built from A's stored entries and the nonzeros of
+    b and c in one sparse constructor call.
+    """
     m, n = data.A.shape
-    A = data.A.tocsr()
-    b = sp.csc_matrix(data.b.reshape(m, 1))
-    c = sp.csc_matrix(data.c.reshape(n, 1))
-    top = sp.hstack([sp.csr_matrix((n, n)), A.T, c])
-    mid = sp.hstack([-A, sp.csr_matrix((m, m)), b])
-    bot = sp.hstack([-c.T, -b.T, sp.csr_matrix((1, 1))])
-    return sp.vstack([top, mid, bot]).tocsc()
+    N = n + m + 1
+    A = data.A.tocoo()
+    ic = np.flatnonzero(data.c)
+    ib = np.flatnonzero(data.b)
+    rows = np.concatenate([A.col, ic, n + ib])
+    cols = np.concatenate([n + A.row, np.full(ic.size + ib.size, N - 1)])
+    vals = np.concatenate([A.data, data.c[ic], data.b[ib]])
+    return sp.csc_matrix((np.concatenate([vals, -vals]),
+                          (np.concatenate([rows, cols]),
+                           np.concatenate([cols, rows]))), shape=(N, N))
 
 
 def residuals(data: ConeProgramData, sol: ConeSolution) -> tuple[float, float, float]:
@@ -173,6 +185,57 @@ def _jacobian_preconditioner(zc, Q, spec, n):
         return None
 
 
+class MOperator:
+    """Action and adjoint action of M = (Q - I) DPi(z) + I, the Jacobian of
+    the residual map u -> Q Pi(u) - Pi(u) + u at z."""
+
+    def __init__(self, Q: sp.spmatrix, spec, z: np.ndarray):
+        self.Q = Q
+        self.spec = spec
+        self.z = np.asarray(z, dtype=float)
+        self.size = Q.shape[0]
+        self.n = self.size - spec.total_dim - 1
+        if self.z.size != self.size:
+            raise ShapeError(
+                f"z has length {self.z.size}, expected {self.size}")
+
+    def matvec(self, u: np.ndarray) -> np.ndarray:
+        p = dproject_embedding(self.z, u, self.spec, self.n)
+        return self.Q @ p - p + u
+
+    def rmatvec(self, u: np.ndarray) -> np.ndarray:
+        # DPi is symmetric and Q' = -Q, so M' u = DPi (-Q u - u) + u.
+        w = -(self.Q @ u) - u
+        return dproject_embedding(self.z, w, self.spec, self.n) + u
+
+    def materialize(self) -> np.ndarray:
+        dpi = embedding_jacobian(self.z, self.spec, self.n)
+        eye = np.eye(self.size)
+        return (self.Q.toarray() - eye) @ dpi + eye
+
+    def as_linear_operator(self, transpose: bool = False) -> spla.LinearOperator:
+        mv = self.rmatvec if transpose else self.matvec
+        rmv = self.matvec if transpose else self.rmatvec
+        return spla.LinearOperator((self.size, self.size), matvec=mv, rmatvec=rmv)
+
+
+def _normalized_jacobian(M: MOperator) -> spla.LinearOperator:
+    """Jacobian of the normalized residual map z -> N(z / |w|) at a point
+    with w = 1: M composed with the normalization I - z e_N'."""
+    z = M.z
+
+    def matvec(dz):
+        return M.matvec(dz - z * dz[-1])
+
+    def rmatvec(u):
+        w = M.rmatvec(u)
+        w[-1] -= z @ w
+        return w
+
+    return spla.LinearOperator((M.size, M.size), matvec=matvec,
+                               rmatvec=rmatvec)
+
+
 def _refine(z, Q, spec, n, steps, lsqr_iters):
     """Damped Gauss-Newton on the normalized residual map; keeps the best z."""
     z = z / abs(z[-1])
@@ -183,31 +246,16 @@ def _refine(z, Q, spec, n, steps, lsqr_iters):
         r = _residual_map(best, Q, spec, n)
         if best_norm <= 1e-15:
             break
-        zc = best
-
-        def matvec(dz):
-            # d/dz of ((Q - I)Pi + I)(z/|w|) at w = 1 along dz
-            dz_eff = dz - zc * dz[-1]
-            p = dproject_embedding(zc, dz_eff, spec, n)
-            return Q @ p - p + dz_eff
-
-        def rmatvec(u):
-            w = Q.T @ u - u
-            w = dproject_embedding(zc, w, spec, n) + u
-            out = w.copy()
-            out[-1] -= zc @ w
-            return out
-
-        prec = _jacobian_preconditioner(zc, Q, spec, n)
+        J = _normalized_jacobian(MOperator(Q, spec, best))
+        prec = _jacobian_preconditioner(best, Q, spec, n)
         if prec is None:
-            op = spla.LinearOperator((N, N), matvec=matvec, rmatvec=rmatvec)
-            step = spla.lsqr(op, r, atol=1e-14, btol=1e-14,
+            step = spla.lsqr(J, r, atol=1e-14, btol=1e-14,
                              iter_lim=min(lsqr_iters, 1500))[0]
         else:
             op = spla.LinearOperator(
                 (N, N),
-                matvec=lambda w: matvec(prec.solve(w)),
-                rmatvec=lambda u: prec.solve(rmatvec(u), trans="T"))
+                matvec=lambda w: J.matvec(prec.solve(w)),
+                rmatvec=lambda u: prec.solve(J.rmatvec(u), trans="T"))
             w_sol = spla.lsqr(op, r, atol=1e-14, btol=1e-14, iter_lim=300)[0]
             step = prec.solve(w_sol)
         improved = False

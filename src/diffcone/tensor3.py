@@ -89,10 +89,6 @@ class SparseTensor3:
             np.concatenate([self.v, other.v]),
         )
 
-    def scale(self, alpha: float) -> "SparseTensor3":
-        return SparseTensor3.from_entries(self.dims, self.i, self.j, self.k,
-                                          self.v * float(alpha))
-
     def to_dense(self) -> np.ndarray:
         out = np.zeros(self.dims)
         np.add.at(out, (self.i, self.j, self.k), self.v)

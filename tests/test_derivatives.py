@@ -8,14 +8,12 @@ from conftest import TIGHT
 from diffcone.canon import ConeProgramData
 from diffcone.cones import ConeSpec, dproject_embedding, smooth_margin
 from diffcone.derivatives import (
-    MOperator,
-    SkewOperator,
     adjoint_derivative,
     forward_derivative,
     solve_m_system,
 )
 from diffcone.errors import SolveStatusError
-from diffcone.solver import normalized_point, solve
+from diffcone.solver import MOperator, normalized_point, skew_matrix, solve
 
 
 def socp_ball_data(rng, n=4, mi=3):
@@ -34,56 +32,42 @@ def one_d_lp():
                            ConeSpec(0, 1, ()))
 
 
-class TestSkewOperator:
-    def test_skew_identity(self, rng):
-        data = socp_ball_data(rng)
-        skew = SkewOperator(data)
-        for _ in range(20):
-            u = rng.standard_normal(skew.size)
-            assert abs(u @ skew.matvec(u)) <= 1e-12 * (u @ u)
-
-    def test_matvec_matches_matrix(self, rng):
-        data = socp_ball_data(rng)
-        skew = SkewOperator(data)
-        Q = skew.matrix().toarray()
-        for _ in range(5):
-            u = rng.standard_normal(skew.size)
-            np.testing.assert_allclose(skew.matvec(u), Q @ u, atol=1e-12)
-            np.testing.assert_allclose(skew.rmatvec(u), Q.T @ u, atol=1e-12)
+def m_operator(data, z):
+    return MOperator(skew_matrix(data), data.cones, z)
 
 
 class TestMOperator:
     def test_action_matches_definition(self, rng):
         data = socp_ball_data(rng)
-        skew = SkewOperator(data)
-        z = rng.standard_normal(skew.size)
-        M = MOperator(skew, z)
-        Q = skew.matrix().toarray()
+        N = sum(data.A.shape) + 1
+        z = rng.standard_normal(N)
+        M = m_operator(data, z)
+        Q = skew_matrix(data).toarray()
         for _ in range(20):
-            u = rng.standard_normal(skew.size)
-            dpi = dproject_embedding(z, u, data.cones, skew.n)
-            want = (Q - np.eye(skew.size)) @ dpi + u
+            u = rng.standard_normal(N)
+            dpi = dproject_embedding(z, u, data.cones, data.A.shape[1])
+            want = (Q - np.eye(N)) @ dpi + u
             np.testing.assert_allclose(M.matvec(u), want, atol=1e-12)
 
     def test_adjoint_pairing(self, rng):
         data = socp_ball_data(rng)
-        skew = SkewOperator(data)
-        z = rng.standard_normal(skew.size)
-        M = MOperator(skew, z)
+        N = sum(data.A.shape) + 1
+        z = rng.standard_normal(N)
+        M = m_operator(data, z)
         for _ in range(20):
-            a = rng.standard_normal(skew.size)
-            b = rng.standard_normal(skew.size)
+            a = rng.standard_normal(N)
+            b = rng.standard_normal(N)
             lhs = np.dot(M.matvec(a), b)
             rhs = np.dot(a, M.rmatvec(b))
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
     def test_materialized_agrees_with_action(self, rng):
         data = socp_ball_data(rng)
-        skew = SkewOperator(data)
-        z = rng.standard_normal(skew.size)
-        M = MOperator(skew, z)
+        N = sum(data.A.shape) + 1
+        z = rng.standard_normal(N)
+        M = m_operator(data, z)
         dense = M.materialize()
-        u = rng.standard_normal(skew.size)
+        u = rng.standard_normal(N)
         np.testing.assert_allclose(dense @ u, M.matvec(u), atol=1e-12)
 
 
@@ -92,9 +76,8 @@ class TestSolveMSystem:
         """All-polar point: DPi = 0 so M = I regardless of the skew part."""
         data = ConeProgramData(sp.csr_matrix((2, 0)), np.zeros(2),
                                np.zeros(0), ConeSpec(0, 2, ()))
-        skew = SkewOperator(data)
         z = np.array([-1.0, -2.0, -3.0])  # strictly inside the polar regions
-        M = MOperator(skew, z)
+        M = m_operator(data, z)
         rhs = np.array([1.0, 2.0, 3.0])
         for mode in ("direct", "iterative"):
             g, info = solve_m_system(M, rhs, mode=mode)
@@ -103,20 +86,20 @@ class TestSolveMSystem:
 
     def test_modes_agree_on_nonsingular_system(self, rng):
         data = socp_ball_data(rng, n=6, mi=5)
-        skew = SkewOperator(data)
-        z = np.abs(rng.standard_normal(skew.size)) + 0.5
-        M = MOperator(skew, z)
-        rhs = rng.standard_normal(skew.size)
+        N = sum(data.A.shape) + 1
+        z = np.abs(rng.standard_normal(N)) + 0.5
+        M = m_operator(data, z)
+        rhs = rng.standard_normal(N)
         gd, i1 = solve_m_system(M, rhs, mode="direct")
         gi, i2 = solve_m_system(M, rhs, mode="iterative")
         np.testing.assert_allclose(gd, gi, atol=1e-8, rtol=1e-6)
 
     def test_transpose_solves(self, rng):
         data = socp_ball_data(rng)
-        skew = SkewOperator(data)
-        z = np.abs(rng.standard_normal(skew.size)) + 0.5
-        M = MOperator(skew, z)
-        rhs = rng.standard_normal(skew.size)
+        N = sum(data.A.shape) + 1
+        z = np.abs(rng.standard_normal(N)) + 0.5
+        M = m_operator(data, z)
+        rhs = rng.standard_normal(N)
         g, _ = solve_m_system(M, rhs, mode="direct", transpose=True)
         np.testing.assert_allclose(M.rmatvec(g), rhs, atol=1e-8)
 

@@ -63,6 +63,18 @@ class TestCompile:
         with pytest.raises(ShapeError, match="nonneg"):
             layer.forward({"F": np.eye(3, 2), "g": np.ones(3), "lam": -0.5})
 
+    @pytest.mark.parametrize("call", [
+        lambda layer, res: layer.forward({"x": "abc"}),
+        lambda layer, res: layer.backward(res, {"y": "x"}),
+        lambda layer, res: layer.backward(res, None),
+        lambda layer, res: layer.forward_batch([1]),
+    ], ids=["value", "cotangent", "cotangents-mapping", "binding-mapping"])
+    def test_malformed_inputs_raise_shape_error(self, call):
+        layer = Layer.compile(relu_fixture(3).problem, TIGHT)
+        res = layer.forward({"x": np.array([1.0, -2.0, 3.0])})
+        with pytest.raises(ShapeError):
+            call(layer, res)
+
 
 class TestForward:
     def test_relu_projection(self):
@@ -231,7 +243,7 @@ class TestBatching:
         fx = relu_fixture(3)
         layer = Layer.compile(fx.problem, TIGHT)
         values = fx.sample(rng)
-        results = layer.forward_batch([values] * 4, max_workers=4)
+        results = layer.forward_batch([values] * 4)
         base = results[0].outputs["y"]
         for r in results[1:]:
             np.testing.assert_array_equal(r.outputs["y"], base)
@@ -241,14 +253,14 @@ class TestBatching:
         layer = Layer.compile(fx.problem, TIGHT)
         batch = [fx.sample(rng) for _ in range(8)]
         seq = [layer.forward(v) for v in batch]
-        par = layer.forward_batch(batch, max_workers=4)
-        for a, b in zip(seq, par):
+        batched = layer.forward_batch(batch)
+        for a, b in zip(seq, batched):
             assert a.status == b.status
             np.testing.assert_array_equal(a.outputs["x"], b.outputs["x"])
         cots = [{"x": rng.standard_normal(3)} for _ in batch]
         seq_g = [layer.backward(r, c) for r, c in zip(seq, cots)]
-        par_g = layer.backward_batch(par, cots, max_workers=4)
-        for (ga, _), (gb, _) in zip(seq_g, par_g):
+        batched_g = layer.backward_batch(batched, cots)
+        for (ga, _), (gb, _) in zip(seq_g, batched_g):
             for name in layer.parameter_order:
                 np.testing.assert_allclose(ga[name], gb[name], atol=1e-12)
 
@@ -257,9 +269,9 @@ class TestBatching:
         layer = Layer.compile(fx.problem, TIGHT)
         b1 = [fx.sample(rng) for _ in range(3)]
         b2 = [fx.sample(rng) for _ in range(2)]
-        joint = layer.forward_batch(b1 + b2, max_workers=2)
-        first = layer.forward_batch(b1, max_workers=2)
-        second = layer.forward_batch(b2, max_workers=2)
+        joint = layer.forward_batch(b1 + b2)
+        first = layer.forward_batch(b1)
+        second = layer.forward_batch(b2)
         for a, b in zip(joint, first + second):
             np.testing.assert_array_equal(a.outputs["y"], b.outputs["y"])
 
@@ -270,6 +282,6 @@ class TestBatching:
         layer = Layer.compile(prob, TIGHT)
         batch = [{"lo": 0.0, "hi": 1.0}, {"lo": 1.0, "hi": 0.0},
                  {"lo": -1.0, "hi": 2.0}]
-        results = layer.forward_batch(batch, max_workers=2)
+        results = layer.forward_batch(batch)
         assert [r.status for r in results] == ["optimal", "infeasible",
                                                "optimal"]

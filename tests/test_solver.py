@@ -6,10 +6,19 @@ import scipy.sparse as sp
 
 from conftest import TIGHT
 from diffcone.canon import ConeProgramData
-from diffcone.cones import ConeSpec, project_embedding
+from diffcone.cones import (
+    ConeSpec,
+    project_dual_cone,
+    project_embedding,
+    smooth_margin,
+)
 from diffcone.errors import SolveStatusError, SolverInputError
 from diffcone.fixtures import oracle_eq_qp, oracle_lp_vertex
 from diffcone.solver import (
+    MOperator,
+    SolverSettings,
+    _normalized_jacobian,
+    _residual_map,
     normalized_point,
     residuals,
     skew_matrix,
@@ -245,6 +254,23 @@ class TestInvariances:
         Q = skew_matrix(data).toarray()
         np.testing.assert_allclose(Q, -Q.T, atol=0)
 
+    def test_skew_matrix_matches_block_definition(self):
+        # exact zeros in b and c, an empty row (1) and column (2) of A
+        A = np.array([[1.5, -2.0, 0.0, 0.5],
+                      [0.0, 0.0, 0.0, 0.0],
+                      [-0.25, 3.0, 0.0, 7.0]])
+        b = np.array([0.0, 2.0, -1.0])
+        c = np.array([0.0, 0.0, 4.0, -0.5])
+        data = ConeProgramData(sp.csr_matrix(A), b, c, ConeSpec(0, 3, ()))
+        want = np.block([
+            [np.zeros((4, 4)), A.T, c[:, None]],
+            [-A, np.zeros((3, 3)), b[:, None]],
+            [-c[None, :], -b[None, :], np.zeros((1, 1))],
+        ])
+        Q = skew_matrix(data)
+        np.testing.assert_array_equal(Q.toarray(), want)
+        assert Q.nnz == np.count_nonzero(want)
+
 
 class TestNormalizedResidual:
     def test_residual_map_small_at_solution(self, rng):
@@ -261,3 +287,93 @@ class TestNormalizedResidual:
         pz = project_embedding(z, data.cones, n)
         residual = Q @ pz - pz + z
         assert np.linalg.norm(residual) <= 10 * 1e-8
+
+
+class TestNormalizedJacobian:
+    """The polish step's operator: M composed with the normalization."""
+
+    def operator(self, rng):
+        n, mi, d = 3, 4, 4
+        A = sp.csr_matrix(rng.standard_normal((mi + d, n)))
+        data = ConeProgramData(A, rng.standard_normal(mi + d),
+                               rng.standard_normal(n), ConeSpec(0, mi, (d,)))
+        z = rng.standard_normal(n + mi + d + 1)
+        z[-1] = 1.0
+        assert smooth_margin(z, data.cones, n) > 1e-3
+        Q = skew_matrix(data)
+        J = _normalized_jacobian(MOperator(Q, data.cones, z))
+        return J, Q, data.cones, n, z
+
+    def test_matches_central_difference_of_residual_map(self, rng):
+        J, Q, spec, n, z = self.operator(rng)
+        h = 1e-6
+        for _ in range(10):
+            dz = rng.standard_normal(z.size)
+            fd = (_residual_map(z + h * dz, Q, spec, n)
+                  - _residual_map(z - h * dz, Q, spec, n)) / (2 * h)
+            np.testing.assert_allclose(J.matvec(dz), fd, rtol=1e-6,
+                                       atol=1e-8)
+
+    def test_adjoint_pairing(self, rng):
+        J, *_, z = self.operator(rng)
+        for _ in range(20):
+            a = rng.standard_normal(z.size)
+            b = rng.standard_normal(z.size)
+            lhs = J.matvec(a) @ b
+            rhs = a @ J.rmatvec(b)
+            assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+
+
+class TestCertificates:
+    """Generated infeasible and unbounded programs over an orthant and one
+    second-order block (a self-dual cone K = K*); the returned certificate
+    is checked, not only the status."""
+
+    SETTINGS = SolverSettings()
+    SPEC = ConeSpec(0, 3, (3,))
+    N_VARS = 3
+
+    @staticmethod
+    def interior_point(rng):
+        return np.concatenate([rng.uniform(0.5, 1.5, 3), [2.0],
+                               rng.uniform(-0.5, 0.5, 2)])
+
+    def assert_in_cone(self, v):
+        dist = np.linalg.norm(project_dual_cone(v, self.SPEC) - v)
+        assert dist <= 1e-12 * np.linalg.norm(v)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_infeasible_certificate(self, seed):
+        rng = np.random.default_rng([seed, 1])
+        y0 = self.interior_point(rng)
+        # y0 in int K* with A'y0 = 0 and b'y0 = -1 proves infeasibility
+        A = rng.standard_normal((y0.size, self.N_VARS))
+        A -= np.outer(y0, y0 @ A) / (y0 @ y0)
+        b = rng.standard_normal(y0.size)
+        b -= (b @ y0 + 1.0) * y0 / (y0 @ y0)
+        data = ConeProgramData(sp.csr_matrix(A), b,
+                               rng.standard_normal(self.N_VARS), self.SPEC)
+        sol = solve(data, self.SETTINGS)
+        assert sol.status == "infeasible"
+        assert b @ sol.y == pytest.approx(-1.0, abs=1e-12)
+        assert np.linalg.norm(A.T @ sol.y) <= self.SETTINGS.eps_abs
+        self.assert_in_cone(sol.y)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_unbounded_certificate(self, seed):
+        rng = np.random.default_rng([seed, 2])
+        s0 = self.interior_point(rng)
+        # a ray x0 with A x0 = -s0 (s0 in int K) and c'x0 = -1, from the
+        # feasible point b = A xf + sf, makes the program unbounded
+        x0 = rng.standard_normal(self.N_VARS)
+        A = rng.standard_normal((s0.size, self.N_VARS))
+        A += np.outer(-s0 - A @ x0, x0) / (x0 @ x0)
+        c = rng.standard_normal(self.N_VARS)
+        c -= (c @ x0 + 1.0) * x0 / (x0 @ x0)
+        b = A @ rng.standard_normal(self.N_VARS) + self.interior_point(rng)
+        data = ConeProgramData(sp.csr_matrix(A), b, c, self.SPEC)
+        sol = solve(data, self.SETTINGS)
+        assert sol.status == "unbounded"
+        assert c @ sol.x == pytest.approx(-1.0, abs=1e-12)
+        assert np.linalg.norm(A @ sol.x + sol.s) <= self.SETTINGS.eps_abs
+        self.assert_in_cone(sol.s)
