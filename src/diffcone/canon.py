@@ -269,43 +269,24 @@ def _fixed_linear_map(e: Expression) -> sp.spmatrix:
     raise ShapeError(f"atom {atom!r} has no fixed linear map")
 
 
-def _stack_placements(e: Expression) -> list[sp.coo_matrix]:
-    """Placement matrix of each stacked argument into the flat output."""
-    out = []
-    d_out = e.shape.size
+def _stack_destinations(e: Expression) -> list[np.ndarray]:
+    """Flat output index of each flat entry of every stacked argument."""
     if all(a.shape.rank <= 1 for a in e.args):
-        off = 0
-        for a in e.args:
-            d = a.shape.size
-            m = sp.coo_matrix((np.ones(d), (off + np.arange(d), np.arange(d))),
-                              shape=(d_out, d))
-            out.append(m)
-            off += d
-        return out
-    if e.atom == "vstack":
-        r_tot = e.shape.dims[0]
-        row_off = 0
-        for a in e.args:
-            r_a, c_a = a.shape.dims
-            rr = np.tile(np.arange(r_a), c_a)
-            cc = np.repeat(np.arange(c_a), r_a)
-            dest = row_off + rr + cc * r_tot
-            out.append(sp.coo_matrix(
-                (np.ones(dest.size), (dest, np.arange(dest.size))),
-                shape=(d_out, r_a * c_a)))
-            row_off += r_a
-        return out
+        offsets = np.cumsum([0] + [a.shape.size for a in e.args])
+        return [np.arange(lo, hi) for lo, hi in zip(offsets[:-1], offsets[1:])]
+    out = []
     r_tot = e.shape.dims[0]
-    col_off = 0
+    off = 0
     for a in e.args:
         r_a, c_a = a.shape.dims
         rr = np.tile(np.arange(r_a), c_a)
         cc = np.repeat(np.arange(c_a), r_a)
-        dest = rr + (col_off + cc) * r_tot
-        out.append(sp.coo_matrix(
-            (np.ones(dest.size), (dest, np.arange(dest.size))),
-            shape=(d_out, r_a * c_a)))
-        col_off += c_a
+        if e.atom == "vstack":
+            out.append(off + rr + cc * r_tot)
+            off += r_a
+        else:
+            out.append(rr + (off + cc) * r_tot)
+            off += c_a
     return out
 
 
@@ -381,11 +362,15 @@ def canon_tensor(expr: Expression, ctx: CanonContext,
         out = canon_tensor(expr.args[0], ctx, memo).add(
             canon_tensor(expr.args[1], ctx, memo))
     elif expr.atom in ("vstack", "hstack"):
-        placements = _stack_placements(expr)
-        out = SparseTensor3.zeros((expr.shape.size, ctx.n_cols, ctx.n_slices))
-        for placement, arg in zip(placements, expr.args):
-            out = out.add(psi_combine(_map_tensor(placement, ctx),
-                                      canon_tensor(arg, ctx, memo)))
+        # The placement is injective, so the parts' entries move unchanged.
+        parts = [canon_tensor(arg, ctx, memo) for arg in expr.args]
+        dests = _stack_destinations(expr)
+        out = SparseTensor3.from_entries(
+            (expr.shape.size, ctx.n_cols, ctx.n_slices),
+            np.concatenate([dest[t.i] for dest, t in zip(dests, parts)]),
+            np.concatenate([t.j for t in parts]),
+            np.concatenate([t.k for t in parts]),
+            np.concatenate([t.v for t in parts]))
     elif expr.atom in ("neg", "sum", "index", "reshape", "transpose", "promote"):
         out = psi_combine(_map_tensor(_fixed_linear_map(expr), ctx),
                           canon_tensor(expr.args[0], ctx, memo))
@@ -438,12 +423,12 @@ class ConeProgramData:
 class AsaForm:
     """Cached sparse canonicalizer maps plus layouts and the retrieval map.
 
-    ``c_map @ theta_aug`` gives the cost vector and contracting ``ab_map``
-    against theta_aug gives [A b]; theta_aug is theta with a trailing 1.
+    ``c_map @ theta_aug`` gives the cost vector, ``_b_map @ theta_aug`` gives
+    b and ``_a_coeff @ theta_aug`` gives the entries of A on its fixed
+    pattern ``(_a_rows, _a_cols)``; theta_aug is theta with a trailing 1.
     """
 
     c_map: sp.csr_matrix                # (N, p+1)
-    ab_map: SparseTensor3               # (m, N+1, p+1); A columns negated
     cones: ConeSpec
     retrieval: sp.csr_matrix            # (total original var size, N)
     param_layout: tuple[LayoutSlot, ...]
@@ -464,7 +449,7 @@ class AsaForm:
 
     @property
     def n_rows(self) -> int:
-        return self.ab_map.dims[0]
+        return self._b_map.shape[0]
 
     @property
     def n_params(self) -> int:
@@ -554,7 +539,11 @@ def build_asa(lowered: LoweredProblem) -> AsaForm:
     offset_map = np.zeros(n_params + 1)
     np.add.at(offset_map, s_obj.k[~var_mask], s_obj.v[~var_mask])
 
-    entries_i, entries_j, entries_k, entries_v = [], [], [], []
+    # Each list starts with an empty part, so a program without constraint
+    # rows (m = 0) still concatenates.
+    empty = np.zeros(0, dtype=np.int64)
+    entries_i, entries_j, entries_k = [empty], [empty], [empty]
+    entries_v = [np.zeros(0)]
     n_zero = n_nonneg = 0
     soc_dims: list[int] = []
     row = 0
@@ -574,29 +563,26 @@ def build_asa(lowered: LoweredProblem) -> AsaForm:
             soc_dims.append(d)
         row += d
     m = row
-    if entries_i:
-        ab_map = SparseTensor3.from_entries(
-            (m, n_vars + 1, n_params + 1),
-            np.concatenate(entries_i), np.concatenate(entries_j),
-            np.concatenate(entries_k), np.concatenate(entries_v))
-    else:
-        ab_map = SparseTensor3.zeros((m, n_vars + 1, n_params + 1))
     cones = ConeSpec(n_zero, n_nonneg, tuple(soc_dims))
 
+    # Constraints own disjoint rows and each tensor is canonical, so the
+    # concatenated entries hold no duplicates and no zeros.
+    ab_i, ab_j, ab_k, ab_v = (np.concatenate(e) for e in
+                              (entries_i, entries_j, entries_k, entries_v))
+
     # Structural pattern of A (union over slices), row-major order.
-    a_mask = ab_map.j < n_vars
-    flat = ab_map.i[a_mask] * np.int64(n_vars) + ab_map.j[a_mask]
-    struct, inverse = np.unique(flat, return_inverse=True) if flat.size else (
-        np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
-    a_rows = (struct // max(n_vars, 1)).astype(np.int64)
-    a_cols = (struct % max(n_vars, 1)).astype(np.int64)
+    a_mask = ab_j < n_vars
+    flat = ab_i[a_mask] * np.int64(n_vars) + ab_j[a_mask]
+    struct, inverse = np.unique(flat, return_inverse=True)
+    a_rows = struct // max(n_vars, 1)
+    a_cols = struct % max(n_vars, 1)
     a_indptr = np.searchsorted(a_rows, np.arange(m + 1))
     a_coeff = sp.csr_matrix(
-        (ab_map.v[a_mask], (inverse, ab_map.k[a_mask])),
+        (ab_v[a_mask], (inverse, ab_k[a_mask])),
         shape=(struct.size, n_params + 1))
     b_mask = ~a_mask
     b_map = sp.csr_matrix(
-        (ab_map.v[b_mask], (ab_map.i[b_mask], ab_map.k[b_mask])),
+        (ab_v[b_mask], (ab_i[b_mask], ab_k[b_mask])),
         shape=(m, n_params + 1))
 
     variable_layout, _ = _layout(lowered.problem.variables)
@@ -611,7 +597,7 @@ def build_asa(lowered: LoweredProblem) -> AsaForm:
         shape=(total, n_vars))
 
     return AsaForm(
-        c_map=c_map, ab_map=ab_map, cones=cones, retrieval=retrieval,
+        c_map=c_map, cones=cones, retrieval=retrieval,
         param_layout=param_layout, variable_layout=variable_layout,
         cone_var_layout=cone_var_layout, objective_offset_map=offset_map,
         _a_rows=a_rows, _a_cols=a_cols, _a_indptr=a_indptr,

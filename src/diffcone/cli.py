@@ -8,14 +8,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import statistics
 import sys
-import time
 
 import numpy as np
 
 from . import io as dio
-from .canon import build_asa, canonicalize, lower, materialize
+from .canon import canonicalize, materialize
 from .errors import CompileError, DiffconeError, ParseError
 from .layer import Layer
 from .problem import check_dpp
@@ -187,32 +185,6 @@ def cmd_gradcheck(args) -> int:
     return EXIT_OK if worst <= args.tol_check else EXIT_GRADCHECK
 
 
-def cmd_bench_canon(args) -> int:
-    problem = _load_problem(args)
-    values = _load_params(args, problem)
-    full_times, cached_times = [], []
-    asa = canonicalize(problem)
-    theta = asa.flatten_params(values)
-    for _ in range(args.reps):
-        t0 = time.perf_counter()
-        fresh = build_asa(lower(problem))
-        materialize(fresh, theta)
-        full_times.append(time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        materialize(asa, theta)
-        cached_times.append(time.perf_counter() - t0)
-    full_ms = statistics.median(full_times) * 1e3
-    cached_ms = statistics.median(cached_times) * 1e3
-    ratio = full_ms / cached_ms if cached_ms > 0 else float("inf")
-    _emit(args, {
-        "reps": args.reps,
-        "full_canonicalization_ms": full_ms,
-        "cached_materialization_ms": cached_ms,
-        "speedup": ratio,
-    })
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="diffcone",
                      description="Differentiable cone-program toolkit")
@@ -259,12 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol-check", dest="tol_check", type=float, default=1e-4,
                    help="max relative error allowed")
     p.set_defaults(func=cmd_gradcheck, tol=1e-10)
-
-    p = sub.add_parser("bench-canon",
-                       help="full canonicalization vs cached materialization")
-    common(p)
-    p.add_argument("--reps", type=int, default=10)
-    p.set_defaults(func=cmd_bench_canon)
     return parser
 
 

@@ -149,9 +149,9 @@ def residuals(data: ConeProgramData, sol: ConeSolution) -> tuple[float, float, f
     return pri, dua, gap
 
 
-def _within_tolerance(data, x, y, s, eps_abs, eps_rel):
+def _within_tolerance(data, At, x, y, s, eps_abs, eps_rel):
     pri = np.linalg.norm(data.A @ x + s - data.b)
-    dua = np.linalg.norm(data.A.T @ y + data.c)
+    dua = np.linalg.norm(At @ y + data.c)
     ctx = float(data.c @ x)
     bty = float(data.b @ y)
     gap = abs(ctx + bty)
@@ -297,6 +297,7 @@ def solve(data: ConeProgramData, settings: SolverSettings | None = None,
         settings = SolverSettings()
     m, n = data.A.shape
     N = n + m + 1
+    At = data.A.T  # one transpose per solve, shared by every residual check
     spec = data.cones
     start = time.perf_counter()
 
@@ -334,7 +335,7 @@ def solve(data: ConeProgramData, settings: SolverSettings | None = None,
     def consider(xh, yh, sh):
         nonlocal best, status
         x, y, s = unscale(xh, yh, sh)
-        ok, res = _within_tolerance(data, x, y, s,
+        ok, res = _within_tolerance(data, At, x, y, s,
                                     settings.eps_abs, settings.eps_rel)
         score = max(res[0], res[1], res[2])
         if best is None or score < best[0]:
@@ -375,7 +376,7 @@ def solve(data: ConeProgramData, settings: SolverSettings | None = None,
         bty = data.b @ y_cert
         if bty < -1e-12:
             y_cert = y_cert / (-bty)
-            if np.linalg.norm(data.A.T @ y_cert) <= settings.eps_abs:
+            if np.linalg.norm(At @ y_cert) <= settings.eps_abs:
                 status = INFEASIBLE
                 best = (np.inf, np.zeros(n), y_cert, np.zeros(m),
                         (np.nan, np.nan, np.nan))

@@ -53,30 +53,13 @@ class SparseTensor3:
             i, j, k, v = i[keep], j[keep], k[keep], v[keep]
         return SparseTensor3((rows, cols, slices), i, j, k, v)
 
-    @staticmethod
-    def zeros(dims) -> "SparseTensor3":
-        e = np.zeros(0)
-        return SparseTensor3(tuple(int(d) for d in dims),
-                             e.astype(np.int64), e.astype(np.int64),
-                             e.astype(np.int64), e)
-
     @property
     def nnz(self) -> int:
         return self.v.size
 
-    def nonzero_slices(self) -> np.ndarray:
-        return np.unique(self.k)
-
     def is_constant_slice_only(self) -> bool:
         """True when all entries live in the last (constant) slice."""
         return self.nnz == 0 or bool(np.all(self.k == self.dims[2] - 1))
-
-    def slice_coo(self, k: int) -> sp.coo_matrix:
-        mask = self.k == k
-        return sp.coo_matrix(
-            (self.v[mask], (self.i[mask], self.j[mask])),
-            shape=(self.dims[0], self.dims[1]),
-        )
 
     def add(self, other: "SparseTensor3") -> "SparseTensor3":
         if self.dims != other.dims:
@@ -101,41 +84,37 @@ def psi_combine(T: SparseTensor3, S: SparseTensor3) -> SparseTensor3:
     When T has entries only in its constant slice, the result's slice k is
     T[:,:,last] @ S[:,:,k]; symmetrically when S is constant-slice-only.
     Both being parametrized signals an upstream analysis bug and raises.
+
+    All slices go through one sparse product: every (slice, column) pair of
+    S that holds an entry becomes one column of a flat matrix (or every
+    (slice, row) pair of T one row), and the product's indices decode back
+    to (row, column, slice).  Each output entry accumulates its terms in the
+    same order as a per-slice product would, so the values are identical.
     """
     if T.dims[1] != S.dims[0]:
         raise ValueError(f"inner dims differ: {T.dims} x {S.dims}")
     if T.dims[2] != S.dims[2]:
         raise ValueError(f"slice counts differ: {T.dims[2]} vs {S.dims[2]}")
-    n_slices = T.dims[2]
-    out_dims = (T.dims[0], S.dims[1], n_slices)
-    t_const = T.is_constant_slice_only()
-    s_const = S.is_constant_slice_only()
-    if not (t_const or s_const):
+    rows, inner, cols = T.dims[0], T.dims[1], S.dims[1]
+    out_dims = (rows, cols, T.dims[2])
+    if T.is_constant_slice_only():
+        # Compressed keys k*cols + j keep scipy's workspace at the number of
+        # populated (slice, column) pairs rather than cols * slices.
+        keys, flat_col = np.unique(S.k * cols + S.j, return_inverse=True)
+        left = sp.csr_matrix((T.v, (T.i, T.j)), shape=(rows, inner))
+        flat = sp.csr_matrix((S.v, (S.i, flat_col)), shape=(inner, keys.size))
+        prod = (left @ flat).tocoo()
+        key = keys[prod.col]
+        i, j, k = prod.row, key % cols, key // cols
+    elif S.is_constant_slice_only():
+        keys, flat_row = np.unique(T.k * rows + T.i, return_inverse=True)
+        flat = sp.csr_matrix((T.v, (flat_row, T.j)), shape=(keys.size, inner))
+        right = sp.csr_matrix((S.v, (S.i, S.j)), shape=(inner, cols))
+        prod = (flat @ right).tocoo()
+        key = keys[prod.row]
+        i, j, k = key % rows, prod.col, key // rows
+    else:
         raise ValueError(
             "psi_combine requires one unparametrized operand; both carry "
-            "parameter slices"
-        )
-    ii, jj, kk, vv = [], [], [], []
-    if t_const:
-        left = T.slice_coo(n_slices - 1).tocsr()
-        for k in S.nonzero_slices():
-            prod = (left @ S.slice_coo(int(k)).tocsc()).tocoo()
-            ii.append(prod.row)
-            jj.append(prod.col)
-            kk.append(np.full(prod.nnz, int(k), dtype=np.int64))
-            vv.append(prod.data)
-    else:
-        right = S.slice_coo(n_slices - 1).tocsc()
-        for k in T.nonzero_slices():
-            prod = (T.slice_coo(int(k)).tocsr() @ right).tocoo()
-            ii.append(prod.row)
-            jj.append(prod.col)
-            kk.append(np.full(prod.nnz, int(k), dtype=np.int64))
-            vv.append(prod.data)
-    if not ii:
-        return SparseTensor3.zeros(out_dims)
-    return SparseTensor3.from_entries(
-        out_dims,
-        np.concatenate(ii), np.concatenate(jj),
-        np.concatenate(kk), np.concatenate(vv),
-    )
+            "parameter slices")
+    return SparseTensor3.from_entries(out_dims, i, j, k, prod.data)

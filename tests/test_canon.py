@@ -31,6 +31,7 @@ from diffcone.expressions import (
     variable,
 )
 from diffcone.fixtures import gen_random_dpp
+from diffcone.layer import Layer
 from diffcone.problem import Problem, eq, ge, substitute_parameters
 
 
@@ -222,8 +223,27 @@ class TestMaterialize:
                        [ge(x, 0)])
         asa = canonicalize(prob)
         assert asa.n_params == 0
-        assert asa.ab_map.is_constant_slice_only()
+        assert asa._a_coeff.shape == (asa._a_rows.size, 1)
+        assert asa._b_map.shape == (asa.n_rows, 1)
         assert asa.c_map.shape[1] == 1
+
+    def test_constraint_free_program(self):
+        """A program without constraint rows (m = 0) compiles, materializes
+        and solves: optimal at q = 0, unbounded otherwise."""
+        x, q = variable("x", 3), parameter("q", 3)
+        prob = Problem("minimize", matmul(q, x))
+        asa = canonicalize(prob)
+        assert asa.n_rows == 0
+        assert asa._a_coeff.shape == (0, 4) and asa._b_map.shape == (0, 4)
+        data = materialize(asa, np.array([1.0, -2.0, 0.5]))
+        assert data.A.shape == (0, 3) and data.b.shape == (0,)
+        np.testing.assert_array_equal(data.c, [1.0, -2.0, 0.5])
+        layer = Layer.compile(prob)
+        res = layer.forward({"q": np.zeros(3)})
+        assert res.ok
+        np.testing.assert_array_equal(res.outputs["x"], np.zeros(3))
+        assert layer.forward({"q": np.array([1.0, -2.0, 0.5])}).status \
+            == "unbounded"
 
     def test_affine_in_theta(self, rng):
         prob = regularized_least_squares()
@@ -429,6 +449,41 @@ class TestDenseContractionOracle:
         got = canon_tensor(con.expr, ctx).to_dense()
         want = self._dense_from_evaluation(con.expr, asa, prob)
         np.testing.assert_allclose(got, want, atol=1e-12)
+
+    @pytest.mark.parametrize("atom", ["vstack", "hstack"])
+    @pytest.mark.parametrize("shape", ["vector", "matrix"])
+    def test_stacks(self, atom, shape):
+        """Every stacked argument carries parameter slices except one
+        constant argument; the stack reduces to the tensor the evaluation
+        oracle recovers."""
+        from diffcone.canon import CanonContext, canon_tensor
+        from diffcone.expressions import hstack, vstack
+        stack = vstack if atom == "vstack" else hstack
+        if shape == "vector":
+            x = variable("x", 2)
+            F, g, a = parameter("F", (2, 2)), parameter("g", 2), parameter("a")
+            args = [F @ x, x + g, multiply(a, x),
+                    constant(np.array([1.0, -2.0]))]
+            objective = sum_entries(x)
+        else:
+            M = variable("M", (2, 3))
+            P, R = parameter("P", (2, 3)), parameter("R", (2, 2))
+            fill = [[1.0, 2.0, 3.0]] if atom == "vstack" else [[1.0], [2.0]]
+            args = [multiply(P, M), R @ M, P, constant(np.array(fill))]
+            objective = sum_entries(M)
+        expr = stack(args)
+        prob = Problem("minimize", objective,
+                       [eq(expr, constant(np.zeros(expr.shape.dims)))])
+        low = lower(prob)
+        asa = build_asa(low)
+        offsets = {s.name: s.offset for s in asa.cone_var_layout}
+        poffsets = {s.name: s.offset for s in asa.param_layout}
+        ctx = CanonContext(offsets, poffsets, asa.n_cone_vars, asa.n_params)
+        (con,) = low.constraints
+        got = canon_tensor(con.expr, ctx).to_dense()
+        want = self._dense_from_evaluation(con.expr, asa, prob)
+        np.testing.assert_allclose(got, want, atol=1e-12)
+        assert np.count_nonzero(got[:, :, :-1]) > 0
 
 
 class TestMatrixVariables:

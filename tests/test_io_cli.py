@@ -10,7 +10,6 @@ from diffcone import cli
 from diffcone.canon import canonicalize, materialize
 from diffcone.errors import ParseError
 from diffcone.fixtures import (
-    ball_constrained_policy_fixture,
     gradient_fixtures,
     nonneg_least_squares_fixture,
 )
@@ -240,22 +239,6 @@ class TestCli:
         assert code == 0
         payload = json.loads(open(out).read())
         assert payload["max_relative_error"] <= 1e-4
-
-    def test_bench_canon_reports_speedup(self, tmp_path):
-        fx = ball_constrained_policy_fixture()
-        prob_path = write(tmp_path / "p.json",
-                          dump_problem_document(problem_to_document(fx.problem)))
-        vals = fx.sample(np.random.default_rng(2))
-        vals_path = write(tmp_path / "v.json",
-                          dump_values({k: np.asarray(v)
-                                       for k, v in vals.items()}))
-        out = str(tmp_path / "bench.json")
-        code = cli.main(["bench-canon", "--problem", prob_path,
-                         "--params", vals_path, "--reps", "5",
-                         "--output", out])
-        assert code == 0
-        payload = json.loads(open(out).read())
-        assert payload["speedup"] > 1.0
 
     def test_commands_are_deterministic(self, ls_files, tmp_path):
         a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")

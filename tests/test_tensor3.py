@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diffcone.canon import CanonContext, leaf_tensor
 from diffcone.expressions import constant, parameter, variable
@@ -19,6 +22,84 @@ def dense_psi(T: np.ndarray, S: np.ndarray) -> np.ndarray:
         else:
             out[:, :, k] = T[:, :, k] @ S[:, :, -1]
     return out
+
+
+def _slice_coo(t: SparseTensor3, k) -> sp.coo_matrix:
+    mask = t.k == k
+    return sp.coo_matrix((t.v[mask], (t.i[mask], t.j[mask])),
+                         shape=t.dims[:2])
+
+
+def slicewise_psi(T: SparseTensor3, S: SparseTensor3) -> SparseTensor3:
+    """Reference: one sparse product per populated parameter slice."""
+    n_slices = T.dims[2]
+    out_dims = (T.dims[0], S.dims[1], n_slices)
+    ii, jj, kk, vv = [], [], [], []
+    if T.is_constant_slice_only():
+        left = _slice_coo(T, n_slices - 1).tocsr()
+        products = ((k, left @ _slice_coo(S, k).tocsc())
+                    for k in np.unique(S.k))
+    else:
+        right = _slice_coo(S, n_slices - 1).tocsc()
+        products = ((k, _slice_coo(T, k).tocsr() @ right)
+                    for k in np.unique(T.k))
+    for k, prod in products:
+        prod = prod.tocoo()
+        ii.append(prod.row)
+        jj.append(prod.col)
+        kk.append(np.full(prod.nnz, int(k), dtype=np.int64))
+        vv.append(prod.data)
+    if not ii:
+        return SparseTensor3.from_entries(out_dims, [], [], [], [])
+    return SparseTensor3.from_entries(
+        out_dims,
+        np.concatenate(ii), np.concatenate(jj),
+        np.concatenate(kk), np.concatenate(vv),
+    )
+
+
+def assert_same_entries(got: SparseTensor3, want: SparseTensor3):
+    assert got.dims == want.dims
+    for name in "ijkv":
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert np.array_equal(a, b), name
+
+
+# Small integers make exact cancellation common; general floats make the
+# summation order visible in the last bit.
+ENTRY_VALUES = st.one_of(
+    st.sampled_from([-1.0, 1.0, 2.0]),
+    st.floats(-4.0, 4.0, allow_nan=False).filter(lambda v: v != 0.0))
+
+
+def _draw_tensor(draw, dims, slices) -> SparseTensor3:
+    if 0 in dims:
+        entries = []
+    else:
+        entries = draw(st.lists(st.tuples(
+            st.integers(0, dims[0] - 1), st.integers(0, dims[1] - 1),
+            st.sampled_from(slices), ENTRY_VALUES), max_size=12))
+    cols = [list(c) for c in zip(*entries)] or [[], [], [], []]
+    return SparseTensor3.from_entries(dims, *cols)
+
+
+@st.composite
+def psi_operands(draw):
+    """(T, S) with at least one operand constant-slice-only.  Slice counts
+    run into the thousands with only a few slices populated; operands may
+    be empty or have an empty dimension."""
+    rows, inner, cols = (draw(st.integers(0, 4)) for _ in range(3))
+    n_slices = draw(st.one_of(st.integers(1, 6), st.integers(1000, 5000)))
+    const = [n_slices - 1]
+    populated = draw(st.lists(st.integers(0, n_slices - 1), min_size=1,
+                              max_size=3)) + const
+    side = draw(st.sampled_from(["left", "right", "both"]))
+    T = _draw_tensor(draw, (rows, inner, n_slices),
+                     populated if side == "right" else const)
+    S = _draw_tensor(draw, (inner, cols, n_slices),
+                     populated if side == "left" else const)
+    return T, S
 
 
 def random_tensor(rng, dims, const_only=False, density=0.4):
@@ -63,7 +144,7 @@ class TestPsiCombine:
 
     def test_zero_annihilates(self, rng):
         T = random_tensor(rng, (2, 3, 3), const_only=True)
-        S = SparseTensor3.zeros((3, 5, 3))
+        S = SparseTensor3.from_entries((3, 5, 3), [], [], [], [])
         assert psi_combine(T, S).nnz == 0
 
     def test_matches_dense_oracle_left_constant(self, rng):
@@ -81,6 +162,32 @@ class TestPsiCombine:
             np.testing.assert_allclose(
                 psi_combine(T, S).to_dense(),
                 dense_psi(T.to_dense(), S.to_dense()), atol=1e-13)
+
+    @settings(max_examples=300, deadline=None)
+    @given(psi_operands())
+    def test_bitwise_equal_to_slicewise_products(self, operands):
+        T, S = operands
+        assert_same_entries(psi_combine(T, S), slicewise_psi(T, S))
+
+    @pytest.mark.parametrize("constant_side", ["left", "right"])
+    def test_exact_cancellation_is_dropped(self, constant_side):
+        # in slice 3, entry (0, 0) is 1*1 - 1*1 and entry (0, 1) is 1*2
+        K = 2000
+        c, k = K - 1, 3
+        if constant_side == "left":
+            T = SparseTensor3.from_entries((1, 2, K), [0, 0], [0, 1], [c, c],
+                                           [1.0, 1.0])
+            S = SparseTensor3.from_entries((2, 2, K), [0, 1, 0], [0, 0, 1],
+                                           [k, k, k], [1.0, -1.0, 2.0])
+        else:
+            T = SparseTensor3.from_entries((1, 2, K), [0, 0], [0, 1], [k, k],
+                                           [1.0, -1.0])
+            S = SparseTensor3.from_entries((2, 2, K), [0, 1, 0], [0, 0, 1],
+                                           [c, c, c], [1.0, 1.0, 2.0])
+        got = psi_combine(T, S)
+        assert_same_entries(got, slicewise_psi(T, S))
+        assert (got.i.tolist(), got.j.tolist(), got.k.tolist(),
+                got.v.tolist()) == ([0], [1], [k], [2.0])
 
     def test_both_parametrized_rejected(self, rng):
         T = random_tensor(rng, (3, 3, 3))
