@@ -18,7 +18,8 @@ from .canon import AsaForm, ConeProgramData, build_asa, lower, materialize, \
     materialize_adjoint, retrieve
 from .errors import CompileError, ShapeError, SolveStatusError
 from .problem import Problem, check_dpp
-from .solver import OPTIMAL, ConeSolution, SolverSettings, normalized_point, solve
+from .solver import OPTIMAL, ConeSolution, IterationFactor, SolverSettings, \
+    normalized_point, solve
 from .derivatives import adjoint_derivative
 
 __all__ = ["Layer", "ForwardResult"]
@@ -71,6 +72,11 @@ class Layer:
         self.parameter_order = tuple(s.name for s in asa.param_layout)
         self.variable_order = tuple(s.name for s in asa.variable_layout)
         self._param_attrs = {}
+        # When no parameter column of _a_coeff holds an entry, A is the same
+        # for every binding: its scaling and the LU of the iteration system
+        # are built at the first forward and reused by every later one.
+        self._a_fixed = bool(np.all(asa._a_coeff.indices == asa.n_params))
+        self._factor = None
         if problem is not None:
             for p in problem.parameters:
                 self._param_attrs[p.name] = (p.nonneg, p.nonpos)
@@ -109,8 +115,17 @@ class Layer:
     def forward(self, values: dict, warm_start=None) -> ForwardResult:
         theta = self._bind(values)
         data = materialize(self.asa, theta)
-        sol = solve(data, self.settings, warm_start=warm_start)
+        built = None
+        if self._a_fixed and self._factor is None:
+            self._factor = IterationFactor(data.A, data.cones,
+                                           self.settings.normalize)
+            built = self._factor.seconds
+        sol = solve(data, self.settings, warm_start=warm_start,
+                    factor=self._factor)
         info = dict(sol.info)
+        if built is not None:
+            info["timings"] = {k: t + built.get(k, 0.0)
+                               for k, t in sol.info["timings"].items()}
         info["status"] = sol.status
         theta_aug = self.asa.theta_aug(theta)
         if sol.status != OPTIMAL:

@@ -1,27 +1,40 @@
 """Compiled-layer tests: forward outputs, gradients, batching, caching."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from conftest import GRADCHECK, TIGHT, fd_param_gradient, max_rel_error
-from diffcone.errors import CompileError, ShapeError, SolveStatusError
+from diffcone.canon import materialize
+from diffcone.errors import (
+    CompileError,
+    ShapeError,
+    SolverInputError,
+    SolveStatusError,
+)
 from diffcone.expressions import (
     constant,
+    matmul,
     multiply,
+    norm2,
     parameter,
     sum_entries,
     sum_squares,
     variable,
 )
 from diffcone.fixtures import (
+    constrained_sparsemax_fixture,
     gradient_fixtures,
     nonneg_least_squares_fixture,
     optnet_qp_fixture,
     relu_fixture,
+    sparse_qp_data,
     sparsemax_fixture,
 )
 from diffcone.layer import Layer
-from diffcone.problem import Problem, ge, le
+from diffcone.problem import Problem, eq, ge, le
+from diffcone.solver import solve
 
 
 class TestCompile:
@@ -74,6 +87,23 @@ class TestCompile:
         res = layer.forward({"x": np.array([1.0, -2.0, 3.0])})
         with pytest.raises(ShapeError):
             call(layer, res)
+
+    @pytest.mark.parametrize("bad", [
+        lambda x, y, s: (x, y),
+        lambda x, y, s: (x[:-1], y, s),
+        lambda x, y, s: (x, ["a"] * y.size, s),
+        lambda x, y, s: (np.full_like(x, np.nan), y, s),
+    ], ids=["arity", "length", "non-numeric", "nan"])
+    def test_malformed_warm_start_raises_solver_input_error(self, bad):
+        layer = Layer.compile(relu_fixture(3).problem, TIGHT)
+        values = {"x": np.array([1.0, -2.0, 3.0])}
+        sol = layer.forward(values)._solution
+        warm = bad(sol.x, sol.y, sol.s)
+        with pytest.raises(SolverInputError):
+            layer.forward(values, warm_start=warm)
+        with pytest.raises(SolverInputError):
+            solve(materialize(layer.asa, layer._bind(values)), TIGHT,
+                  warm_start=warm)
 
 
 class TestForward:
@@ -236,6 +266,70 @@ class TestCacheEquivalence:
         b = layer.forward(values)
         assert np.array_equal(a.outputs["y"], b.outputs["y"])
         assert a.info["iterations"] == b.info["iterations"]
+
+
+def small_sparse_qp(n=16):
+    """A QP with the constant R, A, G of a small ``sparse_qp_data`` and
+    parameters q, b, h: A does not depend on the parameters."""
+    m_eq, m_ineq = n // 2, n
+    cone_A = sparse_qp_data(n=n, m_eq=m_eq, m_ineq=m_ineq).A.tocsr()
+    A = cone_A[:m_eq, :n].toarray()
+    G = cone_A[m_eq:m_eq + m_ineq, :n].toarray()
+    R = -0.5 * cone_A[m_eq + m_ineq + 2:, :n].toarray()
+    x = variable("x", n)
+    q, b, h = parameter("q", n), parameter("b", m_eq), parameter("h", m_ineq)
+    problem = Problem(
+        "minimize", multiply(0.5, sum_squares(constant(R) @ x)) + matmul(q, x),
+        [eq(constant(A) @ x, b), le(constant(G) @ x, h)])
+
+    def sample(rng):
+        x0 = rng.standard_normal(n) / np.sqrt(n)
+        return {"q": rng.standard_normal(n) / np.sqrt(n), "b": A @ x0,
+                "h": G @ x0 + rng.uniform(0.1, 1.0, m_ineq)}
+
+    return SimpleNamespace(problem=problem, sample=sample)
+
+
+class TestIterationFactorCache:
+    """A layer whose A is fixed factors its iteration system once; its
+    forward equals a solve that builds the factor afresh, bitwise."""
+
+    @pytest.mark.parametrize("make", [
+        relu_fixture, sparsemax_fixture, constrained_sparsemax_fixture,
+        small_sparse_qp,
+    ], ids=["relu", "sparsemax", "constrained_sparsemax", "sparse_qp"])
+    def test_cached_factor_equals_fresh_solve(self, make, rng):
+        fx = make()
+        layer = Layer.compile(fx.problem)
+        for _ in range(3):
+            values = fx.sample(rng)
+            res = layer.forward(values)
+            assert layer._factor is not None
+            fresh = solve(materialize(layer.asa, layer._bind(values)),
+                          layer.settings)
+            assert res.status == fresh.status == "optimal"
+            assert res.info["iterations"] == fresh.info["iterations"]
+            for key in ("x", "y", "s"):
+                assert np.array_equal(getattr(res._solution, key),
+                                      getattr(fresh, key)), key
+        assert res.info["timings"]["factorize"] == 0.0
+
+    def test_parameter_dependent_a_holds_no_factor(self, rng):
+        x = variable("x", 2)
+        objective = None
+        for i in range(3):
+            term = norm2(parameter(f"F{i}", (2, 2)) @ x
+                         - parameter(f"g{i}", 2))
+            objective = term if objective is None else objective + term
+        layer = Layer.compile(Problem("minimize", objective))
+        values = {}
+        for i in range(3):
+            values[f"F{i}"] = np.eye(2) + 0.3 * rng.standard_normal((2, 2))
+            values[f"g{i}"] = rng.standard_normal(2)
+        res = layer.forward(values)
+        assert res.ok
+        assert layer._factor is None
+        assert res.info["timings"]["factorize"] > 0.0
 
 
 class TestBatching:

@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import TIGHT
 from diffcone.canon import ConeProgramData
@@ -12,9 +15,10 @@ from diffcone.cones import (
     project_embedding,
     smooth_margin,
 )
-from diffcone.errors import SolveStatusError, SolverInputError
+from diffcone.errors import ShapeError, SolveStatusError, SolverInputError
 from diffcone.fixtures import oracle_eq_qp, oracle_lp_vertex
 from diffcone.solver import (
+    IterationFactor,
     MOperator,
     SolverSettings,
     _normalized_jacobian,
@@ -342,38 +346,144 @@ class TestCertificates:
         dist = np.linalg.norm(project_dual_cone(v, self.SPEC) - v)
         assert dist <= 1e-12 * np.linalg.norm(v)
 
-    @pytest.mark.parametrize("seed", range(40))
-    def test_infeasible_certificate(self, seed):
+    @classmethod
+    def infeasible_program(cls, seed, scale=1.0):
         rng = np.random.default_rng([seed, 1])
-        y0 = self.interior_point(rng)
+        y0 = cls.interior_point(rng)
         # y0 in int K* with A'y0 = 0 and b'y0 = -1 proves infeasibility
-        A = rng.standard_normal((y0.size, self.N_VARS))
+        A = rng.standard_normal((y0.size, cls.N_VARS))
         A -= np.outer(y0, y0 @ A) / (y0 @ y0)
         b = rng.standard_normal(y0.size)
         b -= (b @ y0 + 1.0) * y0 / (y0 @ y0)
-        data = ConeProgramData(sp.csr_matrix(A), b,
-                               rng.standard_normal(self.N_VARS), self.SPEC)
-        sol = solve(data, self.SETTINGS)
+        return scale * A, b, rng.standard_normal(cls.N_VARS)
+
+    @classmethod
+    def unbounded_program(cls, seed, scale=1.0):
+        rng = np.random.default_rng([seed, 2])
+        s0 = cls.interior_point(rng)
+        # a ray x0 with A x0 = -s0 (s0 in int K) and c'x0 = -1, from the
+        # feasible point b = A xf + sf, makes the program unbounded
+        x0 = rng.standard_normal(cls.N_VARS)
+        A = rng.standard_normal((s0.size, cls.N_VARS))
+        A += np.outer(-s0 - A @ x0, x0) / (x0 @ x0)
+        c = rng.standard_normal(cls.N_VARS)
+        c -= (c @ x0 + 1.0) * x0 / (x0 @ x0)
+        b = A @ rng.standard_normal(cls.N_VARS) + cls.interior_point(rng)
+        return scale * A, scale * b, c
+
+    def check_infeasible(self, A, b, c):
+        sol = solve(ConeProgramData(sp.csr_matrix(A), b, c, self.SPEC),
+                    self.SETTINGS)
         assert sol.status == "infeasible"
         assert b @ sol.y == pytest.approx(-1.0, abs=1e-12)
         assert np.linalg.norm(A.T @ sol.y) <= self.SETTINGS.eps_abs
         self.assert_in_cone(sol.y)
 
-    @pytest.mark.parametrize("seed", range(40))
-    def test_unbounded_certificate(self, seed):
-        rng = np.random.default_rng([seed, 2])
-        s0 = self.interior_point(rng)
-        # a ray x0 with A x0 = -s0 (s0 in int K) and c'x0 = -1, from the
-        # feasible point b = A xf + sf, makes the program unbounded
-        x0 = rng.standard_normal(self.N_VARS)
-        A = rng.standard_normal((s0.size, self.N_VARS))
-        A += np.outer(-s0 - A @ x0, x0) / (x0 @ x0)
-        c = rng.standard_normal(self.N_VARS)
-        c -= (c @ x0 + 1.0) * x0 / (x0 @ x0)
-        b = A @ rng.standard_normal(self.N_VARS) + self.interior_point(rng)
-        data = ConeProgramData(sp.csr_matrix(A), b, c, self.SPEC)
-        sol = solve(data, self.SETTINGS)
+    def check_unbounded(self, A, b, c):
+        sol = solve(ConeProgramData(sp.csr_matrix(A), b, c, self.SPEC),
+                    self.SETTINGS)
         assert sol.status == "unbounded"
         assert c @ sol.x == pytest.approx(-1.0, abs=1e-12)
         assert np.linalg.norm(A @ sol.x + sol.s) <= self.SETTINGS.eps_abs
         self.assert_in_cone(sol.s)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_infeasible_certificate(self, seed):
+        self.check_infeasible(*self.infeasible_program(seed))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_unbounded_certificate(self, seed):
+        self.check_unbounded(*self.unbounded_program(seed))
+
+    # badly scaled data: A alone for infeasibility (A'y0 = 0 and b'y0 = -1
+    # still hold), A and b together for unboundedness (A x0 = -scale s0)
+    @pytest.mark.parametrize("scale", [1e-3, 1e3, 1e5])
+    @pytest.mark.parametrize("seed", range(40))
+    def test_infeasible_certificate_scaled(self, seed, scale):
+        self.check_infeasible(*self.infeasible_program(seed, scale))
+
+    @pytest.mark.parametrize("scale", [1e-3, 1e3, 1e5])
+    @pytest.mark.parametrize("seed", range(40))
+    def test_unbounded_certificate_scaled(self, seed, scale):
+        self.check_unbounded(*self.unbounded_program(seed, scale))
+
+
+@st.composite
+def iteration_programs(draw):
+    """(A, b, c, spec) with orthant and SOC rows; A may have empty rows and
+    columns, and b, c and m may be zero."""
+    n = draw(st.integers(1, 6))
+    n_zero = draw(st.integers(0, 2))
+    n_nonneg = draw(st.integers(0, 3))
+    soc_dims = tuple(draw(st.lists(st.integers(1, 4), max_size=3)))
+    spec = ConeSpec(n_zero, n_nonneg, soc_dims)
+    m = spec.total_dim
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((m, n)) * (rng.random((m, n)) < 0.5)
+    if m and draw(st.booleans()):
+        A[rng.integers(m)] = 0.0
+    if draw(st.booleans()):
+        A[:, rng.integers(n)] = 0.0
+    b = np.zeros(m) if draw(st.booleans()) else rng.standard_normal(m)
+    c = np.zeros(n) if draw(st.booleans()) else rng.standard_normal(n)
+    return A, b, c, spec, rng.standard_normal(n + m + 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(iteration_programs(), st.booleans())
+def test_iteration_system_matches_direct_solve(program, normalize):
+    """The two-solve identity on K equals a direct solve with I + Q, Q the
+    skew matrix of the scaled A with the given b and c."""
+    A, b, c, spec, w = program
+    factor = IterationFactor(sp.csr_matrix(A), spec, normalize)
+    got = factor.system(np.concatenate([c, b]))(w)
+    Q = skew_matrix(ConeProgramData(factor.A, b, c, spec))
+    want = spla.spsolve((sp.identity(w.size) + Q).tocsc(), w)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+class TestTimings:
+    KEYS = {"equilibrate", "factorize", "iterate", "polish"}
+
+    @pytest.mark.parametrize("data, status", [
+        (lp_data(np.array([1.0]), np.array([[-1.0]]), np.array([-2.0])),
+         "optimal"),
+        (lp_data(np.array([0.0]), np.array([[-1.0], [1.0]]),
+                 np.array([-1.0, 0.0])), "infeasible"),
+        (lp_data(np.array([-1.0]), np.array([[-1.0]]), np.array([0.0])),
+         "unbounded"),
+    ], ids=["optimal", "infeasible", "unbounded"])
+    def test_keys_on_every_status(self, data, status):
+        sol = solve(data, TIGHT)
+        assert sol.status == status
+        timings = sol.info["timings"]
+        assert set(timings) == self.KEYS
+        assert all(isinstance(t, float) and t >= 0.0
+                   for t in timings.values())
+        assert sum(timings.values()) <= sol.info["solve_time"]
+        assert timings["factorize"] > 0.0
+
+    def test_keys_at_max_iters(self):
+        data = lp_data(np.array([1.0, 0.3]),
+                       np.vstack([-np.eye(2), np.eye(2)]),
+                       np.array([0.0, 0.0, 3.0, 3.0]))
+        sol = solve(data, SolverSettings(max_iters=3, refine=False))
+        assert sol.status == "max_iters"
+        assert set(sol.info["timings"]) == self.KEYS
+
+    def test_given_factor_is_not_rebuilt(self):
+        data = lp_data(np.array([1.0]), np.array([[-1.0]]), np.array([-2.0]))
+        factor = IterationFactor(data.A, data.cones)
+        sol = solve(data, TIGHT, factor=factor)
+        assert sol.info["timings"]["factorize"] == 0.0
+        fresh = solve(data, TIGHT)
+        assert np.array_equal(sol.x, fresh.x)
+        assert sol.info["iterations"] == fresh.info["iterations"]
+
+    def test_factor_of_another_shape_rejected(self):
+        data = lp_data(np.array([1.0]), np.array([[-1.0]]), np.array([-2.0]))
+        factor = IterationFactor(sp.csr_matrix(np.ones((2, 1))),
+                                 ConeSpec(0, 2, ()))
+        with pytest.raises(ShapeError):
+            solve(data, TIGHT, factor=factor)
