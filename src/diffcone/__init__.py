@@ -91,7 +91,7 @@ from .problem import (
 )
 from .solver import (
     ConeSolution,
-    MOperator,
+    MFactor,
     SolverSettings,
     normalized_point,
     residuals,

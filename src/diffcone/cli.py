@@ -125,8 +125,7 @@ def cmd_grad(args) -> int:
     if not result.ok:
         _emit(args, {"status": result.status})
         return EXIT_SOLVER
-    grads, info = layer.backward(result, _cotangents(args, layer, result),
-                                 mode=args.mode)
+    grads, info = layer.backward(result, _cotangents(args, layer, result))
     _emit(args, {
         "status": result.status,
         "fallback": bool(info.get("fallback", False)),
@@ -144,7 +143,7 @@ def cmd_gradcheck(args) -> int:
         _emit(args, {"status": result.status})
         return EXIT_SOLVER
     cot = _cotangents(args, layer, result)
-    grads, _ = layer.backward(result, cot, mode=args.mode)
+    grads, _ = layer.backward(result, cot)
 
     def loss(vals) -> float:
         res = layer.forward(vals)
@@ -199,9 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="solver tolerance")
             p.add_argument("--max-iters", dest="max_iters", type=int,
                            default=100_000)
-            p.add_argument("--mode", choices=("auto", "direct", "iterative"),
-                           default="auto", help="linear-system mode for "
-                           "derivatives")
         p.add_argument("--output", help="write the result here instead of stdout")
 
     p = sub.add_parser("check-dpp", help="verify the parametrized ruleset")

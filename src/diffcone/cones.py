@@ -27,8 +27,11 @@ operation over K* is one walk of that table (``_walk_runs``):
   problems with one or two second-order blocks call these functions
   hundreds of thousands of times.
 
-The single-block functions ``project``/``dproject`` stay as the reference
-the run kernels are tested against.
+``dproject_embedding_parts`` gives the Jacobian of the embedding
+projection as a diagonal plus one rank-two term per second-order block on
+the boundary mantle, the form the derivative system is factored in.  The
+single-block functions ``project``/``dproject`` stay as the reference the
+run kernels are tested against.
 """
 
 from __future__ import annotations
@@ -52,10 +55,9 @@ __all__ = [
     "project",
     "dproject",
     "project_dual_cone",
-    "dproject_dual_cone",
     "project_embedding",
     "dproject_embedding",
-    "embedding_jacobian",
+    "dproject_embedding_parts",
     "smooth_margin",
 ]
 
@@ -172,26 +174,6 @@ def _dproject_soc(v: np.ndarray, dv: np.ndarray) -> np.ndarray:
     return out
 
 
-def _jac_soc(v: np.ndarray) -> np.ndarray:
-    d = v.size
-    t, x = v[0], v[1:]
-    nx = np.linalg.norm(x)
-    if nx < t:
-        return np.eye(d)
-    if nx < -t:
-        return np.zeros((d, d))
-    if nx == 0.0:
-        return 0.5 * np.eye(d)
-    u = x / nx
-    J = np.empty((d, d))
-    J[0, 0] = 0.5
-    J[0, 1:] = 0.5 * u
-    J[1:, 0] = 0.5 * u
-    J[1:, 1:] = (0.5 * (t + nx) / nx) * (np.eye(d - 1) - np.outer(u, u)) \
-        + 0.5 * np.outer(u, u)
-    return J
-
-
 def project(block: ConeBlock, v: np.ndarray) -> np.ndarray:
     """Euclidean projection of v onto the block's cone."""
     v = np.asarray(v, dtype=float)
@@ -221,16 +203,6 @@ def dproject(block: ConeBlock, v: np.ndarray, dv: np.ndarray) -> np.ndarray:
     if block.kind == NONNEG or block.dim == 1:
         return np.where(v > 0.0, dv, 0.0)
     return _dproject_soc(v, dv)
-
-
-def _block_jacobian(block: ConeBlock, v: np.ndarray) -> np.ndarray:
-    if block.kind == ZERO:
-        return np.zeros((block.dim, block.dim))
-    if block.kind == FREE:
-        return np.eye(block.dim)
-    if block.kind == NONNEG or block.dim == 1:
-        return np.diag((v > 0.0).astype(float))
-    return _jac_soc(v)
 
 
 # ---------------------------------------------------------------------------
@@ -284,15 +256,6 @@ def _dproject_soc_run(V: np.ndarray, DV: np.ndarray) -> np.ndarray:
     out[:, 1:] = a * U + beta * (DX - ut_dx * U)
     return np.where(inside, DV,
                     np.where(polar, 0.0, np.where(apex, 0.5 * DV, out)))
-
-
-def _jacobian_diagonal_soc_run(V: np.ndarray) -> np.ndarray:
-    inside, polar, apex, U, beta = _boundary_frame(V)
-    out = np.empty_like(V)
-    out[:, 0] = 0.5
-    out[:, 1:] = beta + (0.5 - beta) * U ** 2
-    return np.where(inside, 1.0,
-                    np.where(polar, 0.0, np.where(apex, 0.5, out)))
 
 
 def _margin_soc_run(V: np.ndarray) -> np.ndarray:
@@ -352,18 +315,6 @@ def project_dual_cone(v: np.ndarray, spec: ConeSpec) -> np.ndarray:
     return out
 
 
-def dproject_dual_cone(v: np.ndarray, dv: np.ndarray, spec: ConeSpec) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    dv = np.asarray(dv, dtype=float)
-    _check_length(v, spec.total_dim)
-    _check_length(dv, spec.total_dim)
-    out = np.empty_like(dv)
-    out[:spec.n_zero] = dv[:spec.n_zero]
-    _walk_runs(spec, 0, out, (v, dv), _dclamp, _dproject_soc_run,
-               _dproject_soc)
-    return out
-
-
 def project_embedding(z: np.ndarray, spec: ConeSpec, n: int) -> np.ndarray:
     """Projection onto R^n x K* x R_+ (the embedding's product set)."""
     z = np.asarray(z, dtype=float)
@@ -391,39 +342,49 @@ def dproject_embedding(z: np.ndarray, dz: np.ndarray, spec: ConeSpec, n: int) ->
     return out
 
 
-def embedding_jacobian(z: np.ndarray, spec: ConeSpec, n: int) -> np.ndarray:
-    """Dense Jacobian of the embedding projection (block diagonal)."""
-    z = np.asarray(z, dtype=float)
-    m = spec.total_dim
-    N = n + m + 1
-    if z.size != N:
-        raise ShapeError(f"expected length {N}, got {z.size}")
-    J = np.zeros((N, N))
-    J[:n, :n] = np.eye(n)
-    off = n
-    for b in spec.dual_blocks():
-        J[off:off + b.dim, off:off + b.dim] = _block_jacobian(b, z[off:off + b.dim])
-        off += b.dim
-    J[N - 1, N - 1] = 1.0 if z[N - 1] > 0.0 else 0.0
-    return J
+def dproject_embedding_parts(z: np.ndarray, spec: ConeSpec, n: int):
+    """DPi(z) = diag(D) + U C U', one rank-two term per second-order block
+    on the boundary mantle.
 
-
-def embedding_jacobian_diagonal(z: np.ndarray, spec: ConeSpec, n: int) -> np.ndarray:
-    """Diagonal of the embedding-projection Jacobian at z.
-
-    Second-order-cone boundary blocks contribute only their diagonal (the
-    off-diagonal part is rank two per block); intended as a preconditioner
-    for systems involving the full Jacobian.
+    D is 1 on free rows, the strict mask v > 0 on orthant rows, d == 1
+    blocks and w, and on a second-order block 1 (interior), 0 (polar), 1/2
+    (apex) or the block's mantle factor beta (boundary, including the limit
+    ||x|| = |t|).  U is N x 2k for k boundary blocks, given as COO entries
+    ``(rows, cols, vals)``: columns 2j and 2j + 1 are e_t and (0, x/||x||)
+    on block j's rows.  C, block diagonal, is given as its (k, 2, 2) blocks
+    [[1/2 - beta, 1/2], [1/2, 1/2 - beta]].
     """
     z = np.asarray(z, dtype=float)
-    m = spec.total_dim
-    N = n + m + 1
+    N = n + spec.total_dim + 1
     _check_length(z, N)
-    diag = np.ones(N)
-    _walk_runs(spec, n, diag, (z,), lambda v: (v > 0.0).astype(float),
-               _jacobian_diagonal_soc_run)
-    diag[N - 1] = 1.0 if z[N - 1] > 0.0 else 0.0
-    return diag
+    D = np.ones(N)
+    lo = n + spec.n_zero
+    D[lo:lo + spec.n_nonneg] = z[lo:lo + spec.n_nonneg] > 0.0
+    D[-1] = z[-1] > 0.0
+    # per run: the (e, d) rows and U values of its e boundary blocks
+    rows = [np.zeros((0, 1), dtype=np.int64)]
+    vals = [np.zeros((0, 1))]
+    betas = [np.zeros(0)]
+    for start, stop, run, d in spec.soc_runs:
+        seg = slice(n + start, n + stop)
+        if d == 1:
+            D[seg] = z[seg] > 0.0
+            continue
+        inside, polar, apex, U, beta = _boundary_frame(z[seg].reshape(run, d))
+        D[seg].reshape(run, d)[...] = np.where(
+            inside, 1.0, np.where(polar, 0.0, np.where(apex, 0.5, beta)))
+        edge = np.flatnonzero(~(inside | polar | apex))
+        rows.append(np.arange(n + start, n + stop).reshape(run, d)[edge])
+        vals.append(np.concatenate([np.ones((edge.size, 1)), U[edge]], 1))
+        betas.append(beta[edge, 0])
+    first = np.cumsum([len(b) for b in betas])
+    cols = [2 * np.arange(j - len(r), j)[:, None] + (np.arange(r.shape[1]) > 0)
+            for j, r in zip(first, rows)]
+    beta = np.concatenate(betas)
+    C = np.full((beta.size, 2, 2), 0.5)
+    C[:, 0, 0] = C[:, 1, 1] = 0.5 - beta
+    return D, tuple(np.concatenate([a.ravel() for a in parts])
+                    for parts in (rows, cols, vals)), C
 
 
 def smooth_margin(z: np.ndarray, spec: ConeSpec, n: int) -> float:

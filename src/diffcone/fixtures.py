@@ -342,7 +342,7 @@ def gradient_fixtures() -> list[Fixture]:
 def sparse_qp_data(n: int = 1024, m_eq: int | None = None,
                    m_ineq: int | None = None, density: float = 0.01,
                    seed: int = 0) -> ConeProgramData:
-    """A feasible sparse QP in cone form, for iterative-mode smoke tests.
+    """A feasible sparse QP in cone form, for the sparse smoke tests.
 
     minimize 0.5 ||R x||^2 + p'x  s.t.  Ax = b, Gx <= h, with R, A, G
     sparse at the given density.  Built at the data level so the large

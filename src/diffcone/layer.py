@@ -9,17 +9,19 @@ solver adjoint, and the canonicalizer adjoint.
 
 from __future__ import annotations
 
+import time
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .canon import AsaForm, ConeProgramData, build_asa, lower, materialize, \
     materialize_adjoint, retrieve
-from .errors import CompileError, ShapeError, SolveStatusError
+from .errors import CompileError, ShapeError, SolverInputError, \
+    SolveStatusError
 from .problem import Problem, check_dpp
-from .solver import OPTIMAL, ConeSolution, IterationFactor, SolverSettings, \
-    normalized_point, solve
+from .solver import OPTIMAL, ConeSolution, IterationFactor, MFactor, \
+    SolverSettings, normalized_point, solve
 from .derivatives import adjoint_derivative
 
 __all__ = ["Layer", "ForwardResult"]
@@ -43,7 +45,8 @@ class ForwardResult:
     """Outputs of one forward pass plus the tape backward needs.
 
     ``outputs`` is None when the solve did not reach optimality; the status
-    and solver info are always populated.
+    and solver info are always populated.  ``_cache`` keeps the
+    derivative factor that the first ``backward`` builds.
     """
 
     outputs: dict | None
@@ -53,6 +56,7 @@ class ForwardResult:
     _data: ConeProgramData | None = None
     _solution: ConeSolution | None = None
     _z: np.ndarray | None = None
+    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -113,41 +117,49 @@ class Layer:
         return self.asa.flatten_params(values)
 
     def forward(self, values: dict, warm_start=None) -> ForwardResult:
+        clock = time.perf_counter
+        start = clock()
         theta = self._bind(values)
+        bound = clock()
         data = materialize(self.asa, theta)
-        built = None
+        materialized = clock()
+        built = {}
         if self._a_fixed and self._factor is None:
             self._factor = IterationFactor(data.A, data.cones,
                                            self.settings.normalize)
             built = self._factor.seconds
         sol = solve(data, self.settings, warm_start=warm_start,
                     factor=self._factor)
-        info = dict(sol.info)
-        if built is not None:
-            info["timings"] = {k: t + built.get(k, 0.0)
-                               for k, t in sol.info["timings"].items()}
-        info["status"] = sol.status
-        theta_aug = self.asa.theta_aug(theta)
+        info = dict(sol.info, status=sol.status)
+        timings = info["timings"] = {
+            k: t + built.get(k, 0.0) for k, t in sol.info["timings"].items()}
+        timings.update(bind=bound - start, materialize=materialized - bound,
+                       retrieve=0.0)
         if sol.status != OPTIMAL:
             return ForwardResult(outputs=None, status=sol.status, info=info,
                                  _layer_token=self._token, _data=data, _solution=sol)
+        retrieving = clock()
         outputs = retrieve(self.asa, sol.x)
         info["objective"] = float(
-            data.c @ sol.x + self.asa.objective_offset_map @ theta_aug)
+            data.c @ sol.x
+            + self.asa.objective_offset_map @ self.asa.theta_aug(theta))
         if self.problem is not None and self.problem.sense == "maximize":
             info["objective"] = -info["objective"]
+        timings["retrieve"] = clock() - retrieving
         z = normalized_point(sol)
         return ForwardResult(outputs=outputs, status=sol.status, info=info,
                              _layer_token=self._token, _data=data, _solution=sol, _z=z)
 
     # -- backward -----------------------------------------------------------
 
-    def backward(self, result: ForwardResult, cotangents: dict,
-                 mode: str = "auto") -> tuple[dict, dict]:
+    def backward(self, result: ForwardResult,
+                 cotangents: dict) -> tuple[dict, dict]:
         """Parameter gradients for cotangents on the forward outputs.
 
-        Returns (gradients-by-parameter-name, info); info carries the
-        least-squares fallback flag from the solver adjoint.
+        Returns (gradients-by-parameter-name, info): the solver adjoint's
+        info plus stage ``timings``.  The first backward of a result builds
+        its derivative factor, later ones reuse it.  A non-finite
+        cotangent raises ``SolverInputError``.
         """
         if result._layer_token is not self._token:
             raise SolveStatusError("tape belongs to a different layer")
@@ -155,6 +167,8 @@ class Layer:
             raise SolveStatusError(
                 f"cannot backpropagate through a {result.status} solve")
         _require_mapping(cotangents, "cotangents")
+        clock = time.perf_counter
+        start = clock()
         flat = np.zeros(self.asa.retrieval.shape[0])
         for slot in self.asa.variable_layout:
             if slot.name not in cotangents:
@@ -165,16 +179,30 @@ class Layer:
                 raise ShapeError(
                     f"cotangent for {slot.name!r} has shape {arr.shape}, "
                     f"expected {slot.dims}")
+            if not np.all(np.isfinite(arr)):
+                raise SolverInputError(f"cotangent for {slot.name!r} "
+                                       f"contains NaN/Inf")
             flat[slot.offset:slot.offset + slot.size] = arr.ravel(order="F")
         unknown = set(cotangents) - set(self.variable_order)
         if unknown:
             raise ShapeError(f"cotangents for unknown outputs: {sorted(unknown)}")
         dx = self.asa.retrieval.T @ flat
+        retrieved = factored = clock()
+        factor = result._cache.get("m_factor")
+        if factor is None:
+            factor = result._cache["m_factor"] = MFactor(result._data,
+                                                         result._z)
+            factored = clock()
         adj = adjoint_derivative(result._data, result._solution, dx,
-                                 mode=mode, z=result._z)
+                                 z=result._z, factor=factor)
+        solved = clock()
         dtheta = materialize_adjoint(self.asa, adj.dA, adj.db, adj.dc)
         grads = self.asa.unflatten_params(dtheta)
-        return grads, dict(adj.info)
+        timings = {"retrieval_adjoint": retrieved - start,
+                   "m_factor": factored - retrieved,
+                   "m_solve": solved - factored,
+                   "materialize_adjoint": clock() - solved}
+        return grads, dict(adj.info, timings=timings)
 
     # -- batching -----------------------------------------------------------
 

@@ -32,10 +32,11 @@ residual map
 
 whose root encodes an exact primal-dual solution; on well-behaved problems
 this reaches residuals near machine precision in a few steps.  The
-Jacobian of the residual map, M = (Q - I) DPi(z) + I, is ``MOperator``;
-the polish and the derivatives module both solve with it.  Statuses for
-infeasible and unbounded problems come from certificate residuals on the
-embedding iterates.
+Jacobian of the residual map is M = (Q - I) DPi(z) + I; ``MFactor``
+applies and exactly factors its deflated form M + zhat zhat' for the
+polish (as a right preconditioner) and for the derivatives module.
+Statuses for infeasible and unbounded problems come from certificate
+residuals on the embedding iterates.
 """
 
 from __future__ import annotations
@@ -44,14 +45,13 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .canon import ConeProgramData
 from .cones import (
-    dproject_embedding,
-    embedding_jacobian,
-    embedding_jacobian_diagonal,
+    dproject_embedding_parts,
     project_dual_cone,
     project_embedding,
 )
@@ -60,7 +60,7 @@ from .errors import ShapeError, SolverInputError, SolveStatusError
 __all__ = [
     "SolverSettings",
     "ConeSolution",
-    "MOperator",
+    "MFactor",
     "IterationFactor",
     "solve",
     "normalized_point",
@@ -189,24 +189,29 @@ class IterationFactor:
         return apply
 
 
-def skew_matrix(data: ConeProgramData) -> sp.csc_matrix:
-    """Q = [[0, A', c], [-A, 0, b], [-c', -b', 0]].
+def _skew_entries(data: ConeProgramData):
+    """(rows, cols, vals) of Q = [[0, A', c], [-A, 0, b], [-c', -b', 0]].
 
     Q = U - U' for the strict upper triangle U = [[0, A', c], [0, 0, b],
-    [0, 0, 0]], which is built from A's stored entries and the nonzeros of
-    b and c in one sparse constructor call.
+    [0, 0, 0]], taken from A's stored entries and the nonzeros of b and c.
     """
     m, n = data.A.shape
-    N = n + m + 1
-    A = data.A.tocoo()
+    A = data.A.tocsr()
     ic = np.flatnonzero(data.c)
     ib = np.flatnonzero(data.b)
-    rows = np.concatenate([A.col, ic, n + ib])
-    cols = np.concatenate([n + A.row, np.full(ic.size + ib.size, N - 1)])
+    rows = np.concatenate([A.indices, ic, n + ib])
+    cols = np.concatenate([n + np.repeat(np.arange(m), np.diff(A.indptr)),
+                           np.full(ic.size + ib.size, n + m)])
     vals = np.concatenate([A.data, data.c[ic], data.b[ib]])
-    return sp.csc_matrix((np.concatenate([vals, -vals]),
-                          (np.concatenate([rows, cols]),
-                           np.concatenate([cols, rows]))), shape=(N, N))
+    return (np.concatenate([rows, cols]), np.concatenate([cols, rows]),
+            np.concatenate([vals, -vals]))
+
+
+def skew_matrix(data: ConeProgramData) -> sp.csc_matrix:
+    """Q (see ``_skew_entries``) in one sparse constructor call."""
+    rows, cols, vals = _skew_entries(data)
+    N = sum(data.A.shape) + 1
+    return sp.csc_matrix((vals, (rows, cols)), shape=(N, N))
 
 
 def residuals(data: ConeProgramData, sol: ConeSolution) -> tuple[float, float, float]:
@@ -235,97 +240,151 @@ def _residual_map(z, Q, spec, n):
     return Q @ pi - pi + zn
 
 
-def _jacobian_preconditioner(zc, Q, spec, n):
-    """splu of the sparse part of the residual-map Jacobian.
+# LAPACK factors lifted systems up to this order, SuperLU larger ones.  On
+# a 2-vCPU x86 host (OpenBLAS on one thread) assembly, factor and one solve
+# took 0.22-0.29 ms dense against 0.60-0.68 ms sparse at orders 19-25 (the
+# fixture layers); on sums of norms 1.24 against 1.61 ms at order 250 and
+# 2.41 against 1.86 ms at order 355.
+DENSE_ORDER = 300
 
-    The full Jacobian is (Q - I) DPi(z) + I minus a rank-one normalization
-    term; SOC boundary blocks make DPi dense, but only by a rank-two
-    correction per block, so factorizing the diagonal-DPi part gives a
-    right preconditioner under which LSQR needs few iterations.
+
+class MFactor:
+    """M + zhat zhat' at z, zhat = z / |z|, for the program ``data``, and
+    its exact factor; M = (Q - I) DPi(z) + I is the Jacobian of the
+    residual map u -> Q Pi(u) - Pi(u) + u at z.
+
+    With DPi(z) = diag(D) + U C U' (``cones.dproject_embedding_parts``),
+    the lifted matrix
+
+        L = [[(Q - I) D + I, (Q - I) U, zhat],
+             [C U',          -I,        0   ],
+             [zhat',          0,       -1   ]]
+
+    has M + zhat zhat' as the Schur complement of its trailing -I, so a
+    solve of L, or of L', gives one with M + zhat zhat', or its transpose.
+    L's entries are index arithmetic on those of A, b, c and U: (Q - I) D
+    scales Q's entries by D at their column, and (Q - I) U gathers rows of
+    A, with no sparse product.  ``ok`` is False when the factor has an
+    exactly zero pivot (either backend); callers then fall back to least
+    squares on ``apply``.  The factor keeps no pivot-ratio guard: reading
+    U's diagonal out of SuperLU caches CSC copies of L and U on the factor.
     """
-    N = zc.size
-    try:
-        diag = embedding_jacobian_diagonal(zc, spec, n)
-        S = (Q - sp.identity(N)) @ sp.diags(diag) + sp.identity(N)
-        # zero diagonals wherever DPi = 1, so pivoting stays possible
-        return _splu_symmetric(S, 0.01)
-    except (RuntimeError, ValueError):
-        return None
+
+    def __init__(self, data: ConeProgramData, z: np.ndarray):
+        m, n = data.A.shape
+        N = self.size = n + m + 1
+        self.z = z = np.asarray(z, dtype=float)
+        self.zhat = zhat = z / np.linalg.norm(z)
+        A = data.A.tocsr()
+        D, (urow, ucol, uval), C = dproject_embedding_parts(z, data.cones, n)
+        r = 2 * len(C)
+        qrow, qcol, qval = _skew_entries(data)
+        # (Q - I) U: U's rows are second-order rows n + i, whose columns of
+        # Q hold row i of A above -b_i
+        i = urow - n
+        starts, counts = A.indptr[i], np.diff(A.indptr)[i]
+        ends = np.cumsum(counts)
+        gather = np.repeat(starts - ends + counts, counts) + np.arange(
+            ends[-1] if ends.size else 0)
+        # C U': U's entry (j, c) meets both rows of c's 2 x 2 block of C
+        block = N + ucol - ucol % 2
+        diag, lift, edge = np.arange(N), np.arange(N, N + r), N + r
+        rows, cols, vals = (np.concatenate(a) for a in zip(
+            (qrow, qcol, qval * D[qcol]),
+            (diag, diag, 1.0 - D),
+            (A.indices[gather], N + np.repeat(ucol, counts),
+             A.data[gather] * np.repeat(uval, counts)),
+            (np.full(i.size, N - 1), N + ucol, -data.b[i] * uval),
+            (urow, N + ucol, -uval),
+            ((block[:, None] + [0, 1]).ravel(), np.repeat(urow, 2),
+             (uval[:, None] * C[ucol // 2, :, ucol % 2]).ravel()),
+            (lift, lift, np.full(r, -1.0)),
+            (diag, np.full(N, edge), zhat),
+            (np.full(N, edge), diag, zhat),
+            ([edge], [edge], [-1.0])))
+        order = self.order = edge + 1
+        if order <= DENSE_ORDER:
+            # scattered as L' in C order: L itself in Fortran order
+            self._L = np.bincount(cols * order + rows, vals,
+                                  order * order).reshape(order, order).T
+            lu, piv, info = sla.lapack.dgetrf(self._L)
+            self.ok = info == 0  # info > 0: U has an exact zero pivot
+            self._solve = lambda b, trans: sla.lapack.dgetrs(
+                lu, piv, b, trans=int(trans))[0]
+        else:
+            self._L = sp.csc_matrix((vals, (rows, cols)), shape=(order, order))
+            try:
+                lu = _splu_symmetric(self._L, 0.01)
+            except RuntimeError:  # the factor is exactly singular
+                lu = None
+            self.ok = lu is not None
+            self._solve = lambda b, trans: lu.solve(b, "T" if trans else "N")
+
+    def solve(self, rhs: np.ndarray, transpose: bool = False) -> np.ndarray:
+        """g with (M + zhat zhat') g = rhs, or its transpose; needs ``ok``."""
+        b = np.zeros(self.order)
+        b[:self.size] = rhs
+        return self._solve(b, transpose)[:self.size]
+
+    def apply(self, u: np.ndarray, transpose: bool = False) -> np.ndarray:
+        """(M + zhat zhat') u, or its transpose, as L11 u + L12 (L21 u)."""
+        N = self.size
+        L = self._L.T if transpose else self._L
+        x = np.zeros(self.order)
+        x[:N] = u
+        y = L @ x
+        x[:N] = 0.0
+        x[N:] = y[N:]
+        return y[:N] + (L @ x)[:N]
 
 
-class MOperator:
-    """Action and adjoint action of M = (Q - I) DPi(z) + I, the Jacobian of
-    the residual map u -> Q Pi(u) - Pi(u) + u at z."""
-
-    def __init__(self, Q: sp.spmatrix, spec, z: np.ndarray):
-        self.Q = Q
-        self.spec = spec
-        self.z = np.asarray(z, dtype=float)
-        self.size = Q.shape[0]
-        self.n = self.size - spec.total_dim - 1
-        if self.z.size != self.size:
-            raise ShapeError(
-                f"z has length {self.z.size}, expected {self.size}")
-
-    def matvec(self, u: np.ndarray) -> np.ndarray:
-        p = dproject_embedding(self.z, u, self.spec, self.n)
-        return self.Q @ p - p + u
-
-    def rmatvec(self, u: np.ndarray) -> np.ndarray:
-        # DPi is symmetric and Q' = -Q, so M' u = DPi (-Q u - u) + u.
-        w = -(self.Q @ u) - u
-        return dproject_embedding(self.z, w, self.spec, self.n) + u
-
-    def materialize(self) -> np.ndarray:
-        dpi = embedding_jacobian(self.z, self.spec, self.n)
-        eye = np.eye(self.size)
-        return (self.Q.toarray() - eye) @ dpi + eye
-
-    def as_linear_operator(self, transpose: bool = False) -> spla.LinearOperator:
-        mv = self.rmatvec if transpose else self.matvec
-        rmv = self.matvec if transpose else self.rmatvec
-        return spla.LinearOperator((self.size, self.size), matvec=mv, rmatvec=rmv)
-
-
-def _normalized_jacobian(M: MOperator) -> spla.LinearOperator:
-    """Jacobian of the normalized residual map z -> N(z / |w|) at a point
-    with w = 1: M composed with the normalization I - z e_N'."""
-    z = M.z
+def _normalized_jacobian(P: MFactor) -> spla.LinearOperator:
+    """Jacobian of the normalized residual map z -> N(z / |w|) at P's point,
+    which has w = 1: M composed with the normalization I - z e_N'."""
+    z, zhat = P.z, P.zhat
 
     def matvec(dz):
-        return M.matvec(dz - z * dz[-1])
+        v = dz - z * dz[-1]
+        return P.apply(v) - zhat * (zhat @ v)
 
     def rmatvec(u):
-        w = M.rmatvec(u)
+        w = P.apply(u, transpose=True) - zhat * (zhat @ u)
         w[-1] -= z @ w
         return w
 
-    return spla.LinearOperator((M.size, M.size), matvec=matvec,
-                               rmatvec=rmatvec)
+    return spla.LinearOperator((z.size, z.size), matvec=matvec,
+                               rmatvec=rmatvec, dtype=float)
 
 
-def _refine(z, Q, spec, n, steps, lsqr_iters):
-    """Damped Gauss-Newton on the normalized residual map; keeps the best z."""
+def _gauss_newton_step(data, z, r, lsqr_iters):
+    """LSQR's step for the normalized Jacobian J at z and residual r, right
+    preconditioned by P = MFactor(data, z) (J = M (I - z e_N') is P up to
+    low rank), or on J alone without a usable factor.  P dies with the
+    step, so two steps' factors are never alive at once."""
+    P = MFactor(data, z)
+    J = _normalized_jacobian(P)
+    if not P.ok:
+        return spla.lsqr(J, r, atol=1e-14, btol=1e-14,
+                         iter_lim=min(lsqr_iters, 1500))[0]
+    op = spla.LinearOperator(
+        J.shape, dtype=float, matvec=lambda w: J.matvec(P.solve(w)),
+        rmatvec=lambda u: P.solve(J.rmatvec(u), transpose=True))
+    return P.solve(spla.lsqr(op, r, atol=1e-14, btol=1e-14, iter_lim=300)[0])
+
+
+def _refine(z, data, Q, steps, lsqr_iters):
+    """Damped Gauss-Newton on the normalized residual map of ``data``
+    (whose skew matrix is Q); keeps the best z."""
+    spec = data.cones
+    n = data.A.shape[1]
     z = z / abs(z[-1])
     best = z
     best_norm = np.linalg.norm(_residual_map(z, Q, spec, n))
-    N = z.size
     for _ in range(steps):
         r = _residual_map(best, Q, spec, n)
         if best_norm <= 1e-15:
             break
-        J = _normalized_jacobian(MOperator(Q, spec, best))
-        prec = _jacobian_preconditioner(best, Q, spec, n)
-        if prec is None:
-            step = spla.lsqr(J, r, atol=1e-14, btol=1e-14,
-                             iter_lim=min(lsqr_iters, 1500))[0]
-        else:
-            op = spla.LinearOperator(
-                (N, N),
-                matvec=lambda w: J.matvec(prec.solve(w)),
-                rmatvec=lambda u: prec.solve(J.rmatvec(u), trans="T"))
-            w_sol = spla.lsqr(op, r, atol=1e-14, btol=1e-14, iter_lim=300)[0]
-            step = prec.solve(w_sol)
+        step = _gauss_newton_step(data, best, r, lsqr_iters)
         improved = False
         scale = 1.0
         for _ in range(5):
@@ -480,10 +539,10 @@ def solve(data: ConeProgramData, settings: SolverSettings | None = None,
                 polishing = clock()
                 next_refine = 2 * it
                 if Q is None:
-                    Q = skew_matrix(
-                        ConeProgramData(factor.A, b_hat, c_hat, spec))
+                    program = ConeProgramData(factor.A, b_hat, c_hat, spec)
+                    Q = skew_matrix(program)
                 z = np.concatenate([xh, yh - sh, [1.0]])
-                z = _refine(z, Q, spec, n, settings.refine_steps, 4 * N)
+                z = _refine(z, program, Q, settings.refine_steps, 4 * N)
                 polishes += 1
                 polished = consider(*_solution_from_z(z, spec, n))
                 polish_s += clock() - polishing

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from diffcone import solver
 from diffcone.solver import SolverSettings
 
 TIGHT = SolverSettings(eps_abs=1e-11, eps_rel=1e-11)
@@ -62,3 +63,13 @@ def gradcheck_layer(layer, values, cotangents, h=1e-6):
         fd = fd_param_gradient(layer, values, cotangents, name, h=h)
         worst = max(worst, max_rel_error(fd, grads[name]))
     return worst
+
+
+def force_fallback(monkeypatch):
+    """Every MFactor comes out singular, as SuperLU reports an exact zero
+    pivot: solves take the LSQR fallback."""
+    def singular(*args):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(solver, "DENSE_ORDER", 0)
+    monkeypatch.setattr(solver, "_splu_symmetric", singular)

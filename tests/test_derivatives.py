@@ -4,16 +4,24 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import TIGHT
+from conftest import TIGHT, force_fallback
 from diffcone.canon import ConeProgramData
 from diffcone.cones import ConeSpec, dproject_embedding, smooth_margin
+from diffcone import solver
 from diffcone.derivatives import (
     adjoint_derivative,
     forward_derivative,
     solve_m_system,
 )
-from diffcone.errors import SolveStatusError
-from diffcone.solver import MOperator, normalized_point, skew_matrix, solve
+from diffcone.errors import ShapeError, SolverInputError, SolveStatusError
+from diffcone.fixtures import sparse_qp_data
+from diffcone.solver import (
+    MFactor,
+    SolverSettings,
+    normalized_point,
+    skew_matrix,
+    solve,
+)
 
 
 def socp_ball_data(rng, n=4, mi=3):
@@ -32,101 +40,189 @@ def one_d_lp():
                            ConeSpec(0, 1, ()))
 
 
-def m_operator(data, z):
-    return MOperator(skew_matrix(data), data.cones, z)
+def deflated(data, z, u, transpose=False):
+    """(M + zhat zhat') u, or its transpose, from the definition
+    M = (Q - I) DPi(z) + I, with DPi symmetric and Q' = -Q."""
+    Q = skew_matrix(data)
+    n = data.A.shape[1]
+    zhat = z / np.linalg.norm(z)
+    if transpose:
+        Mu = dproject_embedding(z, -(Q @ u) - u, data.cones, n) + u
+    else:
+        p = dproject_embedding(z, u, data.cones, n)
+        Mu = Q @ p - p + u
+    return Mu + zhat * (zhat @ u)
+
+
+def boundary_point(data, rng):
+    """A random z whose second-order blocks sit on the boundary mantle, so
+    DPi has a rank-two term per block."""
+    z = rng.standard_normal(sum(data.A.shape) + 1)
+    off = data.A.shape[1] + data.cones.n_zero + data.cones.n_nonneg
+    for d in data.cones.soc_dims:
+        z[off] = 0.3 * np.linalg.norm(z[off + 1:off + d])
+        off += d
+    z[-1] = 1.0
+    return z
+
+
+def each_backend(monkeypatch):
+    """Loops twice: MFactor on LAPACK, then on SuperLU, at every size."""
+    for order in (np.iinfo(np.int64).max, 0):
+        monkeypatch.setattr(solver, "DENSE_ORDER", order)
+        yield
 
 
 class TestMOperator:
-    def test_action_matches_definition(self, rng):
-        data = socp_ball_data(rng)
-        N = sum(data.A.shape) + 1
-        z = rng.standard_normal(N)
-        M = m_operator(data, z)
-        Q = skew_matrix(data).toarray()
-        for _ in range(20):
-            u = rng.standard_normal(N)
-            dpi = dproject_embedding(z, u, data.cones, data.A.shape[1])
-            want = (Q - np.eye(N)) @ dpi + u
-            np.testing.assert_allclose(M.matvec(u), want, atol=1e-12)
+    """M + zhat zhat' as ``MFactor`` applies and factors it, against the
+    definition M = (Q - I) DPi(z) + I."""
 
-    def test_adjoint_pairing(self, rng):
-        data = socp_ball_data(rng)
-        N = sum(data.A.shape) + 1
-        z = rng.standard_normal(N)
-        M = m_operator(data, z)
-        for _ in range(20):
-            a = rng.standard_normal(N)
-            b = rng.standard_normal(N)
-            lhs = np.dot(M.matvec(a), b)
-            rhs = np.dot(a, M.rmatvec(b))
-            assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+    def test_action_matches_definition(self, rng, monkeypatch):
+        for _ in each_backend(monkeypatch):
+            data = socp_ball_data(rng)
+            N = sum(data.A.shape) + 1
+            Q = skew_matrix(data).toarray()
+            for z in (rng.standard_normal(N), boundary_point(data, rng)):
+                factor = MFactor(data, z)
+                zhat = z / np.linalg.norm(z)
+                for _ in range(10):
+                    u = rng.standard_normal(N)
+                    dpi = dproject_embedding(z, u, data.cones,
+                                             data.A.shape[1])
+                    want = (Q - np.eye(N)) @ dpi + u + zhat * (zhat @ u)
+                    np.testing.assert_allclose(factor.apply(u), want,
+                                               rtol=0, atol=1e-12)
+                    np.testing.assert_allclose(
+                        factor.apply(u, transpose=True),
+                        deflated(data, z, u, transpose=True),
+                        rtol=0, atol=1e-12)
 
-    def test_materialized_agrees_with_action(self, rng):
-        data = socp_ball_data(rng)
-        N = sum(data.A.shape) + 1
-        z = rng.standard_normal(N)
-        M = m_operator(data, z)
-        dense = M.materialize()
-        u = rng.standard_normal(N)
-        np.testing.assert_allclose(dense @ u, M.matvec(u), atol=1e-12)
+    def test_adjoint_pairing(self, rng, monkeypatch):
+        for _ in each_backend(monkeypatch):
+            data = socp_ball_data(rng)
+            factor = MFactor(data, boundary_point(data, rng))
+            for _ in range(20):
+                a = rng.standard_normal(factor.size)
+                b = rng.standard_normal(factor.size)
+                lhs = np.dot(factor.apply(a), b)
+                rhs = np.dot(a, factor.apply(b, transpose=True))
+                assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+
+    def test_factor_inverts_definition(self, rng, monkeypatch):
+        """The lifted matrix's Schur complement is M + zhat zhat': solving
+        with its factor inverts the definition's dense matrix."""
+        for _ in each_backend(monkeypatch):
+            data = socp_ball_data(rng)
+            N = sum(data.A.shape) + 1
+            for z in (rng.standard_normal(N), boundary_point(data, rng)):
+                dense = np.column_stack([deflated(data, z, e)
+                                         for e in np.eye(N)])
+                factor = MFactor(data, z)
+                assert factor.ok
+                u = rng.standard_normal(N)
+                np.testing.assert_allclose(factor.solve(dense @ u), u,
+                                           rtol=0, atol=1e-10)
+                np.testing.assert_allclose(factor.solve(dense.T @ u, True), u,
+                                           rtol=0, atol=1e-10)
 
 
 class TestSolveMSystem:
     def test_identity_operator_returns_rhs(self):
-        """All-polar point: DPi = 0 so M = I regardless of the skew part."""
+        """All-polar point: DPi = 0 so M = I regardless of the skew part,
+        and (I + zhat zhat')^{-1} = I - zhat zhat' / 2."""
         data = ConeProgramData(sp.csr_matrix((2, 0)), np.zeros(2),
                                np.zeros(0), ConeSpec(0, 2, ()))
         z = np.array([-1.0, -2.0, -3.0])  # strictly inside the polar regions
-        M = m_operator(data, z)
+        zhat = z / np.linalg.norm(z)
         rhs = np.array([1.0, 2.0, 3.0])
-        for mode in ("direct", "iterative"):
-            g, info = solve_m_system(M, rhs, mode=mode)
-            np.testing.assert_allclose(g, rhs, atol=1e-9)
-            assert not info["fallback"]
+        g, info = solve_m_system(MFactor(data, z), rhs)
+        np.testing.assert_allclose(g, rhs - zhat * (zhat @ rhs) / 2,
+                                   atol=1e-14)
+        assert info["mode"] == "direct" and not info["fallback"]
 
-    def test_modes_agree_on_nonsingular_system(self, rng):
+    def test_modes_agree_on_nonsingular_system(self, rng, monkeypatch):
+        """The exact factor and the LSQR fallback solve the same system."""
         data = socp_ball_data(rng, n=6, mi=5)
-        N = sum(data.A.shape) + 1
-        z = np.abs(rng.standard_normal(N)) + 0.5
-        M = m_operator(data, z)
-        rhs = rng.standard_normal(N)
-        gd, i1 = solve_m_system(M, rhs, mode="direct")
-        gi, i2 = solve_m_system(M, rhs, mode="iterative")
-        np.testing.assert_allclose(gd, gi, atol=1e-8, rtol=1e-6)
+        z = boundary_point(data, rng)
+        rhs = rng.standard_normal(z.size)
+        for transpose in (False, True):
+            exact, info = solve_m_system(MFactor(data, z), rhs, transpose)
+            assert info["mode"] == "direct" and not info["fallback"]
+            assert info["iterations"] == 0
+            with monkeypatch.context() as patch:
+                force_fallback(patch)
+                factor = MFactor(data, z)
+                assert not factor.ok
+                lsqr, info = solve_m_system(factor, rhs, transpose)
+            assert info["mode"] == "lsqr" and info["fallback"]
+            assert info["iterations"] > 0
+            np.testing.assert_allclose(exact, lsqr, atol=1e-8, rtol=1e-6)
 
-    def test_transpose_solves(self, rng):
+    def test_backends_agree(self, rng, monkeypatch):
+        data = socp_ball_data(rng, n=6, mi=5)
+        z = boundary_point(data, rng)
+        rhs = rng.standard_normal(z.size)
+        dense = MFactor(data, z).solve(rhs, transpose=True)
+        monkeypatch.setattr(solver, "DENSE_ORDER", 0)
+        sparse = MFactor(data, z).solve(rhs, transpose=True)
+        np.testing.assert_allclose(dense, sparse, rtol=0, atol=1e-12)
+
+    def test_transpose_solves(self, rng, monkeypatch):
+        for _ in each_backend(monkeypatch):
+            data = socp_ball_data(rng)
+            z = boundary_point(data, rng)
+            rhs = rng.standard_normal(z.size)
+            g, info = solve_m_system(MFactor(data, z), rhs, transpose=True)
+            assert info["mode"] == "direct"
+            res = np.linalg.norm(deflated(data, z, g, transpose=True) - rhs)
+            assert res <= 1e-12 * np.linalg.norm(rhs)
+            assert info["residual"] == pytest.approx(res, rel=0.5, abs=1e-15)
+
+    def test_inaccurate_solve_falls_back(self, rng, monkeypatch):
+        """A factored solution that misses the residual bound gives way to
+        LSQR on the same operator."""
         data = socp_ball_data(rng)
-        N = sum(data.A.shape) + 1
-        z = np.abs(rng.standard_normal(N)) + 0.5
-        M = m_operator(data, z)
-        rhs = rng.standard_normal(N)
-        g, _ = solve_m_system(M, rhs, mode="direct", transpose=True)
-        np.testing.assert_allclose(M.rmatvec(g), rhs, atol=1e-8)
+        factor = MFactor(data, boundary_point(data, rng))
+        exact = factor.solve
+        monkeypatch.setattr(factor, "solve",
+                            lambda rhs, transpose=False:
+                            exact(rhs, transpose) + 1e-6)
+        rhs = rng.standard_normal(factor.size)
+        g, info = solve_m_system(factor, rhs)
+        assert info["mode"] == "lsqr" and info["fallback"]
+        assert info["residual"] <= 1e-8 * (1.0 + np.linalg.norm(rhs))
 
-    def test_singular_system_falls_back(self):
-        """A rank-deficient M yields a finite answer and sets the flag."""
-        mat = np.array([[1.0, 0.0], [0.0, 0.0]])
+    @pytest.mark.parametrize("n", [64, 200])
+    def test_residual_on_sparse_qp(self, n):
+        """The exact solve leaves a relative residual below 1e-12 at a
+        dense (N 260) and a sparse (N 804) backend size."""
+        data = sparse_qp_data(n=n, seed=1)
+        sol = solve(data, SolverSettings(eps_abs=1e-9, eps_rel=1e-9))
+        z = normalized_point(sol)
+        rhs = np.random.default_rng(n).standard_normal(z.size)
+        g, info = solve_m_system(MFactor(data, z), rhs, transpose=True)
+        assert info["mode"] == "direct"
+        res = np.linalg.norm(deflated(data, z, g, transpose=True) - rhs)
+        assert res <= 1e-12 * np.linalg.norm(rhs)
 
-        class FakeM:
-            size = 2
-
-            def materialize(self):
-                return mat
-
-            def as_linear_operator(self, transpose=False):
-                import scipy.sparse.linalg as spla
-                m = mat.T if transpose else mat
-                return spla.LinearOperator((2, 2), matvec=lambda u: m @ u,
-                                           rmatvec=lambda u: m.T @ u)
-
-        rhs = np.array([1.0, 1.0])
-        g, info = solve_m_system(FakeM(), rhs, mode="direct")
-        assert info["fallback"]
-        assert np.all(np.isfinite(g))
-        g2, info2 = solve_m_system(FakeM(), rhs, mode="iterative")
-        assert info2["fallback"]
-        assert np.all(np.isfinite(g2))
-        np.testing.assert_allclose(g, g2, atol=1e-6)
+    def test_singular_system_falls_back(self, monkeypatch):
+        """Duplicated active rows leave M + zhat zhat' singular: the factor
+        fails, and LSQR returns the least-squares solution of minimum
+        norm, flagged."""
+        for _ in each_backend(monkeypatch):
+            A = sp.csr_matrix(np.array([[-1.0], [-1.0]]))
+            data = ConeProgramData(A, np.array([-2.0, -2.0]), np.array([1.0]),
+                                   ConeSpec(0, 2, ()))
+            z = normalized_point(solve(data, TIGHT))
+            factor = MFactor(data, z)
+            assert not factor.ok
+            rhs = np.array([1.0, 1.0, 0.5, -1.0])
+            g, info = solve_m_system(factor, rhs)
+            assert info["mode"] == "lsqr" and info["fallback"]
+            assert np.all(np.isfinite(g))
+            dense = np.column_stack([deflated(data, z, e) for e in np.eye(4)])
+            np.testing.assert_allclose(
+                g, np.linalg.lstsq(dense, rhs, rcond=None)[0], atol=1e-6)
 
 
 class TestAdjointDerivative:
@@ -250,11 +346,47 @@ class TestDegenerateFallback:
         sol = solve(data, TIGHT)
         assert sol.status == "optimal"
         np.testing.assert_allclose(sol.x, [2.0], atol=1e-6)
-        adj = adjoint_derivative(data, sol, np.array([1.0]), mode="direct")
+        adj = adjoint_derivative(data, sol, np.array([1.0]))
         assert np.all(np.isfinite(adj.dA.toarray()))
         assert np.all(np.isfinite(adj.db))
         assert np.all(np.isfinite(adj.dc))
-        assert adj.info["fallback"]
+        assert adj.info["fallback"] and adj.info["mode"] == "lsqr"
         # the two redundant rows share the sensitivity: their sum matches
         # the non-degenerate bound derivative
         np.testing.assert_allclose(np.sum(adj.db), -1.0, atol=1e-6)
+
+
+class TestInputValidation:
+    """Malformed cotangents and perturbations raise ``ShapeError``,
+    non-finite ones ``SolverInputError``."""
+
+    @pytest.mark.parametrize("dx, error", [
+        ("abc", ShapeError),
+        ([[1.0], [1.0, 2.0]], ShapeError),
+        ([1.0, 2.0], ShapeError),
+        ([np.nan], SolverInputError),
+        ([np.inf], SolverInputError),
+    ], ids=["non-numeric", "ragged", "length", "nan", "inf"])
+    def test_adjoint_cotangent(self, dx, error):
+        data = one_d_lp()
+        sol = solve(data, TIGHT)
+        with pytest.raises(error):
+            adjoint_derivative(data, sol, dx)
+
+    @pytest.mark.parametrize("dA, db, dc, error", [
+        ("abc", [0.0], [0.0], ShapeError),
+        ([[1.0], [1.0, 2.0]], [0.0], [0.0], ShapeError),
+        ([[1.0]], "abc", [0.0], ShapeError),
+        ([[1.0]], [0.0], [[0.0], [1.0, 2.0]], ShapeError),
+        ([[1.0, 2.0]], [0.0], [0.0], ShapeError),
+        ([[np.nan]], [0.0], [0.0], SolverInputError),
+        (sp.csr_matrix([[np.inf]]), [0.0], [0.0], SolverInputError),
+        ([[1.0]], [np.inf], [0.0], SolverInputError),
+        ([[1.0]], [0.0], [np.nan], SolverInputError),
+    ], ids=["dA-non-numeric", "dA-ragged", "db-non-numeric", "dc-ragged",
+            "dA-shape", "dA-nan", "dA-sparse-inf", "db-inf", "dc-nan"])
+    def test_forward_perturbation(self, dA, db, dc, error):
+        data = one_d_lp()
+        sol = solve(data, TIGHT)
+        with pytest.raises(error):
+            forward_derivative(data, sol, dA, db, dc)

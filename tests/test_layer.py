@@ -32,9 +32,11 @@ from diffcone.fixtures import (
     sparse_qp_data,
     sparsemax_fixture,
 )
+from diffcone import layer as layer_module
+from diffcone import solver
 from diffcone.layer import Layer
 from diffcone.problem import Problem, eq, ge, le
-from diffcone.solver import solve
+from diffcone.solver import SolverSettings, solve
 
 
 class TestCompile:
@@ -196,6 +198,14 @@ class TestBackward:
             layer.backward(res, {"y": np.zeros(4)})
         with pytest.raises(ShapeError, match="unknown outputs"):
             layer.backward(res, {"nope": np.zeros(3)})
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_cotangent_raises(self, bad, rng):
+        fx = relu_fixture(3)
+        layer = Layer.compile(fx.problem, TIGHT)
+        res = layer.forward(fx.sample(rng))
+        with pytest.raises(SolverInputError, match="NaN/Inf"):
+            layer.backward(res, {"y": np.array([0.0, bad, 1.0])})
 
     def test_tape_bound_to_layer(self, rng):
         fx = relu_fixture(3)
@@ -379,3 +389,112 @@ class TestBatching:
         results = layer.forward_batch(batch)
         assert [r.status for r in results] == ["optimal", "infeasible",
                                                "optimal"]
+
+
+def _duplicated_rows_layer():
+    """A program whose derivative system is singular (acceptance 7)."""
+    t = parameter("t")
+    x = variable("x")
+    return Layer.compile(Problem("minimize", sum_entries(x),
+                                 [ge(x, t), ge(x, t)]), TIGHT)
+
+
+class TestInfo:
+    FORWARD_TIMINGS = {"bind", "materialize", "equilibrate", "factorize",
+                       "iterate", "polish", "retrieve"}
+    BACKWARD_KEYS = {"mode", "fallback", "residual", "iterations", "timings"}
+    BACKWARD_TIMINGS = {"retrieval_adjoint", "m_factor", "m_solve",
+                        "materialize_adjoint"}
+
+    @staticmethod
+    def _bounded_layer(settings=TIGHT):
+        x = variable("x")
+        return Layer.compile(Problem(
+            "minimize", sum_entries(x),
+            [ge(x, parameter("lo")), le(x, parameter("hi"))]), settings)
+
+    @pytest.mark.parametrize("values, settings, status", [
+        ({"lo": 0.0, "hi": 1.0}, TIGHT, "optimal"),
+        ({"lo": 1.0, "hi": 0.0}, TIGHT, "infeasible"),
+        ({"lo": 0.0, "hi": 1.0}, SolverSettings(max_iters=3, refine=False),
+         "max_iters"),
+    ], ids=["optimal", "infeasible", "max_iters"])
+    def test_forward_timings_on_every_status(self, values, settings, status):
+        res = self._bounded_layer(settings).forward(values)
+        assert res.status == status
+        timings = res.info["timings"]
+        assert set(timings) == self.FORWARD_TIMINGS
+        assert all(isinstance(t, float) and t >= 0.0
+                   for t in timings.values())
+        assert (timings["retrieve"] > 0.0) == (status == "optimal")
+
+    def test_forward_timings_when_unbounded(self):
+        x = variable("x")
+        layer = Layer.compile(Problem("minimize", sum_entries(x),
+                                      [le(x, parameter("hi"))]), TIGHT)
+        res = layer.forward({"hi": 1.0})
+        assert res.status == "unbounded"
+        assert set(res.info["timings"]) == self.FORWARD_TIMINGS
+
+    @pytest.mark.parametrize("degenerate", [False, True],
+                             ids=["direct", "fallback"])
+    def test_backward_keys(self, degenerate, rng):
+        if degenerate:
+            layer = _duplicated_rows_layer()
+            res = layer.forward({"t": 2.0})
+            cot = {"x": np.asarray(1.0)}
+        else:
+            fx = relu_fixture(3)
+            layer = Layer.compile(fx.problem, TIGHT)
+            res = layer.forward(fx.sample(rng))
+            cot = {"y": rng.standard_normal(3)}
+        _, info = layer.backward(res, cot)
+        assert set(info) == self.BACKWARD_KEYS
+        assert info["mode"] == ("lsqr" if degenerate else "direct")
+        assert info["fallback"] is degenerate
+        assert (info["iterations"] > 0) is degenerate
+        assert set(info["timings"]) == self.BACKWARD_TIMINGS
+        assert all(isinstance(t, float) and t >= 0.0
+                   for t in info["timings"].values())
+        assert info["timings"]["m_factor"] > 0.0
+
+
+class TestTapeFactor:
+    """The first backward of a forward result builds its derivative
+    factor; every later one reuses it."""
+
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "sparse"])
+    def test_second_backward_reuses_the_factor(self, dense, rng,
+                                               monkeypatch):
+        if not dense:
+            monkeypatch.setattr(solver, "DENSE_ORDER", 0)
+        built = []
+
+        class Counting(solver.MFactor):
+            def __init__(self, *args):
+                built.append(1)
+                super().__init__(*args)
+
+        monkeypatch.setattr(layer_module, "MFactor", Counting)
+        fx = relu_fixture(3)
+        layer = Layer.compile(fx.problem, TIGHT)
+        res = layer.forward(fx.sample(rng))
+        cot = {"y": rng.standard_normal(3)}
+        first, info1 = layer.backward(res, cot)
+        second, info2 = layer.backward(res, cot)
+        layer.backward(res, {"y": rng.standard_normal(3)})
+        assert len(built) == 1
+        assert info1["timings"]["m_factor"] > 0.0
+        assert info2["timings"]["m_factor"] == 0.0
+        for name in layer.parameter_order:
+            assert np.array_equal(first[name], second[name])
+
+    def test_failed_factor_is_reused_by_the_fallback(self):
+        layer = _duplicated_rows_layer()
+        res = layer.forward({"t": 2.0})
+        first, info1 = layer.backward(res, {"x": np.asarray(1.0)})
+        second, info2 = layer.backward(res, {"x": np.asarray(1.0)})
+        assert info1["fallback"] and info2["fallback"]
+        assert info2["timings"]["m_factor"] == 0.0
+        assert np.array_equal(first["t"], second["t"])
+        assert float(first["t"]) == pytest.approx(1.0, abs=1e-6)

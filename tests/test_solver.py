@@ -19,7 +19,7 @@ from diffcone.errors import ShapeError, SolveStatusError, SolverInputError
 from diffcone.fixtures import oracle_eq_qp, oracle_lp_vertex
 from diffcone.solver import (
     IterationFactor,
-    MOperator,
+    MFactor,
     SolverSettings,
     _normalized_jacobian,
     _residual_map,
@@ -305,7 +305,7 @@ class TestNormalizedJacobian:
         z[-1] = 1.0
         assert smooth_margin(z, data.cones, n) > 1e-3
         Q = skew_matrix(data)
-        J = _normalized_jacobian(MOperator(Q, data.cones, z))
+        J = _normalized_jacobian(MFactor(data, z))
         return J, Q, data.cones, n, z
 
     def test_matches_central_difference_of_residual_map(self, rng):
