@@ -81,6 +81,10 @@ class Layer:
         # are built at the first forward and reused by every later one.
         self._a_fixed = bool(np.all(asa._a_coeff.indices == asa.n_params))
         self._factor = None
+        # A's pattern is the same for every binding, and so is the
+        # elimination order of the iteration system that the derivative
+        # factor extends; the first forward sets it.
+        self._order = None
         if problem is not None:
             for p in problem.parameters:
                 self._param_attrs[p.name] = (p.nonneg, p.nonpos)
@@ -124,12 +128,15 @@ class Layer:
         data = materialize(self.asa, theta)
         materialized = clock()
         built = {}
-        if self._a_fixed and self._factor is None:
-            self._factor = IterationFactor(data.A, data.cones,
-                                           self.settings.normalize)
-            built = self._factor.seconds
-        sol = solve(data, self.settings, warm_start=warm_start,
-                    factor=self._factor)
+        factor = self._factor
+        if factor is None:
+            factor = IterationFactor(data.A, data.cones,
+                                     self.settings.normalize)
+            built = factor.seconds
+            self._order = factor.order
+            if self._a_fixed:
+                self._factor = factor
+        sol = solve(data, self.settings, warm_start=warm_start, factor=factor)
         info = dict(sol.info, status=sol.status)
         timings = info["timings"] = {
             k: t + built.get(k, 0.0) for k, t in sol.info["timings"].items()}
@@ -157,7 +164,8 @@ class Layer:
         """Parameter gradients for cotangents on the forward outputs.
 
         Returns (gradients-by-parameter-name, info): the solver adjoint's
-        info plus stage ``timings``.  The first backward of a result builds
+        info, the derivative factor's order and stored entries, and stage
+        ``timings``.  The first backward of a result builds
         its derivative factor, later ones reuse it.  A non-finite
         cotangent raises ``SolverInputError``.
         """
@@ -190,8 +198,8 @@ class Layer:
         retrieved = factored = clock()
         factor = result._cache.get("m_factor")
         if factor is None:
-            factor = result._cache["m_factor"] = MFactor(result._data,
-                                                         result._z)
+            factor = result._cache["m_factor"] = MFactor(
+                result._data, result._z, self._order)
             factored = clock()
         adj = adjoint_derivative(result._data, result._solution, dx,
                                  z=result._z, factor=factor)
@@ -202,7 +210,8 @@ class Layer:
                    "m_factor": factored - retrieved,
                    "m_solve": solved - factored,
                    "materialize_adjoint": clock() - solved}
-        return grads, dict(adj.info, timings=timings)
+        return grads, dict(adj.info, m_factor_order=factor.order,
+                           m_factor_nnz=factor.nnz, timings=timings)
 
     # -- batching -----------------------------------------------------------
 

@@ -22,7 +22,10 @@ K's pattern is symmetric, and every Schur complement of I + skew has
 symmetric part >= I, so diagonal pivots are safe: K is factored with a
 symmetric minimum-degree ordering of K' + K and no pivoting.  SuperLU's
 default COLAMD orders for K'K; on the benchmark's sparse QP (n + m = 1795)
-its factors of I + Q held 6.6x the nonzeros.
+its factors of I + Q held 6.6x the nonzeros.  That order depends on A's
+pattern alone, which a layer fixes, so ``IterationFactor`` keeps it, and
+the lifted M system below is factored under it, extended by a fixed rule,
+with no ordering pass of its own.
 
 Because splitting iterations gain accuracy slowly, candidate solutions are
 periodically polished by damped Gauss-Newton steps on the normalized
@@ -135,18 +138,29 @@ def _ruiz(A: sp.spmatrix, spec, passes: int = 10):
     return A_hat, d, e
 
 
-def _splu_symmetric(S: sp.spmatrix, pivot_threshold: float):
-    """splu under a minimum-degree ordering of S' + S with diagonal pivots
-    preferred; a zero threshold never pivots off the diagonal."""
-    return spla.splu(S.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                     diag_pivot_thresh=pivot_threshold,
-                     options=dict(SymmetricMode=True))
+def _factor_k(A: sp.spmatrix):
+    """The LU of K = [[I, A'], [-A, I]] under a symmetric minimum-degree
+    ordering of K' + K with no pivoting, and that order: K's rows in the
+    order they are eliminated.  The order is a copy, since ``perm_c`` is a
+    view that keeps the whole factor alive."""
+    m, n = A.shape
+    coo = A.tocoo()
+    diag = np.arange(n + m)
+    K = sp.csc_matrix(
+        (np.concatenate([coo.data, -coo.data, np.ones(n + m)]),
+         (np.concatenate([coo.col, n + coo.row, diag]),
+          np.concatenate([n + coo.row, coo.col, diag]))),
+        shape=(n + m, n + m))
+    lu = spla.splu(K, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                   options=dict(SymmetricMode=True))
+    return lu, np.argsort(lu.perm_c)
 
 
 class IterationFactor:
     """The part of the iteration system that depends on A alone: the Ruiz
-    scaling A_hat = D A E (identity scales without ``normalize``) and the LU
-    of K = [[I, A_hat'], [-A_hat, I]].
+    scaling A_hat = D A E (identity scales without ``normalize``), the LU
+    of K = [[I, A_hat'], [-A_hat, I]] and its symmetric elimination
+    ``order``, which ``MFactor`` extends to the lifted M system.
 
     ``seconds`` holds the build time of the scaling (``equilibrate``) and of
     the LU (``factorize``).
@@ -160,14 +174,7 @@ class IterationFactor:
         else:
             self.A, self.d, self.e = sp.csr_matrix(A), np.ones(m), np.ones(n)
         scaled = time.perf_counter()
-        coo = self.A.tocoo()
-        diag = np.arange(n + m)
-        K = sp.csc_matrix(
-            (np.concatenate([coo.data, -coo.data, np.ones(n + m)]),
-             (np.concatenate([coo.col, n + coo.row, diag]),
-              np.concatenate([n + coo.row, coo.col, diag]))),
-            shape=(n + m, n + m))
-        self.lu = _splu_symmetric(K, 0.0)
+        self.lu, self.order = _factor_k(self.A)
         self.seconds = {"equilibrate": scaled - start,
                         "factorize": time.perf_counter() - scaled}
 
@@ -240,12 +247,38 @@ def _residual_map(z, Q, spec, n):
     return Q @ pi - pi + zn
 
 
+def _splu_lifted(S: sp.csc_matrix):
+    """splu of a lifted M system already permuted into its elimination
+    order, with diagonal pivots preferred."""
+    return spla.splu(S, permc_spec="NATURAL", diag_pivot_thresh=0.01,
+                     options=dict(SymmetricMode=True))
+
+
+def _lifted_places(order, urow, ucol, N, blocks):
+    """Position of each row of the lifted matrix (see ``MFactor``) in its
+    elimination order: the rows of K keep K's ``order``, the two lift rows
+    of a boundary block go right after the last of the block's rows, and
+    tau and the zhat edge go last.  Putting every lift row last instead
+    raised the fill of a sum of 200 norms tenfold."""
+    nk = N - 1
+    pos = np.empty(nk, dtype=np.int64)
+    pos[order] = np.arange(nk)
+    last = np.full(blocks, -1)
+    np.maximum.at(last, ucol // 2, pos[urow])
+    key = np.concatenate([2 * pos, [2 * nk], 2 * np.repeat(last, 2) + 1,
+                          [2 * nk + 1]])
+    places = np.empty(key.size, dtype=np.int64)
+    places[np.argsort(key, kind="stable")] = np.arange(key.size)
+    return places
+
+
 # LAPACK factors lifted systems up to this order, SuperLU larger ones.  On
 # a 2-vCPU x86 host (OpenBLAS on one thread) assembly, factor and one solve
-# took 0.22-0.29 ms dense against 0.60-0.68 ms sparse at orders 19-25 (the
-# fixture layers); on sums of norms 1.24 against 1.61 ms at order 250 and
-# 2.41 against 1.86 ms at order 355.
-DENSE_ORDER = 300
+# took 0.24-0.43 ms dense against 0.60-0.86 ms sparse at orders 19-25 (the
+# fixture layers); on sums of norms, 0.48-0.81 against 0.57-0.89 ms at
+# order 180, 1.12-1.27 against 0.97-1.05 ms at 215, 1.51-1.85 against
+# 1.05-1.08 ms at 250 and 2.8-3.2 against 0.94-1.14 ms at 355.
+DENSE_ORDER = 200
 
 
 class MFactor:
@@ -264,13 +297,23 @@ class MFactor:
     solve of L, or of L', gives one with M + zhat zhat', or its transpose.
     L's entries are index arithmetic on those of A, b, c and U: (Q - I) D
     scales Q's entries by D at their column, and (Q - I) U gathers rows of
-    A, with no sparse product.  ``ok`` is False when the factor has an
-    exactly zero pivot (either backend); callers then fall back to least
-    squares on ``apply``.  The factor keeps no pivot-ratio guard: reading
-    U's diagonal out of SuperLU caches CSC copies of L and U on the factor.
+    A, with no sparse product.
+
+    Orders up to ``DENSE_ORDER`` are factored by LAPACK.  Larger ones are
+    factored by SuperLU with no ordering pass: L is assembled already
+    permuted, row i at ``places[i]``, under ``order``, the elimination
+    order of K = [[I, A'], [-A, I]] that ``IterationFactor`` keeps, which
+    depends on A's pattern alone (from ``_factor_k`` when not given); see
+    ``_lifted_places``.  ``nnz`` is the factor's stored entries, order**2
+    on LAPACK and 0 when SuperLU found an exactly zero pivot.  ``ok`` is
+    False when the factor has an exactly zero pivot (either backend);
+    callers then fall back to least squares on ``apply``.  The factor
+    keeps no pivot-ratio guard: reading U's diagonal out of SuperLU caches
+    CSC copies of L and U on the factor.
     """
 
-    def __init__(self, data: ConeProgramData, z: np.ndarray):
+    def __init__(self, data: ConeProgramData, z: np.ndarray,
+                 order: np.ndarray | None = None):
         m, n = data.A.shape
         N = self.size = n + m + 1
         self.z = z = np.asarray(z, dtype=float)
@@ -302,40 +345,54 @@ class MFactor:
             (diag, np.full(N, edge), zhat),
             (np.full(N, edge), diag, zhat),
             ([edge], [edge], [-1.0])))
-        order = self.order = edge + 1
-        if order <= DENSE_ORDER:
+        size = self.order = edge + 1
+        # _head and _tail: where the rows of M + zhat zhat' and the lift
+        # rows sit in the factored matrix
+        if size <= DENSE_ORDER:
+            self._head, self._tail = slice(0, N), slice(N, size)
             # scattered as L' in C order: L itself in Fortran order
-            self._L = np.bincount(cols * order + rows, vals,
-                                  order * order).reshape(order, order).T
+            self._L = np.bincount(cols * size + rows, vals,
+                                  size * size).reshape(size, size).T
             lu, piv, info = sla.lapack.dgetrf(self._L)
             self.ok = info == 0  # info > 0: U has an exact zero pivot
+            self.nnz = size * size
             self._solve = lambda b, trans: sla.lapack.dgetrs(
                 lu, piv, b, trans=int(trans))[0]
         else:
-            self._L = sp.csc_matrix((vals, (rows, cols)), shape=(order, order))
+            if order is None:
+                order = _factor_k(A)[1]
+            elif len(order) != N - 1:
+                raise ShapeError(f"order of length {len(order)} given for a "
+                                 f"K of order {N - 1}")
+            places = self.places = _lifted_places(order, urow, ucol, N,
+                                                  len(C))
+            self._head, self._tail = places[:N], places[N:]
+            self._L = sp.csc_matrix((vals, (places[rows], places[cols])),
+                                    shape=(size, size))
             try:
-                lu = _splu_symmetric(self._L, 0.01)
+                lu = _splu_lifted(self._L)
             except RuntimeError:  # the factor is exactly singular
                 lu = None
             self.ok = lu is not None
+            self.nnz = lu.nnz if self.ok else 0
             self._solve = lambda b, trans: lu.solve(b, "T" if trans else "N")
 
     def solve(self, rhs: np.ndarray, transpose: bool = False) -> np.ndarray:
         """g with (M + zhat zhat') g = rhs, or its transpose; needs ``ok``."""
         b = np.zeros(self.order)
-        b[:self.size] = rhs
-        return self._solve(b, transpose)[:self.size]
+        b[self._head] = rhs
+        return self._solve(b, transpose)[self._head]
 
     def apply(self, u: np.ndarray, transpose: bool = False) -> np.ndarray:
         """(M + zhat zhat') u, or its transpose, as L11 u + L12 (L21 u)."""
-        N = self.size
+        head, tail = self._head, self._tail
         L = self._L.T if transpose else self._L
         x = np.zeros(self.order)
-        x[:N] = u
+        x[head] = u
         y = L @ x
-        x[:N] = 0.0
-        x[N:] = y[N:]
-        return y[:N] + (L @ x)[:N]
+        x[head] = 0.0
+        x[tail] = y[tail]
+        return y[head] + (L @ x)[head]
 
 
 def _normalized_jacobian(P: MFactor) -> spla.LinearOperator:
@@ -356,12 +413,12 @@ def _normalized_jacobian(P: MFactor) -> spla.LinearOperator:
                                rmatvec=rmatvec, dtype=float)
 
 
-def _gauss_newton_step(data, z, r, lsqr_iters):
+def _gauss_newton_step(data, z, r, lsqr_iters, order):
     """LSQR's step for the normalized Jacobian J at z and residual r, right
-    preconditioned by P = MFactor(data, z) (J = M (I - z e_N') is P up to
-    low rank), or on J alone without a usable factor.  P dies with the
-    step, so two steps' factors are never alive at once."""
-    P = MFactor(data, z)
+    preconditioned by P = MFactor(data, z, order) (J = M (I - z e_N') is P
+    up to low rank), or on J alone without a usable factor.  P dies with
+    the step, so two steps' factors are never alive at once."""
+    P = MFactor(data, z, order)
     J = _normalized_jacobian(P)
     if not P.ok:
         return spla.lsqr(J, r, atol=1e-14, btol=1e-14,
@@ -372,9 +429,10 @@ def _gauss_newton_step(data, z, r, lsqr_iters):
     return P.solve(spla.lsqr(op, r, atol=1e-14, btol=1e-14, iter_lim=300)[0])
 
 
-def _refine(z, data, Q, steps, lsqr_iters):
+def _refine(z, data, Q, steps, lsqr_iters, order):
     """Damped Gauss-Newton on the normalized residual map of ``data``
-    (whose skew matrix is Q); keeps the best z."""
+    (whose skew matrix is Q, and K's elimination order ``order``); keeps
+    the best z."""
     spec = data.cones
     n = data.A.shape[1]
     z = z / abs(z[-1])
@@ -384,7 +442,7 @@ def _refine(z, data, Q, steps, lsqr_iters):
         r = _residual_map(best, Q, spec, n)
         if best_norm <= 1e-15:
             break
-        step = _gauss_newton_step(data, best, r, lsqr_iters)
+        step = _gauss_newton_step(data, best, r, lsqr_iters, order)
         improved = False
         scale = 1.0
         for _ in range(5):
@@ -443,11 +501,12 @@ def solve(data: ConeProgramData, settings: SolverSettings | None = None,
     """Solve a cone program; never raises on non-optimal outcomes.
 
     Returns a primal-dual-slack triple with status optimal/infeasible/
-    unbounded/max_iters, KKT residuals, iteration counts and per-stage
-    ``timings`` in ``info``.  ``factor`` is an ``IterationFactor`` of
-    ``data.A`` built earlier by a caller whose A does not change; without
-    it one is built here.  A malformed warm start raises
-    ``SolverInputError``.  Deterministic given (data, settings, warm_start).
+    unbounded/max_iters, KKT residuals, iteration counts, per-stage
+    ``timings`` and the program's ``sizes`` in ``info``.  ``factor`` is an
+    ``IterationFactor`` of ``data.A`` built earlier by a caller whose A
+    does not change; without it one is built here.  A malformed warm
+    start raises ``SolverInputError``.  Deterministic given (data,
+    settings, warm_start).
     """
     if settings is None:
         settings = SolverSettings()
@@ -542,7 +601,8 @@ def solve(data: ConeProgramData, settings: SolverSettings | None = None,
                     program = ConeProgramData(factor.A, b_hat, c_hat, spec)
                     Q = skew_matrix(program)
                 z = np.concatenate([xh, yh - sh, [1.0]])
-                z = _refine(z, program, Q, settings.refine_steps, 4 * N)
+                z = _refine(z, program, Q, settings.refine_steps, 4 * N,
+                            factor.order)
                 polishes += 1
                 polished = consider(*_solution_from_z(z, spec, n))
                 polish_s += clock() - polishing
@@ -580,7 +640,11 @@ def solve(data: ConeProgramData, settings: SolverSettings | None = None,
     _, x, y, s, res = best
     elapsed = clock() - start
     info = {"iterations": iters, "solve_time": elapsed, "polishes": polishes,
-            "timings": timings}
+            "timings": timings,
+            "sizes": {"n": n, "m": m, "N": N, "zero": spec.n_zero,
+                      "nonneg": spec.n_nonneg,
+                      "soc_blocks": len(spec.soc_dims),
+                      "soc_rows": sum(spec.soc_dims)}}
     if status in (INFEASIBLE, UNBOUNDED):
         return ConeSolution(x=x, y=y, s=s, status=status, info=info)
     sol = ConeSolution(x=x, y=y, s=s, status=status, info={})

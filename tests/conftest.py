@@ -72,4 +72,4 @@ def force_fallback(monkeypatch):
         raise RuntimeError("Factor is exactly singular")
 
     monkeypatch.setattr(solver, "DENSE_ORDER", 0)
-    monkeypatch.setattr(solver, "_splu_symmetric", singular)
+    monkeypatch.setattr(solver, "_splu_lifted", singular)

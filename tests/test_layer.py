@@ -5,8 +5,15 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import GRADCHECK, TIGHT, fd_param_gradient, max_rel_error
-from diffcone.canon import materialize
+from conftest import (
+    GRADCHECK,
+    TIGHT,
+    fd_param_gradient,
+    force_fallback,
+    max_rel_error,
+)
+from diffcone.canon import materialize, materialize_adjoint
+from diffcone.derivatives import adjoint_derivative
 from diffcone.errors import (
     CompileError,
     ShapeError,
@@ -300,6 +307,19 @@ def small_sparse_qp(n=16):
     return SimpleNamespace(problem=problem, sample=sample)
 
 
+def _sum_of_norms_layer(terms, rng):
+    """minimize sum_i ||F_i x - g_i|| over x in R^3: A depends on theta."""
+    x = variable("x", 3)
+    objective = None
+    values = {}
+    for i in range(terms):
+        term = norm2(parameter(f"F{i}", (3, 3)) @ x - parameter(f"g{i}", 3))
+        objective = term if objective is None else objective + term
+        values[f"F{i}"] = np.eye(3) + 0.3 * rng.standard_normal((3, 3))
+        values[f"g{i}"] = rng.standard_normal(3)
+    return Layer.compile(Problem("minimize", objective), TIGHT), values
+
+
 class TestIterationFactorCache:
     """A layer whose A is fixed factors its iteration system once; its
     forward equals a solve that builds the factor afresh, bitwise."""
@@ -340,6 +360,31 @@ class TestIterationFactorCache:
         assert res.ok
         assert layer._factor is None
         assert res.info["timings"]["factorize"] > 0.0
+
+    def test_parameter_dependent_a_keeps_the_order(self, rng):
+        """A layer whose A depends on theta keeps the elimination order of
+        its per-call iteration factor; its sparse backward factors under
+        it and equals the standalone adjoint, whose factor gets the order
+        from A's pattern."""
+        layer, values = _sum_of_norms_layer(50, rng)
+        res = layer.forward(values)
+        assert res.ok and layer._factor is None
+        assert layer._order is not None and layer._order.base is None
+        cot = rng.standard_normal(3)
+        grads, info = layer.backward(res, {"x": cot})
+        assert info["mode"] == "direct"
+        assert info["m_factor_order"] > 300
+        slot = layer.asa.variable_layout[0]
+        flat = np.zeros(layer.asa.retrieval.shape[0])
+        flat[slot.offset:slot.offset + slot.size] = cot
+        adj = adjoint_derivative(res._data, res._solution,
+                                 layer.asa.retrieval.T @ flat)
+        assert adj.info["mode"] == "direct"
+        want = layer.asa.unflatten_params(
+            materialize_adjoint(layer.asa, adj.dA, adj.db, adj.dc))
+        for name in layer.parameter_order:
+            assert np.max(np.abs(grads[name] - want[name])) <= 1e-12 * max(
+                1.0, np.max(np.abs(want[name])))
 
 
 class TestBatching:
@@ -402,7 +447,8 @@ def _duplicated_rows_layer():
 class TestInfo:
     FORWARD_TIMINGS = {"bind", "materialize", "equilibrate", "factorize",
                        "iterate", "polish", "retrieve"}
-    BACKWARD_KEYS = {"mode", "fallback", "residual", "iterations", "timings"}
+    BACKWARD_KEYS = {"mode", "fallback", "residual", "iterations",
+                     "m_factor_order", "m_factor_nnz", "timings"}
     BACKWARD_TIMINGS = {"retrieval_adjoint", "m_factor", "m_solve",
                         "materialize_adjoint"}
 
@@ -413,6 +459,16 @@ class TestInfo:
             "minimize", sum_entries(x),
             [ge(x, parameter("lo")), le(x, parameter("hi"))]), settings)
 
+    @staticmethod
+    def _check_sizes(res, layer):
+        cones = layer.asa.cones
+        n, m = layer.asa.n_cone_vars, layer.asa.n_rows
+        assert res.info["sizes"] == {
+            "n": n, "m": m, "N": n + m + 1, "zero": cones.n_zero,
+            "nonneg": cones.n_nonneg, "soc_blocks": len(cones.soc_dims),
+            "soc_rows": sum(cones.soc_dims)}
+        assert cones.n_zero + cones.n_nonneg + sum(cones.soc_dims) == m
+
     @pytest.mark.parametrize("values, settings, status", [
         ({"lo": 0.0, "hi": 1.0}, TIGHT, "optimal"),
         ({"lo": 1.0, "hi": 0.0}, TIGHT, "infeasible"),
@@ -420,13 +476,16 @@ class TestInfo:
          "max_iters"),
     ], ids=["optimal", "infeasible", "max_iters"])
     def test_forward_timings_on_every_status(self, values, settings, status):
-        res = self._bounded_layer(settings).forward(values)
+        layer = self._bounded_layer(settings)
+        res = layer.forward(values)
         assert res.status == status
         timings = res.info["timings"]
         assert set(timings) == self.FORWARD_TIMINGS
         assert all(isinstance(t, float) and t >= 0.0
                    for t in timings.values())
         assert (timings["retrieve"] > 0.0) == (status == "optimal")
+        self._check_sizes(res, layer)
+        assert res.info["sizes"]["nonneg"] == 2
 
     def test_forward_timings_when_unbounded(self):
         x = variable("x")
@@ -435,6 +494,14 @@ class TestInfo:
         res = layer.forward({"hi": 1.0})
         assert res.status == "unbounded"
         assert set(res.info["timings"]) == self.FORWARD_TIMINGS
+        self._check_sizes(res, layer)
+
+    def test_sizes_count_second_order_blocks(self, rng):
+        layer, values = _sum_of_norms_layer(3, rng)
+        res = layer.forward(values)
+        self._check_sizes(res, layer)
+        assert res.info["sizes"]["soc_blocks"] == 3
+        assert res.info["sizes"]["soc_rows"] == 12  # (t_i, F_i x - g_i)
 
     @pytest.mark.parametrize("degenerate", [False, True],
                              ids=["direct", "fallback"])
@@ -457,6 +524,34 @@ class TestInfo:
         assert all(isinstance(t, float) and t >= 0.0
                    for t in info["timings"].values())
         assert info["timings"]["m_factor"] > 0.0
+        # both factors are small enough for LAPACK, which stores order**2
+        assert info["m_factor_order"] > res.info["sizes"]["N"]
+        assert info["m_factor_nnz"] == info["m_factor_order"] ** 2
+
+    @pytest.mark.parametrize("singular", [False, True],
+                             ids=["direct", "fallback"])
+    def test_backward_factor_size_on_sparse_backend(self, singular, rng,
+                                                    monkeypatch):
+        """SuperLU reports its stored entries, and none when it found an
+        exactly zero pivot.  ``force_fallback`` fakes that pivot in the
+        one SuperLU call of the lifted system: a sparse backward under it
+        must take the fallback, or the hook no longer reaches it."""
+        monkeypatch.setattr(solver, "DENSE_ORDER", 0)
+        fx = relu_fixture(3)
+        layer = Layer.compile(fx.problem, TIGHT)
+        res = layer.forward(fx.sample(rng))
+        if singular:
+            force_fallback(monkeypatch)
+        _, info = layer.backward(res, {"y": rng.standard_normal(3)})
+        assert set(info) == self.BACKWARD_KEYS
+        assert info["fallback"] is singular
+        factor = res._cache["m_factor"]
+        assert info["m_factor_order"] == factor.order
+        if singular:
+            assert info["m_factor_nnz"] == 0
+        else:
+            assert info["m_factor_nnz"] == solver._splu_lifted(factor._L).nnz
+            assert info["m_factor_nnz"] > 0
 
 
 class TestTapeFactor:

@@ -17,10 +17,12 @@ from diffcone.fixtures import gen_random_dpp
 from diffcone.layer import Layer
 
 STATUSES = {"optimal", "infeasible", "unbounded", "max_iters"}
-FORWARD_KEYS = {"iterations", "polishes", "solve_time", "timings", "status"}
+FORWARD_KEYS = {"iterations", "polishes", "solve_time", "timings", "sizes",
+                "status"}
 FORWARD_TIMINGS = {"bind", "materialize", "equilibrate", "factorize",
                    "iterate", "polish", "retrieve"}
-BACKWARD_KEYS = {"mode", "fallback", "residual", "iterations", "timings"}
+BACKWARD_KEYS = {"mode", "fallback", "residual", "iterations",
+                 "m_factor_order", "m_factor_nnz", "timings"}
 BACKWARD_TIMINGS = {"retrieval_adjoint", "m_factor", "m_solve",
                     "materialize_adjoint"}
 

@@ -16,7 +16,7 @@ from diffcone.cones import (
     smooth_margin,
 )
 from diffcone.errors import ShapeError, SolveStatusError, SolverInputError
-from diffcone.fixtures import oracle_eq_qp, oracle_lp_vertex
+from diffcone.fixtures import oracle_eq_qp, oracle_lp_vertex, sparse_qp_data
 from diffcone.solver import (
     IterationFactor,
     MFactor,
@@ -487,3 +487,28 @@ class TestTimings:
                                  ConeSpec(0, 2, ()))
         with pytest.raises(ShapeError):
             solve(data, TIGHT, factor=factor)
+
+
+class TestIterationOrder:
+    """``IterationFactor`` keeps K's symmetric elimination order, which the
+    lifted M factor extends."""
+
+    def test_order_is_owned(self):
+        data = sparse_qp_data(n=16, seed=2)
+        factor = IterationFactor(data.A, data.cones)
+        # a view of perm_c would keep the whole SuperLU factor alive
+        assert factor.order.base is None
+        assert np.array_equal(factor.order, np.argsort(factor.lu.perm_c))
+        assert np.array_equal(np.sort(factor.order),
+                              np.arange(sum(data.A.shape)))
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_order_depends_on_the_pattern_alone(self, normalize, rng):
+        """One order serves every binding of a layer, whose A keeps its
+        pattern and changes its values."""
+        data = sparse_qp_data(n=16, seed=2)
+        A, spec = data.A.tocsr(), data.cones
+        other = sp.csr_matrix((rng.standard_normal(A.nnz), A.indices,
+                               A.indptr), shape=A.shape)
+        assert np.array_equal(IterationFactor(A, spec, normalize).order,
+                              IterationFactor(other, spec, normalize).order)
