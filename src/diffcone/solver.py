@@ -37,7 +37,12 @@ whose root encodes an exact primal-dual solution; on well-behaved problems
 this reaches residuals near machine precision in a few steps.  The
 Jacobian of the residual map is M = (Q - I) DPi(z) + I; ``MFactor``
 applies and exactly factors its deflated form M + zhat zhat' for the
-polish (as a right preconditioner) and for the derivatives module.
+polish (as a right preconditioner) and for the derivatives module.  A
+polish factors it once, at its first point: each later step applies M at
+its own point, unfactored, and keeps the first factor as preconditioner,
+so the step is still exact Gauss-Newton and only LSQR's iteration count
+grows.  It factors again only when that factor is singular or LSQR stops
+at its iteration limit on it.
 Statuses for infeasible and unbounded problems come from certificate
 residuals on the embedding iterates.
 """
@@ -179,17 +184,19 @@ class IterationFactor:
                         "factorize": time.perf_counter() - scaled}
 
     def system(self, h: np.ndarray):
-        """The map w -> (I + Q)^{-1} w for Q = [[0, A', c], [-A, 0, b],
-        [-c', -b', 0]] with scaled data A_hat and h = (c, b)."""
+        """The map (w, out) -> (I + Q)^{-1} w, written into ``out``, for
+        Q = [[0, A', c], [-A, 0, b], [-c', -b', 0]] with scaled data A_hat
+        and h = (c, b)."""
         lu = self.lu
         kh = lu.solve(h)
         denom = 1.0 + kh @ kh
 
-        def apply(w):
+        def apply(w, out):
             kw = lu.solve(w[:-1])
             tau = (w[-1] + h @ kw) / denom
-            out = np.empty(w.size)
-            out[:-1] = kw - tau * kh
+            xi = out[:-1]
+            np.multiply(kh, tau, out=xi)
+            np.subtract(kw, xi, out=xi)
             out[-1] = tau
             return out
 
@@ -310,10 +317,15 @@ class MFactor:
     callers then fall back to least squares on ``apply``.  The factor
     keeps no pivot-ratio guard: reading U's diagonal out of SuperLU caches
     CSC copies of L and U on the factor.
+
+    With ``factorize`` False, L is only assembled, sparse and unpermuted,
+    for ``apply`` (``ok`` False, ``nnz`` 0): the polish applies M at each
+    later point of its Gauss-Newton steps this way and preconditions with
+    the factor of its first point.
     """
 
     def __init__(self, data: ConeProgramData, z: np.ndarray,
-                 order: np.ndarray | None = None):
+                 order: np.ndarray | None = None, factorize: bool = True):
         m, n = data.A.shape
         N = self.size = n + m + 1
         self.z = z = np.asarray(z, dtype=float)
@@ -348,8 +360,11 @@ class MFactor:
         size = self.order = edge + 1
         # _head and _tail: where the rows of M + zhat zhat' and the lift
         # rows sit in the factored matrix
-        if size <= DENSE_ORDER:
-            self._head, self._tail = slice(0, N), slice(N, size)
+        self._head, self._tail = slice(0, N), slice(N, size)
+        if not factorize:
+            self._L = sp.csc_matrix((vals, (rows, cols)), shape=(size, size))
+            self.ok, self.nnz = False, 0
+        elif size <= DENSE_ORDER:
             # scattered as L' in C order: L itself in Fortran order
             self._L = np.bincount(cols * size + rows, vals,
                                   size * size).reshape(size, size).T
@@ -413,36 +428,54 @@ def _normalized_jacobian(P: MFactor) -> spla.LinearOperator:
                                rmatvec=rmatvec, dtype=float)
 
 
-def _gauss_newton_step(data, z, r, lsqr_iters, order):
-    """LSQR's step for the normalized Jacobian J at z and residual r, right
-    preconditioned by P = MFactor(data, z, order) (J = M (I - z e_N') is P
-    up to low rank), or on J alone without a usable factor.  P dies with
-    the step, so two steps' factors are never alive at once."""
-    P = MFactor(data, z, order)
-    J = _normalized_jacobian(P)
+def _gauss_newton_step(J, P, r, lsqr_iters):
+    """LSQR's step for the normalized Jacobian J at a point z and residual
+    r, and LSQR's stop code (7: iteration limit).  LSQR runs on J P^{-1}
+    for the polish's lifted factor P, or on J alone when P is not ``ok``.
+    P comes from the polish's first point and preconditions its later
+    steps too: J = M (I - z e_N') is P at z up to low rank, and the step
+    is the same for any P, up to a multiple of z (J z = 0) that the
+    polish's normalization of its candidates removes; only LSQR's
+    iteration count depends on how far P's point is from z."""
     if not P.ok:
         return spla.lsqr(J, r, atol=1e-14, btol=1e-14,
-                         iter_lim=min(lsqr_iters, 1500))[0]
+                         iter_lim=min(lsqr_iters, 1500))[:2]
     op = spla.LinearOperator(
         J.shape, dtype=float, matvec=lambda w: J.matvec(P.solve(w)),
         rmatvec=lambda u: P.solve(J.rmatvec(u), transpose=True))
-    return P.solve(spla.lsqr(op, r, atol=1e-14, btol=1e-14, iter_lim=300)[0])
+    y, istop = spla.lsqr(op, r, atol=1e-14, btol=1e-14, iter_lim=300)[:2]
+    return P.solve(y), istop
 
 
 def _refine(z, data, Q, steps, lsqr_iters, order):
     """Damped Gauss-Newton on the normalized residual map of ``data``
     (whose skew matrix is Q, and K's elimination order ``order``); keeps
-    the best z."""
+    the best z.
+
+    The lifted M factor is built once, at the first point, and kept as the
+    preconditioner of every later step, which applies M at its own point
+    unfactored.  It is built again, at the current point, only when it is
+    not ``ok`` or LSQR stops at its iteration limit on it, and the old one
+    is dropped first, so one factor is alive at a time."""
     spec = data.cones
     n = data.A.shape[1]
     z = z / abs(z[-1])
     best = z
-    best_norm = np.linalg.norm(_residual_map(z, Q, spec, n))
+    r = _residual_map(z, Q, spec, n)
+    best_norm = np.linalg.norm(r)
+    P = None  # the polish's lifted factor
     for _ in range(steps):
-        r = _residual_map(best, Q, spec, n)
         if best_norm <= 1e-15:
             break
-        step = _gauss_newton_step(data, best, r, lsqr_iters, order)
+        istop = 7  # LSQR's code for its iteration limit: factor below
+        if P is not None and P.ok:
+            J = _normalized_jacobian(MFactor(data, best, factorize=False))
+            step, istop = _gauss_newton_step(J, P, r, lsqr_iters)
+        if istop == 7:
+            P = None  # freed before the next one is built
+            P = MFactor(data, best, order)
+            step = _gauss_newton_step(_normalized_jacobian(P), P, r,
+                                      lsqr_iters)[0]
         improved = False
         scale = 1.0
         for _ in range(5):
@@ -451,9 +484,10 @@ def _refine(z, data, Q, steps, lsqr_iters, order):
                 scale *= 0.5
                 continue
             cand = cand / abs(cand[-1])
-            norm = np.linalg.norm(_residual_map(cand, Q, spec, n))
+            r_cand = _residual_map(cand, Q, spec, n)
+            norm = np.linalg.norm(r_cand)
             if norm < best_norm:
-                best, best_norm = cand, norm
+                best, best_norm, r = cand, norm, r_cand
                 improved = True
                 break
             scale *= 0.5
@@ -575,12 +609,17 @@ def solve(data: ConeProgramData, settings: SolverSettings | None = None,
             best = (score, x, y, s, res)
         return ok
 
+    # the iteration's vector updates, in place: u_tilde and one buffer
+    u_tilde = np.empty(N)
+    buf = np.empty(N)
     for it in range(1, settings.max_iters + 1):
         iters = it
-        u_tilde = lin(u + v)
-        u_tilde = alpha * u_tilde + (1 - alpha) * u
-        u_new = project_embedding(u_tilde - v, spec, n)
-        v = v - u_tilde + u_new
+        lin(np.add(u, v, out=buf), u_tilde)
+        np.multiply(u_tilde, alpha, out=u_tilde)
+        np.add(u_tilde, np.multiply(u, 1 - alpha, out=buf), out=u_tilde)
+        u_new = project_embedding(np.subtract(u_tilde, v, out=buf), spec, n)
+        np.subtract(v, u_tilde, out=v)
+        np.add(v, u_new, out=v)
         u = u_new
 
         if it % settings.check_interval != 0 and it != settings.max_iters:

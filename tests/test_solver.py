@@ -1,5 +1,8 @@
 """Solver correctness against analytic and enumeration oracles."""
 
+import itertools
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -7,7 +10,8 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import TIGHT
+from conftest import TIGHT, force_fallback
+from diffcone import solver
 from diffcone.canon import ConeProgramData
 from diffcone.cones import (
     ConeSpec,
@@ -21,6 +25,7 @@ from diffcone.solver import (
     IterationFactor,
     MFactor,
     SolverSettings,
+    _gauss_newton_step,
     _normalized_jacobian,
     _residual_map,
     normalized_point,
@@ -437,7 +442,7 @@ def test_iteration_system_matches_direct_solve(program, normalize):
     skew matrix of the scaled A with the given b and c."""
     A, b, c, spec, w = program
     factor = IterationFactor(sp.csr_matrix(A), spec, normalize)
-    got = factor.system(np.concatenate([c, b]))(w)
+    got = factor.system(np.concatenate([c, b]))(w, np.empty(w.size))
     Q = skew_matrix(ConeProgramData(factor.A, b, c, spec))
     want = spla.spsolve((sp.identity(w.size) + Q).tocsc(), w)
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
@@ -512,3 +517,109 @@ class TestIterationOrder:
                                A.indptr), shape=A.shape)
         assert np.array_equal(IterationFactor(A, spec, normalize).order,
                               IterationFactor(other, spec, normalize).order)
+
+
+class TestPolishFactor:
+    """The polish factors the lifted M system once, at its first point, and
+    preconditions its later Gauss-Newton steps with that factor."""
+
+    # polishing from iteration 25, far from the solution, takes 3-4
+    # Gauss-Newton steps; lifted order 263, above DENSE_ORDER
+    EARLY = SolverSettings(refine_interval=25)
+
+    @staticmethod
+    def spy(monkeypatch, name, record=lambda args, out: (args, out)):
+        """Record each call of ``solver.<name>`` as ``record(args, out)``,
+        or ``record(args, None)`` when it raises."""
+        calls = []
+        inner = getattr(solver, name)
+
+        def wrapper(*args):
+            calls.append(record(args, None))
+            out = inner(*args)
+            calls[-1] = record(args, out)
+            return out
+
+        monkeypatch.setattr(solver, name, wrapper)
+        return calls
+
+    def test_one_factor_per_polish(self, monkeypatch):
+        factors = self.spy(monkeypatch, "_splu_lifted", lambda *_: None)
+        steps = self.spy(monkeypatch, "_gauss_newton_step")
+        sol = solve(sparse_qp_data(n=64), self.EARLY)
+        assert sol.status == "optimal"
+        assert sol.info["polishes"] >= 1
+        assert len(factors) == sol.info["polishes"]
+        assert len(steps) > len(factors)
+
+    def test_kept_factor_gives_the_fresh_step(self, rng):
+        """Near the factor's point the kept-factor step is the step a
+        fresh factor at the new point gives."""
+        data = sparse_qp_data(n=64)
+        n = data.A.shape[1]
+        z0 = normalized_point(solve(data, TIGHT))
+        z1 = z0 + 1e-6 * rng.standard_normal(z0.size)
+        z1[-1] = 1.0
+        r = _residual_map(z1, skew_matrix(data), data.cones, n)
+        order = IterationFactor(data.A, data.cones).order
+        kept = MFactor(data, z0, order)
+        J1 = _normalized_jacobian(MFactor(data, z1, factorize=False))
+        step, istop = _gauss_newton_step(J1, kept, r, 4 * z1.size)
+        assert kept.ok and istop != 7
+        fresh = MFactor(data, z1, order)
+        want = _gauss_newton_step(_normalized_jacobian(fresh), fresh, r,
+                                  4 * z1.size)[0]
+        # J z1 = 0: steps are equal up to a multiple of z1, which the
+        # polish's normalization of its candidates removes
+        step, want = step - z1 * step[-1], want - z1 * want[-1]
+        assert np.linalg.norm(step - want) <= 1e-10 * np.linalg.norm(want)
+
+    def test_guard_refactors_when_lsqr_stops_at_its_limit(self, monkeypatch):
+        """With LSQR cut to 4 iterations, kept-factor steps (10-14
+        iterations here) stop at the limit: each such step factors again
+        at its own point, after the old factor is freed, and the solve
+        still ends optimal."""
+        inner = spla.lsqr
+
+        def short(*args, **kwargs):
+            return inner(*args, **dict(kwargs, iter_lim=4))
+
+        monkeypatch.setattr(solver.spla, "lsqr", short)
+        live = weakref.WeakSet()
+        serials = itertools.count()
+
+        class OneAtATime(solver.MFactor):
+            def __init__(self, *args, factorize=True, **kwargs):
+                if factorize:
+                    assert not live, "two lifted factors alive at once"
+                super().__init__(*args, factorize=factorize, **kwargs)
+                self.serial = next(serials)
+                if factorize:
+                    live.add(self)
+
+        monkeypatch.setattr(solver, "MFactor", OneAtATime)
+        factors = self.spy(monkeypatch, "_splu_lifted", lambda *_: None)
+        # (residual, factor, LSQR's stop code), holding no factor alive
+        steps = self.spy(monkeypatch, "_gauss_newton_step",
+                         lambda args, out: (args[2], args[1].serial,
+                                            out and out[1]))
+        sol = solve(sparse_qp_data(n=64), self.EARLY)
+        assert sol.status == "optimal"
+        # a guarded step runs twice on one residual: on the kept factor,
+        # stopping at the limit, then on a new factor
+        guarded = [(a, b) for a, b in zip(steps, steps[1:]) if b[0] is a[0]]
+        assert guarded
+        for (_, kept, istop), (_, new, _) in guarded:
+            assert istop == 7 and new > kept
+        assert len(factors) == sol.info["polishes"] + len(guarded)
+
+    def test_fallback_factors_at_every_step(self, monkeypatch):
+        """Without a usable factor every step tries to factor at its own
+        point and runs LSQR on J alone."""
+        force_fallback(monkeypatch)
+        factors = self.spy(monkeypatch, "_splu_lifted", lambda *_: None)
+        steps = self.spy(monkeypatch, "_gauss_newton_step")
+        sol = solve(sparse_qp_data(n=64), self.EARLY)
+        assert sol.status == "optimal"
+        assert steps and len(factors) == len(steps)
+        assert not any(args[1].ok for args, _ in steps)
