@@ -14,18 +14,24 @@ orthant rows, then the second-order blocks in ``soc_dims`` order.
 ``ConeSpec.soc_runs`` groups the second-order blocks, once per spec, into
 maximal runs of k consecutive blocks that share a dimension d, each stored
 as ``(start, stop, k, d)`` with row offsets into the cone vector.  Every
-operation over K* is one walk of that table (``_walk_runs``):
+operation over K* is one walk of that table (``_walk_runs``), over one
+vector or over a (B, N) stack of them, as the solver's batched iteration
+projects its B iterates at once:
 
 * the orthant rows and runs with d == 1 (halflines) are flat slices;
-* a run of k >= RUN_MIN_BLOCKS blocks is the zero-copy view
-  ``v[start:stop].reshape(k, d)`` and is handled by one vectorised pass
-  (row norms, then masks for the interior, polar, apex and boundary cases);
+* a run of k >= RUN_MIN_BLOCKS blocks is the view
+  ``v[start:stop].reshape(k, d)`` (of a stack, its B k blocks as one
+  (B k, d) array) and is handled by one vectorised pass (row norms, then
+  masks for the interior, polar, apex and boundary cases);
 * the blocks of a shorter run, a lone block above all, keep the scalar
   ``_project_soc``/``_dproject_soc`` in the hot projections.  On a
   2-vCPU x86 host the masked pass costs a fixed ~15-25 us against ~4-8 us
   per block on the scalar path, so it loses below about four blocks, and
   problems with one or two second-order blocks call these functions
-  hundreds of thousands of times.
+  hundreds of thousands of times.  Stacked over B vectors, those blocks
+  take the vectorised pass once they number RUN_MIN_BLOCKS, with the
+  scalar path's norms (``_block_norms``), so each vector's projection is
+  the same, bit for bit, whatever B.
 
 ``dproject_embedding_parts`` gives the Jacobian of the embedding
 projection as a diagonal plus one rank-two term per second-order block on
@@ -214,8 +220,16 @@ def _run_norms(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return V[:, 0], np.sqrt(np.einsum("ij,ij->i", X, X))
 
 
-def _project_soc_run(V: np.ndarray) -> np.ndarray:
-    t, nx = _run_norms(V)
+def _block_norms(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_run_norms`` with each ||x|| that of ``np.linalg.norm``, the BLAS
+    dot of the scalar path: equal to it bit for bit, as the einsum
+    reduction is not."""
+    X = V[:, 1:]
+    return V[:, 0], np.sqrt(np.matmul(X[:, None, :], X[:, :, None])[:, 0, 0])
+
+
+def _project_soc_run(V: np.ndarray, norms=_run_norms) -> np.ndarray:
+    t, nx = norms(V)
     inside = nx <= t
     polar = nx <= -t
     alpha = 0.5 * (t + nx)
@@ -228,7 +242,7 @@ def _project_soc_run(V: np.ndarray) -> np.ndarray:
     return out
 
 
-def _boundary_frame(V: np.ndarray):
+def _boundary_frame(V: np.ndarray, norms=_run_norms):
     """Masks of the derivative's cases and the boundary-formula terms.
 
     Returns the interior, polar and apex masks as (k, 1) columns (in that
@@ -236,7 +250,7 @@ def _boundary_frame(V: np.ndarray):
     factor beta = (t + ||x||) / (2 ||x||) as a (k, 1) column; u and beta
     are finite placeholders on rows that are not boundary rows.
     """
-    t, nx = _run_norms(V)
+    t, nx = norms(V)
     inside = nx < t
     polar = nx < -t
     apex = nx == 0.0
@@ -246,8 +260,9 @@ def _boundary_frame(V: np.ndarray):
     return inside[:, None], polar[:, None], apex[:, None], U, beta[:, None]
 
 
-def _dproject_soc_run(V: np.ndarray, DV: np.ndarray) -> np.ndarray:
-    inside, polar, apex, U, beta = _boundary_frame(V)
+def _dproject_soc_run(V: np.ndarray, DV: np.ndarray,
+                      norms=_run_norms) -> np.ndarray:
+    inside, polar, apex, U, beta = _boundary_frame(V, norms)
     dt, DX = DV[:, :1], DV[:, 1:]
     ut_dx = np.einsum("ij,ij->i", U, DX)[:, None]
     a = 0.5 * (dt + ut_dx)
@@ -258,8 +273,8 @@ def _dproject_soc_run(V: np.ndarray, DV: np.ndarray) -> np.ndarray:
                     np.where(polar, 0.0, np.where(apex, 0.5 * DV, out)))
 
 
-def _margin_soc_run(V: np.ndarray) -> np.ndarray:
-    t, nx = _run_norms(V)
+def _margin_soc_run(V: np.ndarray, norms=_run_norms) -> np.ndarray:
+    t, nx = norms(V)
     return np.abs(nx - np.abs(t))[:, None]
 
 
@@ -270,26 +285,47 @@ def _walk_runs(spec: ConeSpec, off: int, out: np.ndarray, ins: tuple,
                orthant, run, single=None) -> None:
     """Fill the orthant and second-order rows of ``out`` from ``ins``.
 
-    Rows are those of K* shifted by ``off``; the free rows are left to the
-    caller.  ``orthant`` gets flat slices (the orthant rows and d == 1
-    runs), ``run`` gets (k, d) views, and ``single``, when given, replaces
-    ``run`` on the blocks of runs shorter than RUN_MIN_BLOCKS, one 1-D view
-    at a time.
+    ``out`` and ``ins`` are vectors, or (B, L) stacks of B vectors that
+    are walked as one.  Rows are those of K* shifted by ``off``; the free
+    rows are left to the caller.  ``orthant`` gets the orthant rows and
+    d == 1 runs, ``run`` gets each run's blocks of every vector stacked as
+    a (B k, d) array and the function of its norms, ``norms``.
+    ``single``, when given, replaces ``run`` on the blocks of runs shorter
+    than RUN_MIN_BLOCKS, one 1-D block at a time, while they number fewer
+    than RUN_MIN_BLOCKS over the stack; above that ``run`` takes them with
+    ``norms=_block_norms``, so that ``_project_soc_run`` agrees with
+    ``_project_soc`` bit for bit.
     """
+    lead = out.shape[:-1]  # () for a vector, (B,) for a stack
+    rows = lead[0] if lead else 1
     lo = off + spec.n_zero
     hi = lo + spec.n_nonneg
     if hi > lo:
-        out[lo:hi] = orthant(*(a[lo:hi] for a in ins))
+        out[..., lo:hi] = orthant(*(a[..., lo:hi] for a in ins))
     for start, stop, k, d in spec.soc_runs:
         seg = slice(off + start, off + stop)
         if d == 1:
-            out[seg] = orthant(*(a[seg] for a in ins))
-        elif k < RUN_MIN_BLOCKS and single is not None:
-            for b in range(off + start, off + stop, d):
-                out[b:b + d] = single(*(a[b:b + d] for a in ins))
+            out[..., seg] = orthant(*(a[..., seg] for a in ins))
+            continue
+        if k >= RUN_MIN_BLOCKS or single is None:
+            norms = _run_norms
+        elif rows * k >= RUN_MIN_BLOCKS:
+            norms = _block_norms  # the scalar path's norms
         else:
-            out[seg].reshape(k, d)[...] = run(
-                *(a[seg].reshape(k, d) for a in ins))
+            for r in range(rows):
+                row = (r,) if lead else ()
+                for b in range(off + start, off + stop, d):
+                    block = row + (slice(b, b + d),)
+                    out[block] = single(*(a[block] for a in ins))
+            continue
+        blocks = run(*(a[..., seg].reshape(rows * k, d) for a in ins),
+                     norms=norms)
+        if lead:
+            # splitting the last axis is a view, also of a strided stack
+            out[..., seg].reshape(rows, k, d)[...] = blocks.reshape(
+                rows, k, -1)
+        else:
+            out[seg].reshape(k, d)[...] = blocks
 
 
 def _clamp(v: np.ndarray) -> np.ndarray:
@@ -316,14 +352,21 @@ def project_dual_cone(v: np.ndarray, spec: ConeSpec) -> np.ndarray:
 
 
 def project_embedding(z: np.ndarray, spec: ConeSpec, n: int) -> np.ndarray:
-    """Projection onto R^n x K* x R_+ (the embedding's product set)."""
+    """Projection onto R^n x K* x R_+ (the embedding's product set) of a
+    vector, or of each row of a (B, N) stack."""
     z = np.asarray(z, dtype=float)
     m = spec.total_dim
-    _check_length(z, n + m + 1)
+    if z.ndim not in (1, 2) or z.shape[-1] != n + m + 1:
+        raise ShapeError(f"expected vectors of length {n + m + 1}, got an "
+                         f"array of shape {z.shape}")
     out = np.empty_like(z)
-    out[:n + spec.n_zero] = z[:n + spec.n_zero]
+    free = n + spec.n_zero
+    out[..., :free] = z[..., :free]
     _walk_runs(spec, n, out, (z,), _clamp, _project_soc_run, _project_soc)
-    out[n + m] = max(z[n + m], 0.0)
+    if z.ndim == 1:
+        out[-1] = max(z[-1], 0.0)
+    else:
+        np.maximum(z[:, -1], 0.0, out=out[:, -1])
     return out
 
 

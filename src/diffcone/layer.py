@@ -121,38 +121,56 @@ class Layer:
         return self.asa.flatten_params(values)
 
     def forward(self, values: dict, warm_start=None) -> ForwardResult:
+        return self._forward([values], [warm_start])[0]
+
+    def _forward(self, batch: list, warm_starts: list | None = None
+                 ) -> list[ForwardResult]:
+        """Bind and materialize every element, then solve them all as one
+        batch (``solver.solve`` of a list) with the layer's iteration factors."""
         clock = time.perf_counter
-        start = clock()
-        theta = self._bind(values)
-        bound = clock()
-        data = materialize(self.asa, theta)
-        materialized = clock()
-        built = {}
-        factor = self._factor
-        if factor is None:
-            factor = IterationFactor(data.A, data.cones,
-                                     self.settings.normalize)
-            built = factor.seconds
-            self._order = factor.order
-            if self._a_fixed:
-                self._factor = factor
-        sol = solve(data, self.settings, warm_start=warm_start, factor=factor)
+        thetas, bind_s = [], []
+        for values in batch:
+            start = clock()
+            thetas.append(self._bind(values))
+            bind_s.append(clock() - start)
+        datas, materialize_s = [], []
+        for theta in thetas:
+            start = clock()
+            datas.append(materialize(self.asa, theta))
+            materialize_s.append(clock() - start)
+        factors, built = [], []
+        for data in datas:
+            factor, seconds = self._factor, {}
+            if factor is None:
+                factor = IterationFactor(data.A, data.cones,
+                                         self.settings.normalize)
+                seconds = factor.seconds
+                self._order = factor.order
+                if self._a_fixed:
+                    self._factor = factor
+            factors.append(factor)
+            built.append(seconds)
+        sols = solve(datas, self.settings, warm_starts, factors)
+        return [self._result(*args) for args in zip(
+            thetas, datas, sols, bind_s, materialize_s, built)]
+
+    def _result(self, theta, data, sol, bind_s, materialize_s,
+                built) -> ForwardResult:
         info = dict(sol.info, status=sol.status)
         timings = info["timings"] = {
             k: t + built.get(k, 0.0) for k, t in sol.info["timings"].items()}
-        timings.update(bind=bound - start, materialize=materialized - bound,
-                       retrieve=0.0)
+        timings.update(bind=bind_s, materialize=materialize_s, retrieve=0.0)
         if sol.status != OPTIMAL:
             return ForwardResult(outputs=None, status=sol.status, info=info,
                                  _layer_token=self._token, _data=data, _solution=sol)
-        retrieving = clock()
+        retrieving = time.perf_counter()
         outputs = retrieve(self.asa, sol.x)
         info["objective"] = float(
             data.c @ sol.x
             + self.asa.objective_offset_map @ self.asa.theta_aug(theta))
         if self.problem is not None and self.problem.sense == "maximize":
             info["objective"] = -info["objective"]
-        timings["retrieve"] = clock() - retrieving
+        timings["retrieve"] = time.perf_counter() - retrieving
         z = normalized_point(sol)
         return ForwardResult(outputs=outputs, status=sol.status, info=info,
                              _layer_token=self._token, _data=data, _solution=sol, _z=z)
@@ -216,8 +234,11 @@ class Layer:
     # -- batching -----------------------------------------------------------
 
     def forward_batch(self, batch: list[dict]) -> list[ForwardResult]:
-        """Elementwise forward passes; equals sequential application."""
-        return [self.forward(v) for v in batch]
+        """Forward passes of every element, solved as one batch; element for
+        element equal to ``forward``.  Every element is bound and checked
+        before any is solved, so a malformed one raises ``ShapeError`` with
+        nothing solved."""
+        return self._forward(list(batch))
 
     def backward_batch(self, results: list[ForwardResult],
                        cotangents: list[dict]) -> list[tuple[dict, dict]]:

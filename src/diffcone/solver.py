@@ -45,6 +45,22 @@ grows.  It factors again only when that factor is singular or LSQR stops
 at its iteration limit on it.
 Statuses for infeasible and unbounded problems come from certificate
 residuals on the embedding iterates.
+
+``solve`` takes one program or a batch of programs of one cone and one
+shape of A, and a single program is the batch of one: there is one
+iteration loop (``_iterate``), over the (B, N) stacks of the B programs'
+iterates u and v.  Programs that share an ``IterationFactor`` (a layer
+whose A does not depend on the parameters) solve with it as one
+multi-right-hand-side solve per iteration; the others solve row by row
+with their own.  The cone projection walks the stacked rows once.  Every
+other operation is elementwise or row by row, with each row's dot
+products the BLAS dots of a lone solve, so each program's arithmetic is
+the same whatever the batch, and it keeps its own scaling, checks,
+polishes and status (``_Column``), and leaves the loop at the iteration
+its lone solve would end.  Batch results therefore equal lone solves bit
+for bit wherever SuperLU's multi-right-hand-side solve equals its
+column-by-column solves, as it does on small systems; on large ones its
+supernodal kernels may sum in another order.
 """
 
 from __future__ import annotations
@@ -183,24 +199,64 @@ class IterationFactor:
         self.seconds = {"equilibrate": scaled - start,
                         "factorize": time.perf_counter() - scaled}
 
-    def system(self, h: np.ndarray):
-        """The map (w, out) -> (I + Q)^{-1} w, written into ``out``, for
-        Q = [[0, A', c], [-A, 0, b], [-c', -b', 0]] with scaled data A_hat
-        and h = (c, b)."""
-        lu = self.lu
-        kh = lu.solve(h)
-        denom = 1.0 + kh @ kh
 
-        def apply(w, out):
-            kw = lu.solve(w[:-1])
-            tau = (w[-1] + h @ kw) / denom
-            xi = out[:-1]
-            np.multiply(kh, tau, out=xi)
-            np.subtract(kw, xi, out=xi)
-            out[-1] = tau
-            return out
+def _row_dots(X: np.ndarray, Y: np.ndarray):
+    """``x @ y`` of two vectors, or of each pair of rows of two stacks: a
+    stacked matmul of contiguous rows calls that BLAS dot row by row, so
+    a row's value does not depend on the other rows."""
+    if X.ndim == 1:
+        return X @ Y
+    return np.matmul(X[:, None, :], Y[:, :, None])[:, 0, 0]
 
-        return apply
+
+class _IterationSystem:
+    """The iteration map of a batch: row w_j of W -> (I + Q_j)^{-1} w_j,
+    written into row j of ``out``, for program j with K factor
+    ``factors[j]`` and scaled h_j = (c_j, b_j), row j of H.
+
+    Rows that share a factor are solved by one multi-right-hand-side
+    solve; the tau row and the products are row-wise (``_row_dots``).
+    A single program's W, out and H may be vectors, which costs the
+    least."""
+
+    def __init__(self, factors: list, H: np.ndarray,
+                 KH: np.ndarray | None = None):
+        self.factors, self.H = factors, H
+        groups = {}
+        for j, f in enumerate(factors):
+            groups.setdefault(id(f), (f.lu, []))[1].append(j)
+        # a lone row is solved as a vector: fancy indexing would cost more
+        # than its solve
+        self._groups = [(lu, rows[0] if len(rows) == 1 else np.array(rows))
+                        for lu, rows in groups.values()]
+        self.KH = self._solve(H) if KH is None else KH
+        self.denom = 1.0 + _row_dots(self.KH, self.KH)
+
+    def _solve(self, R: np.ndarray) -> np.ndarray:
+        """K_j^{-1} r_j for every row r_j of R."""
+        if len(self._groups) == 1:
+            return self._groups[0][0].solve(R.T).T
+        out = np.empty(R.shape)
+        for lu, rows in self._groups:
+            out[rows] = lu.solve(R[rows].T).T
+        return out
+
+    def __call__(self, W: np.ndarray, out: np.ndarray) -> np.ndarray:
+        # transposed, a stack and a vector index alike: a stack's rows
+        # scale by their tau, and a vector's tau is a scalar
+        kw = self._solve(W.T[:-1].T)
+        tau = (W.T[-1] + _row_dots(self.H, kw)) / self.denom
+        xi = out.T[:-1]
+        np.multiply(self.KH.T, tau, out=xi)
+        np.subtract(kw.T, xi, out=xi)
+        out.T[-1] = tau
+        return out
+
+    def subset(self, keep: np.ndarray) -> "_IterationSystem":
+        """The system of the rows where ``keep`` is True; their K^{-1} h
+        are kept, not solved again."""
+        return _IterationSystem([f for f, k in zip(self.factors, keep) if k],
+                                self.H[keep], self.KH[keep])
 
 
 def _skew_entries(data: ConeProgramData):
@@ -228,24 +284,28 @@ def skew_matrix(data: ConeProgramData) -> sp.csc_matrix:
     return sp.csc_matrix((vals, (rows, cols)), shape=(N, N))
 
 
+def _kkt_residuals(data, At, x, y, s):
+    """Primal, dual and gap residual norms of a primal-dual point, and its
+    c'x and b'y; At is A', taken once per solve."""
+    pri = float(np.linalg.norm(data.A @ x + s - data.b))
+    dua = float(np.linalg.norm(At @ y + data.c))
+    ctx = float(data.c @ x)
+    bty = float(data.b @ y)
+    return (pri, dua, abs(ctx + bty)), ctx, bty
+
+
 def residuals(data: ConeProgramData, sol: ConeSolution) -> tuple[float, float, float]:
     """Primal, dual, and gap residual norms of a primal-dual point."""
-    pri = float(np.linalg.norm(data.A @ sol.x + sol.s - data.b))
-    dua = float(np.linalg.norm(data.A.T @ sol.y + data.c))
-    gap = float(abs(data.c @ sol.x + data.b @ sol.y))
-    return pri, dua, gap
+    return _kkt_residuals(data, data.A.T, sol.x, sol.y, sol.s)[0]
 
 
 def _within_tolerance(data, At, x, y, s, eps_abs, eps_rel):
-    pri = np.linalg.norm(data.A @ x + s - data.b)
-    dua = np.linalg.norm(At @ y + data.c)
-    ctx = float(data.c @ x)
-    bty = float(data.b @ y)
-    gap = abs(ctx + bty)
+    res, ctx, bty = _kkt_residuals(data, At, x, y, s)
+    pri, dua, gap = res
     ok = (pri <= eps_abs + eps_rel * (1.0 + np.linalg.norm(data.b))
           and dua <= eps_abs + eps_rel * (1.0 + np.linalg.norm(data.c))
           and gap <= eps_abs + eps_rel * (1.0 + abs(ctx) + abs(bty)))
-    return ok, (float(pri), float(dua), float(gap))
+    return ok, res
 
 
 def _residual_map(z, Q, spec, n):
@@ -529,10 +589,200 @@ def _warm_start_point(warm_start, n: int, m: int) -> list[np.ndarray]:
     return out
 
 
-def solve(data: ConeProgramData, settings: SolverSettings | None = None,
-          warm_start: tuple | None = None,
-          factor: IterationFactor | None = None) -> ConeSolution:
-    """Solve a cone program; never raises on non-optimal outcomes.
+class _Column:
+    """One program of a batch: its data in original and scaled units, its
+    first iterate, and its own checks, polishes and best point.
+
+    ``solve`` advances the iterates of every column together and
+    hands each column its own row at the check iterations; the checks
+    depend on that row and the column's data alone.
+    """
+
+    def __init__(self, data: ConeProgramData, settings: SolverSettings,
+                 warm_start, factor: IterationFactor | None):
+        clock = time.perf_counter
+        start = clock()
+        self.data, self.settings, self.spec = data, settings, data.cones
+        self.m, self.n = m, n = data.A.shape
+        self.At = data.A.T  # one transpose, shared by every residual
+        if factor is None:
+            factor = IterationFactor(data.A, self.spec, settings.normalize)
+            self.timings = dict(factor.seconds)
+        else:
+            self.timings = {"equilibrate": 0.0, "factorize": 0.0}
+        self.factor = factor
+        scaled = clock()
+        self.dscale, self.escale = dscale, escale = factor.d, factor.e
+        b_hat = dscale * data.b
+        c_hat = escale * data.c
+        sigma = rho = 1.0
+        if settings.normalize:
+            sigma = max(1.0, float(np.linalg.norm(b_hat)))
+            rho = max(1.0, float(np.linalg.norm(c_hat)))
+        self.sigma, self.rho = sigma, rho
+        self.b_hat, self.c_hat = b_hat / sigma, c_hat / rho
+        self.h = np.concatenate([self.c_hat, self.b_hat])
+        self.timings["equilibrate"] += clock() - scaled
+
+        N = n + m + 1
+        self.u, self.v = np.zeros(N), np.zeros(N)
+        self.u[-1] = 1.0
+        if warm_start is not None:
+            x0, y0, s0 = warm_start
+            self.u[:n] = x0 / (sigma * escale)
+            self.u[n:n + m] = y0 / (rho * dscale)
+            self.v[n:n + m] = s0 * dscale / sigma
+
+        self.best = None  # (residual score, x, y, s, res) in original units
+        self.status = MAX_ITERS
+        self.iters = self.polishes = 0
+        self.polish_s = 0.0
+        # polish attempts are exponentially spaced so their total cost stays
+        # logarithmic in the iteration count
+        self.next_refine = settings.refine_interval
+        self.Q = None  # the skew matrix, built when a polish first needs it
+        self.setup_s = clock() - start
+
+    def unscale(self, xh, yh, sh):
+        return (self.sigma * self.escale * xh, self.rho * self.dscale * yh,
+                self.sigma * sh / self.dscale)
+
+    def consider(self, xh, yh, sh) -> bool:
+        x, y, s = self.unscale(xh, yh, sh)
+        ok, res = _within_tolerance(self.data, self.At, x, y, s,
+                                    self.settings.eps_abs,
+                                    self.settings.eps_rel)
+        score = max(res[0], res[1], res[2])
+        if self.best is None or score < self.best[0]:
+            self.best = (score, x, y, s, res)
+        return ok
+
+    def polish(self, it: int, xh, yh, sh) -> bool:
+        polishing = time.perf_counter()
+        self.next_refine = 2 * it
+        if self.Q is None:
+            self.program = ConeProgramData(self.factor.A, self.b_hat,
+                                           self.c_hat, self.spec)
+            self.Q = skew_matrix(self.program)
+        z = np.concatenate([xh, yh - sh, [1.0]])
+        z = _refine(z, self.program, self.Q, self.settings.refine_steps,
+                    4 * z.size, self.factor.order)
+        self.polishes += 1
+        polished = self.consider(*_solution_from_z(z, self.spec, self.n))
+        self.polish_s += time.perf_counter() - polishing
+        return polished
+
+    def check(self, it: int, u: np.ndarray, v: np.ndarray) -> bool:
+        """The checks of iteration ``it`` on this column's iterates u and v:
+        convergence, a polish when one is due, and the infeasibility and
+        unboundedness certificates.  True when they end its solve."""
+        self.iters = it
+        settings, data, n, m = self.settings, self.data, self.n, self.m
+        tau = u[-1]
+        if tau > 1e-9 * max(1.0, np.linalg.norm(u)):
+            xh, yh, sh = u[:n] / tau, u[n:n + m] / tau, v[n:n + m] / tau
+            if self.consider(xh, yh, sh):
+                self.status = OPTIMAL
+                return True
+            do_refine = settings.refine and (
+                it >= self.next_refine or it == settings.max_iters)
+            if do_refine and self.polish(it, xh, yh, sh):
+                self.status = OPTIMAL
+                return True
+
+        # Certificate checks for infeasibility/unboundedness, evaluated in
+        # the original units.
+        y_cert = self.rho * self.dscale * u[n:n + m]
+        bty = data.b @ y_cert
+        if bty < -1e-12:
+            y_cert = y_cert / (-bty)
+            if np.linalg.norm(self.At @ y_cert) <= settings.eps_abs:
+                self.status = INFEASIBLE
+                self.best = (np.inf, np.zeros(n), y_cert, np.zeros(m), None)
+                return True
+        x_cert = self.sigma * self.escale * u[:n]
+        s_cert = self.sigma * v[n:n + m] / self.dscale
+        ctx = data.c @ x_cert
+        if ctx < -1e-12:
+            x_cert, s_cert = x_cert / (-ctx), s_cert / (-ctx)
+            if np.linalg.norm(data.A @ x_cert + s_cert) <= settings.eps_abs:
+                self.status = UNBOUNDED
+                self.best = (np.inf, x_cert, np.zeros(m), s_cert, None)
+                return True
+        return False
+
+    def solution(self, iterate_s: float) -> ConeSolution:
+        """The column's result, given its share of the loop's time."""
+        finishing = time.perf_counter()
+        n, m, spec = self.n, self.m, self.spec
+        if self.best is None:
+            self.best = (np.inf, np.zeros(n), np.zeros(m), np.zeros(m), None)
+        _, x, y, s, res = self.best
+        info = {"iterations": self.iters, "polishes": self.polishes,
+                "timings": dict(self.timings, iterate=iterate_s,
+                                polish=self.polish_s),
+                "sizes": {"n": n, "m": m, "N": n + m + 1,
+                          "zero": spec.n_zero, "nonneg": spec.n_nonneg,
+                          "soc_blocks": len(spec.soc_dims),
+                          "soc_rows": sum(spec.soc_dims)}}
+        if self.status not in (INFEASIBLE, UNBOUNDED):
+            if res is None:
+                res = _kkt_residuals(self.data, self.At, x, y, s)[0]
+            info.update(primal_residual=res[0], dual_residual=res[1],
+                        gap_residual=res[2])
+        info["solve_time"] = (self.setup_s + iterate_s + self.polish_s
+                              + time.perf_counter() - finishing)
+        return ConeSolution(x=x, y=y, s=s, status=self.status, info=info)
+
+
+def _iterate(cols: list, settings: SolverSettings, spec, n: int) -> None:
+    """The splitting iterations of every column, as one loop over the
+    (B, N) stacks of their iterates u and v.
+
+    Each iteration solves every row's system (``_IterationSystem``) and
+    projects the stacked rows in one walk; every other update is
+    elementwise.  So a row's arithmetic does not depend on the other rows,
+    and every column runs the iterations, checks and polishes of its own
+    solve.  A column whose checks end its solve leaves the stacks.
+    """
+    # a lone program iterates on vectors, which costs the least; every
+    # operation below takes vectors or stacks alike
+    stack = np.stack if len(cols) > 1 else (lambda rows: rows[0])
+    U = stack([c.u for c in cols])
+    V = stack([c.v for c in cols])
+    lin = _IterationSystem([c.factor for c in cols],
+                           stack([c.h for c in cols]))
+    alpha = settings.over_relax
+    # the iteration's vector updates, in place: u_tilde and one buffer
+    u_tilde = np.empty(U.shape)
+    buf = np.empty(U.shape)
+    active = cols
+    for it in range(1, settings.max_iters + 1):
+        lin(np.add(U, V, out=buf), u_tilde)
+        np.multiply(u_tilde, alpha, out=u_tilde)
+        np.add(u_tilde, np.multiply(U, 1 - alpha, out=buf), out=u_tilde)
+        U_new = project_embedding(np.subtract(u_tilde, V, out=buf), spec, n)
+        np.subtract(V, u_tilde, out=V)
+        np.add(V, U_new, out=V)
+        U = U_new
+
+        if it % settings.check_interval != 0 and it != settings.max_iters:
+            continue
+        N = U.shape[-1]
+        keep = np.array([not c.check(it, u, v) for c, u, v in zip(
+            active, U.reshape(-1, N), V.reshape(-1, N))])
+        if not keep.all():
+            if not keep.any():
+                return
+            active = [c for c, k in zip(active, keep) if k]
+            U, V, lin = U[keep], V[keep], lin.subset(keep)
+            u_tilde, buf = u_tilde[:len(active)], buf[:len(active)]
+
+
+def solve(data, settings: SolverSettings | None = None, warm_start=None,
+          factor=None):
+    """Solve a cone program, or a batch of them; never raises on
+    non-optimal outcomes.
 
     Returns a primal-dual-slack triple with status optimal/infeasible/
     unbounded/max_iters, KKT residuals, iteration counts, per-stage
@@ -541,155 +791,53 @@ def solve(data: ConeProgramData, settings: SolverSettings | None = None,
     does not change; without it one is built here.  A malformed warm
     start raises ``SolverInputError``.  Deterministic given (data,
     settings, warm_start).
+
+    ``data`` may also be a list of programs of one cone and one shape of
+    A, with ``warm_start`` and ``factor`` lists of one entry per program
+    (or None); a list of solutions comes back, and solution j equals
+    ``solve(data[j], settings, warm_start[j], factor[j])``.  A single
+    program is the batch of one: there is one iteration loop, over the
+    stacked iterates of every program (``_iterate``).  Programs that share
+    an ``IterationFactor`` object solve with it as one multi-right-hand-
+    side solve.  Each program keeps its own scaling, checks, polishes and
+    status, and leaves the loop at the iteration its own solve ends.
+    ``timings["iterate"]`` of each is the loop's wall time, less every
+    program's polish time, shared out in proportion to the programs'
+    iteration counts.  Every warm start and factor is checked before any
+    program is solved.
     """
+    if isinstance(data, ConeProgramData):
+        return solve([data], settings, [warm_start], [factor])[0]
     if settings is None:
         settings = SolverSettings()
-    m, n = data.A.shape
-    N = n + m + 1
-    if warm_start is not None:
-        warm_start = _warm_start_point(warm_start, n, m)
-    At = data.A.T  # one transpose per solve, shared by every residual check
-    spec = data.cones
-    clock = time.perf_counter
-    start = clock()
-
-    if factor is None:
-        factor = IterationFactor(data.A, spec, settings.normalize)
-        timings = dict(factor.seconds)
-    elif factor.A.shape != (m, n):
-        raise ShapeError(f"iteration factor of a {factor.A.shape} matrix "
-                         f"given for A of shape {(m, n)}")
-    else:
-        timings = {"equilibrate": 0.0, "factorize": 0.0}
-    scaled = clock()
-    dscale, escale = factor.d, factor.e
-    b_hat = dscale * data.b
-    c_hat = escale * data.c
-    sigma = rho = 1.0
-    if settings.normalize:
-        sigma = max(1.0, float(np.linalg.norm(b_hat)))
-        rho = max(1.0, float(np.linalg.norm(c_hat)))
-    b_hat = b_hat / sigma
-    c_hat = c_hat / rho
-    timings["equilibrate"] += clock() - scaled
-    looping = clock()
-
-    def unscale(xh, yh, sh):
-        return sigma * escale * xh, rho * dscale * yh, sigma * sh / dscale
-
-    lin = factor.system(np.concatenate([c_hat, b_hat]))
-    Q = None  # the skew matrix, built when a polish first needs it
-    polish_s = 0.0
-
-    u = np.zeros(N)
-    v = np.zeros(N)
-    u[-1] = 1.0
-    if warm_start is not None:
-        x0, y0, s0 = warm_start
-        u[:n] = x0 / (sigma * escale)
-        u[n:n + m] = y0 / (rho * dscale)
-        v[n:n + m] = s0 * dscale / sigma
-
-    alpha = settings.over_relax
-    best = None  # (residual score, x, y, s, res) in original units
-    status = MAX_ITERS
-    iters = 0
-    polishes = 0
-    # polish attempts are exponentially spaced so their total cost stays
-    # logarithmic in the iteration count
-    next_refine = settings.refine_interval
-
-    def consider(xh, yh, sh):
-        nonlocal best, status
-        x, y, s = unscale(xh, yh, sh)
-        ok, res = _within_tolerance(data, At, x, y, s,
-                                    settings.eps_abs, settings.eps_rel)
-        score = max(res[0], res[1], res[2])
-        if best is None or score < best[0]:
-            best = (score, x, y, s, res)
-        return ok
-
-    # the iteration's vector updates, in place: u_tilde and one buffer
-    u_tilde = np.empty(N)
-    buf = np.empty(N)
-    for it in range(1, settings.max_iters + 1):
-        iters = it
-        lin(np.add(u, v, out=buf), u_tilde)
-        np.multiply(u_tilde, alpha, out=u_tilde)
-        np.add(u_tilde, np.multiply(u, 1 - alpha, out=buf), out=u_tilde)
-        u_new = project_embedding(np.subtract(u_tilde, v, out=buf), spec, n)
-        np.subtract(v, u_tilde, out=v)
-        np.add(v, u_new, out=v)
-        u = u_new
-
-        if it % settings.check_interval != 0 and it != settings.max_iters:
-            continue
-
-        tau = u[-1]
-        if tau > 1e-9 * max(1.0, np.linalg.norm(u)):
-            xh, yh, sh = u[:n] / tau, u[n:n + m] / tau, v[n:n + m] / tau
-            if consider(xh, yh, sh):
-                status = OPTIMAL
-                break
-            do_refine = settings.refine and (
-                it >= next_refine or it == settings.max_iters)
-            if do_refine:
-                polishing = clock()
-                next_refine = 2 * it
-                if Q is None:
-                    program = ConeProgramData(factor.A, b_hat, c_hat, spec)
-                    Q = skew_matrix(program)
-                z = np.concatenate([xh, yh - sh, [1.0]])
-                z = _refine(z, program, Q, settings.refine_steps, 4 * N,
-                            factor.order)
-                polishes += 1
-                polished = consider(*_solution_from_z(z, spec, n))
-                polish_s += clock() - polishing
-                if polished:
-                    status = OPTIMAL
-                    break
-
-        # Certificate checks for infeasibility/unboundedness, evaluated in
-        # the original units.
-        y_cert = rho * dscale * u[n:n + m]
-        bty = data.b @ y_cert
-        if bty < -1e-12:
-            y_cert = y_cert / (-bty)
-            if np.linalg.norm(At @ y_cert) <= settings.eps_abs:
-                status = INFEASIBLE
-                best = (np.inf, np.zeros(n), y_cert, np.zeros(m),
-                        (np.nan, np.nan, np.nan))
-                break
-        x_cert = sigma * escale * u[:n]
-        s_cert = sigma * v[n:n + m] / dscale
-        ctx = data.c @ x_cert
-        if ctx < -1e-12:
-            x_cert, s_cert = x_cert / (-ctx), s_cert / (-ctx)
-            if np.linalg.norm(data.A @ x_cert + s_cert) <= settings.eps_abs:
-                status = UNBOUNDED
-                best = (np.inf, x_cert, np.zeros(m), s_cert,
-                        (np.nan, np.nan, np.nan))
-                break
-
-    timings["iterate"] = clock() - looping - polish_s
-    timings["polish"] = polish_s
-    if best is None:
-        best = (np.inf, np.zeros(n), np.zeros(m), np.zeros(m),
-                (np.nan, np.nan, np.nan))
-    _, x, y, s, res = best
-    elapsed = clock() - start
-    info = {"iterations": iters, "solve_time": elapsed, "polishes": polishes,
-            "timings": timings,
-            "sizes": {"n": n, "m": m, "N": N, "zero": spec.n_zero,
-                      "nonneg": spec.n_nonneg,
-                      "soc_blocks": len(spec.soc_dims),
-                      "soc_rows": sum(spec.soc_dims)}}
-    if status in (INFEASIBLE, UNBOUNDED):
-        return ConeSolution(x=x, y=y, s=s, status=status, info=info)
-    sol = ConeSolution(x=x, y=y, s=s, status=status, info={})
-    pri, dua, gap = residuals(data, sol)
-    info.update(primal_residual=pri, dual_residual=dua, gap_residual=gap)
-    return ConeSolution(x=x, y=y, s=s, status=status, info=info)
+    datas = list(data)
+    count = len(datas)
+    warm_starts = [None] * count if warm_start is None else list(warm_start)
+    factors = [None] * count if factor is None else list(factor)
+    if len(warm_starts) != count or len(factors) != count:
+        raise ShapeError(f"{count} programs given with {len(warm_starts)} "
+                         f"warm starts and {len(factors)} factors")
+    if not count:
+        return []
+    spec = datas[0].cones
+    m, n = datas[0].A.shape
+    for program, f in zip(datas, factors):
+        if program.cones != spec or program.A.shape != (m, n):
+            raise ShapeError("the programs of a batch must share their cone "
+                             "and the shape of A")
+        if f is not None and f.A.shape != (m, n):
+            raise ShapeError(f"iteration factor of a {f.A.shape} matrix "
+                             f"given for A of shape {(m, n)}")
+    warm_starts = [None if w is None else _warm_start_point(w, n, m)
+                   for w in warm_starts]
+    cols = [_Column(program, settings, w, f)
+            for program, w, f in zip(datas, warm_starts, factors)]
+    looping = time.perf_counter()
+    _iterate(cols, settings, spec, n)
+    loop_s = time.perf_counter() - looping
+    share = (loop_s - sum(c.polish_s for c in cols)) / sum(
+        c.iters for c in cols)
+    return [c.solution(share * c.iters) for c in cols]
 
 
 def normalized_point(sol: ConeSolution) -> np.ndarray:

@@ -65,6 +65,16 @@ def gradcheck_layer(layer, values, cotangents, h=1e-6):
     return worst
 
 
+def assert_same_solve(a, b):
+    """Two forward results of one binding are the same solve: status,
+    iteration and polish counts, and x, y, s bit for bit."""
+    assert (a.status, a.info["iterations"], a.info["polishes"]) == \
+        (b.status, b.info["iterations"], b.info["polishes"])
+    for part in "xys":
+        assert np.array_equal(getattr(a._solution, part),
+                              getattr(b._solution, part))
+
+
 def force_fallback(monkeypatch):
     """Every MFactor comes out singular, as SuperLU reports an exact zero
     pivot: solves take the LSQR fallback."""

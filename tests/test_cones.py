@@ -311,6 +311,7 @@ def test_run_kernel_matches_blockwise_reference(seed):
     RUN_MIN_BLOCKS (scalar path) match exactly; blocks of vectorised runs
     match to 1e-15 relative to the block's input.  The split DPi = D + U C U'
     of ``dproject_embedding_parts`` matches ``dproject_embedding`` to 1e-13.
+    A stack of points projects each exactly as it projects alone.
     """
     rng = np.random.default_rng(seed)
     spec = _random_run_spec(rng)
@@ -349,3 +350,16 @@ def test_run_kernel_matches_blockwise_reference(seed):
     # boundary blocks included
     np.testing.assert_allclose(parts_matrix(z, spec, n) @ dz, dpz,
                                rtol=0, atol=1e-13)
+
+    # a (B, N) stack projects each row bit for bit as it projects alone,
+    # also where B rows of a short run reach RUN_MIN_BLOCKS blocks
+    rows = [z]
+    for _ in range(int(rng.integers(0, 2 * RUN_MIN_BLOCKS))):
+        rows.append(2.0 * rng.standard_normal(n + m + 1))
+        off = n + spec.n_zero + spec.n_nonneg
+        for d in spec.soc_dims:
+            _force_case(rng, rows[-1][off:off + d])
+            off += d
+    stacked = project_embedding(np.stack(rows), spec, n)
+    for row, got in zip(rows, stacked):
+        np.testing.assert_array_equal(got, project_embedding(row, spec, n))

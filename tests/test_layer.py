@@ -8,6 +8,7 @@ import pytest
 from conftest import (
     GRADCHECK,
     TIGHT,
+    assert_same_solve,
     fd_param_gradient,
     force_fallback,
     max_rel_error,
@@ -387,6 +388,30 @@ class TestIterationFactorCache:
                 1.0, np.max(np.abs(want[name])))
 
 
+# the five fixture-train layers, and a small QP layer
+BATCH_FIXTURES = {fx.name: fx for fx in gradient_fixtures()
+                  if fx.name != "optnet_qp"}
+BATCH_FIXTURES["optnet_qp_small"] = optnet_qp_fixture(n=3, m_eq=1, m_ineq=2)
+
+
+def _status_layer(settings):
+    """An LP layer whose bindings can be optimal, infeasible (lo > hi) or
+    unbounded (c[1] < 0), and hard to finish when badly scaled."""
+    x = variable("x", 2)
+    prob = Problem("minimize", parameter("c", 2) @ x,
+                   [ge(x, parameter("lo")), le(x[0], parameter("hi"))])
+    return Layer.compile(prob, settings)
+
+
+# optimal (150 and 125 iterations), infeasible, unbounded, and max_iters
+# at max_iters=150 with no polish; at refine_interval=125 only the last
+# one polishes
+STATUS_BATCH = [{"c": np.array(c), "lo": lo, "hi": hi} for c, lo, hi in [
+    ([1.0, 1.0], 0.0, 1.0), ([1.0, 1.0], 1.0, 0.0), ([1.0, -1.0], 0.0, 1.0),
+    ([1.0, 0.3], -2.0, 3.0), ([1e-3, 2.0], 0.5, 300.0),
+    ([1.0, 1e4], -50.0, 3.0)]]
+
+
 class TestBatching:
     def test_identical_inputs_identical_outputs(self, rng):
         fx = relu_fixture(3)
@@ -397,21 +422,34 @@ class TestBatching:
         for r in results[1:]:
             np.testing.assert_array_equal(r.outputs["y"], base)
 
-    def test_batch_equals_sequential(self, rng):
-        fx = optnet_qp_fixture(n=3, m_eq=1, m_ineq=2)
-        layer = Layer.compile(fx.problem, TIGHT)
-        batch = [fx.sample(rng) for _ in range(8)]
-        seq = [layer.forward(v) for v in batch]
-        batched = layer.forward_batch(batch)
-        for a, b in zip(seq, batched):
-            assert a.status == b.status
-            np.testing.assert_array_equal(a.outputs["x"], b.outputs["x"])
-        cots = [{"x": rng.standard_normal(3)} for _ in batch]
-        seq_g = [layer.backward(r, c) for r, c in zip(seq, cots)]
-        batched_g = layer.backward_batch(batched, cots)
-        for (ga, _), (gb, _) in zip(seq_g, batched_g):
-            for name in layer.parameter_order:
-                np.testing.assert_allclose(ga[name], gb[name], atol=1e-12)
+    @pytest.mark.parametrize("name", list(BATCH_FIXTURES))
+    def test_batch_equals_sequential(self, name, rng):
+        """Per element, a batch is the sequential solve bit for bit, however
+        the bindings are split into batches; a layer whose A is fixed
+        builds its factor inside its first batch and shares it."""
+        fx = BATCH_FIXTURES[name]
+        batch = [fx.sample(rng) for _ in range(6)]
+        sequential = Layer.compile(fx.problem)
+        seq = [sequential.forward(v) for v in batch]
+        layer = Layer.compile(fx.problem)
+        whole = layer.forward_batch(batch)
+        if layer._a_fixed:
+            assert layer._factor is not None
+            assert whole[0].info["timings"]["factorize"] > 0.0
+            assert all(r.info["timings"]["factorize"] == 0.0
+                       for r in whole[1:])
+        split = (layer.forward_batch(batch[:1]) + layer.forward_batch(batch[1:3])
+                 + layer.forward_batch(batch[3:]))
+        for a, b, c in zip(seq, whole, split):
+            assert_same_solve(a, b)
+            assert_same_solve(a, c)
+        cots = [{fx.output: rng.standard_normal(r.outputs[fx.output].shape)}
+                for r in seq[:2]]
+        batched = layer.backward_batch(whole[:2], cots)
+        for a, (gb, _), cot in zip(seq, batched, cots):
+            ga, _ = sequential.backward(a, cot)
+            for pname in layer.parameter_order:
+                np.testing.assert_array_equal(ga[pname], gb[pname])
 
     def test_concatenated_batches_concatenate(self, rng):
         fx = relu_fixture(2)
@@ -423,6 +461,85 @@ class TestBatching:
         second = layer.forward_batch(b2)
         for a, b in zip(joint, first + second):
             np.testing.assert_array_equal(a.outputs["y"], b.outputs["y"])
+
+    def test_mixed_statuses(self):
+        settings = SolverSettings(max_iters=150, refine=False,
+                                  eps_abs=1e-11, eps_rel=1e-11)
+        layer = _status_layer(settings)
+        results = layer.forward_batch(STATUS_BATCH)
+        assert [(r.status, r.info["iterations"]) for r in results] == [
+            ("optimal", 150), ("infeasible", 100), ("unbounded", 100),
+            ("optimal", 125), ("max_iters", 150), ("max_iters", 150)]
+        for values, r in zip(STATUS_BATCH, results):
+            assert_same_solve(layer.forward(values), r)
+
+    def test_one_element_polishes(self):
+        settings = SolverSettings(refine_interval=125, eps_abs=1e-11,
+                                  eps_rel=1e-11)
+        layer = _status_layer(settings)
+        batch = STATUS_BATCH[1:4] + STATUS_BATCH[5:]
+        results = layer.forward_batch(batch)
+        assert [r.info["polishes"] > 0 for r in results] == [
+            False, False, False, True]
+        for values, r in zip(batch, results):
+            assert_same_solve(layer.forward(values), r)
+
+    def test_empty_batch(self):
+        layer = Layer.compile(relu_fixture(3).problem, TIGHT)
+        assert layer.forward_batch([]) == []
+        assert layer._factor is None
+
+    @pytest.mark.parametrize("bad", [
+        "not a mapping", {"p": np.ones(3), "t": np.ones(3), "w": 1.0},
+        {"p": np.ones(4), "t": np.ones(3)},
+        {"p": ["a", "b", "c"], "t": np.ones(3)},
+        {"p": np.ones(3), "t": -np.ones(3)}],
+        ids=["mapping", "name", "shape", "numeric", "sign"])
+    def test_malformed_element_solves_nothing(self, bad, rng, monkeypatch):
+        """Every element is bound and checked before any is materialized
+        or solved."""
+        x = variable("x", 3)
+        layer = Layer.compile(Problem(
+            "minimize", sum_squares(x - parameter("p", 3)),
+            [ge(x, parameter("t", 3, nonneg=True))]), TIGHT)
+        good = {"p": rng.standard_normal(3), "t": rng.random(3)}
+        calls = []
+        monkeypatch.setattr(layer_module, "materialize",
+                            lambda *a: calls.append(a) or materialize(*a))
+        with pytest.raises(ShapeError):
+            layer.forward_batch([good, good, bad])
+        assert calls == [] and layer._factor is None
+        assert layer.forward_batch([good])[0].ok
+
+    def test_iterate_time_is_the_loop_shared_by_iterations(self,
+                                                          monkeypatch):
+        """Each element's ``iterate`` is the loop's wall time less the
+        polishes, in proportion to its iterations, so iterate and polish
+        add up to the loop.  The solver's clock here ticks once per
+        embedding projection: one per loop pass, and the polish's."""
+        clock = [0.0]
+        project = solver.project_embedding
+
+        def ticking(*args):
+            clock[0] += 1.0
+            return project(*args)
+
+        monkeypatch.setattr(solver, "time",
+                            SimpleNamespace(perf_counter=lambda: clock[0]))
+        monkeypatch.setattr(solver, "project_embedding", ticking)
+        layer = _status_layer(SolverSettings(refine_interval=125))
+        batch = STATUS_BATCH[1:4] + STATUS_BATCH[5:]
+        results = layer.forward_batch(batch)
+        timings = [r.info["timings"] for r in results]
+        iterations = [r.info["iterations"] for r in results]
+        assert sum(t["polish"] for t in timings) > 0.0
+        assert sum(t["iterate"] + t["polish"] for t in timings) == \
+            pytest.approx(clock[0], rel=1e-12)
+        assert sum(t["iterate"] for t in timings) == \
+            pytest.approx(max(iterations), rel=1e-12)
+        for t, its in zip(timings, iterations):
+            assert t["iterate"] / its == pytest.approx(
+                max(iterations) / sum(iterations), rel=1e-12)
 
     def test_per_element_failures_do_not_stop_batch(self):
         x = variable("x")

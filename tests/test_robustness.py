@@ -2,9 +2,13 @@
 
 Every draw must end in a status, never an exception; optimal draws must
 give finite gradients of the parameters' shapes; and the documented
-``info`` keys must be present on every status.  Many draws are degenerate
-(redundant cone rows, unconstrained directions), so the derivative
-system's least-squares fallback runs here as often as the exact factor.
+``info`` keys must be present on every status.  Each draw's binding and
+two perturbed copies run as one ``forward_batch``, which must equal their
+sequential forwards element for element: statuses, iteration and polish
+counts, and x, y, s bit for bit (the programs are small).  Many draws are
+degenerate (redundant cone rows, unconstrained directions), so the
+derivative system's least-squares fallback runs here as often as the
+exact factor.
 """
 
 import numpy as np
@@ -12,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import assert_same_solve
 from diffcone.errors import SolveStatusError
 from diffcone.fixtures import gen_random_dpp
 from diffcone.layer import Layer
@@ -27,10 +32,14 @@ BACKWARD_TIMINGS = {"retrieval_adjoint", "m_factor", "m_solve",
                     "materialize_adjoint"}
 
 
-def _values(problem, rng):
+def _values(problem, rng, around=None):
+    """Parameter values from N(0, 1), or ``around`` perturbed by
+    N(0, 0.1^2), with the declared signs."""
     out = {}
     for p in problem.parameters:
         v = rng.standard_normal(p.shape.dims)
+        if around is not None:
+            v = around[p.name] + 0.1 * v
         out[p.name] = np.abs(v) if p.nonneg else (
             -np.abs(v) if p.nonpos else v)
     return out
@@ -43,7 +52,12 @@ def test_random_programs_forward_backward(seed):
     problem = gen_random_dpp(seed, n_vars=int(rng.integers(1, 4)),
                              n_params=int(rng.integers(0, 4)))
     layer = Layer.compile(problem)
-    res = layer.forward(_values(problem, rng))
+    values = _values(problem, rng)
+    batch = [values] + [_values(problem, rng, values) for _ in range(2)]
+    results = layer.forward_batch(batch)
+    for bound, got in zip(batch, results):
+        assert_same_solve(layer.forward(bound), got)
+    res = results[0]
 
     assert res.status in STATUSES
     assert res.info["status"] == res.status

@@ -439,13 +439,22 @@ def iteration_programs(draw):
 @given(iteration_programs(), st.booleans())
 def test_iteration_system_matches_direct_solve(program, normalize):
     """The two-solve identity on K equals a direct solve with I + Q, Q the
-    skew matrix of the scaled A with the given b and c."""
+    skew matrix of the scaled A with the given b and c, on every row of a
+    batch that shares the factor, and each row equals its batch of one."""
     A, b, c, spec, w = program
     factor = IterationFactor(sp.csr_matrix(A), spec, normalize)
-    got = factor.system(np.concatenate([c, b]))(w, np.empty(w.size))
-    Q = skew_matrix(ConeProgramData(factor.A, b, c, spec))
-    want = spla.spsolve((sp.identity(w.size) + Q).tocsc(), w)
-    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    hs = [np.concatenate([c, b]), np.concatenate([c, -b])]
+    ws = np.stack([w, w[::-1]])
+    got = solver._IterationSystem([factor] * 2, np.stack(hs))(
+        ws, np.empty(ws.shape))
+    for h, w_row, row in zip(hs, ws, got):
+        Q = skew_matrix(ConeProgramData(factor.A, h[c.size:], h[:c.size],
+                                        spec))
+        want = spla.spsolve((sp.identity(w.size) + Q).tocsc(), w_row)
+        assert np.linalg.norm(row - want) <= 1e-12 * np.linalg.norm(want)
+        alone = solver._IterationSystem([factor], h[None])(
+            w_row[None], np.empty((1, w.size)))
+        assert np.array_equal(alone[0], row)
 
 
 class TestTimings:
