@@ -18,6 +18,7 @@ appearance in the lowered objective followed by the ordered constraints.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -443,6 +444,13 @@ class AsaForm:
     _a_coeff: sp.csr_matrix             # (nnz(A), p+1)
     _b_map: sp.csr_matrix               # (m, p+1)
 
+    @cached_property
+    def _adjoint_map(self) -> sp.csr_matrix:
+        """The transposed map of ``materialize`` on theta: (p, nnz(A) + m +
+        n), from (dA on A's pattern, db, dc) stacked to the gradient."""
+        return sp.hstack([self._a_coeff.T, self._b_map.T, self.c_map.T],
+                         format="csr")[:self.n_params]
+
     @property
     def n_cone_vars(self) -> int:
         return self.c_map.shape[0]
@@ -637,13 +645,35 @@ def _da_values(asa: AsaForm, dA) -> np.ndarray:
         dense = dA.toarray()
     else:
         dense = np.asarray(dA, dtype=float)
+        if dense.shape == asa._a_rows.shape:  # values on A's pattern
+            return dense
         if dense.shape != (asa.n_rows, asa.n_cone_vars):
             raise ShapeError(f"dA has shape {dense.shape}")
     return dense[asa._a_rows, asa._a_cols]
 
 
 def materialize_adjoint(asa: AsaForm, dA, db, dc) -> np.ndarray:
-    """Adjoint of ``materialize``: cotangents on (A, b, c) back to theta."""
+    """Adjoint of ``materialize``: cotangents on (A, b, c) back to theta.
+
+    dA is an (m, n) matrix, sparse or dense, or the vector of its values
+    on A's stored pattern (``_a_rows``, ``_a_cols``).  dA, db and dc may
+    also be lists of B cotangents each: a (B, p) stack of gradients comes
+    back, row j equal to ``materialize_adjoint(asa, dA[j], db[j], dc[j])``.
+    Either way it is one product with ``_adjoint_map``.
+    """
+    if isinstance(dA, list):
+        if not len(db) == len(dc) == len(dA):
+            raise ShapeError(f"{len(dA)} dA given with {len(db)} db and "
+                             f"{len(dc)} dc")
+        stack = np.array([_cotangent_row(asa, *parts)
+                          for parts in zip(dA, db, dc)]).reshape(
+            len(dA), asa._adjoint_map.shape[1])
+        return np.ascontiguousarray((asa._adjoint_map @ stack.T).T)
+    return asa._adjoint_map @ _cotangent_row(asa, dA, db, dc)
+
+
+def _cotangent_row(asa: AsaForm, dA, db, dc) -> np.ndarray:
+    """(dA on A's pattern, db, dc) as one checked vector."""
     vals = _da_values(asa, dA)
     db = np.asarray(db, dtype=float).ravel()
     dc = np.asarray(dc, dtype=float).ravel()
@@ -651,8 +681,7 @@ def materialize_adjoint(asa: AsaForm, dA, db, dc) -> np.ndarray:
         raise ShapeError(f"db has shape {db.shape}, expected ({asa.n_rows},)")
     if dc.shape != (asa.n_cone_vars,):
         raise ShapeError(f"dc has shape {dc.shape}, expected ({asa.n_cone_vars},)")
-    full = asa._a_coeff.T @ vals + asa._b_map.T @ db + asa.c_map.T @ dc
-    return np.asarray(full).ravel()[:asa.n_params]
+    return np.concatenate([vals, db, dc])
 
 
 def retrieve(asa: AsaForm, x_tilde) -> dict:

@@ -396,38 +396,68 @@ def dproject_embedding_parts(z: np.ndarray, spec: ConeSpec, n: int):
     ``(rows, cols, vals)``: columns 2j and 2j + 1 are e_t and (0, x/||x||)
     on block j's rows.  C, block diagonal, is given as its (k, 2, 2) blocks
     [[1/2 - beta, 1/2], [1/2, 1/2 - beta]].
+
+    z may also be a (B, N) stack, read as one vector of its B N rows: D
+    comes back (B, N), U's rows index the flattened stack and its columns
+    number the boundary blocks element by element, so U and C are block
+    diagonal over the elements, and each element's part is its own
+    vector's, bit for bit and in the same order.
     """
     z = np.asarray(z, dtype=float)
     N = n + spec.total_dim + 1
-    _check_length(z, N)
-    D = np.ones(N)
+    if z.ndim not in (1, 2) or z.shape[-1] != N:
+        raise ShapeError(f"expected vectors of length {N}, got an array of "
+                         f"shape {z.shape}")
+    Z = z.reshape(-1, N)
+    count = Z.shape[0]
+    D = np.ones((count, N))
     lo = n + spec.n_zero
-    D[lo:lo + spec.n_nonneg] = z[lo:lo + spec.n_nonneg] > 0.0
-    D[-1] = z[-1] > 0.0
-    # per run: the (e, d) rows and U values of its e boundary blocks
-    rows = [np.zeros((0, 1), dtype=np.int64)]
-    vals = [np.zeros((0, 1))]
-    betas = [np.zeros(0)]
+    D[:, lo:lo + spec.n_nonneg] = Z[:, lo:lo + spec.n_nonneg] > 0.0
+    D[:, -1] = Z[:, -1] > 0.0
+    # per run, entry by entry: the rows, U values and blocks (numbered run
+    # by run) of its boundary blocks, with each block's element and beta
+    rows, vals, blocks = [np.zeros(0, dtype=np.int64)], [np.zeros(0)], [
+        np.zeros(0, dtype=np.int64)]
+    elems, betas, t_rows = [np.zeros(0, dtype=np.int64)], [np.zeros(0)], [
+        np.zeros(0, dtype=bool)]
+    count_blocks = 0
     for start, stop, run, d in spec.soc_runs:
         seg = slice(n + start, n + stop)
         if d == 1:
-            D[seg] = z[seg] > 0.0
+            D[:, seg] = Z[:, seg] > 0.0
             continue
-        inside, polar, apex, U, beta = _boundary_frame(z[seg].reshape(run, d))
-        D[seg].reshape(run, d)[...] = np.where(
-            inside, 1.0, np.where(polar, 0.0, np.where(apex, 0.5, beta)))
+        inside, polar, apex, U, beta = _boundary_frame(
+            Z[:, seg].reshape(count * run, d))
+        D[:, seg].reshape(count, run, d)[...] = np.where(
+            inside, 1.0, np.where(polar, 0.0, np.where(apex, 0.5, beta))
+        ).reshape(count, run, 1)
         edge = np.flatnonzero(~(inside | polar | apex))
-        rows.append(np.arange(n + start, n + stop).reshape(run, d)[edge])
+        elem = edge // run
+        rows.append((N * elem + n + start + d * (edge - run * elem))[:, None]
+                    + np.arange(d))
         vals.append(np.concatenate([np.ones((edge.size, 1)), U[edge]], 1))
+        blocks.append(np.repeat(count_blocks + np.arange(edge.size), d))
+        t_rows.append(np.arange(edge.size * d) % d == 0)
+        elems.append(elem)
         betas.append(beta[edge, 0])
-    first = np.cumsum([len(b) for b in betas])
-    cols = [2 * np.arange(j - len(r), j)[:, None] + (np.arange(r.shape[1]) > 0)
-            for j, r in zip(first, rows)]
+        count_blocks += edge.size
+    rows, vals, blocks, t_rows = (np.concatenate([a.ravel() for a in parts])
+                                  for parts in (rows, vals, blocks, t_rows))
     beta = np.concatenate(betas)
+    if count > 1:
+        # blocks are gathered run by run; number them element by element
+        order = np.argsort(np.concatenate(elems), kind="stable")
+        place = np.empty_like(order)
+        place[order] = np.arange(order.size)
+        blocks = place[blocks]
+        entries = np.argsort(blocks, kind="stable")
+        rows, vals, blocks, t_rows = (a[entries] for a in (
+            rows, vals, blocks, t_rows))
+        beta = beta[order]
     C = np.full((beta.size, 2, 2), 0.5)
     C[:, 0, 0] = C[:, 1, 1] = 0.5 - beta
-    return D, tuple(np.concatenate([a.ravel() for a in parts])
-                    for parts in (rows, cols, vals)), C
+    return D if z.ndim == 2 else D[0], (rows, 2 * blocks + ~t_rows,
+                                        vals), C
 
 
 def smooth_margin(z: np.ndarray, spec: ConeSpec, n: int) -> float:

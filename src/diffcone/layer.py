@@ -5,6 +5,14 @@ retrieval map.  Compilation runs the expression-tree reduction exactly
 once; afterwards a forward pass is two sparse contractions, one cone solve,
 and a sparse slice, and a backward pass chains the retrieval adjoint, the
 solver adjoint, and the canonicalizer adjoint.
+
+Both directions run over minibatches, and a single binding is the batch
+of one.  ``forward_batch`` solves its elements through one iteration loop.
+``backward_batch`` checks every tape and cotangent, maps the stacked
+cotangents through the retrieval adjoint (a CSR matrix kept per layer) in
+one product, builds the missing derivative factors in one assembly, runs
+one batched ``adjoint_derivative``, and maps every (dA, db, dc) to theta
+in one product with the per-layer ``AsaForm._adjoint_map``.
 """
 
 from __future__ import annotations
@@ -85,6 +93,7 @@ class Layer:
         # elimination order of the iteration system that the derivative
         # factor extends; the first forward sets it.
         self._order = None
+        self._retrieval_t = asa.retrieval.T.tocsr()
         if problem is not None:
             for p in problem.parameters:
                 self._param_attrs[p.name] = (p.nonneg, p.nonpos)
@@ -185,17 +194,14 @@ class Layer:
         info, the derivative factor's order and stored entries, and stage
         ``timings``.  The first backward of a result builds
         its derivative factor, later ones reuse it.  A non-finite
-        cotangent raises ``SolverInputError``.
+        cotangent raises ``SolverInputError``.  This is ``backward_batch``
+        of one.
         """
-        if result._layer_token is not self._token:
-            raise SolveStatusError("tape belongs to a different layer")
-        if not result.ok or result._solution is None:
-            raise SolveStatusError(
-                f"cannot backpropagate through a {result.status} solve")
+        return self._backward([result], [cotangents])[0]
+
+    def _flat_cotangent(self, cotangents, flat: np.ndarray) -> None:
+        """Check one element's cotangents and write them into ``flat``."""
         _require_mapping(cotangents, "cotangents")
-        clock = time.perf_counter
-        start = clock()
-        flat = np.zeros(self.asa.retrieval.shape[0])
         for slot in self.asa.variable_layout:
             if slot.name not in cotangents:
                 continue
@@ -212,24 +218,69 @@ class Layer:
         unknown = set(cotangents) - set(self.variable_order)
         if unknown:
             raise ShapeError(f"cotangents for unknown outputs: {sorted(unknown)}")
-        dx = self.asa.retrieval.T @ flat
+
+    def _backward(self, results: list, cotangents: list) -> list:
+        """Check every tape and cotangent, then differentiate the batch:
+        one retrieval adjoint of the stacked cotangents, one
+        ``MFactor.batch`` of the tapes without a factor, one batched
+        ``adjoint_derivative`` and one ``materialize_adjoint``.
+
+        Each stage is timed once for the batch and shared out over its
+        elements: ``m_factor`` equally over the elements whose factor this
+        call builds (0.0 for the rest), ``m_solve`` in proportion to 1 +
+        each element's LSQR iterations, the other two equally; so the
+        elements' timings add up to the call's wall time."""
+        clock = time.perf_counter
+        start = clock()
+        if len(results) != len(cotangents):
+            raise ShapeError("results and cotangents must have equal lengths")
+        for result in results:
+            if result._layer_token is not self._token:
+                raise SolveStatusError("tape belongs to a different layer")
+            if not result.ok or result._solution is None:
+                raise SolveStatusError(
+                    f"cannot backpropagate through a {result.status} solve")
+        flat = np.zeros((len(results), self.asa.retrieval.shape[0]))
+        for row, cot in zip(flat, cotangents):
+            self._flat_cotangent(cot, row)
+        if not results:
+            return []
+        dx = (self._retrieval_t @ flat.T).T
+        # the first backward of a tape builds its factor; a tape given twice
+        # builds it once
+        fresh = {id(r): r for r in results if "m_factor" not in r._cache}
+        built = list(fresh.values())
         retrieved = factored = clock()
-        factor = result._cache.get("m_factor")
-        if factor is None:
-            factor = result._cache["m_factor"] = MFactor(
-                result._data, result._z, self._order)
+        if built:
+            for r, factor in zip(built, MFactor.batch(
+                    [r._data for r in built], [r._z for r in built],
+                    self._order)):
+                r._cache["m_factor"] = factor
             factored = clock()
-        adj = adjoint_derivative(result._data, result._solution, dx,
-                                 z=result._z, factor=factor)
+        factors = [r._cache["m_factor"] for r in results]
+        adjs = adjoint_derivative([r._data for r in results],
+                                  [r._solution for r in results], dx,
+                                  z=[r._z for r in results], factor=factors)
         solved = clock()
-        dtheta = materialize_adjoint(self.asa, adj.dA, adj.db, adj.dc)
-        grads = self.asa.unflatten_params(dtheta)
-        timings = {"retrieval_adjoint": retrieved - start,
-                   "m_factor": factored - retrieved,
-                   "m_solve": solved - factored,
-                   "materialize_adjoint": clock() - solved}
-        return grads, dict(adj.info, m_factor_order=factor.order,
-                           m_factor_nnz=factor.nnz, timings=timings)
+        dthetas = materialize_adjoint(self.asa, [a.dA_data for a in adjs],
+                                      [a.db for a in adjs],
+                                      [a.dc for a in adjs])
+        grads = [self.asa.unflatten_params(d) for d in dthetas]
+        done = clock()
+        count = len(results)
+        factor_share = (factored - retrieved) / max(len(built), 1)
+        work = [1 + a.info["iterations"] for a in adjs]
+        solve_share = (solved - factored) / sum(work)
+        out = []
+        for r, g, a, factor, w in zip(results, grads, adjs, factors, work):
+            first = fresh.pop(id(r), None) is not None
+            timings = {"retrieval_adjoint": (retrieved - start) / count,
+                       "m_factor": factor_share if first else 0.0,
+                       "m_solve": solve_share * w,
+                       "materialize_adjoint": (done - solved) / count}
+            out.append((g, dict(a.info, m_factor_order=factor.order,
+                                m_factor_nnz=factor.nnz, timings=timings)))
+        return out
 
     # -- batching -----------------------------------------------------------
 
@@ -242,6 +293,9 @@ class Layer:
 
     def backward_batch(self, results: list[ForwardResult],
                        cotangents: list[dict]) -> list[tuple[dict, dict]]:
-        if len(results) != len(cotangents):
-            raise ShapeError("results and cotangents must have equal lengths")
-        return [self.backward(r, c) for r, c in zip(results, cotangents)]
+        """``backward`` of every (result, cotangents) pair, as one batch;
+        element for element equal to ``backward``.  Every tape and
+        cotangent is checked before any factor is built, so a length
+        mismatch, a foreign or non-optimal tape or a malformed cotangent
+        raises with no work done."""
+        return self._backward(list(results), list(cotangents))

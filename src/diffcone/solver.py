@@ -259,27 +259,49 @@ class _IterationSystem:
                                 self.H[keep], self.KH[keep])
 
 
-def _skew_entries(data: ConeProgramData):
-    """(rows, cols, vals) of Q = [[0, A', c], [-A, 0, b], [-c', -b', 0]].
+def _stacked(datas: list):
+    """The programs' shared pattern of A (CSR), and their A entries on it,
+    b and c as (B, .) stacks; raises ``ShapeError`` unless every program
+    has the first one's pattern."""
+    A = datas[0].A.tocsr()
+    As = [A] + [d.A.tocsr() for d in datas[1:]]
+    if any(not (np.array_equal(a.indptr, A.indptr)
+                and np.array_equal(a.indices, A.indices)) for a in As[1:]):
+        raise ShapeError("the programs of a batch must share A's pattern")
+    return (A, np.array([a.data for a in As], dtype=float).reshape(
+        len(As), A.nnz), np.array([d.b for d in datas], dtype=float),
+        np.array([d.c for d in datas], dtype=float))
+
+
+def _skew_entries(A, a_data, b, c):
+    """(elems, rows, cols, vals) of Q = [[0, A', c], [-A, 0, b], [-c', -b',
+    0]] of each program of a batch: the entry's program, and its place and
+    value in that program's Q.  The programs share A's pattern ``A`` (CSR);
+    their entries on it, their b and their c are the rows of ``a_data``,
+    ``b`` and ``c``.
 
     Q = U - U' for the strict upper triangle U = [[0, A', c], [0, 0, b],
     [0, 0, 0]], taken from A's stored entries and the nonzeros of b and c.
+    Each program's entries come in the order of its batch of one.
     """
-    m, n = data.A.shape
-    A = data.A.tocsr()
-    ic = np.flatnonzero(data.c)
-    ib = np.flatnonzero(data.b)
-    rows = np.concatenate([A.indices, ic, n + ib])
-    cols = np.concatenate([n + np.repeat(np.arange(m), np.diff(A.indptr)),
+    m, n = A.shape
+    count = len(a_data)
+    ec, ic = np.nonzero(c)
+    eb, ib = np.nonzero(b)
+    elems = np.concatenate([np.repeat(np.arange(count), A.nnz), ec, eb])
+    a_rows = np.repeat(np.arange(m), np.diff(A.indptr))
+    rows = np.concatenate([np.broadcast_to(A.indices, a_data.shape).ravel(),
+                           ic, n + ib])
+    cols = np.concatenate([n + np.broadcast_to(a_rows, a_data.shape).ravel(),
                            np.full(ic.size + ib.size, n + m)])
-    vals = np.concatenate([A.data, data.c[ic], data.b[ib]])
-    return (np.concatenate([rows, cols]), np.concatenate([cols, rows]),
-            np.concatenate([vals, -vals]))
+    vals = np.concatenate([a_data.ravel(), c[ec, ic], b[eb, ib]])
+    return (np.concatenate([elems, elems]), np.concatenate([rows, cols]),
+            np.concatenate([cols, rows]), np.concatenate([vals, -vals]))
 
 
 def skew_matrix(data: ConeProgramData) -> sp.csc_matrix:
     """Q (see ``_skew_entries``) in one sparse constructor call."""
-    rows, cols, vals = _skew_entries(data)
+    _, rows, cols, vals = _skew_entries(*_stacked([data]))
     N = sum(data.A.shape) + 1
     return sp.csc_matrix((vals, (rows, cols)), shape=(N, N))
 
@@ -346,6 +368,118 @@ def _lifted_places(order, urow, ucol, N, blocks):
 # order 180, 1.12-1.27 against 0.97-1.05 ms at 215, 1.51-1.85 against
 # 1.05-1.08 ms at 250 and 2.8-3.2 against 0.94-1.14 ms at 355.
 DENSE_ORDER = 200
+# A LAPACK factor whose reciprocal condition number (LAPACK's 1-norm
+# estimate) is below this counts as singular, as an exact zero pivot does.
+# Over 1,040 backwards of the benchmark's minibatch layers (seeds 1 and
+# 33) the systems without an exact zero pivot had rcond >= 7.8e-4, except
+# 11 at 2e-22 to 6e-20.  The direct solutions of 8 of those passed the
+# residual check, and on 4 of them the gradient missed the central
+# difference by 1.6e-4 to 1.5e-2, where LSQR's stayed within 3e-7.
+RCOND_MIN = 1e-12
+
+
+class _Lifted:
+    """The lifted matrices (see ``MFactor``) of a batch of programs of one
+    cone and one pattern of A, program j at row j of the (B, N) stack Z,
+    as the COO entries of their block diagonal: ``elems`` holds each
+    entry's program, ``rows`` and ``cols`` its place in that program's
+    matrix, of order ``orders[j]``.  The entries are gathered kind by kind
+    over the whole batch, with one ``dproject_embedding_parts`` of the
+    stack, so each program's entries, duplicates included, come in the
+    order of its batch of one.
+    """
+
+    def __init__(self, datas: list, Z: np.ndarray):
+        count, N = Z.shape
+        A, a_data, b, c = _stacked(datas)
+        n = A.shape[1]
+        self.N, self.count = N, count
+        # each |z| is np.linalg.norm's, sqrt(z @ z)
+        self.zhat = Z / np.sqrt(_row_dots(Z, Z))[:, None]
+        D, (urow, gcol, uval), C = dproject_embedding_parts(
+            Z, datas[0].cones, n)
+        ue, urow = np.divmod(urow, N)
+        blocks = np.bincount(ue[gcol % 2 == 0], minlength=count)
+        first = np.cumsum(blocks) - blocks
+        ucol = gcol - 2 * first[ue]  # U's columns within each program
+        r = 2 * blocks
+        edge = N + r
+        self.orders = edge + 1
+        self.blocks, self._u = blocks, (ue, urow, ucol)
+        qe, qrow, qcol, qval = _skew_entries(A, a_data, b, c)
+        # (Q - I) U: U's rows are second-order rows n + i, whose columns of
+        # Q hold row i of A above -b_i
+        i = urow - n
+        starts, counts = A.indptr[i], np.diff(A.indptr)[i]
+        ends = np.cumsum(counts)
+        gather = np.repeat(starts - ends + counts, counts) + np.arange(
+            ends[-1] if ends.size else 0)
+        ge = np.repeat(ue, counts)
+        # C U': U's entry (j, c) meets both rows of c's 2 x 2 block of C
+        block = N + ucol - ucol % 2
+        every = np.repeat(np.arange(count), N)
+        diag = np.arange(count * N) % N
+        lifted = np.repeat(np.arange(count), r)
+        lift = N + np.arange(lifted.size) - np.repeat(2 * first, r)
+        self.elems, self.rows, self.cols, self.vals = (
+            np.concatenate(a) for a in zip(
+                (qe, qrow, qcol, qval * D.ravel()[qe * N + qcol]),
+                (every, diag, diag, (1.0 - D).ravel()),
+                (ge, A.indices[gather], N + np.repeat(ucol, counts),
+                 a_data.ravel()[ge * A.nnz + gather]
+                 * np.repeat(uval, counts)),
+                (ue, np.full(i.size, N - 1), N + ucol, -b[ue, i] * uval),
+                (ue, urow, N + ucol, -uval),
+                (np.repeat(ue, 2), (block[:, None] + [0, 1]).ravel(),
+                 np.repeat(urow, 2),
+                 (uval[:, None] * C[gcol // 2, :, ucol % 2]).ravel()),
+                (lifted, lift, lift, np.full(lift.size, -1.0)),
+                (every, diag, edge[every], self.zhat.ravel()),
+                (every, edge[every], diag, self.zhat.ravel()),
+                (np.arange(count), edge, edge, np.full(count, -1.0))))
+        self._dense = None
+        # programs factored by LAPACK, and where each one's L' starts in
+        # the dense buffer
+        self._squares = np.where(self.orders <= DENSE_ORDER, self.orders,
+                                 0) ** 2
+        self._offsets = np.cumsum(self._squares) - self._squares
+
+    def entries(self, j: int):
+        """(rows, cols, vals) of program j's lifted matrix."""
+        if self.count == 1:
+            return self.rows, self.cols, self.vals
+        keep = self.elems == j
+        return self.rows[keep], self.cols[keep], self.vals[keep]
+
+    def lift_rows(self, j: int):
+        """U's (rows, cols) entries of program j, and its boundary blocks."""
+        ue, urow, ucol = self._u
+        keep = ue == j
+        return urow[keep], ucol[keep], int(self.blocks[j])
+
+    def dense(self, j: int) -> tuple[np.ndarray, float]:
+        """Program j's lifted matrix, dense and in Fortran order, and its
+        1-norm.  The first call scatters every program of order up to
+        ``DENSE_ORDER`` into one buffer, each as its L' in C order, and
+        takes their 1-norms, the largest row sums of |L'|, at once."""
+        squares, offsets, orders = self._squares, self._offsets, self.orders
+        if self._dense is None:
+            keep = squares[self.elems] > 0
+            e = self.elems[keep]
+            self._dense = np.bincount(
+                offsets[e] + self.cols[keep] * orders[e] + self.rows[keep],
+                self.vals[keep], squares.sum())
+            dense = np.flatnonzero(squares)
+            starts = np.concatenate([o + s * np.arange(s) for o, s in zip(
+                offsets[dense], orders[dense])])
+            sums = np.add.reduceat(np.abs(self._dense), starts) if \
+                starts.size else starts
+            self._norms = np.zeros(self.count)
+            self._norms[dense] = np.maximum.reduceat(
+                sums, np.searchsorted(starts, offsets[dense]))
+        size = orders[j]
+        return self._dense[offsets[j]:offsets[j] + squares[j]].reshape(
+            size, size).T, self._norms[j]
 
 
 class MFactor:
@@ -364,7 +498,9 @@ class MFactor:
     solve of L, or of L', gives one with M + zhat zhat', or its transpose.
     L's entries are index arithmetic on those of A, b, c and U: (Q - I) D
     scales Q's entries by D at their column, and (Q - I) U gathers rows of
-    A, with no sparse product.
+    A, with no sparse product.  ``batch`` assembles the factors of many
+    programs of one cone and one pattern of A at once (``_Lifted``); a
+    single one is the batch of one.
 
     Orders up to ``DENSE_ORDER`` are factored by LAPACK.  Larger ones are
     factored by SuperLU with no ordering pass: L is assembled already
@@ -373,10 +509,11 @@ class MFactor:
     depends on A's pattern alone (from ``_factor_k`` when not given); see
     ``_lifted_places``.  ``nnz`` is the factor's stored entries, order**2
     on LAPACK and 0 when SuperLU found an exactly zero pivot.  ``ok`` is
-    False when the factor has an exactly zero pivot (either backend);
-    callers then fall back to least squares on ``apply``.  The factor
-    keeps no pivot-ratio guard: reading U's diagonal out of SuperLU caches
-    CSC copies of L and U on the factor.
+    False when the factor has an exactly zero pivot (either backend), or,
+    on LAPACK, a reciprocal condition number below ``RCOND_MIN``; callers
+    then fall back to least squares on ``apply``.  The SuperLU factor
+    keeps no such guard: reading U's diagonal out of SuperLU caches CSC
+    copies of L and U on the factor.
 
     With ``factorize`` False, L is only assembled, sparse and unpermuted,
     for ``apply`` (``ok`` False, ``nnz`` 0): the polish applies M at each
@@ -385,63 +522,43 @@ class MFactor:
     """
 
     def __init__(self, data: ConeProgramData, z: np.ndarray,
-                 order: np.ndarray | None = None, factorize: bool = True):
-        m, n = data.A.shape
-        N = self.size = n + m + 1
+                 order: np.ndarray | None = None, factorize: bool = True,
+                 lifted: _Lifted | None = None, index: int = 0):
+        """``lifted``, when given, is the assembly of a batch whose program
+        ``index`` is (data, z); ``batch`` passes it."""
         self.z = z = np.asarray(z, dtype=float)
-        self.zhat = zhat = z / np.linalg.norm(z)
-        A = data.A.tocsr()
-        D, (urow, ucol, uval), C = dproject_embedding_parts(z, data.cones, n)
-        r = 2 * len(C)
-        qrow, qcol, qval = _skew_entries(data)
-        # (Q - I) U: U's rows are second-order rows n + i, whose columns of
-        # Q hold row i of A above -b_i
-        i = urow - n
-        starts, counts = A.indptr[i], np.diff(A.indptr)[i]
-        ends = np.cumsum(counts)
-        gather = np.repeat(starts - ends + counts, counts) + np.arange(
-            ends[-1] if ends.size else 0)
-        # C U': U's entry (j, c) meets both rows of c's 2 x 2 block of C
-        block = N + ucol - ucol % 2
-        diag, lift, edge = np.arange(N), np.arange(N, N + r), N + r
-        rows, cols, vals = (np.concatenate(a) for a in zip(
-            (qrow, qcol, qval * D[qcol]),
-            (diag, diag, 1.0 - D),
-            (A.indices[gather], N + np.repeat(ucol, counts),
-             A.data[gather] * np.repeat(uval, counts)),
-            (np.full(i.size, N - 1), N + ucol, -data.b[i] * uval),
-            (urow, N + ucol, -uval),
-            ((block[:, None] + [0, 1]).ravel(), np.repeat(urow, 2),
-             (uval[:, None] * C[ucol // 2, :, ucol % 2]).ravel()),
-            (lift, lift, np.full(r, -1.0)),
-            (diag, np.full(N, edge), zhat),
-            (np.full(N, edge), diag, zhat),
-            ([edge], [edge], [-1.0])))
-        size = self.order = edge + 1
+        if lifted is None:
+            lifted = _Lifted([data], z.reshape(1, -1))
+        N = self.size = lifted.N
+        self.zhat = lifted.zhat[index]
+        size = self.order = int(lifted.orders[index])
         # _head and _tail: where the rows of M + zhat zhat' and the lift
         # rows sit in the factored matrix
         self._head, self._tail = slice(0, N), slice(N, size)
         if not factorize:
+            rows, cols, vals = lifted.entries(index)
             self._L = sp.csc_matrix((vals, (rows, cols)), shape=(size, size))
             self.ok, self.nnz = False, 0
         elif size <= DENSE_ORDER:
-            # scattered as L' in C order: L itself in Fortran order
-            self._L = np.bincount(cols * size + rows, vals,
-                                  size * size).reshape(size, size).T
+            self._L, norm = lifted.dense(index)
             lu, piv, info = sla.lapack.dgetrf(self._L)
-            self.ok = info == 0  # info > 0: U has an exact zero pivot
+            # info > 0: U has an exact zero pivot
+            self.ok = info == 0 and bool(
+                sla.lapack.dgecon(lu, norm)[0] >= RCOND_MIN)
             self.nnz = size * size
             self._solve = lambda b, trans: sla.lapack.dgetrs(
                 lu, piv, b, trans=int(trans))[0]
         else:
             if order is None:
-                order = _factor_k(A)[1]
+                order = _factor_k(data.A.tocsr())[1]
             elif len(order) != N - 1:
                 raise ShapeError(f"order of length {len(order)} given for a "
                                  f"K of order {N - 1}")
+            urow, ucol, blocks = lifted.lift_rows(index)
             places = self.places = _lifted_places(order, urow, ucol, N,
-                                                  len(C))
+                                                  blocks)
             self._head, self._tail = places[:N], places[N:]
+            rows, cols, vals = lifted.entries(index)
             self._L = sp.csc_matrix((vals, (places[rows], places[cols])),
                                     shape=(size, size))
             try:
@@ -451,6 +568,21 @@ class MFactor:
             self.ok = lu is not None
             self.nnz = lu.nnz if self.ok else 0
             self._solve = lambda b, trans: lu.solve(b, "T" if trans else "N")
+
+    @classmethod
+    def batch(cls, datas: list, zs, order: np.ndarray | None = None
+              ) -> list["MFactor"]:
+        """``MFactor(data, z, order)`` of every program of ``datas`` (of one
+        cone and one pattern of A, else ``ShapeError``) at its point in
+        ``zs``, with one assembly of all their lifted matrices; each factor
+        is its batch of one's, bit for bit, and factored alone."""
+        datas = list(datas)
+        if not datas:
+            return []
+        Z = np.array(zs, dtype=float).reshape(len(datas), -1)
+        lifted = _Lifted(datas, Z)
+        return [cls(data, z, order, True, lifted, j)
+                for j, (data, z) in enumerate(zip(datas, zs))]
 
     def solve(self, rhs: np.ndarray, transpose: bool = False) -> np.ndarray:
         """g with (M + zhat zhat') g = rhs, or its transpose; needs ``ok``."""

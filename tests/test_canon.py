@@ -327,6 +327,28 @@ class TestMaterializeAdjoint:
             assert abs(pairing - dtheta[i]) <= 1e-10 * max(1.0, abs(pairing))
 
 
+    def test_batch_and_pattern_values(self, rng):
+        """dA given as its values on A's pattern, and a list of
+        cotangents, give what the matrix form gives one by one."""
+        asa = canonicalize(regularized_least_squares())
+        A = materialize(asa, rng.standard_normal(asa.n_params)).A
+        parts = [(sp.csr_matrix((rng.standard_normal(A.nnz), A.indices,
+                                 A.indptr), shape=A.shape),
+                  rng.standard_normal(asa.n_rows),
+                  rng.standard_normal(asa.n_cone_vars)) for _ in range(3)]
+        lone = [materialize_adjoint(asa, *p) for p in parts]
+        values = [materialize_adjoint(asa, dA.data, db, dc)
+                  for dA, db, dc in parts]
+        batch = materialize_adjoint(asa, *(list(p) for p in zip(*parts)))
+        assert batch.shape == (3, asa.n_params)
+        for a, b, c in zip(lone, values, batch):
+            assert np.array_equal(a, b) and np.array_equal(a, c)
+        with pytest.raises(ShapeError):
+            materialize_adjoint(asa, [p[0] for p in parts],
+                                [p[1] for p in parts[:2]],
+                                [p[2] for p in parts])
+
+
 class TestRetrieve:
     def test_epigraph_variables_are_dropped(self, rng):
         asa = canonicalize(regularized_least_squares())

@@ -325,7 +325,74 @@ class TestSolveMSystem:
                 g, np.linalg.lstsq(dense, rhs, rcond=None)[0], atol=1e-6)
 
 
+def test_batch_factors_equal_lone_factors(rng, monkeypatch):
+    """``MFactor.batch`` assembles every program's lifted matrix at once;
+    each factor equals its lone ``MFactor`` bit for bit, also in a batch
+    that mixes LAPACK and SuperLU (programs without and with a boundary
+    block, of orders N + 1 and N + 3).  Programs of another pattern of A
+    are refused."""
+    datas = [socp_ball_data(rng) for _ in range(4)]
+    N = sum(datas[0].A.shape) + 1
+    zs = [boundary_point(d, rng) for d in datas]
+    for z in zs[::2]:  # the ball block strictly inside its cone
+        z[-6] = 10.0 * np.linalg.norm(z[-5:-1])
+    monkeypatch.setattr(solver, "DENSE_ORDER", N + 1)
+    batch = MFactor.batch(datas, zs)
+    assert [f.order for f in batch] == [N + 1, N + 3] * 2
+    for data, z, factor in zip(datas, zs, batch):
+        lone = MFactor(data, z)
+        assert (factor.order, factor.nnz, factor.ok) == \
+            (lone.order, lone.nnz, lone.ok)
+        if sp.issparse(lone._L):
+            assert (factor._L != lone._L).nnz == 0
+        else:
+            assert np.array_equal(factor._L, lone._L)
+        rhs = rng.standard_normal(N)
+        for transpose in (False, True):
+            assert np.array_equal(factor.solve(rhs, transpose),
+                                  lone.solve(rhs, transpose))
+    A = datas[1].A.copy()
+    A.data[0] = 0.0
+    A.eliminate_zeros()
+    other = ConeProgramData(A, datas[1].b, datas[1].c, datas[1].cones)
+    with pytest.raises(ShapeError):
+        MFactor.batch([datas[0], other], zs[:2])
+
+
 class TestAdjointDerivative:
+    def test_batch_equals_lone_calls(self, rng):
+        """A list of programs gives, per program, its lone call's dA, db
+        and dc bit for bit and the same solve info; dA holds A's stored
+        pattern.  Programs of another pattern of A are refused."""
+        datas, sols = [], []
+        while len(datas) < 4:
+            data = socp_ball_data(rng)
+            sol = solve(data, TIGHT)
+            if sol.status == "optimal":
+                datas.append(data)
+                sols.append(sol)
+        dx = rng.standard_normal((4, datas[0].A.shape[1]))
+        batch = adjoint_derivative(datas, sols, dx)
+        for data, sol, d, got in zip(datas, sols, dx, batch):
+            want = adjoint_derivative(data, sol, d)
+            for a, b in zip(want, got):
+                assert np.array_equal(a.toarray() if sp.issparse(a) else a,
+                                      b.toarray() if sp.issparse(b) else b)
+            assert want.info == got.info
+            assert np.array_equal(got.dA.indices, data.A.indices)
+        assert adjoint_derivative([], [], np.zeros((0, 4))) == []
+        with pytest.raises(ShapeError):
+            adjoint_derivative(datas, sols, dx[:3])
+        A = datas[1].A.copy()
+        A.data[0] = 0.0
+        A.eliminate_zeros()
+        other = ConeProgramData(A, datas[1].b, datas[1].c, datas[1].cones)
+        factors = [MFactor(d, normalized_point(s))
+                   for d, s in zip(datas[:2], sols[:2])]
+        with pytest.raises(ShapeError):  # even with every factor given
+            adjoint_derivative([datas[0], other], sols[:2], dx[:2],
+                               factor=factors)
+
     def test_zero_cotangent(self, rng):
         data = socp_ball_data(rng)
         sol = solve(data, TIGHT)

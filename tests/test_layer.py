@@ -412,6 +412,30 @@ STATUS_BATCH = [{"c": np.array(c), "lo": lo, "hi": hi} for c, lo, hi in [
     ([1.0, 1e4], -50.0, 3.0)]]
 
 
+def _two_bounds_layer():
+    """minimize x s.t. x >= t, x >= u: with t = u both rows are active and
+    the derivative system is singular (LSQR), with t != u it is not."""
+    x = variable("x")
+    return Layer.compile(Problem("minimize", sum_entries(x),
+                                 [ge(x, parameter("t")),
+                                  ge(x, parameter("u"))]), TIGHT)
+
+
+TWO_BOUNDS = [{"t": t, "u": u} for t, u in
+              [(2.0, 2.0), (2.0, 1.0), (-1.0, -1.0), (0.0, 3.0)]]
+
+
+def assert_same_backward(a, b):
+    """Two backwards of one binding and cotangent: gradients bit for bit,
+    and the derivative solve's mode, fallback, iterations and residual."""
+    for name in a[0]:
+        np.testing.assert_array_equal(a[0][name], b[0][name])
+    assert set(a[0]) == set(b[0])
+    for key in ("mode", "fallback", "iterations", "residual",
+                "m_factor_order", "m_factor_nnz"):
+        assert a[1][key] == b[1][key], key
+
+
 class TestBatching:
     def test_identical_inputs_identical_outputs(self, rng):
         fx = relu_fixture(3)
@@ -443,13 +467,113 @@ class TestBatching:
         for a, b, c in zip(seq, whole, split):
             assert_same_solve(a, b)
             assert_same_solve(a, c)
+
+    @pytest.mark.parametrize("name", list(BATCH_FIXTURES))
+    def test_backward_batch_equals_sequential(self, name, rng):
+        """Per element, ``backward_batch`` is ``backward`` on a tape of its
+        own: gradients bit for bit, and mode, fallback, LSQR iterations
+        and residual exactly, however the batch is split (8 + 5 + 3 + 1,
+        or empty).  A second batch on the same tapes reuses their
+        factors and gives the same gradients."""
+        fx = BATCH_FIXTURES[name]
+        batch = [fx.sample(rng) for _ in range(17)]
+        layer = Layer.compile(fx.problem)
+        tapes = [r for r in layer.forward_batch(batch) if r.ok]
+        lone = [layer.forward(v) for v, r in zip(batch, layer.forward_batch(
+            batch)) if r.ok]
         cots = [{fx.output: rng.standard_normal(r.outputs[fx.output].shape)}
-                for r in seq[:2]]
-        batched = layer.backward_batch(whole[:2], cots)
-        for a, (gb, _), cot in zip(seq, batched, cots):
-            ga, _ = sequential.backward(a, cot)
-            for pname in layer.parameter_order:
-                np.testing.assert_array_equal(ga[pname], gb[pname])
+                for r in tapes]
+        want = [layer.backward(r, c) for r, c in zip(lone, cots)]
+        assert layer.backward_batch([], []) == []
+        got = []
+        for lo, hi in ((0, 8), (8, 13), (13, 16), (16, 17)):
+            got += layer.backward_batch(tapes[lo:hi], cots[lo:hi])
+        assert len(got) == len(want) == len(tapes) > 0
+        for a, b in zip(want, got):
+            assert_same_backward(a, b)
+        again = layer.backward_batch(tapes[:8], cots[:8])
+        for a, b in zip(want, again):
+            assert_same_backward(a, b)
+            assert b[1]["timings"]["m_factor"] == 0.0
+
+    def test_backward_batch_with_fallback_elements(self):
+        """Elements whose derivative system is singular take LSQR inside a
+        batch of direct ones, each as it would alone."""
+        layer = _two_bounds_layer()
+        tapes = layer.forward_batch(TWO_BOUNDS)
+        lone = [layer.forward(v) for v in TWO_BOUNDS]
+        cots = [{"x": np.asarray(w)} for w in (1.0, -2.0, 0.5, 3.0)]
+        got = layer.backward_batch(tapes, cots)
+        assert [info["mode"] for _, info in got] == [
+            "lsqr", "direct", "lsqr", "direct"]
+        for r, c, b in zip(lone, cots, got):
+            assert_same_backward(layer.backward(r, c), b)
+
+    @pytest.mark.parametrize("bad", [
+        "length", "foreign", "infeasible", "mapping", "name", "shape",
+        "numeric", "nan"])
+    def test_malformed_backward_batch_builds_nothing(self, bad):
+        """Every tape and cotangent is checked before any factor is
+        built: the bad element comes last, after two good ones."""
+        layer = _status_layer(TIGHT)
+        good = layer.forward_batch([STATUS_BATCH[0], STATUS_BATCH[3]])
+        last = good[0]
+        cots = [{"x": np.ones(2)}] * 3
+        error = ShapeError
+        if bad == "foreign":
+            last = _status_layer(TIGHT).forward(STATUS_BATCH[0])
+            error = SolveStatusError
+        elif bad == "infeasible":
+            last = layer.forward(STATUS_BATCH[1])
+            error = SolveStatusError
+        elif bad == "length":
+            cots = cots[:2]
+        elif bad == "nan":
+            cots = cots[:2] + [{"x": np.array([np.nan, 0.0])}]
+            error = SolverInputError
+        else:
+            cots = cots[:2] + [{
+                "mapping": "not a mapping", "name": {"z": np.ones(2)},
+                "shape": {"x": np.ones(3)}, "numeric": {"x": ["a", "b"]}}[bad]]
+        assert all(r.ok for r in good)
+        with pytest.raises(error):
+            layer.backward_batch(good + [last], cots)
+        assert all("m_factor" not in r._cache for r in good + [last])
+
+    def test_backward_timings_add_up_to_the_call(self, monkeypatch):
+        """Each backward stage is timed once per batch and shared out over
+        its elements, so their timings add up to the call's wall time:
+        ``m_factor`` equally over the elements whose factor the call
+        builds (a tape given twice builds it once), ``m_solve`` in
+        proportion to 1 + LSQR iterations, the other two equally."""
+        layer = _two_bounds_layer()
+        tapes = layer.forward_batch(TWO_BOUNDS)
+        reads = []
+
+        def clock():
+            reads.append(2.0 ** len(reads))
+            return reads[-1]
+
+        monkeypatch.setattr(layer_module, "time",
+                            SimpleNamespace(perf_counter=clock))
+        cots = [{"x": np.asarray(1.0)}] * 5
+        for call in range(2):
+            reads.clear()
+            out = layer.backward_batch(tapes + tapes[:1], cots)
+            timings = [info["timings"] for _, info in out]
+            assert sum(sum(t.values()) for t in timings) == pytest.approx(
+                reads[-1] - reads[0], rel=1e-12)
+            built = [t["m_factor"] for t in timings]
+            if call == 0:
+                assert built[0] > 0.0 and built[1:4] == [built[0]] * 3
+            assert built[4 * (call == 0):] == [0.0] * (5 - 4 * (call == 0))
+            work = [1 + info["iterations"] for _, info in out]
+            assert max(work) > 1
+            for t, w in zip(timings, work):
+                assert t["m_solve"] / w == pytest.approx(
+                    timings[1]["m_solve"] / work[1], rel=1e-12)
+                assert t["retrieval_adjoint"] == timings[0][
+                    "retrieval_adjoint"]
 
     def test_concatenated_batches_concatenate(self, rng):
         fx = relu_fixture(2)
@@ -669,6 +793,29 @@ class TestInfo:
         else:
             assert info["m_factor_nnz"] == solver._splu_lifted(factor._L).nnz
             assert info["m_factor_nnz"] > 0
+
+
+def test_numerically_singular_factor_falls_back():
+    """The derivative system of this nonnegative least-squares binding
+    (both bounds active, x ~ 1e-10) has M + zhat zhat' of condition
+    ~1e16.  LAPACK factors it with no zero pivot and its solution passes
+    the residual check, yet that gradient missed the central difference by
+    ~1e-2.  Its reciprocal condition number (~2e-20) is below
+    ``RCOND_MIN``, so the backward takes LSQR, which meets it."""
+    fx = gradient_fixtures()[4]
+    rng = np.random.default_rng([33, 4, 0])
+    values = fx.sample(rng)
+    cot = {fx.output: rng.standard_normal(
+        fx.problem.variable_named(fx.output).shape.dims)}
+    layer = Layer.compile(fx.problem)
+    res = layer.forward(values)
+    grads, info = layer.backward(res, cot)
+    assert info["m_factor_order"] <= solver.DENSE_ORDER
+    assert not res._cache["m_factor"].ok
+    assert info["mode"] == "lsqr" and info["fallback"]
+    for name in layer.parameter_order:
+        fd = fd_param_gradient(layer, values, cot, name, h=1e-5)
+        assert max_rel_error(fd, grads[name]) <= 1e-4, name
 
 
 class TestTapeFactor:

@@ -5,7 +5,10 @@ give finite gradients of the parameters' shapes; and the documented
 ``info`` keys must be present on every status.  Each draw's binding and
 two perturbed copies run as one ``forward_batch``, which must equal their
 sequential forwards element for element: statuses, iteration and polish
-counts, and x, y, s bit for bit (the programs are small).  Many draws are
+counts, and x, y, s bit for bit (the programs are small); the optimal
+ones then run as one ``backward_batch``, which must equal their
+sequential backwards: gradients bit for bit, and the derivative solve's
+mode, fallback, iterations and residual.  Many draws are
 degenerate (redundant cone rows, unconstrained directions), so the
 derivative system's least-squares fallback runs here as often as the
 exact factor.
@@ -55,8 +58,19 @@ def test_random_programs_forward_backward(seed):
     values = _values(problem, rng)
     batch = [values] + [_values(problem, rng, values) for _ in range(2)]
     results = layer.forward_batch(batch)
-    for bound, got in zip(batch, results):
-        assert_same_solve(layer.forward(bound), got)
+    lone = [layer.forward(bound) for bound in batch]
+    for alone, got in zip(lone, results):
+        assert_same_solve(alone, got)
+    solved = [j for j, r in enumerate(results) if r.ok]
+    cots = [{slot.name: rng.standard_normal(slot.dims)
+             for slot in layer.asa.variable_layout} for _ in solved]
+    batched = layer.backward_batch([results[j] for j in solved], cots)
+    for j, cot, (grads, info) in zip(solved, cots, batched):
+        want, alone = layer.backward(lone[j], cot)
+        for name in want:
+            assert np.array_equal(want[name], grads[name])
+        assert all(info[k] == alone[k] for k in
+                   ("mode", "fallback", "iterations", "residual"))
     res = results[0]
 
     assert res.status in STATUSES
