@@ -7,7 +7,10 @@ and a sparse slice, and a backward pass chains the retrieval adjoint, the
 solver adjoint, and the canonicalizer adjoint.
 
 Both directions run over minibatches, and a single binding is the batch
-of one.  ``forward_batch`` solves its elements through one iteration loop.
+of one.  ``forward_batch`` solves its elements through one iteration loop,
+with one iteration factor for all of them: the layer's own when A is
+fixed, else one built for the minibatch on A's pattern, which the layer
+keeps (``solver.Pattern``).
 ``backward_batch`` checks every tape and cotangent, maps the stacked
 cotangents through the retrieval adjoint (a CSR matrix kept per layer) in
 one product, builds the missing derivative factors in one assembly, runs
@@ -29,7 +32,7 @@ from .errors import CompileError, ShapeError, SolverInputError, \
     SolveStatusError
 from .problem import Problem, check_dpp
 from .solver import OPTIMAL, ConeSolution, IterationFactor, MFactor, \
-    SolverSettings, normalized_point, solve
+    Pattern, SolverSettings, normalized_point, solve
 from .derivatives import adjoint_derivative
 
 __all__ = ["Layer", "ForwardResult"]
@@ -85,14 +88,16 @@ class Layer:
         self.variable_order = tuple(s.name for s in asa.variable_layout)
         self._param_attrs = {}
         # When no parameter column of _a_coeff holds an entry, A is the same
-        # for every binding: its scaling and the LU of the iteration system
-        # are built at the first forward and reused by every later one.
+        # for every binding: its scaling and the inverse or LU of the
+        # iteration system are built at the first forward and reused by
+        # every later one.
         self._a_fixed = bool(np.all(asa._a_coeff.indices == asa.n_params))
         self._factor = None
-        # A's pattern is the same for every binding, and so is the
-        # elimination order of the iteration system that the derivative
-        # factor extends; the first forward sets it.
-        self._order = None
+        # A's pattern is the same for every binding, and so is the index
+        # work built on it: the Ruiz scaling's row and column orders, K's
+        # dense places and K's elimination order, which the derivative
+        # factor extends; the first forward builds it.
+        self._pattern = None
         self._retrieval_t = asa.retrieval.T.tocsr()
         if problem is not None:
             for p in problem.parameters:
@@ -135,7 +140,11 @@ class Layer:
     def _forward(self, batch: list, warm_starts: list | None = None
                  ) -> list[ForwardResult]:
         """Bind and materialize every element, then solve them all as one
-        batch (``solver.solve`` of a list) with the layer's iteration factors."""
+        batch (``solver.solve`` of a list) with the layer's iteration
+        factor.  A layer whose A depends on theta builds one factor for
+        the batch, and shares its build time out equally; the first
+        forward of a layer whose A is fixed builds the layer's factor, and
+        its first element takes that build time."""
         clock = time.perf_counter
         thetas, bind_s = [], []
         for values in batch:
@@ -147,21 +156,31 @@ class Layer:
             start = clock()
             datas.append(materialize(self.asa, theta))
             materialize_s.append(clock() - start)
-        factors, built = [], []
-        for data in datas:
-            factor, seconds = self._factor, {}
-            if factor is None:
-                factor = IterationFactor(data.A, data.cones,
-                                         self.settings.normalize)
-                seconds = factor.seconds
-                self._order = factor.order
-                if self._a_fixed:
-                    self._factor = factor
-            factors.append(factor)
-            built.append(seconds)
-        sols = solve(datas, self.settings, warm_starts, factors)
+        if not datas:
+            return []
+        factor, built = self._factor, [{}] * len(datas)
+        if factor is None:
+            A, spec = datas[0].A, datas[0].cones
+            if self._pattern is None:
+                self._pattern = Pattern(A, spec)
+            a_data = np.array([d.A.data for d in (
+                datas[:1] if self._a_fixed else datas)])
+            factor = IterationFactor(A, spec, self.settings.normalize,
+                                     a_data, self._pattern)
+            if self._a_fixed:
+                self._factor = factor
+                built[0] = factor.seconds
+            else:
+                built = [{k: t / len(datas)
+                          for k, t in factor.seconds.items()}] * len(datas)
+        sols = solve(datas, self.settings, warm_starts, factor)
         return [self._result(*args) for args in zip(
             thetas, datas, sols, bind_s, materialize_s, built)]
+
+    @property
+    def _order(self) -> np.ndarray | None:
+        """K's elimination order, once the layer's pattern holds it."""
+        return None if self._pattern is None else self._pattern._order
 
     def _result(self, theta, data, sol, bind_s, materialize_s,
                 built) -> ForwardResult:
@@ -254,7 +273,7 @@ class Layer:
         if built:
             for r, factor in zip(built, MFactor.batch(
                     [r._data for r in built], [r._z for r in built],
-                    self._order)):
+                    self._pattern.elimination_order)):
                 r._cache["m_factor"] = factor
             factored = clock()
         factors = [r._cache["m_factor"] for r in results]

@@ -15,17 +15,26 @@ u + v = (w_xi, w_tau),
 where h' K^{-1} h = |K^{-1} h|^2 (K = I + skew), so the denominator is at
 least 1.  K^{-1} h costs one solve per call.  After Ruiz scaling, A and
 hence K depend on A alone, so ``IterationFactor`` (the scaling D, E and
-the LU of K) is built once per layer when A does not depend on the
-parameters, and once per call otherwise; b, c and h are scaled per call.
+K's inverse or LU) is built once per layer when A does not depend on the
+parameters, and once per call otherwise, for the whole minibatch at once;
+b, c and h are scaled per call.
 
-K's pattern is symmetric, and every Schur complement of I + skew has
-symmetric part >= I, so diagonal pivots are safe: K is factored with a
-symmetric minimum-degree ordering of K' + K and no pivoting.  SuperLU's
-default COLAMD orders for K'K; on the benchmark's sparse QP (n + m = 1795)
-its factors of I + Q held 6.6x the nonzeros.  That order depends on A's
-pattern alone, which a layer fixes, so ``IterationFactor`` keeps it, and
-the lifted M system below is factored under it, extended by a fixed rule,
-with no ordering pass of its own.
+A's sparsity pattern is fixed per layer, and so is the index work built on
+it (``Pattern``): one Ruiz pass scales a whole (B, nnz) stack of A's
+entries, with row and column maxima from ``np.maximum.reduceat`` over the
+entries in CSR and in CSC order.  Small systems are dense: up to order
+``K_DENSE_ORDER``, K^{-1} is a dense (B, k, k) stack from one
+``np.linalg.inv``, shared as one (1, k, k) inverse when A is fixed, and
+each iteration's K solves are one stacked matmul.  Larger K are factored
+by SuperLU.  K's pattern is symmetric, and every Schur complement of I +
+skew has symmetric part >= I, so diagonal pivots are safe: K is factored
+with a symmetric minimum-degree ordering of K' + K and no pivoting.
+SuperLU's default COLAMD orders for K'K; on the benchmark's sparse QP (n +
+m = 1795) its factors of I + Q held 6.6x the nonzeros.  That order depends
+on A's pattern alone, so the ``Pattern`` keeps it, and the lifted M system
+below is factored under it, extended by a fixed rule, with no ordering
+pass of its own; a pattern whose K is dense computes it when a lifted
+factor first needs it.
 
 Because splitting iterations gain accuracy slowly, candidate solutions are
 periodically polished by damped Gauss-Newton steps on the normalized
@@ -47,12 +56,13 @@ Statuses for infeasible and unbounded problems come from certificate
 residuals on the embedding iterates.
 
 ``solve`` takes one program or a batch of programs of one cone and one
-shape of A, and a single program is the batch of one: there is one
+pattern of A, and a single program is the batch of one: there is one
 iteration loop (``_iterate``), over the (B, N) stacks of the B programs'
-iterates u and v.  Programs that share an ``IterationFactor`` (a layer
-whose A does not depend on the parameters) solve with it as one
-multi-right-hand-side solve per iteration; the others solve row by row
-with their own.  The cone projection walks the stacked rows once.  Every
+iterates u and v.  Their K solves are one stacked matmul of (k, k) by
+(k, 1) products with the dense inverses, or, above ``K_DENSE_ORDER``,
+SuperLU solves, one multi-right-hand-side solve for programs that share a
+factor (a layer whose A does not depend on the parameters) and row by row
+for the others.  The cone projection walks the stacked rows once.  Every
 other operation is elementwise or row by row, with each row's dot
 products the BLAS dots of a lone solve, so each program's arithmetic is
 the same whatever the batch, and it keeps its own scaling, checks,
@@ -67,6 +77,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -86,6 +97,7 @@ __all__ = [
     "ConeSolution",
     "MFactor",
     "IterationFactor",
+    "Pattern",
     "solve",
     "normalized_point",
     "residuals",
@@ -128,35 +140,96 @@ class ConeSolution:
 
 
 def _block_row_scales(scales: np.ndarray, spec) -> np.ndarray:
-    """Make second-order-cone rows share one scale; cone membership of a
-    scaled slack requires a uniform positive factor per block."""
+    """Make the second-order-cone rows of each row of a (B, m) stack share
+    one scale; cone membership of a scaled slack requires a uniform
+    positive factor per block."""
     out = scales.copy()
     for start, stop, k, d in spec.soc_runs:
-        block = out[start:stop].reshape(k, d)
-        block[...] = block.max(axis=1, keepdims=True)
+        block = out[:, start:stop].reshape(len(out), k, d)
+        block[...] = block.max(axis=2, keepdims=True)
     return out
 
 
-def _ruiz(A: sp.spmatrix, spec, passes: int = 10):
-    """Ruiz equilibration: A_hat = D A E with the row and column scales
-    (d, e) that bring A's row and column max-norms near one."""
-    A = A.tocoo()
-    m, n = A.shape
-    d = np.ones(m)
-    e = np.ones(n)
-    absdata = np.abs(A.data)
+class Pattern:
+    """A's sparsity pattern (CSR) in the cone ``spec``, and the index work
+    built on it: each entry's row, the entries in CSC order, the starts of
+    the rows and columns that hold an entry, and, when first needed, the
+    entries' places in a dense K and K's elimination order.  A layer fixes
+    A's pattern, so it builds one and keeps it.
+    """
+
+    def __init__(self, A: sp.spmatrix, spec):
+        A = A.tocsr()
+        self.shape = m, n = A.shape
+        self.spec, self.nnz = spec, A.nnz
+        self.indptr, self.indices = A.indptr, A.indices
+        counts = np.diff(A.indptr)
+        self.rows = np.repeat(np.arange(m), counts)
+        # reduceat gives an empty segment its start entry, not an empty
+        # max, so only the rows and columns that hold an entry take part
+        self._full_rows = counts > 0
+        self._row_starts = A.indptr[:-1][self._full_rows]
+        self._csc = np.argsort(A.indices, kind="stable")
+        col_counts = np.bincount(A.indices, minlength=n)
+        self._full_cols = col_counts > 0
+        self._col_starts = (np.cumsum(col_counts)
+                            - col_counts)[self._full_cols]
+        self._order = None
+
+    def matrix(self, data: np.ndarray) -> sp.csr_matrix:
+        """The matrix with entries ``data`` on this pattern."""
+        return sp.csr_matrix((data, self.indices, self.indptr),
+                             shape=self.shape)
+
+    def elimination_order(self) -> np.ndarray:
+        """K's elimination order (``_factor_k``), which depends on the
+        pattern alone: the first SuperLU factor of K on the pattern keeps
+        it, else the first call computes it."""
+        if self._order is None:
+            self._order = _factor_k(self.matrix(np.ones(self.nnz)))[1]
+        return self._order
+
+    @cached_property
+    def k_places(self) -> np.ndarray:
+        """Flat places in a dense K = [[I, A'], [-A, I]], in C order, of
+        its diagonal, of A's entries and of their negatives."""
+        m, n = self.shape
+        k = m + n
+        return np.concatenate([np.arange(k) * (k + 1),
+                               self.indices * k + n + self.rows,
+                               (n + self.rows) * k + self.indices])
+
+
+def _ruiz(pattern: Pattern, a_data: np.ndarray, passes: int = 10):
+    """Ruiz equilibration of a batch: the entries on ``pattern`` of A_hat_j
+    = D_j A_j E_j, with the row and column scales (d_j, e_j) that bring
+    A_j's row and column max-norms near one, for the entries of A_j in row
+    j of the (B, nnz) stack ``a_data``; (B, nnz), (B, m) and (B, n) stacks.
+
+    Every pass takes the row maxima of all B programs with one
+    ``np.maximum.reduceat`` over the entries in CSR order, and the column
+    maxima with one over the CSC order.  Maxima are exact, so each row of
+    the result does not depend on the batch.
+    """
+    count = len(a_data)
+    m, n = pattern.shape
+    rows, cols = pattern.rows, pattern.indices
+    d = np.ones((count, m))
+    e = np.ones((count, n))
+    row_max = np.zeros((count, m))
+    col_max = np.zeros((count, n))
+    absdata = np.abs(a_data)
     for _ in range(passes):
-        scaled = absdata * d[A.row] * e[A.col]
-        row_max = np.zeros(m)
-        np.maximum.at(row_max, A.row, scaled)
-        row_max = _block_row_scales(row_max, spec)
-        col_max = np.zeros(n)
-        np.maximum.at(col_max, A.col, scaled)
-        d /= np.sqrt(np.where(row_max > 0, row_max, 1.0))
+        scaled = absdata * d[:, rows] * e[:, cols]
+        if pattern.nnz:
+            row_max[:, pattern._full_rows] = np.maximum.reduceat(
+                scaled, pattern._row_starts, axis=1)
+            col_max[:, pattern._full_cols] = np.maximum.reduceat(
+                scaled[:, pattern._csc], pattern._col_starts, axis=1)
+        block_max = _block_row_scales(row_max, pattern.spec)
+        d /= np.sqrt(np.where(block_max > 0, block_max, 1.0))
         e /= np.sqrt(np.where(col_max > 0, col_max, 1.0))
-    A_hat = sp.csr_matrix((A.data * d[A.row] * e[A.col], (A.row, A.col)),
-                          shape=(m, n))
-    return A_hat, d, e
+    return a_data * d[:, rows] * e[:, cols], d, e
 
 
 def _factor_k(A: sp.spmatrix):
@@ -177,27 +250,81 @@ def _factor_k(A: sp.spmatrix):
     return lu, np.argsort(lu.perm_c)
 
 
-class IterationFactor:
-    """The part of the iteration system that depends on A alone: the Ruiz
-    scaling A_hat = D A E (identity scales without ``normalize``), the LU
-    of K = [[I, A_hat'], [-A_hat, I]] and its symmetric elimination
-    ``order``, which ``MFactor`` extends to the lifted M system.
+# K = [[I, A'], [-A, I]] of order n + m up to this is inverted densely,
+# larger ones are factored by SuperLU.  On a 2-vCPU x86 host (OpenBLAS on
+# one thread) a whole forward took, dense against SuperLU: on sums of
+# norms (A depends on theta, 175 iterations) 0.82-0.92x alone at orders
+# 103-183, and 0.65-0.84x for minibatches of 8 at 103-163 but 1.25x at 183;
+# on sparse QPs whose A is fixed (50-75 iterations) 0.87-0.92x alone at
+# 87-171, and for minibatches of 8, which share one inverse, 0.98-1.01x at
+# 87-115, 1.03x at 129, 1.06x at 143 and 1.13x at 171.
+K_DENSE_ORDER = 150
 
-    ``seconds`` holds the build time of the scaling (``equilibrate``) and of
-    the LU (``factorize``).
+
+class IterationFactor:
+    """The part of the iteration system that depends on A alone, for a
+    batch of B programs on one pattern of A: each program's Ruiz scaling
+    A_hat_j = D_j A_j E_j (identity scales without ``normalize``) and the
+    inverse of its K_j = [[I, A_hat_j'], [-A_hat_j, I]].
+
+    The programs' entries on A's pattern are the rows of ``a_data``, a
+    (B, nnz) stack, or A's own entries, the batch of one; ``pattern`` is
+    A's ``Pattern`` when the caller keeps one.  ``data``, ``d`` and ``e``
+    hold the scaled entries and the scales as (B, .) stacks, one Ruiz pass
+    for the whole batch.  Up to order ``K_DENSE_ORDER``, ``inverse`` is the
+    dense (B, k, k) stack of the K_j^{-1}, from one ``np.linalg.inv`` of
+    the scattered stack of the K_j, and ``lus`` is None.  Above it,
+    ``lus`` holds each K_j's SuperLU factor under a symmetric
+    minimum-degree ordering (``_factor_k``), ``inverse`` is None, and the
+    pattern keeps the factors' elimination ``order``, which ``MFactor``
+    extends to the lifted M system.
+
+    ``seconds`` holds the batch's build time of the scaling
+    (``equilibrate``) and of the inverse or the LUs (``factorize``).
     """
 
-    def __init__(self, A: sp.spmatrix, spec, normalize: bool = True):
-        m, n = A.shape
+    def __init__(self, A: sp.spmatrix, spec, normalize: bool = True,
+                 a_data: np.ndarray | None = None,
+                 pattern: Pattern | None = None):
         start = time.perf_counter()
+        if pattern is None:
+            pattern = Pattern(A, spec)
+        if a_data is None:
+            a_data = A.tocsr().data[None]
+        self.pattern, self.count = pattern, len(a_data)
+        m, n = pattern.shape
         if normalize:
-            self.A, self.d, self.e = _ruiz(A, spec)
+            self.data, self.d, self.e = _ruiz(pattern, a_data)
         else:
-            self.A, self.d, self.e = sp.csr_matrix(A), np.ones(m), np.ones(n)
+            self.data = a_data
+            self.d, self.e = np.ones((self.count, m)), np.ones((self.count, n))
         scaled = time.perf_counter()
-        self.lu, self.order = _factor_k(self.A)
+        k = m + n
+        self.inverse = self.lus = None
+        if k <= K_DENSE_ORDER:
+            # the K_j side by side, duplicate entries of A summed
+            places = (np.arange(self.count)[:, None] * (k * k)
+                      + pattern.k_places)
+            vals = np.concatenate([np.ones((self.count, k)), self.data,
+                                   -self.data], axis=1)
+            K = np.bincount(places.ravel(), vals.ravel(), self.count * k * k)
+            self.inverse = np.linalg.inv(K.reshape(self.count, k, k))
+        else:
+            factors = [_factor_k(self.scaled(j)) for j in range(self.count)]
+            self.lus = [lu for lu, _ in factors]
+            if pattern._order is None:
+                pattern._order = factors[0][1]
         self.seconds = {"equilibrate": scaled - start,
                         "factorize": time.perf_counter() - scaled}
+
+    @property
+    def order(self) -> np.ndarray:
+        """K's elimination order (``Pattern.elimination_order``)."""
+        return self.pattern.elimination_order()
+
+    def scaled(self, j: int) -> sp.csr_matrix:
+        """Program j's scaled matrix A_hat_j."""
+        return self.pattern.matrix(self.data[j])
 
 
 def _row_dots(X: np.ndarray, Y: np.ndarray):
@@ -210,30 +337,45 @@ def _row_dots(X: np.ndarray, Y: np.ndarray):
 
 
 class _IterationSystem:
-    """The iteration map of a batch: row w_j of W -> (I + Q_j)^{-1} w_j,
-    written into row j of ``out``, for program j with K factor
-    ``factors[j]`` and scaled h_j = (c_j, b_j), row j of H.
+    """The iteration map of a batch: row w_r of W -> (I + Q_r)^{-1} w_r,
+    written into row r of ``out``, for the program of row ``index[r]`` of
+    the ``IterationFactor`` ``factor`` (row 0 for all, when the factor has
+    one program) with scaled h_r = (c_r, b_r), row r of H.
 
-    Rows that share a factor are solved by one multi-right-hand-side
-    solve; the tau row and the products are row-wise (``_row_dots``).
-    A single program's W, out and H may be vectors, which costs the
-    least."""
+    With a dense inverse, every row's K solve is one product of the
+    stacked matmul, a (k, k) by (k, 1) product per row, so a row's value
+    does not depend on the other rows; rows of a shared inverse broadcast
+    it.  With SuperLU factors, rows that share a factor are solved by one
+    multi-right-hand-side solve.  The tau row and the products are
+    row-wise (``_row_dots``).  A single program's W, out and H may be
+    vectors, which costs the least."""
 
-    def __init__(self, factors: list, H: np.ndarray,
-                 KH: np.ndarray | None = None):
-        self.factors, self.H = factors, H
-        groups = {}
-        for j, f in enumerate(factors):
-            groups.setdefault(id(f), (f.lu, []))[1].append(j)
-        # a lone row is solved as a vector: fancy indexing would cost more
-        # than its solve
-        self._groups = [(lu, rows[0] if len(rows) == 1 else np.array(rows))
-                        for lu, rows in groups.values()]
+    def __init__(self, factor: IterationFactor, index: np.ndarray,
+                 H: np.ndarray, KH: np.ndarray | None = None):
+        self.factor, self.index, self.H = factor, index, H
+        if factor.lus is None:
+            # each row's inverse, or the one shared inverse, broadcast
+            self._inverse = factor.inverse if factor.count == 1 else \
+                factor.inverse[index]
+        else:
+            self._inverse = None
+            groups = {}
+            for r, j in enumerate(index):
+                groups.setdefault(j, []).append(r)
+            # a lone row is solved as a vector: fancy indexing would cost
+            # more than its solve
+            self._groups = [(factor.lus[j], rows[0] if len(rows) == 1
+                             else np.array(rows))
+                            for j, rows in groups.items()]
         self.KH = self._solve(H) if KH is None else KH
         self.denom = 1.0 + _row_dots(self.KH, self.KH)
 
     def _solve(self, R: np.ndarray) -> np.ndarray:
-        """K_j^{-1} r_j for every row r_j of R."""
+        """K_r^{-1} r_r for every row r_r of R."""
+        if self._inverse is not None:
+            k = R.shape[-1]
+            return np.matmul(self._inverse, R.reshape(-1, k, 1)).reshape(
+                R.shape)
         if len(self._groups) == 1:
             return self._groups[0][0].solve(R.T).T
         out = np.empty(R.shape)
@@ -255,8 +397,8 @@ class _IterationSystem:
     def subset(self, keep: np.ndarray) -> "_IterationSystem":
         """The system of the rows where ``keep`` is True; their K^{-1} h
         are kept, not solved again."""
-        return _IterationSystem([f for f, k in zip(self.factors, keep) if k],
-                                self.H[keep], self.KH[keep])
+        return _IterationSystem(self.factor, self.index[keep], self.H[keep],
+                                self.KH[keep])
 
 
 def _stacked(datas: list):
@@ -505,8 +647,10 @@ class MFactor:
     Orders up to ``DENSE_ORDER`` are factored by LAPACK.  Larger ones are
     factored by SuperLU with no ordering pass: L is assembled already
     permuted, row i at ``places[i]``, under ``order``, the elimination
-    order of K = [[I, A'], [-A, I]] that ``IterationFactor`` keeps, which
-    depends on A's pattern alone (from ``_factor_k`` when not given); see
+    order of K = [[I, A'], [-A, I]], which depends on A's pattern alone
+    (from ``_factor_k`` when not given), or a function that returns it,
+    called only by a factor above ``DENSE_ORDER``: a layer passes its
+    ``Pattern.elimination_order``, which computes it once; see
     ``_lifted_places``.  ``nnz`` is the factor's stored entries, order**2
     on LAPACK and 0 when SuperLU found an exactly zero pivot.  ``ok`` is
     False when the factor has an exactly zero pivot (either backend), or,
@@ -551,7 +695,9 @@ class MFactor:
         else:
             if order is None:
                 order = _factor_k(data.A.tocsr())[1]
-            elif len(order) != N - 1:
+            elif callable(order):
+                order = order()
+            if len(order) != N - 1:
                 raise ShapeError(f"order of length {len(order)} given for a "
                                  f"K of order {N - 1}")
             urow, ucol, blocks = lifted.lift_rows(index)
@@ -641,8 +787,8 @@ def _gauss_newton_step(J, P, r, lsqr_iters):
 
 def _refine(z, data, Q, steps, lsqr_iters, order):
     """Damped Gauss-Newton on the normalized residual map of ``data``
-    (whose skew matrix is Q, and K's elimination order ``order``); keeps
-    the best z.
+    (whose skew matrix is Q, and K's elimination order ``order``, or a
+    function that returns it; see ``MFactor``); keeps the best z.
 
     The lifted M factor is built once, at the first point, and kept as the
     preconditioner of every later step, which applies M at its own point
@@ -731,20 +877,20 @@ class _Column:
     """
 
     def __init__(self, data: ConeProgramData, settings: SolverSettings,
-                 warm_start, factor: IterationFactor | None):
+                 warm_start, factor: IterationFactor, row: int,
+                 built: dict):
+        """Program ``row`` of ``factor``, whose share of the factor's build
+        time is ``built``."""
         clock = time.perf_counter
         start = clock()
         self.data, self.settings, self.spec = data, settings, data.cones
         self.m, self.n = m, n = data.A.shape
         self.At = data.A.T  # one transpose, shared by every residual
-        if factor is None:
-            factor = IterationFactor(data.A, self.spec, settings.normalize)
-            self.timings = dict(factor.seconds)
-        else:
-            self.timings = {"equilibrate": 0.0, "factorize": 0.0}
-        self.factor = factor
+        self.timings = dict(built)
+        self.factor, self.row = factor, row
         scaled = clock()
-        self.dscale, self.escale = dscale, escale = factor.d, factor.e
+        self.dscale = dscale = factor.d[row]
+        self.escale = escale = factor.e[row]
         b_hat = dscale * data.b
         c_hat = escale * data.c
         sigma = rho = 1.0
@@ -773,7 +919,7 @@ class _Column:
         # logarithmic in the iteration count
         self.next_refine = settings.refine_interval
         self.Q = None  # the skew matrix, built when a polish first needs it
-        self.setup_s = clock() - start
+        self.setup_s = clock() - start + sum(built.values())
 
     def unscale(self, xh, yh, sh):
         return (self.sigma * self.escale * xh, self.rho * self.dscale * yh,
@@ -793,12 +939,12 @@ class _Column:
         polishing = time.perf_counter()
         self.next_refine = 2 * it
         if self.Q is None:
-            self.program = ConeProgramData(self.factor.A, self.b_hat,
-                                           self.c_hat, self.spec)
+            self.program = ConeProgramData(self.factor.scaled(self.row),
+                                           self.b_hat, self.c_hat, self.spec)
             self.Q = skew_matrix(self.program)
         z = np.concatenate([xh, yh - sh, [1.0]])
         z = _refine(z, self.program, self.Q, self.settings.refine_steps,
-                    4 * z.size, self.factor.order)
+                    4 * z.size, self.factor.pattern.elimination_order)
         self.polishes += 1
         polished = self.consider(*_solution_from_z(z, self.spec, self.n))
         self.polish_s += time.perf_counter() - polishing
@@ -867,7 +1013,8 @@ class _Column:
         return ConeSolution(x=x, y=y, s=s, status=self.status, info=info)
 
 
-def _iterate(cols: list, settings: SolverSettings, spec, n: int) -> None:
+def _iterate(cols: list, factor: IterationFactor, settings: SolverSettings,
+             spec, n: int) -> None:
     """The splitting iterations of every column, as one loop over the
     (B, N) stacks of their iterates u and v.
 
@@ -882,7 +1029,7 @@ def _iterate(cols: list, settings: SolverSettings, spec, n: int) -> None:
     stack = np.stack if len(cols) > 1 else (lambda rows: rows[0])
     U = stack([c.u for c in cols])
     V = stack([c.v for c in cols])
-    lin = _IterationSystem([c.factor for c in cols],
+    lin = _IterationSystem(factor, np.array([c.row for c in cols]),
                            stack([c.h for c in cols]))
     alpha = settings.over_relax
     # the iteration's vector updates, in place: u_tilde and one buffer
@@ -912,7 +1059,7 @@ def _iterate(cols: list, settings: SolverSettings, spec, n: int) -> None:
 
 
 def solve(data, settings: SolverSettings | None = None, warm_start=None,
-          factor=None):
+          factor: IterationFactor | None = None):
     """Solve a cone program, or a batch of them; never raises on
     non-optimal outcomes.
 
@@ -924,48 +1071,63 @@ def solve(data, settings: SolverSettings | None = None, warm_start=None,
     start raises ``SolverInputError``.  Deterministic given (data,
     settings, warm_start).
 
-    ``data`` may also be a list of programs of one cone and one shape of
-    A, with ``warm_start`` and ``factor`` lists of one entry per program
-    (or None); a list of solutions comes back, and solution j equals
-    ``solve(data[j], settings, warm_start[j], factor[j])``.  A single
+    ``data`` may also be a list of programs of one cone and one pattern of
+    A, with ``warm_start`` a list of one entry per program (or None); a
+    list of solutions comes back, and solution j equals ``solve(data[j],
+    settings, warm_start[j])``.  ``factor`` is then an ``IterationFactor``
+    of one program, whose A every program shares, or of every program in
+    turn; without it one is built here for the whole batch, with one Ruiz
+    pass and, up to ``K_DENSE_ORDER``, one stacked inverse.  A single
     program is the batch of one: there is one iteration loop, over the
-    stacked iterates of every program (``_iterate``).  Programs that share
-    an ``IterationFactor`` object solve with it as one multi-right-hand-
-    side solve.  Each program keeps its own scaling, checks, polishes and
-    status, and leaves the loop at the iteration its own solve ends.
-    ``timings["iterate"]`` of each is the loop's wall time, less every
-    program's polish time, shared out in proportion to the programs'
-    iteration counts.  Every warm start and factor is checked before any
-    program is solved.
+    stacked iterates of every program (``_iterate``).  Each program keeps
+    its own scaling, checks, polishes and status, and leaves the loop at
+    the iteration its own solve ends.
+
+    ``timings["equilibrate"]`` and ``timings["factorize"]`` of each
+    program are the build time of the factor built here, shared out
+    equally over the programs (0.0 when ``factor`` is given), plus, in
+    ``equilibrate``, its own scaling of b and c.  ``timings["iterate"]``
+    of each is the loop's wall time, less every program's polish time,
+    shared out in proportion to the programs' iteration counts.  Every
+    warm start and the factor are checked before any program is solved.
     """
     if isinstance(data, ConeProgramData):
-        return solve([data], settings, [warm_start], [factor])[0]
+        return solve([data], settings, [warm_start], factor)[0]
     if settings is None:
         settings = SolverSettings()
     datas = list(data)
     count = len(datas)
     warm_starts = [None] * count if warm_start is None else list(warm_start)
-    factors = [None] * count if factor is None else list(factor)
-    if len(warm_starts) != count or len(factors) != count:
+    if len(warm_starts) != count:
         raise ShapeError(f"{count} programs given with {len(warm_starts)} "
-                         f"warm starts and {len(factors)} factors")
+                         f"warm starts")
     if not count:
         return []
     spec = datas[0].cones
     m, n = datas[0].A.shape
-    for program, f in zip(datas, factors):
+    for program in datas:
         if program.cones != spec or program.A.shape != (m, n):
             raise ShapeError("the programs of a batch must share their cone "
                              "and the shape of A")
-        if f is not None and f.A.shape != (m, n):
-            raise ShapeError(f"iteration factor of a {f.A.shape} matrix "
-                             f"given for A of shape {(m, n)}")
+    if factor is not None:
+        if factor.pattern.shape != (m, n):
+            raise ShapeError(f"iteration factor of a {factor.pattern.shape} "
+                             f"matrix given for A of shape {(m, n)}")
+        if factor.count not in (1, count):
+            raise ShapeError(f"iteration factor of {factor.count} programs "
+                             f"given for {count}")
     warm_starts = [None if w is None else _warm_start_point(w, n, m)
                    for w in warm_starts]
-    cols = [_Column(program, settings, w, f)
-            for program, w, f in zip(datas, warm_starts, factors)]
+    built = {"equilibrate": 0.0, "factorize": 0.0}
+    if factor is None:
+        A, a_data = _stacked(datas)[:2]
+        factor = IterationFactor(A, spec, settings.normalize, a_data)
+        built = {k: t / count for k, t in factor.seconds.items()}
+    cols = [_Column(program, settings, w, factor,
+                    j if factor.count > 1 else 0, built)
+            for j, (program, w) in enumerate(zip(datas, warm_starts))]
     looping = time.perf_counter()
-    _iterate(cols, settings, spec, n)
+    _iterate(cols, factor, settings, spec, n)
     loop_s = time.perf_counter() - looping
     share = (loop_s - sum(c.polish_s for c in cols)) / sum(
         c.iters for c in cols)

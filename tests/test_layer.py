@@ -394,6 +394,86 @@ BATCH_FIXTURES = {fx.name: fx for fx in gradient_fixtures()
 BATCH_FIXTURES["optnet_qp_small"] = optnet_qp_fixture(n=3, m_eq=1, m_ineq=2)
 
 
+class TestDenseIterationSystem:
+    """Below ``K_DENSE_ORDER`` the iteration system is a dense stack of K
+    inverses: one per layer when A is fixed, one build per minibatch when
+    A depends on theta."""
+
+    @pytest.mark.parametrize("name", ["nonneg_least_squares",
+                                      "ball_constrained_policy"])
+    def test_theta_dependent_minibatch_calls_no_splu(self, name, rng,
+                                                     monkeypatch):
+        """Each minibatch builds one ``IterationFactor`` for all its
+        elements, and no SuperLU factor."""
+        fx = BATCH_FIXTURES[name]
+        layer = Layer.compile(fx.problem)
+        assert not layer._a_fixed
+        splu, builds = [], []
+        inner = solver.spla.splu
+        monkeypatch.setattr(solver.spla, "splu", lambda *args, **kwargs:
+                            splu.append(args) or inner(*args, **kwargs))
+
+        class Counted(solver.IterationFactor):
+            def __init__(self, *args):
+                builds.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(layer_module, "IterationFactor", Counted)
+        for _ in range(2):
+            results = layer.forward_batch([fx.sample(rng) for _ in range(8)])
+            assert all(r.ok for r in results)
+        assert results[0].info["sizes"]["N"] - 1 <= solver.K_DENSE_ORDER
+        assert len(builds) == 2 and splu == []
+
+    def test_build_timings_are_shared_out(self, rng, monkeypatch):
+        """A minibatch's factor build is timed once and shared out equally
+        over its elements, so their ``equilibrate`` and ``factorize`` add
+        up to the build's wall time plus each element's own scaling of b
+        and c; as in a list given to ``solve``.  The solver's clock here
+        ticks once per read: the build reads it three times, an element's
+        scaling twice."""
+        clock = [0.0]
+
+        def tick():
+            clock[0] += 1.0
+            return clock[0]
+
+        monkeypatch.setattr(solver, "time", SimpleNamespace(perf_counter=tick))
+        fx = BATCH_FIXTURES["nonneg_least_squares"]
+        layer = Layer.compile(fx.problem)
+        batch = [fx.sample(rng) for _ in range(5)]
+        results = layer.forward_batch(batch)
+        solved = solve([materialize(layer.asa, layer._bind(v)) for v in batch],
+                       layer.settings)
+        for info in [r.info for r in results] + [s.info for s in solved]:
+            assert info["timings"]["factorize"] == pytest.approx(1 / 5)
+            assert info["timings"]["equilibrate"] == pytest.approx(1 / 5 + 1)
+
+    def test_elimination_order_is_computed_once_per_layer(self, rng,
+                                                          monkeypatch):
+        """A layer whose K is held dense has no SuperLU order of K.  When
+        its lifted M factors are above ``DENSE_ORDER`` (0 here), the
+        first one computes K's order from A's pattern, and every later
+        factor of the layer, in later backwards too, reuses it."""
+        monkeypatch.setattr(solver, "DENSE_ORDER", 0)
+        calls = []
+        inner = solver._factor_k
+        monkeypatch.setattr(solver, "_factor_k",
+                            lambda A: calls.append(A.shape) or inner(A))
+        fx = BATCH_FIXTURES["ball_constrained_policy"]
+        layer = Layer.compile(fx.problem)
+        for _ in range(3):
+            tapes = [r for r in layer.forward_batch(
+                [fx.sample(rng) for _ in range(4)]) if r.ok]
+            cots = [{fx.output: rng.standard_normal(
+                r.outputs[fx.output].shape)} for r in tapes]
+            layer.backward_batch(tapes[1:], cots[1:])
+            layer.backward(tapes[0], cots[0])
+            assert all(hasattr(r._cache["m_factor"], "places") for r in tapes)
+        assert len(calls) == 1
+        assert layer._order is not None
+
+
 def _status_layer(settings):
     """An LP layer whose bindings can be optimal, infeasible (lo > hi) or
     unbounded (c[1] < 0), and hard to finish when badly scaled."""

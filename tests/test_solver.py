@@ -436,25 +436,113 @@ def iteration_programs(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(iteration_programs(), st.booleans())
-def test_iteration_system_matches_direct_solve(program, normalize):
-    """The two-solve identity on K equals a direct solve with I + Q, Q the
-    skew matrix of the scaled A with the given b and c, on every row of a
-    batch that shares the factor, and each row equals its batch of one."""
+@given(iteration_programs(), st.booleans(), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+def test_iteration_system_matches_direct_solve(program, normalize, dense,
+                                               seed):
+    """The two-solve identity on K, with dense inverses of K or SuperLU
+    factors, equals a direct solve with I + Q, Q the skew matrix of the
+    scaled A with the given b and c, on every row of a batch that shares
+    one program's factor and of a batch that holds one per program; and
+    each row equals its batch of one, bit for bit."""
     A, b, c, spec, w = program
-    factor = IterationFactor(sp.csr_matrix(A), spec, normalize)
-    hs = [np.concatenate([c, b]), np.concatenate([c, -b])]
+    A = sp.csr_matrix(A)
+    # a second program on A's pattern
+    other = sp.csr_matrix((np.random.default_rng(seed).standard_normal(
+        A.nnz), A.indices, A.indptr), shape=A.shape)
+    hs = np.stack([np.concatenate([c, b]), np.concatenate([c, -b])])
     ws = np.stack([w, w[::-1]])
-    got = solver._IterationSystem([factor] * 2, np.stack(hs))(
-        ws, np.empty(ws.shape))
-    for h, w_row, row in zip(hs, ws, got):
-        Q = skew_matrix(ConeProgramData(factor.A, h[c.size:], h[:c.size],
-                                        spec))
-        want = spla.spsolve((sp.identity(w.size) + Q).tocsc(), w_row)
-        assert np.linalg.norm(row - want) <= 1e-12 * np.linalg.norm(want)
-        alone = solver._IterationSystem([factor], h[None])(
-            w_row[None], np.empty((1, w.size)))
-        assert np.array_equal(alone[0], row)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "K_DENSE_ORDER", 10 ** 6 if dense else 0)
+        shared = IterationFactor(A, spec, normalize)
+        each = IterationFactor(A, spec, normalize,
+                               np.stack([A.data, other.data]))
+        assert (shared.inverse is not None, shared.lus is None) == \
+            (dense, dense)
+        for factor, rows in ((shared, [0, 0]), (each, [0, 1])):
+            got = solver._IterationSystem(factor, np.array(rows), hs)(
+                ws, np.empty(ws.shape))
+            for h, w_row, row, j in zip(hs, ws, got, rows):
+                Q = skew_matrix(ConeProgramData(
+                    factor.scaled(j), h[c.size:], h[:c.size], spec))
+                want = spla.spsolve((sp.identity(w.size) + Q).tocsc(), w_row)
+                assert np.linalg.norm(row - want) <= \
+                    1e-12 * np.linalg.norm(want)
+                lone = IterationFactor((A, other)[j], spec, normalize)
+                alone = solver._IterationSystem(lone, np.array([0]), h)(
+                    w_row, np.empty(w.size))
+                assert np.array_equal(alone, row)
+
+
+def _ruiz_loop(A, spec, passes=10):
+    """Ruiz equilibration of one program as it was written before the
+    batched pass: ten passes of ``np.maximum.at``.  The reference of
+    ``test_batched_ruiz_equals_the_loop``."""
+    A = A.tocoo()
+    m, n = A.shape
+    d = np.ones(m)
+    e = np.ones(n)
+    absdata = np.abs(A.data)
+    for _ in range(passes):
+        scaled = absdata * d[A.row] * e[A.col]
+        row_max = np.zeros(m)
+        np.maximum.at(row_max, A.row, scaled)
+        for start, stop, k, dim in spec.soc_runs:
+            block = row_max[start:stop].reshape(k, dim)
+            block[...] = block.max(axis=1, keepdims=True)
+        col_max = np.zeros(n)
+        np.maximum.at(col_max, A.col, scaled)
+        d /= np.sqrt(np.where(row_max > 0, row_max, 1.0))
+        e /= np.sqrt(np.where(col_max > 0, col_max, 1.0))
+    A_hat = sp.csr_matrix((A.data * d[A.row] * e[A.col], (A.row, A.col)),
+                          shape=(m, n))
+    return A_hat, d, e
+
+
+@st.composite
+def ruiz_batches(draw):
+    """A cone, a pattern of A with an empty row and an empty column when
+    drawn, and a stack of 1-4 programs' entries on it, of many scales;
+    some entries are stored zeros."""
+    n = draw(st.integers(1, 6))
+    spec = ConeSpec(draw(st.integers(0, 2)), draw(st.integers(0, 3)),
+                    tuple(draw(st.lists(st.integers(1, 4), max_size=3))))
+    m = spec.total_dim
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    mask = rng.random((m, n)) < 0.6
+    if m and draw(st.booleans()):
+        mask[rng.integers(m)] = False
+    if draw(st.booleans()):
+        mask[:, rng.integers(n)] = False
+    rows, cols = np.nonzero(mask)
+    count = draw(st.integers(1, 4))
+    a_data = rng.standard_normal((count, rows.size)) * 10.0 ** rng.integers(
+        -4, 5, (count, rows.size))
+    a_data[rng.random(a_data.shape) < 0.1] = 0.0
+    pattern = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(m, n))
+    return pattern, spec, a_data
+
+
+@settings(max_examples=200, deadline=None)
+@given(ruiz_batches(), st.booleans())
+def test_batched_ruiz_equals_the_loop(batch, normalize):
+    """One Ruiz pass over a (B, nnz) stack gives each program the scales
+    and scaled entries of the ``np.maximum.at`` loop, bit for bit: row
+    maxima by ``reduceat`` in CSR order and column maxima in CSC order,
+    with empty rows and columns masked and one scale per second-order
+    block.  Without ``normalize`` the scales are ones."""
+    pattern, spec, a_data = batch
+    factor = IterationFactor(pattern, spec, normalize, a_data)
+    for j, entries in enumerate(a_data):
+        A = sp.csr_matrix((entries, pattern.indices, pattern.indptr),
+                          shape=pattern.shape)
+        if normalize:
+            A_hat, d, e = _ruiz_loop(A, spec)
+        else:
+            A_hat, d, e = A, np.ones(A.shape[0]), np.ones(A.shape[1])
+        assert np.array_equal(factor.d[j], d)
+        assert np.array_equal(factor.e[j], e)
+        assert np.array_equal(factor.scaled(j).toarray(), A_hat.toarray())
 
 
 class TestTimings:
@@ -507,12 +595,15 @@ class TestIterationOrder:
     """``IterationFactor`` keeps K's symmetric elimination order, which the
     lifted M factor extends."""
 
+    # K of order 195, above K_DENSE_ORDER: SuperLU factors it
+    N_ABOVE = 48
+
     def test_order_is_owned(self):
-        data = sparse_qp_data(n=16, seed=2)
+        data = sparse_qp_data(n=self.N_ABOVE, seed=2)
         factor = IterationFactor(data.A, data.cones)
         # a view of perm_c would keep the whole SuperLU factor alive
         assert factor.order.base is None
-        assert np.array_equal(factor.order, np.argsort(factor.lu.perm_c))
+        assert np.array_equal(factor.order, np.argsort(factor.lus[0].perm_c))
         assert np.array_equal(np.sort(factor.order),
                               np.arange(sum(data.A.shape)))
 
@@ -520,7 +611,7 @@ class TestIterationOrder:
     def test_order_depends_on_the_pattern_alone(self, normalize, rng):
         """One order serves every binding of a layer, whose A keeps its
         pattern and changes its values."""
-        data = sparse_qp_data(n=16, seed=2)
+        data = sparse_qp_data(n=self.N_ABOVE, seed=2)
         A, spec = data.A.tocsr(), data.cones
         other = sp.csr_matrix((rng.standard_normal(A.nnz), A.indices,
                                A.indptr), shape=A.shape)

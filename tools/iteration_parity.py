@@ -1,0 +1,230 @@
+#!/usr/bin/env python3
+"""Solver parity of one checkout on the benchmark's check bindings.
+
+Runs, at a seed, the first 12 bindings of each fixture-train layer (60 in
+all, through ``forward_batch`` in the workload's minibatches of 8), the
+first 12 soc-sum and the first 3 sparse-qp bindings, each with one
+``backward`` per cotangent (bitwise ``backward_batch``'s result),
+drawn by the checkout's ``perfbench/workloads.py``; ``--extra`` adds
+fixture-train bindings by (stream, index).  For each binding it prints
+the status, the iteration and polish counts, and hashes of x, y and s.
+
+``--save`` writes x, y, s, each cotangent's parameter gradient and that
+gradient's central-difference error (along a seeded direction, step
+``workloads.GRADCHECK_H``, relative above 1 and absolute below, as in
+acceptance criterion 4) to an ``.npz``.  ``--against`` compares with a
+file saved from another checkout: every status, iteration or polish
+count that differs, the largest move of x, y and s per workload, and
+every gradient that moved by more than 1e-8 relative, with its
+central-difference error before and after.
+
+    python tools/iteration_parity.py --checkout ../parent --seed 1 \\
+        --save parent.npz
+    python tools/iteration_parity.py --seed 1 --save change.npz \\
+        --against parent.npz
+    python tools/iteration_parity.py --seed 68 --extra 4,635 --only-extra
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import pathlib
+import sys
+
+import numpy as np
+
+PER_LAYER = {"fixture-train": 12, "soc-sum": 12, "sparse-qp": 3}
+GRADIENT_MOVE = 1e-8
+
+
+def _digest(arr) -> str:
+    return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()[:12]
+
+
+def _flat(grads: dict, names) -> np.ndarray:
+    return np.concatenate([np.ravel(grads[k]) for k in names])
+
+
+def _cd_error(layer, values, output, cot, grads, direction, h):
+    sides = []
+    for sign in (1.0, -1.0):
+        res = layer.forward({k: v + sign * h * direction[k]
+                             for k, v in values.items()})
+        if not res.ok:
+            return np.nan
+        sides.append(float(np.sum(cot * res.outputs[output])))
+    numeric = (sides[0] - sides[1]) / (2.0 * h)
+    analytic = sum(float(np.sum(grads[k] * d)) for k, d in direction.items())
+    return abs(numeric - analytic) / max(1.0, abs(numeric))
+
+
+def _selected(wl, extra, only_extra):
+    """The check bindings of a workload, grouped by layer in pool order."""
+    chosen = {}
+    for bd in wl.bindings:
+        group = chosen.setdefault(bd.layer, [])
+        if bd.key in extra or (not only_extra
+                               and len(group) < PER_LAYER[wl.name]):
+            group.append(bd)
+    return chosen
+
+
+def run(seed: int, extra: set, only_extra: bool) -> dict:
+    """key -> record of every check binding of the three workloads."""
+    import workloads
+    from diffcone import Layer
+
+    records = {}
+    for name in PER_LAYER:
+        if only_extra and name != "fixture-train":
+            continue
+        # binding i of a stream is the same for any pool size, so the
+        # pools are cut to what the check bindings need (fixture-train's
+        # in whole minibatches; its slow fixture keeps the first 16)
+        sizes = {"count": PER_LAYER[name]}
+        if name == "fixture-train":
+            top = max([PER_LAYER[name]] + [i + 1 for _, i in extra])
+            sizes = {"count": -(-top // 8) * 8, "slow_count": 16}
+        wl = workloads.build(name, seed, **sizes)
+        if name == "fixture-train":
+            missing = extra - {bd.key for bd in wl.bindings}
+            if missing:
+                raise SystemExit(f"not in the fixture-train pools (the "
+                                 f"slow fixture's holds 16): "
+                                 f"{sorted(missing)}")
+        for layer_name, group in _selected(wl, extra, only_extra).items():
+            layer = Layer.compile(wl.problems[layer_name])
+            output = wl.outputs[layer_name]
+            size = 8 if wl.batch else 1
+            for lo in range(0, len(group), size):
+                chunk = group[lo:lo + size]
+                results = layer.forward_batch([bd.values for bd in chunk])
+                for bd, res in zip(chunk, results):
+                    records[f"{name}:{layer_name}:{bd.key[0]},{bd.key[1]}"] \
+                        = _record(layer, bd, res, output, seed)
+    return records
+
+
+def _record(layer, bd, res, output, seed) -> dict:
+    import workloads
+
+    sol = res._solution
+    rec = {"status": res.status, "iterations": res.info["iterations"],
+           "polishes": res.info["polishes"], "x": sol.x, "y": sol.y,
+           "s": sol.s}
+    if not res.ok:
+        return rec
+    rng = np.random.default_rng([seed, *bd.key, 99])
+    direction = {k: rng.standard_normal(np.shape(v))
+                 for k, v in bd.values.items()}
+    names = layer.parameter_order
+    for i, cot in enumerate(bd.cotangents):
+        grads, _ = layer.backward(res, cot)
+        rec[f"grad{i}"] = _flat(grads, names)
+        rec[f"cd{i}"] = np.float64(_cd_error(
+            layer, bd.values, output, cot[output], grads, direction,
+            workloads.GRADCHECK_H))
+    return rec
+
+
+def save(records: dict, path: str) -> None:
+    arrays = {}
+    for key, rec in records.items():
+        for field, value in rec.items():
+            arrays[f"{key}|{field}"] = np.asarray(value)
+    np.savez(path, **arrays)
+
+
+def load(path: str) -> dict:
+    records = {}
+    with np.load(path) as data:
+        for name in data.files:
+            key, field = name.split("|")
+            value = data[name]
+            records.setdefault(key, {})[field] = (
+                value.item() if value.ndim == 0 else value)
+    return records
+
+
+def compare(new: dict, old: dict) -> int:
+    """Print the differences; returns the number of changed statuses,
+    iteration counts and polish counts."""
+    changed = 0
+    moves = {}
+    gradients = []
+    for key in sorted(set(new) & set(old)):
+        a, b = old[key], new[key]
+        counts = tuple((a[f], b[f]) for f in ("status", "iterations",
+                                              "polishes"))
+        if any(x != y for x, y in counts):
+            changed += 1
+            print(f"CHANGED {key}: " + ", ".join(
+                f"{f} {x} -> {y}" for f, (x, y) in zip(
+                    ("status", "iterations", "polishes"), counts)))
+        workload = key.split(":")[0]
+        for part in "xys":
+            if a[part].shape == b[part].shape:
+                move = float(np.max(np.abs(a[part] - b[part]), initial=0.0))
+                scale = float(np.max(np.abs(a[part]), initial=0.0))
+                worst = moves.setdefault((workload, part), [0.0, 0.0])
+                worst[0] = max(worst[0], move)
+                worst[1] = max(worst[1], move / max(scale, 1e-300))
+        i = 0
+        while f"grad{i}" in a and f"grad{i}" in b:
+            ga, gb = a[f"grad{i}"], b[f"grad{i}"]
+            rel = float(np.max(np.abs(gb - ga), initial=0.0)) / max(
+                float(np.max(np.abs(ga), initial=0.0)), 1e-300)
+            if rel > GRADIENT_MOVE:
+                gradients.append((key, i, rel, a[f"cd{i}"], b[f"cd{i}"]))
+            i += 1
+    missing = sorted(set(new) ^ set(old))
+    for key in missing:
+        print(f"ONLY IN ONE FILE {key}")
+    print(f"{len(set(new) & set(old))} bindings compared, {changed} with a "
+          f"changed status, iteration or polish count")
+    for (workload, part), (move, rel) in sorted(moves.items()):
+        print(f"largest move of {part} on {workload}: {move:.3e} absolute, "
+              f"{rel:.3e} relative")
+    print(f"{len(gradients)} gradients moved by more than {GRADIENT_MOVE:g} "
+          f"relative")
+    for key, i, rel, before, after in gradients:
+        print(f"  {key} cotangent {i}: moved {rel:.3e}, central-difference "
+              f"error {before:.3e} -> {after:.3e}")
+    return changed + len(missing)
+
+
+def main(argv=None) -> int:
+    root = pathlib.Path(__file__).resolve().parents[1]
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--checkout", type=pathlib.Path, default=root,
+                    help="the checkout whose src/ and perfbench/ to run "
+                         "(default: this one)")
+    ap.add_argument("--save", help="write the arrays to this .npz")
+    ap.add_argument("--against", help="compare with an .npz saved before")
+    ap.add_argument("--extra", action="append", default=[],
+                    metavar="STREAM,INDEX",
+                    help="a fixture-train binding to add; repeatable")
+    ap.add_argument("--only-extra", action="store_true",
+                    help="run the --extra bindings alone")
+    args = ap.parse_args(argv)
+    extra = {tuple(int(p) for p in e.split(",")) for e in args.extra}
+    if args.only_extra and not extra:
+        ap.error("--only-extra needs --extra")
+    checkout = args.checkout.resolve()
+    sys.path[:0] = [str(checkout / "src"), str(checkout / "perfbench")]
+    records = run(args.seed, extra, args.only_extra)
+    for key, rec in records.items():
+        print(f"{key} {rec['status']} iterations {rec['iterations']} "
+              f"polishes {rec['polishes']} x {_digest(rec['x'])} "
+              f"y {_digest(rec['y'])} s {_digest(rec['s'])}")
+    if args.save:
+        save(records, args.save)
+    if args.against:
+        return 1 if compare(records, load(args.against)) else 0
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
