@@ -37,7 +37,8 @@ import scipy.sparse.linalg as spla
 from .canon import ConeProgramData
 from .cones import dproject_embedding, project_embedding
 from .errors import ShapeError, SolverInputError, SolveStatusError
-from .solver import OPTIMAL, ConeSolution, MFactor, normalized_point
+from .solver import OPTIMAL, ConeSolution, MFactor, _stacked, \
+    normalized_point
 
 __all__ = [
     "solve_m_system",
@@ -194,14 +195,7 @@ def adjoint_derivative(data, sol, dx: np.ndarray, z=None, factor=None):
         return []
     for s in sols:
         _require_optimal(s)
-    A = datas[0].A.tocsr()
-    for d in datas[1:]:
-        other = d.A.tocsr()
-        if d.cones != datas[0].cones or not (
-                np.array_equal(other.indptr, A.indptr)
-                and np.array_equal(other.indices, A.indices)):
-            raise ShapeError("the programs of a batch must share their cone "
-                             "and A's pattern")
+    A = _stacked(datas)[0]
     m, n = A.shape
     # contiguous rows: each x'dx below is the BLAS dot of a lone vector
     dx = np.ascontiguousarray(_checked(dx, (count, n), "dx"))

@@ -165,8 +165,7 @@ class Layer:
                 self._pattern = Pattern(A, spec)
             a_data = np.array([d.A.data for d in (
                 datas[:1] if self._a_fixed else datas)])
-            factor = IterationFactor(A, spec, self.settings.normalize,
-                                     a_data, self._pattern)
+            factor = IterationFactor(A, spec, a_data, self._pattern)
             if self._a_fixed:
                 self._factor = factor
                 built[0] = factor.seconds
@@ -184,7 +183,8 @@ class Layer:
 
     def _result(self, theta, data, sol, bind_s, materialize_s,
                 built) -> ForwardResult:
-        info = dict(sol.info, status=sol.status)
+        info = dict(sol.info, status=sol.status,
+                    solve_time=sol.info["solve_time"] + sum(built.values()))
         timings = info["timings"] = {
             k: t + built.get(k, 0.0) for k, t in sol.info["timings"].items()}
         timings.update(bind=bind_s, materialize=materialize_s, retrieve=0.0)

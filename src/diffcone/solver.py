@@ -75,6 +75,8 @@ supernodal kernels may sum in another order.
 
 from __future__ import annotations
 
+import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -109,25 +111,39 @@ UNBOUNDED = "unbounded"
 MAX_ITERS = "max_iters"
 
 
+# Fixed parts of the splitting: its over-relaxation, the iterations
+# between two checks of convergence and certificates, and the Gauss-Newton
+# steps a polish takes at most.  Ruiz scaling is always on.
+OVER_RELAX = 1.5
+CHECK_INTERVAL = 25
+REFINE_STEPS = 10
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SolverSettings:
     max_iters: int = 100_000
     eps_abs: float = 1e-8
     eps_rel: float = 1e-8
-    over_relax: float = 1.5
-    normalize: bool = True
     refine: bool = True
-    check_interval: int = 25
     refine_interval: int = 250
-    refine_steps: int = 10
 
     def __post_init__(self):
-        if self.max_iters <= 0:
-            raise ShapeError("max_iters must be positive")
-        if self.eps_abs <= 0 or self.eps_rel <= 0:
-            raise ShapeError("tolerances must be positive")
-        if not 0.0 < self.over_relax < 2.0:
-            raise ShapeError("over_relax must lie in (0, 2)")
+        if not (_is_int(self.max_iters) and self.max_iters >= 1):
+            raise ShapeError(f"max_iters must be an integer >= 1, got "
+                             f"{self.max_iters!r}")
+        if not _is_int(self.refine_interval):
+            raise ShapeError(f"refine_interval must be an integer, got "
+                             f"{self.refine_interval!r}")
+        for name in ("eps_abs", "eps_rel"):
+            eps = getattr(self, name)
+            if not (isinstance(eps, numbers.Real) and math.isfinite(eps)
+                    and eps > 0):
+                raise ShapeError(f"{name} must be finite and positive, got "
+                                 f"{eps!r}")
 
 
 @dataclass(frozen=True)
@@ -264,8 +280,8 @@ K_DENSE_ORDER = 150
 class IterationFactor:
     """The part of the iteration system that depends on A alone, for a
     batch of B programs on one pattern of A: each program's Ruiz scaling
-    A_hat_j = D_j A_j E_j (identity scales without ``normalize``) and the
-    inverse of its K_j = [[I, A_hat_j'], [-A_hat_j, I]].
+    A_hat_j = D_j A_j E_j and the inverse of its K_j = [[I, A_hat_j'],
+    [-A_hat_j, I]].
 
     The programs' entries on A's pattern are the rows of ``a_data``, a
     (B, nnz) stack, or A's own entries, the batch of one; ``pattern`` is
@@ -283,8 +299,7 @@ class IterationFactor:
     (``equilibrate``) and of the inverse or the LUs (``factorize``).
     """
 
-    def __init__(self, A: sp.spmatrix, spec, normalize: bool = True,
-                 a_data: np.ndarray | None = None,
+    def __init__(self, A: sp.spmatrix, spec, a_data: np.ndarray | None = None,
                  pattern: Pattern | None = None):
         start = time.perf_counter()
         if pattern is None:
@@ -293,11 +308,7 @@ class IterationFactor:
             a_data = A.tocsr().data[None]
         self.pattern, self.count = pattern, len(a_data)
         m, n = pattern.shape
-        if normalize:
-            self.data, self.d, self.e = _ruiz(pattern, a_data)
-        else:
-            self.data = a_data
-            self.d, self.e = np.ones((self.count, m)), np.ones((self.count, n))
+        self.data, self.d, self.e = _ruiz(pattern, a_data)
         scaled = time.perf_counter()
         k = m + n
         self.inverse = self.lus = None
@@ -345,28 +356,19 @@ class _IterationSystem:
     With a dense inverse, every row's K solve is one product of the
     stacked matmul, a (k, k) by (k, 1) product per row, so a row's value
     does not depend on the other rows; rows of a shared inverse broadcast
-    it.  With SuperLU factors, rows that share a factor are solved by one
-    multi-right-hand-side solve.  The tau row and the products are
-    row-wise (``_row_dots``).  A single program's W, out and H may be
-    vectors, which costs the least."""
+    it.  With SuperLU factors, the rows of a factor of one program are
+    solved by one multi-right-hand-side solve, and those of a factor of
+    every program one row at a time, each with its own factor.  The tau
+    row and the products are row-wise (``_row_dots``).  A single
+    program's W, out and H may be vectors, which costs the least."""
 
     def __init__(self, factor: IterationFactor, index: np.ndarray,
                  H: np.ndarray, KH: np.ndarray | None = None):
         self.factor, self.index, self.H = factor, index, H
-        if factor.lus is None:
-            # each row's inverse, or the one shared inverse, broadcast
-            self._inverse = factor.inverse if factor.count == 1 else \
-                factor.inverse[index]
-        else:
-            self._inverse = None
-            groups = {}
-            for r, j in enumerate(index):
-                groups.setdefault(j, []).append(r)
-            # a lone row is solved as a vector: fancy indexing would cost
-            # more than its solve
-            self._groups = [(factor.lus[j], rows[0] if len(rows) == 1
-                             else np.array(rows))
-                            for j, rows in groups.items()]
+        # each row's inverse, or the one shared inverse, broadcast
+        self._inverse = factor.inverse
+        if self._inverse is not None and factor.count > 1:
+            self._inverse = self._inverse[index]
         self.KH = self._solve(H) if KH is None else KH
         self.denom = 1.0 + _row_dots(self.KH, self.KH)
 
@@ -376,11 +378,12 @@ class _IterationSystem:
             k = R.shape[-1]
             return np.matmul(self._inverse, R.reshape(-1, k, 1)).reshape(
                 R.shape)
-        if len(self._groups) == 1:
-            return self._groups[0][0].solve(R.T).T
+        lus = self.factor.lus
+        if self.factor.count == 1:
+            return lus[0].solve(R.T).T
         out = np.empty(R.shape)
-        for lu, rows in self._groups:
-            out[rows] = lu.solve(R[rows].T).T
+        for r, j in enumerate(self.index):
+            out[r] = lus[j].solve(R[r])
         return out
 
     def __call__(self, W: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -404,12 +407,15 @@ class _IterationSystem:
 def _stacked(datas: list):
     """The programs' shared pattern of A (CSR), and their A entries on it,
     b and c as (B, .) stacks; raises ``ShapeError`` unless every program
-    has the first one's pattern."""
+    has the first one's cone and pattern of A."""
     A = datas[0].A.tocsr()
     As = [A] + [d.A.tocsr() for d in datas[1:]]
-    if any(not (np.array_equal(a.indptr, A.indptr)
-                and np.array_equal(a.indices, A.indices)) for a in As[1:]):
-        raise ShapeError("the programs of a batch must share A's pattern")
+    if any(d.cones != datas[0].cones or not (
+            a.shape == A.shape and np.array_equal(a.indptr, A.indptr)
+            and np.array_equal(a.indices, A.indices))
+           for d, a in zip(datas[1:], As[1:])):
+        raise ShapeError("the programs of a batch must share their cone "
+                         "and A's pattern")
     return (A, np.array([a.data for a in As], dtype=float).reshape(
         len(As), A.nnz), np.array([d.b for d in datas], dtype=float),
         np.array([d.c for d in datas], dtype=float))
@@ -785,10 +791,11 @@ def _gauss_newton_step(J, P, r, lsqr_iters):
     return P.solve(y), istop
 
 
-def _refine(z, data, Q, steps, lsqr_iters, order):
-    """Damped Gauss-Newton on the normalized residual map of ``data``
-    (whose skew matrix is Q, and K's elimination order ``order``, or a
-    function that returns it; see ``MFactor``); keeps the best z.
+def _refine(z, data, Q, lsqr_iters, order):
+    """Up to ``REFINE_STEPS`` damped Gauss-Newton steps on the normalized
+    residual map of ``data`` (whose skew matrix is Q, and K's elimination
+    order ``order``, or a function that returns it; see ``MFactor``);
+    keeps the best z.
 
     The lifted M factor is built once, at the first point, and kept as the
     preconditioner of every later step, which applies M at its own point
@@ -802,7 +809,7 @@ def _refine(z, data, Q, steps, lsqr_iters, order):
     r = _residual_map(z, Q, spec, n)
     best_norm = np.linalg.norm(r)
     P = None  # the polish's lifted factor
-    for _ in range(steps):
+    for _ in range(REFINE_STEPS):
         if best_norm <= 1e-15:
             break
         istop = 7  # LSQR's code for its iteration limit: factor below
@@ -893,10 +900,8 @@ class _Column:
         self.escale = escale = factor.e[row]
         b_hat = dscale * data.b
         c_hat = escale * data.c
-        sigma = rho = 1.0
-        if settings.normalize:
-            sigma = max(1.0, float(np.linalg.norm(b_hat)))
-            rho = max(1.0, float(np.linalg.norm(c_hat)))
+        sigma = max(1.0, float(np.linalg.norm(b_hat)))
+        rho = max(1.0, float(np.linalg.norm(c_hat)))
         self.sigma, self.rho = sigma, rho
         self.b_hat, self.c_hat = b_hat / sigma, c_hat / rho
         self.h = np.concatenate([self.c_hat, self.b_hat])
@@ -943,8 +948,8 @@ class _Column:
                                            self.b_hat, self.c_hat, self.spec)
             self.Q = skew_matrix(self.program)
         z = np.concatenate([xh, yh - sh, [1.0]])
-        z = _refine(z, self.program, self.Q, self.settings.refine_steps,
-                    4 * z.size, self.factor.pattern.elimination_order)
+        z = _refine(z, self.program, self.Q, 4 * z.size,
+                    self.factor.pattern.elimination_order)
         self.polishes += 1
         polished = self.consider(*_solution_from_z(z, self.spec, self.n))
         self.polish_s += time.perf_counter() - polishing
@@ -1031,7 +1036,7 @@ def _iterate(cols: list, factor: IterationFactor, settings: SolverSettings,
     V = stack([c.v for c in cols])
     lin = _IterationSystem(factor, np.array([c.row for c in cols]),
                            stack([c.h for c in cols]))
-    alpha = settings.over_relax
+    alpha = OVER_RELAX
     # the iteration's vector updates, in place: u_tilde and one buffer
     u_tilde = np.empty(U.shape)
     buf = np.empty(U.shape)
@@ -1045,7 +1050,7 @@ def _iterate(cols: list, factor: IterationFactor, settings: SolverSettings,
         np.add(V, U_new, out=V)
         U = U_new
 
-        if it % settings.check_interval != 0 and it != settings.max_iters:
+        if it % CHECK_INTERVAL != 0 and it != settings.max_iters:
             continue
         N = U.shape[-1]
         keep = np.array([not c.check(it, u, v) for c, u, v in zip(
@@ -1103,12 +1108,9 @@ def solve(data, settings: SolverSettings | None = None, warm_start=None,
                          f"warm starts")
     if not count:
         return []
+    A, a_data = _stacked(datas)[:2]
     spec = datas[0].cones
-    m, n = datas[0].A.shape
-    for program in datas:
-        if program.cones != spec or program.A.shape != (m, n):
-            raise ShapeError("the programs of a batch must share their cone "
-                             "and the shape of A")
+    m, n = A.shape
     if factor is not None:
         if factor.pattern.shape != (m, n):
             raise ShapeError(f"iteration factor of a {factor.pattern.shape} "
@@ -1120,8 +1122,7 @@ def solve(data, settings: SolverSettings | None = None, warm_start=None,
                    for w in warm_starts]
     built = {"equilibrate": 0.0, "factorize": 0.0}
     if factor is None:
-        A, a_data = _stacked(datas)[:2]
-        factor = IterationFactor(A, spec, settings.normalize, a_data)
+        factor = IterationFactor(A, spec, a_data)
         built = {k: t / count for k, t in factor.seconds.items()}
     cols = [_Column(program, settings, w, factor,
                     j if factor.count > 1 else 0, built)

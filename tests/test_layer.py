@@ -531,7 +531,27 @@ class TestBatching:
         """Per element, a batch is the sequential solve bit for bit, however
         the bindings are split into batches; a layer whose A is fixed
         builds its factor inside its first batch and shares it."""
-        fx = BATCH_FIXTURES[name]
+        self.check_batch_equals_sequential(BATCH_FIXTURES[name], rng)
+
+    @pytest.mark.parametrize("name", list(BATCH_FIXTURES))
+    def test_batch_equals_sequential_on_superlu(self, name, rng,
+                                                monkeypatch):
+        """The same with every K factored by SuperLU: a layer whose A is
+        fixed solves all its rows with its one factor in one
+        multi-right-hand-side solve, any other layer each row with its
+        element's own factor.  Elements leave the batch at different
+        iterations, so the batch shrinks as it runs."""
+        monkeypatch.setattr(solver, "K_DENSE_ORDER", 0)
+        layer, whole = self.check_batch_equals_sequential(
+            BATCH_FIXTURES[name], rng)
+        if layer._a_fixed:
+            assert layer._factor.lus is not None
+        assert len({r.info["iterations"] for r in whole}) > 1
+
+    @staticmethod
+    def check_batch_equals_sequential(fx, rng):
+        """Run ``test_batch_equals_sequential`` on the fixture ``fx``;
+        returns the layer and the results of its first batch."""
         batch = [fx.sample(rng) for _ in range(6)]
         sequential = Layer.compile(fx.problem)
         seq = [sequential.forward(v) for v in batch]
@@ -547,6 +567,7 @@ class TestBatching:
         for a, b, c in zip(seq, whole, split):
             assert_same_solve(a, b)
             assert_same_solve(a, c)
+        return layer, whole
 
     @pytest.mark.parametrize("name", list(BATCH_FIXTURES))
     def test_backward_batch_equals_sequential(self, name, rng):

@@ -1,5 +1,6 @@
 """Solver correctness against analytic and enumeration oracles."""
 
+import dataclasses
 import itertools
 import weakref
 
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import TIGHT, force_fallback
-from diffcone import solver
+from diffcone import Layer, solver
 from diffcone.canon import ConeProgramData
 from diffcone.cones import (
     ConeSpec,
@@ -20,7 +21,13 @@ from diffcone.cones import (
     smooth_margin,
 )
 from diffcone.errors import ShapeError, SolveStatusError, SolverInputError
-from diffcone.fixtures import oracle_eq_qp, oracle_lp_vertex, sparse_qp_data
+from diffcone.fixtures import (
+    nonneg_least_squares_fixture,
+    oracle_eq_qp,
+    oracle_lp_vertex,
+    relu_fixture,
+    sparse_qp_data,
+)
 from diffcone.solver import (
     IterationFactor,
     MFactor,
@@ -436,10 +443,8 @@ def iteration_programs(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(iteration_programs(), st.booleans(), st.booleans(),
-       st.integers(0, 2 ** 32 - 1))
-def test_iteration_system_matches_direct_solve(program, normalize, dense,
-                                               seed):
+@given(iteration_programs(), st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_iteration_system_matches_direct_solve(program, dense, seed):
     """The two-solve identity on K, with dense inverses of K or SuperLU
     factors, equals a direct solve with I + Q, Q the skew matrix of the
     scaled A with the given b and c, on every row of a batch that shares
@@ -454,9 +459,8 @@ def test_iteration_system_matches_direct_solve(program, normalize, dense,
     ws = np.stack([w, w[::-1]])
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "K_DENSE_ORDER", 10 ** 6 if dense else 0)
-        shared = IterationFactor(A, spec, normalize)
-        each = IterationFactor(A, spec, normalize,
-                               np.stack([A.data, other.data]))
+        shared = IterationFactor(A, spec)
+        each = IterationFactor(A, spec, np.stack([A.data, other.data]))
         assert (shared.inverse is not None, shared.lus is None) == \
             (dense, dense)
         for factor, rows in ((shared, [0, 0]), (each, [0, 1])):
@@ -468,7 +472,7 @@ def test_iteration_system_matches_direct_solve(program, normalize, dense,
                 want = spla.spsolve((sp.identity(w.size) + Q).tocsc(), w_row)
                 assert np.linalg.norm(row - want) <= \
                     1e-12 * np.linalg.norm(want)
-                lone = IterationFactor((A, other)[j], spec, normalize)
+                lone = IterationFactor((A, other)[j], spec)
                 alone = solver._IterationSystem(lone, np.array([0]), h)(
                     w_row, np.empty(w.size))
                 assert np.array_equal(alone, row)
@@ -524,22 +528,19 @@ def ruiz_batches(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(ruiz_batches(), st.booleans())
-def test_batched_ruiz_equals_the_loop(batch, normalize):
+@given(ruiz_batches())
+def test_batched_ruiz_equals_the_loop(batch):
     """One Ruiz pass over a (B, nnz) stack gives each program the scales
     and scaled entries of the ``np.maximum.at`` loop, bit for bit: row
     maxima by ``reduceat`` in CSR order and column maxima in CSC order,
     with empty rows and columns masked and one scale per second-order
-    block.  Without ``normalize`` the scales are ones."""
+    block."""
     pattern, spec, a_data = batch
-    factor = IterationFactor(pattern, spec, normalize, a_data)
+    factor = IterationFactor(pattern, spec, a_data)
     for j, entries in enumerate(a_data):
         A = sp.csr_matrix((entries, pattern.indices, pattern.indptr),
                           shape=pattern.shape)
-        if normalize:
-            A_hat, d, e = _ruiz_loop(A, spec)
-        else:
-            A_hat, d, e = A, np.ones(A.shape[0]), np.ones(A.shape[1])
+        A_hat, d, e = _ruiz_loop(A, spec)
         assert np.array_equal(factor.d[j], d)
         assert np.array_equal(factor.e[j], e)
         assert np.array_equal(factor.scaled(j).toarray(), A_hat.toarray())
@@ -590,6 +591,59 @@ class TestTimings:
         with pytest.raises(ShapeError):
             solve(data, TIGHT, factor=factor)
 
+    @pytest.mark.parametrize("fixture", [relu_fixture,
+                                         nonneg_least_squares_fixture],
+                             ids=["fixed_a", "theta_dependent"])
+    def test_layer_stages_within_solve_time(self, fixture, rng):
+        """A layer forward's ``solve_time`` holds its share of the
+        iteration factor's build, as its stage timings do: the first
+        element of a layer whose A is fixed, which builds the layer's
+        factor, and later ones; every element of a batch whose A depends
+        on theta, each with its share of the batch's factor."""
+        fx = fixture()
+        layer = Layer.compile(fx.problem, TIGHT)
+        assert layer._a_fixed == (fixture is relu_fixture)
+        results = layer.forward_batch([fx.sample(rng) for _ in range(4)])
+        results.append(layer.forward(fx.sample(rng)))
+        assert results[0].info["timings"]["factorize"] > 0.0
+        for res in results:
+            assert res.ok
+            timings = res.info["timings"]
+            assert sum(timings[k] for k in self.KEYS) <= \
+                res.info["solve_time"]
+
+
+class TestSettings:
+    """``SolverSettings`` holds the knobs a caller sets, and rejects a
+    malformed one when it is built, before any solve."""
+
+    def test_fields(self):
+        assert [f.name for f in dataclasses.fields(SolverSettings)] == [
+            "max_iters", "eps_abs", "eps_rel", "refine", "refine_interval"]
+
+    def test_numpy_scalars_accepted(self):
+        settings = SolverSettings(max_iters=np.int64(50),
+                                  eps_abs=np.float64(1e-6), eps_rel=1e-6,
+                                  refine_interval=np.int32(25))
+        data = lp_data(np.array([1.0]), np.array([[-1.0]]), np.array([-2.0]))
+        assert solve(data, settings).status == "optimal"
+
+    @pytest.mark.parametrize("value", [2.5, "100", True, 0, -3])
+    def test_max_iters_must_be_a_positive_integer(self, value):
+        with pytest.raises(ShapeError, match="max_iters"):
+            SolverSettings(max_iters=value)
+
+    @pytest.mark.parametrize("value", [2.5, "250", None])
+    def test_refine_interval_must_be_an_integer(self, value):
+        with pytest.raises(ShapeError, match="refine_interval"):
+            SolverSettings(refine_interval=value)
+
+    @pytest.mark.parametrize("name", ["eps_abs", "eps_rel"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1e-8, "1e-8"])
+    def test_tolerances_must_be_finite_and_positive(self, name, value):
+        with pytest.raises(ShapeError, match=name):
+            SolverSettings(**{name: value})
+
 
 class TestIterationOrder:
     """``IterationFactor`` keeps K's symmetric elimination order, which the
@@ -607,16 +661,15 @@ class TestIterationOrder:
         assert np.array_equal(np.sort(factor.order),
                               np.arange(sum(data.A.shape)))
 
-    @pytest.mark.parametrize("normalize", [True, False])
-    def test_order_depends_on_the_pattern_alone(self, normalize, rng):
+    def test_order_depends_on_the_pattern_alone(self, rng):
         """One order serves every binding of a layer, whose A keeps its
         pattern and changes its values."""
         data = sparse_qp_data(n=self.N_ABOVE, seed=2)
         A, spec = data.A.tocsr(), data.cones
         other = sp.csr_matrix((rng.standard_normal(A.nnz), A.indices,
                                A.indptr), shape=A.shape)
-        assert np.array_equal(IterationFactor(A, spec, normalize).order,
-                              IterationFactor(other, spec, normalize).order)
+        assert np.array_equal(IterationFactor(A, spec).order,
+                              IterationFactor(other, spec).order)
 
 
 class TestPolishFactor:
