@@ -486,12 +486,52 @@ class AsaForm:
             theta[slot.offset:slot.offset + slot.size] = arr.ravel(order="F")
         return theta
 
-    def unflatten_params(self, theta: np.ndarray) -> dict:
-        out = {}
+    @cached_property
+    def _param_runs(self) -> tuple[list, list]:
+        """``param_layout`` for ``unflatten_params``, built once per layout:
+        the slots' names in layout order, and the slots as runs of equal
+        dims at equally spaced offsets.  A run is (names, offset, shape,
+        strides) of the run's (k, *dims) view of a float theta, in bytes:
+        from slot to slot, then in Fortran order within a slot."""
+        groups: dict[tuple, list] = {}
         for slot in self.param_layout:
-            part = theta[slot.offset:slot.offset + slot.size]
-            out[slot.name] = part.reshape(slot.dims, order="F") if slot.dims \
-                else np.asarray(part[0])
+            groups.setdefault(slot.dims, []).append(slot)
+        runs = []
+        for dims, slots in groups.items():
+            run = slots[:1]
+            for slot in slots[1:]:
+                if len(run) > 1 and (slot.offset - run[-1].offset
+                                     != run[1].offset - run[0].offset):
+                    runs.append(run)
+                    run = []
+                run.append(slot)
+            runs.append(run)
+        item = np.dtype(float).itemsize
+        table = []
+        for run in runs:
+            dims = run[0].dims
+            step = run[1].offset - run[0].offset if len(run) > 1 else 0
+            table.append(([s.name for s in run], item * run[0].offset,
+                          (len(run),) + dims, tuple(item * k for k in (
+                              step, *np.cumprod((1,) + dims)[:-1].tolist()))))
+        return [s.name for s in self.param_layout], table
+
+    def unflatten_params(self, theta: np.ndarray) -> dict:
+        """Each parameter's slice of ``theta`` in its shape, in Fortran
+        order and keyed in layout order: a view of theta (of a contiguous
+        float copy, when theta is strided or of another dtype), and a 0-d
+        copy for a scalar.  A run of k slots of dims d (``_param_runs``) is
+        one (k, *d) view of theta, whose rows are the slots' values."""
+        theta = np.ascontiguousarray(theta, dtype=float)
+        if theta.shape != (self.n_params,):
+            raise ShapeError(f"parameter vector has shape {theta.shape}, "
+                             f"expected ({self.n_params},)")
+        names, runs = self._param_runs
+        out = dict.fromkeys(names)
+        for run, offset, shape, strides in runs:
+            block = np.ndarray(shape, float, theta, offset, strides)
+            out.update(zip(run, block if len(shape) > 1
+                           else map(np.asarray, block)))
         return out
 
 

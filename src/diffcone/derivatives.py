@@ -37,7 +37,7 @@ import scipy.sparse.linalg as spla
 from .canon import ConeProgramData
 from .cones import dproject_embedding, project_embedding
 from .errors import ShapeError, SolverInputError, SolveStatusError
-from .solver import OPTIMAL, ConeSolution, MFactor, _stacked, \
+from .solver import OPTIMAL, ConeSolution, MFactor, _batch_matrices, \
     normalized_point
 
 __all__ = [
@@ -195,7 +195,7 @@ def adjoint_derivative(data, sol, dx: np.ndarray, z=None, factor=None):
         return []
     for s in sols:
         _require_optimal(s)
-    A = _stacked(datas)[0]
+    A = _batch_matrices(datas)[0]
     m, n = A.shape
     # contiguous rows: each x'dx below is the BLAS dot of a lone vector
     dx = np.ascontiguousarray(_checked(dx, (count, n), "dx"))

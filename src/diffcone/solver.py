@@ -15,26 +15,36 @@ u + v = (w_xi, w_tau),
 where h' K^{-1} h = |K^{-1} h|^2 (K = I + skew), so the denominator is at
 least 1.  K^{-1} h costs one solve per call.  After Ruiz scaling, A and
 hence K depend on A alone, so ``IterationFactor`` (the scaling D, E and
-K's inverse or LU) is built once per layer when A does not depend on the
+what solves K, below) is built once per layer when A does not depend on the
 parameters, and once per call otherwise, for the whole minibatch at once;
 b, c and h are scaled per call.
 
 A's sparsity pattern is fixed per layer, and so is the index work built on
 it (``Pattern``): one Ruiz pass scales a whole (B, nnz) stack of A's
 entries, with row and column maxima from ``np.maximum.reduceat`` over the
-entries in CSR and in CSC order.  Small systems are dense: up to order
-``K_DENSE_ORDER``, K^{-1} is a dense (B, k, k) stack from one
-``np.linalg.inv``, shared as one (1, k, k) inverse when A is fixed, and
-each iteration's K solves are one stacked matmul.  Larger K are factored
-by SuperLU.  K's pattern is symmetric, and every Schur complement of I +
-skew has symmetric part >= I, so diagonal pivots are safe: K is factored
-with a symmetric minimum-degree ordering of K' + K and no pivoting.
-SuperLU's default COLAMD orders for K'K; on the benchmark's sparse QP (n +
-m = 1795) its factors of I + Q held 6.6x the nonzeros.  That order depends
-on A's pattern alone, so the ``Pattern`` keeps it, and the lifted M system
-below is factored under it, extended by a fixed rule, with no ordering
-pass of its own; a pattern whose K is dense computes it when a lifted
-factor first needs it.
+entries in CSR and in CSC order.  K is solved in one of three ways
+(``IterationFactor.kind``, reported as ``info["iteration_system"]``):
+
+- ``"dense"``: up to order ``K_DENSE_ORDER``, K^{-1} is a dense (B, k, k)
+  stack from one ``np.linalg.inv``, shared as one (1, k, k) inverse when
+  A is fixed, and each iteration's K solves are one stacked matmul.
+- ``"reduced"``: above it, when A has at most ``REDUCED_ORDER`` columns
+  (half as many when the factor is built per call, not kept by a layer),
+  the y block is eliminated (SCS's reduced system): K [x; y] = [r_x; r_y]
+  is x = S^{-1} (r_x - A' r_y), y = r_y + A x with S = I + A'A of order
+  n, whose inverse is a dense (B, n, n) stack built as the dense K^{-1}
+  is; the products with A and A' are sparse.
+- ``"superlu"``: otherwise K is factored by SuperLU.  K's pattern is
+  symmetric, and every Schur complement of I + skew has symmetric part >=
+  I, so diagonal pivots are safe: K is factored with a symmetric
+  minimum-degree ordering of K' + K and no pivoting.  SuperLU's default
+  COLAMD orders for K'K; on the benchmark's sparse QP (n + m = 1795) its
+  factors of I + Q held 6.6x the nonzeros.
+
+That order depends on A's pattern alone, so the ``Pattern`` keeps it, and
+the lifted M system below is factored under it, extended by a fixed rule,
+with no ordering pass of its own; a pattern whose K is not factored by
+SuperLU computes it, once, when a lifted factor first needs it.
 
 Because splitting iterations gain accuracy slowly, candidate solutions are
 periodically polished by damped Gauss-Newton steps on the normalized
@@ -59,7 +69,8 @@ residuals on the embedding iterates.
 pattern of A, and a single program is the batch of one: there is one
 iteration loop (``_iterate``), over the (B, N) stacks of the B programs'
 iterates u and v.  Their K solves are one stacked matmul of (k, k) by
-(k, 1) products with the dense inverses, or, above ``K_DENSE_ORDER``,
+(k, 1) products with the dense inverses of K, or of (n, n) by (n, 1)
+products with those of S between two block-diagonal sparse products, or
 SuperLU solves, one multi-right-hand-side solve for programs that share a
 factor (a layer whose A does not depend on the parameters) and row by row
 for the others.  The cone projection walks the stacked rows once.  Every
@@ -170,8 +181,8 @@ class Pattern:
     """A's sparsity pattern (CSR) in the cone ``spec``, and the index work
     built on it: each entry's row, the entries in CSC order, the starts of
     the rows and columns that hold an entry, and, when first needed, the
-    entries' places in a dense K and K's elimination order.  A layer fixes
-    A's pattern, so it builds one and keeps it.
+    entries' places in a dense K or S = I + A'A and K's elimination order.
+    A layer fixes A's pattern, so it builds one and keeps it.
     """
 
     def __init__(self, A: sp.spmatrix, spec):
@@ -181,6 +192,8 @@ class Pattern:
         self.indptr, self.indices = A.indptr, A.indices
         counts = np.diff(A.indptr)
         self.rows = np.repeat(np.arange(m), counts)
+        # the pairs of entries that share a row (``s_places``)
+        self.pairs = int(counts @ counts)
         # reduceat gives an empty segment its start entry, not an empty
         # max, so only the rows and columns that hold an entry take part
         self._full_rows = counts > 0
@@ -190,6 +203,7 @@ class Pattern:
         self._full_cols = col_counts > 0
         self._col_starts = (np.cumsum(col_counts)
                             - col_counts)[self._full_cols]
+        self._t_indptr = np.concatenate([[0], np.cumsum(col_counts)])
         self._order = None
 
     def matrix(self, data: np.ndarray) -> sp.csr_matrix:
@@ -214,6 +228,44 @@ class Pattern:
         return np.concatenate([np.arange(k) * (k + 1),
                                self.indices * k + n + self.rows,
                                (n + self.rows) * k + self.indices])
+
+    @cached_property
+    def s_places(self):
+        """S = I + A'A on this pattern as index work: row i of A adds a_p
+        a_q at (col_p, col_q) for every pair (p, q) of its entries, both
+        orders and each entry with itself.  (first, second, places): each
+        pair's entries, and the flat places in a dense S, in C order, of
+        its diagonal and then of the pairs."""
+        n = self.shape[1]
+        counts = np.diff(self.indptr)[self.rows]  # each entry's row length
+        ends = np.cumsum(counts)
+        first = np.repeat(np.arange(self.nnz), counts)
+        second = np.repeat(self.indptr[self.rows] - ends + counts,
+                           counts) + np.arange(self.pairs)
+        return first, second, np.concatenate([
+            np.arange(n) * (n + 1),
+            self.indices[first] * n + self.indices[second]])
+
+    def blocks(self, data: np.ndarray):
+        """A_r and A_r' of each row of the (B, nnz) stack ``data`` of
+        entries on this pattern, as the blocks of two block-diagonal CSR
+        matrices; a product with one multiplies every block by its own
+        slice, each row summed in the order of the block's lone product."""
+        count = len(data)
+        m, n = self.shape
+        shift = np.arange(count)[:, None]
+
+        def stack(indptr, indices, vals, shape):
+            rows, cols = shape
+            return sp.csr_matrix(
+                (vals.ravel(), (indices + shift * cols).ravel(),
+                 np.append((indptr[:-1] + shift * self.nnz).ravel(),
+                           count * self.nnz)),
+                shape=(count * rows, count * cols))
+
+        return (stack(self.indptr, self.indices, data, (m, n)),
+                stack(self._t_indptr, self.rows[self._csc],
+                      data[:, self._csc], (n, m)))
 
 
 def _ruiz(pattern: Pattern, a_data: np.ndarray, passes: int = 10):
@@ -267,40 +319,73 @@ def _factor_k(A: sp.spmatrix):
 
 
 # K = [[I, A'], [-A, I]] of order n + m up to this is inverted densely,
-# larger ones are factored by SuperLU.  On a 2-vCPU x86 host (OpenBLAS on
-# one thread) a whole forward took, dense against SuperLU: on sums of
-# norms (A depends on theta, 175 iterations) 0.82-0.92x alone at orders
-# 103-183, and 0.65-0.84x for minibatches of 8 at 103-163 but 1.25x at 183;
-# on sparse QPs whose A is fixed (50-75 iterations) 0.87-0.92x alone at
-# 87-171, and for minibatches of 8, which share one inverse, 0.98-1.01x at
-# 87-115, 1.03x at 129, 1.06x at 143 and 1.13x at 171.
+# larger ones are reduced or factored by SuperLU (below).  On a 2-vCPU x86
+# host (OpenBLAS on one thread) a whole forward took, dense against
+# SuperLU: on sums of norms (A depends on theta, 175 iterations)
+# 0.82-0.92x alone at orders 103-183, and 0.65-0.84x for minibatches of 8
+# at 103-163 but 1.25x at 183; on sparse QPs whose A is fixed (50-75
+# iterations) 0.87-0.92x alone at 87-171, and for minibatches of 8, which
+# share one inverse, 0.98-1.01x at 87-115, 1.03x at 129, 1.06x at 143 and
+# 1.13x at 171.
 K_DENSE_ORDER = 150
+# Above K_DENSE_ORDER, K is solved through a dense inverse of S = I + A'A,
+# of order n, when A has at most this many columns and the caller keeps the
+# factor (a layer whose A is fixed), or at most half as many when the
+# factor is built per call and so pays its inverse every call; other K are
+# factored by SuperLU.  On a 2-vCPU x86 host (OpenBLAS on one thread) a
+# whole forward took, reduced against SuperLU: on sparse QPs whose A is
+# fixed (inverse built once, 225-250 iterations) 0.83x alone at n 258,
+# 0.78x at 386, 0.74x at 514, 0.80x at 642, 0.89x at 770 and 0.87x at 898,
+# and for minibatches of 8 sharing one inverse 0.74x at 258, 0.93x at 386
+# and 0.92x at 642; on sums of norms (A depends on theta, inverse built
+# every forward, 175 iterations) 0.84x alone at n 203, 0.89x at 303, 0.96x
+# at 353, 1.17x at 403 and 1.32x at 453, and for minibatches of 8 0.57x at
+# 153, 0.67x at 253 and 0.80x at 353.
+REDUCED_ORDER = 700
 
 
 class IterationFactor:
     """The part of the iteration system that depends on A alone, for a
     batch of B programs on one pattern of A: each program's Ruiz scaling
-    A_hat_j = D_j A_j E_j and the inverse of its K_j = [[I, A_hat_j'],
+    A_hat_j = D_j A_j E_j and what solves its K_j = [[I, A_hat_j'],
     [-A_hat_j, I]].
 
     The programs' entries on A's pattern are the rows of ``a_data``, a
     (B, nnz) stack, or A's own entries, the batch of one; ``pattern`` is
     A's ``Pattern`` when the caller keeps one.  ``data``, ``d`` and ``e``
     hold the scaled entries and the scales as (B, .) stacks, one Ruiz pass
-    for the whole batch.  Up to order ``K_DENSE_ORDER``, ``inverse`` is the
-    dense (B, k, k) stack of the K_j^{-1}, from one ``np.linalg.inv`` of
-    the scattered stack of the K_j, and ``lus`` is None.  Above it,
-    ``lus`` holds each K_j's SuperLU factor under a symmetric
-    minimum-degree ordering (``_factor_k``), ``inverse`` is None, and the
-    pattern keeps the factors' elimination ``order``, which ``MFactor``
-    extends to the lifted M system.
+    for the whole batch.  ``kind`` names the K solve, one of three:
 
-    ``seconds`` holds the batch's build time of the scaling
+    - ``"dense"``, up to order ``K_DENSE_ORDER``: ``inverse`` is the
+      dense (B, k, k) stack of the K_j^{-1}, from one ``np.linalg.inv`` of
+      the scattered stack of the K_j.
+    - ``"reduced"``, above it, when A has at most ``REDUCED_ORDER``
+      columns (half as many unless ``kept``: a factor built per call pays
+      its inverse every call): ``inverse`` is the dense (B, n, n) stack of
+      the S_j^{-1}, S_j = I + A_hat_j' A_hat_j, from one ``np.bincount``
+      of the pairs of entries in a row (``Pattern.s_places``) and one
+      ``np.linalg.inv``.  K_j [x; y] = [r_x; r_y] is then x = S_j^{-1}
+      (r_x - A_hat_j' r_y) and y = r_y + A_hat_j x.  S_j needs no
+      conditioning guard: after Ruiz scaling every entry of A_hat_j is at
+      most 1 in magnitude (the last pass divides it by the square roots
+      of its row's and its column's maxima, each at least the entry), so
+      |A_hat_j|_F^2 <= nnz and S_j's eigenvalues lie in [1, 1 + nnz].  A
+      pattern whose pairs outnumber both n^2 and 8 nnz (long rows, a
+      dense A) takes SuperLU instead, so the pair table never holds much
+      more than S or A's entries.
+    - ``"superlu"``, otherwise: ``lus`` holds each K_j's SuperLU factor
+      under a symmetric minimum-degree ordering (``_factor_k``), and the
+      pattern keeps the factors' elimination ``order``, which ``MFactor``
+      extends to the lifted M system.
+
+    ``kept`` is True when the caller keeps the factor for later calls (a
+    layer whose A is fixed).  ``inverse`` and ``lus`` are None where they
+    do not apply.  ``seconds`` holds the batch's build time of the scaling
     (``equilibrate``) and of the inverse or the LUs (``factorize``).
     """
 
     def __init__(self, A: sp.spmatrix, spec, a_data: np.ndarray | None = None,
-                 pattern: Pattern | None = None):
+                 pattern: Pattern | None = None, kept: bool = False):
         start = time.perf_counter()
         if pattern is None:
             pattern = Pattern(A, spec)
@@ -313,20 +398,37 @@ class IterationFactor:
         k = m + n
         self.inverse = self.lus = None
         if k <= K_DENSE_ORDER:
+            self.kind = "dense"
             # the K_j side by side, duplicate entries of A summed
-            places = (np.arange(self.count)[:, None] * (k * k)
-                      + pattern.k_places)
-            vals = np.concatenate([np.ones((self.count, k)), self.data,
-                                   -self.data], axis=1)
-            K = np.bincount(places.ravel(), vals.ravel(), self.count * k * k)
-            self.inverse = np.linalg.inv(K.reshape(self.count, k, k))
+            self.inverse = self._inverses(pattern.k_places, k, [
+                self.data, -self.data])
+        elif (n <= (REDUCED_ORDER if kept else REDUCED_ORDER // 2)
+              and pattern.pairs <= max(n * n, 8 * pattern.nnz)):
+            self.kind = "reduced"
+            first, second, places = pattern.s_places
+            self.inverse = self._inverses(places, n, [
+                self.data[:, first] * self.data[:, second]])
         else:
+            self.kind = "superlu"
             factors = [_factor_k(self.scaled(j)) for j in range(self.count)]
             self.lus = [lu for lu, _ in factors]
             if pattern._order is None:
                 pattern._order = factors[0][1]
         self.seconds = {"equilibrate": scaled - start,
                         "factorize": time.perf_counter() - scaled}
+
+    def _inverses(self, places: np.ndarray, size: int, parts: list):
+        """The inverses of the batch's (size, size) matrices I + the
+        entries ``parts`` (each a (B, .) stack) at ``places``, which list
+        the diagonal's first: each matrix scattered by one ``np.bincount``
+        of the whole batch, duplicates summed in the order of its batch of
+        one, and the stack inverted by one ``np.linalg.inv``."""
+        count = self.count
+        places = np.arange(count)[:, None] * (size * size) + places
+        vals = np.concatenate([np.ones((count, size)), *parts], axis=1)
+        return np.linalg.inv(np.bincount(
+            places.ravel(), vals.ravel(), count * size * size).reshape(
+                count, size, size))
 
     @property
     def order(self) -> np.ndarray:
@@ -353,14 +455,18 @@ class _IterationSystem:
     the ``IterationFactor`` ``factor`` (row 0 for all, when the factor has
     one program) with scaled h_r = (c_r, b_r), row r of H.
 
-    With a dense inverse, every row's K solve is one product of the
+    With a dense inverse of K, every row's K solve is one product of the
     stacked matmul, a (k, k) by (k, 1) product per row, so a row's value
     does not depend on the other rows; rows of a shared inverse broadcast
-    it.  With SuperLU factors, the rows of a factor of one program are
-    solved by one multi-right-hand-side solve, and those of a factor of
-    every program one row at a time, each with its own factor.  The tau
-    row and the products are row-wise (``_row_dots``).  A single
-    program's W, out and H may be vectors, which costs the least."""
+    it.  With dense inverses of S = I + A_hat'A_hat the same holds for the
+    (n, n) by (n, 1) products, and the products with A_hat and A_hat' are
+    one sparse product each, with block-diagonal matrices of the rows'
+    A_hat (``Pattern.blocks``).  With SuperLU factors, the rows of a
+    factor of one program are solved by one multi-right-hand-side solve,
+    and those of a factor of every program one row at a time, each with
+    its own factor.  The tau row and the products are row-wise
+    (``_row_dots``).  A single program's W, out and H may be vectors,
+    which costs the least."""
 
     def __init__(self, factor: IterationFactor, index: np.ndarray,
                  H: np.ndarray, KH: np.ndarray | None = None):
@@ -369,15 +475,26 @@ class _IterationSystem:
         self._inverse = factor.inverse
         if self._inverse is not None and factor.count > 1:
             self._inverse = self._inverse[index]
+        if factor.kind == "reduced":
+            self._a, self._at = factor.pattern.blocks(factor.data[index])
         self.KH = self._solve(H) if KH is None else KH
         self.denom = 1.0 + _row_dots(self.KH, self.KH)
 
     def _solve(self, R: np.ndarray) -> np.ndarray:
         """K_r^{-1} r_r for every row r_r of R."""
-        if self._inverse is not None:
+        kind = self.factor.kind
+        if kind == "dense":
             k = R.shape[-1]
             return np.matmul(self._inverse, R.reshape(-1, k, 1)).reshape(
                 R.shape)
+        if kind == "reduced":
+            n = self.factor.pattern.shape[1]
+            r_x, r_y = R[..., :n], R[..., n:]
+            rhs = r_x - (self._at @ r_y.ravel()).reshape(r_x.shape)
+            x = np.matmul(self._inverse, rhs.reshape(-1, n, 1)).reshape(
+                r_x.shape)
+            return np.concatenate(
+                [x, r_y + (self._a @ x.ravel()).reshape(r_y.shape)], axis=-1)
         lus = self.factor.lus
         if self.factor.count == 1:
             return lus[0].solve(R.T).T
@@ -404,20 +521,31 @@ class _IterationSystem:
                                 self.KH[keep])
 
 
+def _batch_matrices(datas: list) -> list:
+    """The programs' A (CSR); raises ``ShapeError`` unless every program
+    has the first one's cone and pattern of A.  The patterns of all the
+    others are compared with the first's in one vectorized check."""
+    As = [d.A.tocsr() for d in datas]
+    A = As[0]
+    rest = As[1:]
+    if rest and not (
+            all(d.cones == datas[0].cones for d in datas[1:])
+            and all(a.shape == A.shape and a.indices.size == A.indices.size
+                    for a in rest)
+            and (np.array([a.indptr for a in rest]) == A.indptr).all()
+            and (np.array([a.indices for a in rest]) == A.indices).all()):
+        raise ShapeError("the programs of a batch must share their cone "
+                         "and A's pattern")
+    return As
+
+
 def _stacked(datas: list):
     """The programs' shared pattern of A (CSR), and their A entries on it,
     b and c as (B, .) stacks; raises ``ShapeError`` unless every program
-    has the first one's cone and pattern of A."""
-    A = datas[0].A.tocsr()
-    As = [A] + [d.A.tocsr() for d in datas[1:]]
-    if any(d.cones != datas[0].cones or not (
-            a.shape == A.shape and np.array_equal(a.indptr, A.indptr)
-            and np.array_equal(a.indices, A.indices))
-           for d, a in zip(datas[1:], As[1:])):
-        raise ShapeError("the programs of a batch must share their cone "
-                         "and A's pattern")
-    return (A, np.array([a.data for a in As], dtype=float).reshape(
-        len(As), A.nnz), np.array([d.b for d in datas], dtype=float),
+    has the first one's cone and pattern of A (``_batch_matrices``)."""
+    As = _batch_matrices(datas)
+    return (As[0], np.array([a.data for a in As], dtype=float).reshape(
+        len(As), As[0].nnz), np.array([d.b for d in datas], dtype=float),
         np.array([d.c for d in datas], dtype=float))
 
 
@@ -1004,6 +1132,7 @@ class _Column:
         info = {"iterations": self.iters, "polishes": self.polishes,
                 "timings": dict(self.timings, iterate=iterate_s,
                                 polish=self.polish_s),
+                "iteration_system": self.factor.kind,
                 "sizes": {"n": n, "m": m, "N": n + m + 1,
                           "zero": spec.n_zero, "nonneg": spec.n_nonneg,
                           "soc_blocks": len(spec.soc_dims),
@@ -1082,7 +1211,7 @@ def solve(data, settings: SolverSettings | None = None, warm_start=None,
     settings, warm_start[j])``.  ``factor`` is then an ``IterationFactor``
     of one program, whose A every program shares, or of every program in
     turn; without it one is built here for the whole batch, with one Ruiz
-    pass and, up to ``K_DENSE_ORDER``, one stacked inverse.  A single
+    pass and, for a dense or reduced K solve, one stacked inverse.  A single
     program is the batch of one: there is one iteration loop, over the
     stacked iterates of every program (``_iterate``).  Each program keeps
     its own scaling, checks, polishes and status, and leaves the loop at
@@ -1108,8 +1237,8 @@ def solve(data, settings: SolverSettings | None = None, warm_start=None,
                          f"warm starts")
     if not count:
         return []
-    A, a_data = _stacked(datas)[:2]
-    spec = datas[0].cones
+    As = _batch_matrices(datas)
+    A, spec = As[0], datas[0].cones
     m, n = A.shape
     if factor is not None:
         if factor.pattern.shape != (m, n):
@@ -1122,6 +1251,8 @@ def solve(data, settings: SolverSettings | None = None, warm_start=None,
                    for w in warm_starts]
     built = {"equilibrate": 0.0, "factorize": 0.0}
     if factor is None:
+        a_data = np.array([a.data for a in As], dtype=float).reshape(
+            count, A.nnz)
         factor = IterationFactor(A, spec, a_data)
         built = {k: t / count for k, t in factor.seconds.items()}
     cols = [_Column(program, settings, w, factor,

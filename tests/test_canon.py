@@ -30,7 +30,7 @@ from diffcone.expressions import (
     sum_squares,
     variable,
 )
-from diffcone.fixtures import gen_random_dpp
+from diffcone.fixtures import gen_random_dpp, gradient_fixtures
 from diffcone.layer import Layer
 from diffcone.problem import Problem, eq, ge, substitute_parameters
 
@@ -521,3 +521,86 @@ class TestMatrixVariables:
         np.testing.assert_allclose(data.A.toarray(), fresh.A.toarray(),
                                    atol=1e-14)
         np.testing.assert_allclose(data.b, fresh.b, atol=1e-14)
+
+
+def _unflatten_loop(asa, theta):
+    """``AsaForm.unflatten_params`` as it was written before its run
+    table: one slice and reshape per parameter slot.  The reference of
+    ``TestUnflattenParams``."""
+    out = {}
+    for slot in asa.param_layout:
+        part = theta[slot.offset:slot.offset + slot.size]
+        out[slot.name] = part.reshape(slot.dims, order="F") if slot.dims \
+            else np.asarray(part[0])
+    return out
+
+
+def _sum_of_norms(terms):
+    """minimize sum_i ||F_i x - g_i|| over x in R^3, as the benchmark's
+    soc-sum layer: parameter slots of two dims, interleaved."""
+    x = variable("x", 3)
+    objective = None
+    for i in range(terms):
+        term = norm2(parameter(f"F{i}", (3, 3)) @ x - parameter(f"g{i}", 3))
+        objective = term if objective is None else objective + term
+    return Problem("minimize", objective)
+
+
+def _uneven_layout():
+    """Slots of equal dims at uneven spacing, so the run table splits
+    runs, and scalars."""
+    x = variable("x", 2)
+    a, b, c = parameter("a", 2), parameter("b", 3), parameter("c", 2)
+    d, e = parameter("d", 2), parameter("e", (2, 2))
+    s, t = parameter("s"), parameter("t")
+    u = parameter("u", (3, 2))
+    objective = (norm2(x - a) + norm2(matmul(e, x) - c) + norm2(x - d)
+                 + s * sum_entries(x) + t * sum_entries(x)
+                 + sum_entries(b) + sum_entries(u))
+    return Problem("minimize", objective, [ge(x, 0)])
+
+
+class TestUnflattenParams:
+    @pytest.mark.parametrize("make", [
+        *[lambda fx=fx: fx.problem for fx in gradient_fixtures()],
+        regularized_least_squares, lambda: _sum_of_norms(200),
+        _uneven_layout,
+    ], ids=[fx.name for fx in gradient_fixtures()] + [
+        "regularized_least_squares", "soc_sum", "uneven"])
+    def test_equals_the_loop(self, make, rng):
+        """Every parameter's value is the loop's bit for bit, of its shape
+        and dtype, in layout order, also from a strided theta; from a
+        contiguous theta, non-scalars are views of it."""
+        asa = canonicalize(make())
+        for theta in (rng.standard_normal(asa.n_params),
+                      rng.standard_normal(2 * asa.n_params)[::2]):
+            got, want = asa.unflatten_params(theta), _unflatten_loop(
+                asa, theta)
+            assert list(got) == list(want)
+            for name, value in want.items():
+                assert type(got[name]) is np.ndarray
+                assert got[name].shape == value.shape
+                assert got[name].dtype == value.dtype
+                assert np.array_equal(got[name], value)
+                if theta.flags.c_contiguous:
+                    assert np.shares_memory(got[name], theta) == bool(
+                        value.ndim)
+
+    def test_run_table_splits_uneven_spacing(self):
+        asa = canonicalize(_uneven_layout())
+        runs = {tuple(names) for names, *_ in asa._param_runs[1]}
+        offsets = {s.name: s.offset for s in asa.param_layout}
+        for names in runs:
+            steps = {offsets[b] - offsets[a] for a, b in zip(names,
+                                                               names[1:])}
+            assert len(steps) <= 1
+        assert sum(len(r) for r in runs) == len(asa.param_layout)
+        # a, c and d share their dims; d breaks a and c's spacing
+        assert {("a", "c"), ("d",), ("s", "t")} <= runs
+
+    def test_wrong_length_raises(self):
+        asa = canonicalize(regularized_least_squares())
+        for theta in (np.zeros(asa.n_params - 1), np.zeros(asa.n_params + 1),
+                      np.zeros((1, asa.n_params))):
+            with pytest.raises(ShapeError, match="parameter vector"):
+                asa.unflatten_params(theta)

@@ -362,19 +362,28 @@ class TestIterationFactorCache:
         assert layer._factor is None
         assert res.info["timings"]["factorize"] > 0.0
 
-    def test_parameter_dependent_a_keeps_the_order(self, rng):
-        """A layer whose A depends on theta keeps the elimination order of
-        its per-call iteration factor; its sparse backward factors under
-        it and equals the standalone adjoint, whose factor gets the order
-        from A's pattern."""
+    def test_parameter_dependent_a_keeps_the_order(self, rng, monkeypatch):
+        """A layer whose A depends on theta keeps K's elimination order,
+        computed once, when its first lifted factor above ``DENSE_ORDER``
+        needs it (its K is reduced, so no SuperLU factor of K holds it);
+        its sparse backward factors under it and equals the standalone
+        adjoint, whose factor gets the order from A's pattern."""
+        calls = []
+        inner = solver._factor_k
+        monkeypatch.setattr(solver, "_factor_k",
+                            lambda A: calls.append(A.shape) or inner(A))
         layer, values = _sum_of_norms_layer(50, rng)
         res = layer.forward(values)
         assert res.ok and layer._factor is None
-        assert layer._order is not None and layer._order.base is None
+        assert res.info["iteration_system"] == "reduced"
+        assert layer._order is None and calls == []
         cot = rng.standard_normal(3)
         grads, info = layer.backward(res, {"x": cot})
+        assert layer._order is not None and layer._order.base is None
         assert info["mode"] == "direct"
         assert info["m_factor_order"] > 300
+        layer.backward(layer.forward(values), {"x": cot})
+        assert len(calls) == 1
         slot = layer.asa.variable_layout[0]
         flat = np.zeros(layer.asa.retrieval.shape[0])
         flat[slot.offset:slot.offset + slot.size] = cot
@@ -542,10 +551,28 @@ class TestBatching:
         element's own factor.  Elements leave the batch at different
         iterations, so the batch shrinks as it runs."""
         monkeypatch.setattr(solver, "K_DENSE_ORDER", 0)
+        monkeypatch.setattr(solver, "REDUCED_ORDER", 0)
         layer, whole = self.check_batch_equals_sequential(
             BATCH_FIXTURES[name], rng)
         if layer._a_fixed:
             assert layer._factor.lus is not None
+        assert {r.info["iteration_system"] for r in whole} == {"superlu"}
+        assert len({r.info["iterations"] for r in whole}) > 1
+
+    @pytest.mark.parametrize("name", list(BATCH_FIXTURES))
+    def test_batch_equals_sequential_on_reduced(self, name, rng,
+                                                monkeypatch):
+        """The same with every K solved through dense inverses of S = I +
+        A'A: a layer whose A is fixed broadcasts its one inverse over the
+        rows, any other layer gives each row its element's own inverse,
+        and the products with A and A' are one block-diagonal product
+        for the batch."""
+        monkeypatch.setattr(solver, "K_DENSE_ORDER", 0)
+        layer, whole = self.check_batch_equals_sequential(
+            BATCH_FIXTURES[name], rng)
+        if layer._a_fixed:
+            assert layer._factor.kind == "reduced"
+        assert {r.info["iteration_system"] for r in whole} == {"reduced"}
         assert len({r.info["iterations"] for r in whole}) > 1
 
     @staticmethod
@@ -837,6 +864,25 @@ class TestInfo:
         assert res.status == "unbounded"
         assert set(res.info["timings"]) == self.FORWARD_TIMINGS
         self._check_sizes(res, layer)
+
+    def test_iteration_system(self, rng, monkeypatch):
+        """A forward names its K solve: a dense inverse of K on a fixture
+        layer, a dense inverse of S = I + A'A on a QP whose K is above
+        ``K_DENSE_ORDER``.  A layer whose A is fixed keeps its factor, so
+        it reduces up to ``REDUCED_ORDER`` columns, where a solve that
+        builds its factor per call takes SuperLU."""
+        fx = relu_fixture()
+        res = Layer.compile(fx.problem, TIGHT).forward(fx.sample(rng))
+        assert res.info["iteration_system"] == "dense"
+        fx = small_sparse_qp(n=48)
+        values = fx.sample(rng)
+        res = Layer.compile(fx.problem, TIGHT).forward(values)
+        assert res.ok and res.info["sizes"]["N"] - 1 > solver.K_DENSE_ORDER
+        assert res.info["iteration_system"] == "reduced"
+        monkeypatch.setattr(solver, "REDUCED_ORDER", res.info["sizes"]["n"])
+        res = Layer.compile(fx.problem, TIGHT).forward(values)
+        assert res.info["iteration_system"] == "reduced"
+        assert solve(res._data, TIGHT).info["iteration_system"] == "superlu"
 
     def test_sizes_count_second_order_blocks(self, rng):
         layer, values = _sum_of_norms_layer(3, rng)

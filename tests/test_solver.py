@@ -442,14 +442,21 @@ def iteration_programs(draw):
     return A, b, c, spec, rng.standard_normal(n + m + 1)
 
 
+# K_DENSE_ORDER and REDUCED_ORDER that send every K to one K solve
+K_SOLVES = {"dense": (10 ** 6, 0), "reduced": (0, 10 ** 6),
+            "superlu": (0, 0)}
+
+
 @settings(max_examples=150, deadline=None)
-@given(iteration_programs(), st.booleans(), st.integers(0, 2 ** 32 - 1))
-def test_iteration_system_matches_direct_solve(program, dense, seed):
-    """The two-solve identity on K, with dense inverses of K or SuperLU
-    factors, equals a direct solve with I + Q, Q the skew matrix of the
-    scaled A with the given b and c, on every row of a batch that shares
-    one program's factor and of a batch that holds one per program; and
-    each row equals its batch of one, bit for bit."""
+@given(iteration_programs(), st.sampled_from(sorted(K_SOLVES)),
+       st.integers(0, 2 ** 32 - 1))
+def test_iteration_system_matches_direct_solve(program, kind, seed):
+    """The two-solve identity on K, with dense inverses of K, dense
+    inverses of S = I + A'A or SuperLU factors, equals a direct solve with
+    I + Q, Q the skew matrix of the scaled A with the given b and c, on
+    every row of a batch that shares one program's factor and of a batch
+    that holds one per program; and each row equals its batch of one, bit
+    for bit."""
     A, b, c, spec, w = program
     A = sp.csr_matrix(A)
     # a second program on A's pattern
@@ -458,11 +465,13 @@ def test_iteration_system_matches_direct_solve(program, dense, seed):
     hs = np.stack([np.concatenate([c, b]), np.concatenate([c, -b])])
     ws = np.stack([w, w[::-1]])
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solver, "K_DENSE_ORDER", 10 ** 6 if dense else 0)
+        dense_order, reduced_order = K_SOLVES[kind]
+        mp.setattr(solver, "K_DENSE_ORDER", dense_order)
+        mp.setattr(solver, "REDUCED_ORDER", reduced_order)
         shared = IterationFactor(A, spec)
         each = IterationFactor(A, spec, np.stack([A.data, other.data]))
-        assert (shared.inverse is not None, shared.lus is None) == \
-            (dense, dense)
+        assert shared.kind == each.kind == kind
+        assert (shared.lus is None) == (kind != "superlu")
         for factor, rows in ((shared, [0, 0]), (each, [0, 1])):
             got = solver._IterationSystem(factor, np.array(rows), hs)(
                 ws, np.empty(ws.shape))
@@ -649,10 +658,12 @@ class TestIterationOrder:
     """``IterationFactor`` keeps K's symmetric elimination order, which the
     lifted M factor extends."""
 
-    # K of order 195, above K_DENSE_ORDER: SuperLU factors it
+    # K of order 195, above K_DENSE_ORDER: SuperLU factors it when
+    # REDUCED_ORDER is below its 49 columns
     N_ABOVE = 48
 
-    def test_order_is_owned(self):
+    def test_order_is_owned(self, monkeypatch):
+        monkeypatch.setattr(solver, "REDUCED_ORDER", 0)
         data = sparse_qp_data(n=self.N_ABOVE, seed=2)
         factor = IterationFactor(data.A, data.cones)
         # a view of perm_c would keep the whole SuperLU factor alive
@@ -670,6 +681,84 @@ class TestIterationOrder:
                                A.indptr), shape=A.shape)
         assert np.array_equal(IterationFactor(A, spec).order,
                               IterationFactor(other, spec).order)
+
+
+class TestIterationSystem:
+    """``info["iteration_system"]`` names the K solve a solve ran."""
+
+    @pytest.mark.parametrize("kind, reduced_order", [
+        ("reduced", solver.REDUCED_ORDER), ("superlu", 0)])
+    def test_large_k(self, kind, reduced_order, monkeypatch):
+        # K of order 195, above K_DENSE_ORDER, and A of 49 columns
+        monkeypatch.setattr(solver, "REDUCED_ORDER", reduced_order)
+        sol = solve(sparse_qp_data(n=48, seed=2), TIGHT)
+        assert sol.status == "optimal"
+        assert sol.info["iteration_system"] == kind
+
+    def test_a_factor_built_per_call_reduces_half_as_far(self, monkeypatch):
+        """A factor built per call pays its inverse of S every call, so it
+        is reduced only up to half of ``REDUCED_ORDER`` columns; a kept
+        one up to all of them."""
+        monkeypatch.setattr(solver, "REDUCED_ORDER", 60)
+        data = sparse_qp_data(n=48, seed=2)  # A of 49 columns
+        assert IterationFactor(data.A, data.cones, kept=True).kind == \
+            "reduced"
+        assert IterationFactor(data.A, data.cones).kind == "superlu"
+
+    def test_small_k(self):
+        data = lp_data(np.array([1.0]), np.array([[-1.0]]), np.array([-2.0]))
+        assert solve(data, TIGHT).info["iteration_system"] == "dense"
+
+    def test_dense_rows_stay_on_superlu(self):
+        """A pattern whose pairs of entries in a row outnumber both n^2
+        and 8 nnz is not reduced: its pair table would outgrow S."""
+        rng = np.random.default_rng(0)
+        n, m = 20, 200
+        A = sp.csr_matrix(rng.standard_normal((m, n)))
+        factor = IterationFactor(A, ConeSpec(0, m, ()))
+        assert factor.pattern.pairs == m * n * n
+        assert factor.kind == "superlu"
+
+
+class TestBatchCheck:
+    """A batch's programs must share their cone and A's pattern; the check
+    compares every pattern with the first's at once."""
+
+    @staticmethod
+    def _programs():
+        data = sparse_qp_data(n=8, seed=2)
+        A = data.A.tocsr()
+        # the same counts per row, one entry moved to another column
+        indices = A.indices.copy()
+        indices[0] = np.setdiff1d(np.arange(A.shape[1]),
+                                  A.indices[:A.indptr[1]])[0]
+        moved = sp.csr_matrix((A.data, indices, A.indptr), shape=A.shape)
+        # the same entries in all, one moved to another row
+        indptr = A.indptr.copy()
+        indptr[1] += 1
+        shifted = sp.csr_matrix((A.data, A.indices, indptr), shape=A.shape)
+        wider = sp.csr_matrix((A.data, A.indices, A.indptr),
+                              shape=(A.shape[0], A.shape[1] + 1))
+        return data, [
+            ConeProgramData(moved, data.b, data.c, data.cones),
+            ConeProgramData(shifted, data.b, data.c, data.cones),
+            ConeProgramData(wider, data.b, np.append(data.c, 0.0),
+                            data.cones),
+            ConeProgramData(A, data.b, data.c,
+                            ConeSpec(data.cones.n_zero + 1,
+                                     data.cones.n_nonneg - 1,
+                                     data.cones.soc_dims))]
+
+    def test_mismatched_batch_raises(self):
+        data, others = self._programs()
+        assert not np.array_equal(others[0].A.indices, data.A.indices)
+        for other in others:
+            for batch in ([data, other], [data, data, other]):
+                with pytest.raises(ShapeError, match="share their cone"):
+                    solve(batch, TIGHT)
+                with pytest.raises(ShapeError, match="share their cone"):
+                    solve(batch, TIGHT,
+                          factor=IterationFactor(data.A, data.cones))
 
 
 class TestPolishFactor:

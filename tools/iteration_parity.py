@@ -7,7 +7,8 @@ first 12 soc-sum and the first 3 sparse-qp bindings, each with one
 ``backward`` per cotangent (bitwise ``backward_batch``'s result),
 drawn by the checkout's ``perfbench/workloads.py``; ``--extra`` adds
 fixture-train bindings by (stream, index).  For each binding it prints
-the status, the iteration and polish counts, and hashes of x, y and s.
+the status, the K solve it ran (``info["iteration_system"]``), the
+iteration and polish counts, and hashes of x, y and s.
 
 ``--save`` writes x, y, s, each cotangent's parameter gradient and that
 gradient's central-difference error (along a seeded direction, step
@@ -111,8 +112,10 @@ def _record(layer, bd, res, output, seed) -> dict:
 
     sol = res._solution
     rec = {"status": res.status, "iterations": res.info["iterations"],
-           "polishes": res.info["polishes"], "x": sol.x, "y": sol.y,
-           "s": sol.s}
+           "polishes": res.info["polishes"],
+           # a checkout that does not report its K solve prints "-"
+           "iteration_system": res.info.get("iteration_system", "-"),
+           "x": sol.x, "y": sol.y, "s": sol.s}
     if not res.ok:
         return rec
     rng = np.random.default_rng([seed, *bd.key, 99])
@@ -216,7 +219,8 @@ def main(argv=None) -> int:
     sys.path[:0] = [str(checkout / "src"), str(checkout / "perfbench")]
     records = run(args.seed, extra, args.only_extra)
     for key, rec in records.items():
-        print(f"{key} {rec['status']} iterations {rec['iterations']} "
+        print(f"{key} {rec['status']} {rec['iteration_system']} "
+              f"iterations {rec['iterations']} "
               f"polishes {rec['polishes']} x {_digest(rec['x'])} "
               f"y {_digest(rec['y'])} s {_digest(rec['s'])}")
     if args.save:
