@@ -165,9 +165,7 @@ class Layer:
                 self._pattern = Pattern(A, spec)
             a_data = np.array([d.A.data for d in (
                 datas[:1] if self._a_fixed else datas)])
-            # a layer whose A is fixed keeps its factor
-            factor = IterationFactor(A, spec, a_data, self._pattern,
-                                     self._a_fixed)
+            factor = IterationFactor(A, spec, a_data, self._pattern)
             if self._a_fixed:
                 self._factor = factor
                 built[0] = factor.seconds

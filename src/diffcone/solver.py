@@ -28,8 +28,7 @@ entries in CSR and in CSC order.  K is solved in one of three ways
 - ``"dense"``: up to order ``K_DENSE_ORDER``, K^{-1} is a dense (B, k, k)
   stack from one ``np.linalg.inv``, shared as one (1, k, k) inverse when
   A is fixed, and each iteration's K solves are one stacked matmul.
-- ``"reduced"``: above it, when A has at most ``REDUCED_ORDER`` columns
-  (half as many when the factor is built per call, not kept by a layer),
+- ``"reduced"``: above it, when A has at most ``REDUCED_ORDER`` columns,
   the y block is eliminated (SCS's reduced system): K [x; y] = [r_x; r_y]
   is x = S^{-1} (r_x - A' r_y), y = r_y + A x with S = I + A'A of order
   n, whose inverse is a dense (B, n, n) stack built as the dense K^{-1}
@@ -181,8 +180,9 @@ class Pattern:
     """A's sparsity pattern (CSR) in the cone ``spec``, and the index work
     built on it: each entry's row, the entries in CSC order, the starts of
     the rows and columns that hold an entry, and, when first needed, the
-    entries' places in a dense K or S = I + A'A and K's elimination order.
-    A layer fixes A's pattern, so it builds one and keeps it.
+    entries' places in a dense K or S = I + A'A and K's elimination order,
+    and which K solve it takes (``k_solve``).  A layer fixes A's pattern,
+    so it builds one and keeps it.
     """
 
     def __init__(self, A: sp.spmatrix, spec):
@@ -190,9 +190,10 @@ class Pattern:
         self.shape = m, n = A.shape
         self.spec, self.nnz = spec, A.nnz
         self.indptr, self.indices = A.indptr, A.indices
-        counts = np.diff(A.indptr)
+        counts = np.diff(A.indptr).astype(np.int64)
         self.rows = np.repeat(np.arange(m), counts)
-        # the pairs of entries that share a row (``s_places``)
+        # the pairs of entries that share a row (``s_places``), counted in
+        # 64 bits: a long-rowed A's count overflows scipy's int32 indptr
         self.pairs = int(counts @ counts)
         # reduceat gives an empty segment its start entry, not an empty
         # max, so only the rows and columns that hold an entry take part
@@ -210,6 +211,18 @@ class Pattern:
         """The matrix with entries ``data`` on this pattern."""
         return sp.csr_matrix((data, self.indices, self.indptr),
                              shape=self.shape)
+
+    def k_solve(self) -> str:
+        """The K solve of ``IterationFactor`` on this pattern: ``"dense"``
+        up to order ``K_DENSE_ORDER``, else ``"reduced"`` when A has at
+        most ``REDUCED_ORDER`` columns and its pairs of entries in a row
+        outnumber neither n^2 nor 8 nnz, else ``"superlu"``."""
+        m, n = self.shape
+        if m + n <= K_DENSE_ORDER:
+            return "dense"
+        if n <= REDUCED_ORDER and self.pairs <= max(n * n, 8 * self.nnz):
+            return "reduced"
+        return "superlu"
 
     def elimination_order(self) -> np.ndarray:
         """K's elimination order (``_factor_k``), which depends on the
@@ -329,18 +342,22 @@ def _factor_k(A: sp.spmatrix):
 # 1.13x at 171.
 K_DENSE_ORDER = 150
 # Above K_DENSE_ORDER, K is solved through a dense inverse of S = I + A'A,
-# of order n, when A has at most this many columns and the caller keeps the
-# factor (a layer whose A is fixed), or at most half as many when the
-# factor is built per call and so pays its inverse every call; other K are
-# factored by SuperLU.  On a 2-vCPU x86 host (OpenBLAS on one thread) a
-# whole forward took, reduced against SuperLU: on sparse QPs whose A is
-# fixed (inverse built once, 225-250 iterations) 0.83x alone at n 258,
+# of order n, when A has at most this many columns; other K are factored by
+# SuperLU.  On a 2-vCPU x86 host (OpenBLAS on one thread) a whole forward
+# took, reduced against SuperLU: on sparse QPs whose A is fixed (inverse
+# built once, 225-250 iterations) 0.83x alone at n 258,
 # 0.78x at 386, 0.74x at 514, 0.80x at 642, 0.89x at 770 and 0.87x at 898,
 # and for minibatches of 8 sharing one inverse 0.74x at 258, 0.93x at 386
 # and 0.92x at 642; on sums of norms (A depends on theta, inverse built
 # every forward, 175 iterations) 0.84x alone at n 203, 0.89x at 303, 0.96x
 # at 353, 1.17x at 403 and 1.32x at 453, and for minibatches of 8 0.57x at
-# 153, 0.67x at 253 and 0.80x at 353.
+# 153, 0.67x at 253 and 0.80x at 353.  So a factor built every call (A
+# depends on theta) is slower than SuperLU from about 400 columns on, where
+# its np.linalg.inv outweighs the cheaper iterations.  The inverse stack
+# holds B n^2 doubles for a minibatch of B programs whose A depends on
+# theta (with the scattered S stack alongside while it is inverted): 1 MB
+# per program at n 350, 3.9 MB at 700, against SuperLU factors that are
+# small on a sparse A; nothing bounds B.
 REDUCED_ORDER = 700
 
 
@@ -360,14 +377,12 @@ class IterationFactor:
       dense (B, k, k) stack of the K_j^{-1}, from one ``np.linalg.inv`` of
       the scattered stack of the K_j.
     - ``"reduced"``, above it, when A has at most ``REDUCED_ORDER``
-      columns (half as many unless ``kept``: a factor built per call pays
-      its inverse every call): ``inverse`` is the dense (B, n, n) stack of
-      the S_j^{-1}, S_j = I + A_hat_j' A_hat_j, from one ``np.bincount``
-      of the pairs of entries in a row (``Pattern.s_places``) and one
-      ``np.linalg.inv``.  K_j [x; y] = [r_x; r_y] is then x = S_j^{-1}
-      (r_x - A_hat_j' r_y) and y = r_y + A_hat_j x.  S_j needs no
-      conditioning guard: after Ruiz scaling every entry of A_hat_j is at
-      most 1 in magnitude (the last pass divides it by the square roots
+      columns: ``inverse`` is the dense (B, n, n) stack of the S_j^{-1},
+      S_j = I + A_hat_j' A_hat_j, from one ``np.bincount`` of the pairs of
+      entries in a row (``Pattern.s_places``) and one ``np.linalg.inv``.
+      K_j [x; y] = [r_x; r_y] is then x = S_j^{-1} (r_x - A_hat_j' r_y)
+      and y = r_y + A_hat_j x.  S_j needs no conditioning guard: after
+      Ruiz scaling every entry of A_hat_j is at most 1 in magnitude (the last pass divides it by the square roots
       of its row's and its column's maxima, each at least the entry), so
       |A_hat_j|_F^2 <= nnz and S_j's eigenvalues lie in [1, 1 + nnz].  A
       pattern whose pairs outnumber both n^2 and 8 nnz (long rows, a
@@ -378,14 +393,13 @@ class IterationFactor:
       pattern keeps the factors' elimination ``order``, which ``MFactor``
       extends to the lifted M system.
 
-    ``kept`` is True when the caller keeps the factor for later calls (a
-    layer whose A is fixed).  ``inverse`` and ``lus`` are None where they
-    do not apply.  ``seconds`` holds the batch's build time of the scaling
-    (``equilibrate``) and of the inverse or the LUs (``factorize``).
+    ``inverse`` and ``lus`` are None where they do not apply.  ``seconds``
+    holds the batch's build time of the scaling (``equilibrate``) and of
+    the inverse or the LUs (``factorize``).
     """
 
     def __init__(self, A: sp.spmatrix, spec, a_data: np.ndarray | None = None,
-                 pattern: Pattern | None = None, kept: bool = False):
+                 pattern: Pattern | None = None):
         start = time.perf_counter()
         if pattern is None:
             pattern = Pattern(A, spec)
@@ -395,21 +409,17 @@ class IterationFactor:
         m, n = pattern.shape
         self.data, self.d, self.e = _ruiz(pattern, a_data)
         scaled = time.perf_counter()
-        k = m + n
+        self.kind = pattern.k_solve()
         self.inverse = self.lus = None
-        if k <= K_DENSE_ORDER:
-            self.kind = "dense"
+        if self.kind == "dense":
             # the K_j side by side, duplicate entries of A summed
-            self.inverse = self._inverses(pattern.k_places, k, [
+            self.inverse = self._inverses(pattern.k_places, m + n, [
                 self.data, -self.data])
-        elif (n <= (REDUCED_ORDER if kept else REDUCED_ORDER // 2)
-              and pattern.pairs <= max(n * n, 8 * pattern.nnz)):
-            self.kind = "reduced"
+        elif self.kind == "reduced":
             first, second, places = pattern.s_places
             self.inverse = self._inverses(places, n, [
                 self.data[:, first] * self.data[:, second]])
         else:
-            self.kind = "superlu"
             factors = [_factor_k(self.scaled(j)) for j in range(self.count)]
             self.lus = [lu for lu, _ in factors]
             if pattern._order is None:

@@ -865,12 +865,10 @@ class TestInfo:
         assert set(res.info["timings"]) == self.FORWARD_TIMINGS
         self._check_sizes(res, layer)
 
-    def test_iteration_system(self, rng, monkeypatch):
+    def test_iteration_system(self, rng):
         """A forward names its K solve: a dense inverse of K on a fixture
         layer, a dense inverse of S = I + A'A on a QP whose K is above
-        ``K_DENSE_ORDER``.  A layer whose A is fixed keeps its factor, so
-        it reduces up to ``REDUCED_ORDER`` columns, where a solve that
-        builds its factor per call takes SuperLU."""
+        ``K_DENSE_ORDER``."""
         fx = relu_fixture()
         res = Layer.compile(fx.problem, TIGHT).forward(fx.sample(rng))
         assert res.info["iteration_system"] == "dense"
@@ -879,10 +877,6 @@ class TestInfo:
         res = Layer.compile(fx.problem, TIGHT).forward(values)
         assert res.ok and res.info["sizes"]["N"] - 1 > solver.K_DENSE_ORDER
         assert res.info["iteration_system"] == "reduced"
-        monkeypatch.setattr(solver, "REDUCED_ORDER", res.info["sizes"]["n"])
-        res = Layer.compile(fx.problem, TIGHT).forward(values)
-        assert res.info["iteration_system"] == "reduced"
-        assert solve(res._data, TIGHT).info["iteration_system"] == "superlu"
 
     def test_sizes_count_second_order_blocks(self, rng):
         layer, values = _sum_of_norms_layer(3, rng)

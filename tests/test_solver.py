@@ -31,6 +31,7 @@ from diffcone.fixtures import (
 from diffcone.solver import (
     IterationFactor,
     MFactor,
+    Pattern,
     SolverSettings,
     _gauss_newton_step,
     _normalized_jacobian,
@@ -695,16 +696,6 @@ class TestIterationSystem:
         assert sol.status == "optimal"
         assert sol.info["iteration_system"] == kind
 
-    def test_a_factor_built_per_call_reduces_half_as_far(self, monkeypatch):
-        """A factor built per call pays its inverse of S every call, so it
-        is reduced only up to half of ``REDUCED_ORDER`` columns; a kept
-        one up to all of them."""
-        monkeypatch.setattr(solver, "REDUCED_ORDER", 60)
-        data = sparse_qp_data(n=48, seed=2)  # A of 49 columns
-        assert IterationFactor(data.A, data.cones, kept=True).kind == \
-            "reduced"
-        assert IterationFactor(data.A, data.cones).kind == "superlu"
-
     def test_small_k(self):
         data = lp_data(np.array([1.0]), np.array([[-1.0]]), np.array([-2.0]))
         assert solve(data, TIGHT).info["iteration_system"] == "dense"
@@ -718,6 +709,20 @@ class TestIterationSystem:
         factor = IterationFactor(A, ConeSpec(0, m, ()))
         assert factor.pattern.pairs == m * n * n
         assert factor.kind == "superlu"
+
+    def test_pair_count_does_not_overflow(self, monkeypatch):
+        """The pairs of entries in a row are counted in 64 bits: two full
+        rows of 46341 entries hold 2 * 46341^2 > 2^32 pairs, which scipy's
+        int32 indptr would wrap to 9266 and so pass the guard against a
+        dense A.  The pattern alone decides; no factor is built."""
+        monkeypatch.setattr(solver, "REDUCED_ORDER", 46341)
+        m, n = 2, 46341
+        A = sp.csr_matrix((np.ones(m * n), np.tile(np.arange(n), m),
+                           np.arange(m + 1) * n), shape=(m, n))
+        assert A.indptr.dtype == np.int32
+        pattern = Pattern(A, ConeSpec(0, m, ()))
+        assert pattern.pairs == m * n * n
+        assert pattern.k_solve() == "superlu"
 
 
 class TestBatchCheck:
