@@ -305,6 +305,27 @@ class TestSolveMSystem:
         res = np.linalg.norm(deflated(data, z, g, transpose=True) - rhs)
         assert res <= 1e-12 * np.linalg.norm(rhs)
 
+    def test_lifted_matrix_drops_exact_zeros(self, monkeypatch):
+        """At a QP's solution D is 0 on the inactive inequalities and 1 on
+        the free variables, which leaves exact zeros in (Q - I) D and on
+        the diagonal 1 - D.  Without them SuperLU's factor has less fill
+        and solves as exactly."""
+        data = sparse_qp_data(n=64, seed=1)
+        z = normalized_point(solve(data, SolverSettings(eps_abs=1e-9,
+                                                        eps_rel=1e-9)))
+        factor = MFactor(data, z)
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "_nonzero", lambda *entries: entries)
+            kept = MFactor(data, z)
+        assert factor.ok and factor.order > solver.DENSE_ORDER
+        assert factor._L.nnz < kept._L.nnz
+        assert factor.nnz < kept.nnz
+        rhs = np.random.default_rng(7).standard_normal(z.size)
+        for transpose in (False, True):
+            g = factor.solve(rhs, transpose)
+            res = np.linalg.norm(deflated(data, z, g, transpose) - rhs)
+            assert res <= 1e-12 * np.linalg.norm(rhs)
+
     def test_singular_system_falls_back(self, monkeypatch):
         """Duplicated active rows leave M + zhat zhat' singular: the factor
         fails, and LSQR returns the least-squares solution of minimum

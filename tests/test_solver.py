@@ -870,3 +870,121 @@ class TestPolishFactor:
         assert sol.status == "optimal"
         assert steps and len(factors) == len(steps)
         assert not any(args[1].ok for args, _ in steps)
+
+
+class TestPolishSkip:
+    """A polish that would factor with SuperLU is left to the splitting
+    when the last check interval's rate reaches the tolerance within as
+    many more iterations as the solve has run."""
+
+    # lifted order 263, above DENSE_ORDER; without a polish it ends
+    # optimal at 150 iterations, its ratio of residual to tolerance
+    # falling 1419 -> 83 -> 5.4 over the checks at 75, 100 and 125
+    FAST = sparse_qp_data(n=64, seed=0)
+    # its costs scaled by 1e-3: the ratio falls by only ~13% a check
+    SLOW = ConeProgramData(FAST.A, FAST.b, 1e-3 * FAST.c, FAST.cones)
+    AT_100 = SolverSettings(refine_interval=100)
+
+    @pytest.mark.parametrize("it, q, last, skip", [
+        (250, 30.0, (225, 80.0), True),     # ~87 of 250 iterations
+        (50, 4.0, (25, 8.1), True),         # 49 of 50 iterations
+        (50, 4.0, (25, 7.9), False),        # 51 of 50 iterations
+        (250, 1e6, (225, 1.1e6), False),    # slow: ~3600 iterations
+        (250, 30.0, (225, 30.0), False),    # stagnating
+        (250, 40.0, (225, 30.0), False),    # diverging
+        (250, 1.0, (225, 5.0), False),      # already converged
+        (250, 0.5, (225, 5.0), False),
+        (250, 30.0, None, False),           # no check before
+        (250, np.nan, (225, 80.0), False),
+    ])
+    def test_prediction(self, it, q, last, skip):
+        assert solver._splitting_converges(it, q, last) is skip
+
+    @staticmethod
+    def assert_same_solve(got, want):
+        """Status, iteration and polish counts, and x, y, s bit for bit."""
+        assert (got.status, got.info["iterations"], got.info["polishes"]) \
+            == (want.status, want.info["iterations"], want.info["polishes"])
+        for part in "xys":
+            assert np.array_equal(getattr(got, part), getattr(want, part))
+
+    @staticmethod
+    def predict(monkeypatch, answer=None):
+        """Record each prediction as (it, q, last, out); with ``answer``,
+        every prediction returns it."""
+        calls = []
+        inner = solver._splitting_converges
+
+        def wrapper(it, q, last):
+            out = inner(it, q, last) if answer is None else answer
+            calls.append((it, q, last, out))
+            return out
+
+        monkeypatch.setattr(solver, "_splitting_converges", wrapper)
+        return calls
+
+    def test_fast_qp_ends_without_a_polish(self, monkeypatch):
+        """Due at 100 and again at 125, the polish is skipped both times;
+        the splitting ends optimal at 150, 1.5 x refine_interval."""
+        assert sum(self.FAST.A.shape) + 2 > solver.DENSE_ORDER
+        calls = self.predict(monkeypatch)
+        sol = solve(self.FAST, self.AT_100)
+        assert sol.status == "optimal"
+        assert (sol.info["iterations"], sol.info["polishes"]) == (150, 0)
+        assert [(it, out) for it, *_, out in calls] == [(100, True),
+                                                         (125, True)]
+        with monkeypatch.context() as patch:
+            self.predict(patch, answer=False)
+            assert solve(self.FAST, self.AT_100).info["polishes"] == 1
+
+    def test_stagnating_qp_polishes(self, monkeypatch):
+        calls = self.predict(monkeypatch)
+        sol = solve(self.SLOW, self.AT_100)
+        assert sol.status == "optimal"
+        assert sol.info["polishes"] >= 1
+        it, q, (_, q_last), out = calls[0]
+        assert it == 100 and q_last > q > 1.0 and not out
+
+    def test_small_program_polishes_on_schedule(self, monkeypatch):
+        """A program whose lifted system LAPACK would factor is polished
+        at every due check, whatever the prediction."""
+        data = sparse_qp_data(n=40, seed=0)
+        assert sum(data.A.shape) + 2 <= solver.DENSE_ORDER
+        settings = SolverSettings(eps_abs=1e-11, eps_rel=1e-11,
+                                  refine_interval=100)
+        want = solve(data, settings)
+        assert want.info["polishes"] == 1
+        self.predict(monkeypatch, answer=True)
+        self.assert_same_solve(solve(data, settings), want)
+
+    def test_max_iters_polishes(self, monkeypatch):
+        """The polish at max_iters runs even when the splitting is
+        predicted to converge; those due before it are skipped."""
+        calls = self.predict(monkeypatch, answer=True)
+        sol = solve(self.FAST, SolverSettings(max_iters=60,
+                                              refine_interval=25))
+        assert sol.info["polishes"] == 1
+        assert [it for it, *_ in calls] == [25, 50]
+
+    def test_batch_that_skips_and_polishes_equals_lone_solves(self):
+        lone = [solve(data, self.AT_100) for data in (self.FAST, self.SLOW)]
+        assert lone[0].info["polishes"] == 0
+        assert lone[1].info["polishes"] >= 1
+        for got, want in zip(solve([self.FAST, self.SLOW], self.AT_100),
+                             lone):
+            self.assert_same_solve(got, want)
+
+    def test_polish_candidate_stays_out_of_the_history(self, monkeypatch):
+        """A polish of one Gauss-Newton step fails at 25; the next check,
+        at 50, predicts from the iterate checked at 25 (ratio 1.65e5 ->
+        930, at that rate 1 in ~33 more iterations) and skips, not from the
+        failed polish's better candidate, which would call for another
+        polish."""
+        monkeypatch.setattr(solver, "REFINE_STEPS", 1)
+        data = sparse_qp_data(n=64, m_eq=10, seed=0)
+        calls = self.predict(monkeypatch)
+        sol = solve(data, SolverSettings(refine_interval=25))
+        assert sol.status == "optimal"
+        assert sol.info["polishes"] == 1
+        (it0, q0, _, _), (it1, _, last, out) = calls[:2]
+        assert (it1, last, out) == (50, (it0, q0), True)

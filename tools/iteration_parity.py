@@ -15,9 +15,11 @@ gradient's central-difference error (along a seeded direction, step
 ``workloads.GRADCHECK_H``, relative above 1 and absolute below, as in
 acceptance criterion 4) to an ``.npz``.  ``--against`` compares with a
 file saved from another checkout: every status, iteration or polish
-count that differs, the largest move of x, y and s per workload, and
-every gradient that moved by more than 1e-8 relative, with its
-central-difference error before and after.
+count that differs, the largest move of x, y and s per workload, per
+workload the bindings whose status, counts, x, y, s and gradients are
+bitwise equal, each side's number of polishes and its largest
+central-difference error, and every gradient that moved by more than
+1e-8 relative, with its central-difference error before and after.
 
     python tools/iteration_parity.py --checkout ../parent --seed 1 \\
         --save parent.npz
@@ -150,12 +152,34 @@ def load(path: str) -> dict:
     return records
 
 
+def _largest_cd_error(rec: dict) -> float:
+    """The largest central-difference error of a record's gradients."""
+    errors = [rec[f] for f in rec if f.startswith("cd")]
+    return float(np.nanmax(errors)) if errors else 0.0
+
+
+def _bitwise_equal(a: dict, b: dict) -> bool:
+    """Two records of one binding hold the same fields, every array bit
+    for bit and every other value equal."""
+    def same(x, y):
+        if isinstance(x, np.ndarray):
+            return (isinstance(y, np.ndarray) and x.dtype == y.dtype
+                    and x.shape == y.shape and x.tobytes() == y.tobytes())
+        return x == y
+
+    return a.keys() == b.keys() and all(
+        same(a[f], b[f]) for f in a if not f.startswith("cd"))
+
+
 def compare(new: dict, old: dict) -> int:
     """Print the differences; returns the number of changed statuses,
     iteration counts and polish counts."""
     changed = 0
     moves = {}
     gradients = []
+    # workload -> [bindings, bitwise equal, polishes before and after,
+    # largest central-difference error before and after]
+    sides = {}
     for key in sorted(set(new) & set(old)):
         a, b = old[key], new[key]
         counts = tuple((a[f], b[f]) for f in ("status", "iterations",
@@ -166,6 +190,13 @@ def compare(new: dict, old: dict) -> int:
                 f"{f} {x} -> {y}" for f, (x, y) in zip(
                     ("status", "iterations", "polishes"), counts)))
         workload = key.split(":")[0]
+        side = sides.setdefault(workload, [0, 0, 0, 0, 0.0, 0.0])
+        side[0] += 1
+        side[1] += _bitwise_equal(a, b)
+        side[2] += int(a["polishes"])
+        side[3] += int(b["polishes"])
+        side[4] = max(side[4], _largest_cd_error(a))
+        side[5] = max(side[5], _largest_cd_error(b))
         for part in "xys":
             if a[part].shape == b[part].shape:
                 move = float(np.max(np.abs(a[part] - b[part]), initial=0.0))
@@ -189,6 +220,11 @@ def compare(new: dict, old: dict) -> int:
     for (workload, part), (move, rel) in sorted(moves.items()):
         print(f"largest move of {part} on {workload}: {move:.3e} absolute, "
               f"{rel:.3e} relative")
+    for workload, (count, equal, polished, polishes, before, after) in \
+            sorted(sides.items()):
+        print(f"{workload}: {equal} of {count} bindings bitwise equal; "
+              f"polishes {polished} -> {polishes}; largest "
+              f"central-difference error {before:.3e} -> {after:.3e}")
     print(f"{len(gradients)} gradients moved by more than {GRADIENT_MOVE:g} "
           f"relative")
     for key, i, rel, before, after in gradients:
