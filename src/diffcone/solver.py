@@ -2,12 +2,18 @@
 
 The algorithm is operator splitting on the homogeneous self-dual embedding:
 each iteration solves (I + Q) u~ = u + v and projects onto R^n x K* x R_+.
-With h = (c, b) and Q = [[0, A', c], [-A, 0, b], [-c', -b', 0]],
+The loop keeps one state w per program instead of (u, v) (``_iterate``):
+an iteration is p = Pi(w), r = 2p - w = u + v and w <- w + alpha ((I +
+Q)^{-1} r - p), and u = p, v = p - w are formed only at the check
+iterations.  The first step is seeded from (u0, v0) as p = u0, r = u0 +
+v0 and w = u0 - v0, unprojected, since a warm start need not be a Moreau
+pair.  With h = (c, b) and Q = [[0, A', c], [-A, 0, b], [-c', -b', 0]],
 
     I + Q = [[K, h], [-h', 1]],    K = [[I, A'], [-A, I]],
 
-so the system is solved with K alone (SCS's two-solve identity): for
-u + v = (w_xi, w_tau),
+so the system can be solved with K alone (SCS's two-solve identity, which
+the ``"reduced"`` and ``"superlu"`` K solves below use): for r = (w_xi,
+w_tau),
 
     tau = (w_tau + h' K^{-1} w_xi) / (1 + h' K^{-1} h),
     xi  = K^{-1} w_xi - tau K^{-1} h,
@@ -27,12 +33,17 @@ entries in CSR and in CSC order.  K is solved in one of three ways
 
 - ``"dense"``: up to order ``K_DENSE_ORDER``, K^{-1} is a dense (B, k, k)
   stack from one ``np.linalg.inv``, shared as one (1, k, k) inverse when
-  A is fixed, and each iteration's K solves are one stacked matmul.
+  A is fixed.  Each call builds from it every program's (I + Q)^{-1}, by
+  the block inverse of [[K, h], [-h', 1]] at O(B N^2), and each
+  iteration's linear step is one stacked matmul with those, with no tau
+  row.
 - ``"reduced"``: above it, when A has at most ``REDUCED_ORDER`` columns,
   the y block is eliminated (SCS's reduced system): K [x; y] = [r_x; r_y]
   is x = S^{-1} (r_x - A' r_y), y = r_y + A x with S = I + A'A of order
-  n, whose inverse is a dense (B, n, n) stack built as the dense K^{-1}
-  is; the products with A and A' are sparse.
+  n, whose inverse is a dense (B, n, n) stack from each S's Cholesky
+  factor; the products with A and A' are sparse.  A dense (I + Q)^{-1} of
+  such an order would cost far more per iteration than S^{-1} of order n,
+  so this and the next K solve keep the two-solve identity.
 - ``"superlu"``: otherwise K is factored by SuperLU.  K's pattern is
   symmetric, and every Schur complement of I + skew has symmetric part >=
   I, so diagonal pivots are safe: K is factored with a symmetric
@@ -78,11 +89,11 @@ residuals on the embedding iterates.
 
 ``solve`` takes one program or a batch of programs of one cone and one
 pattern of A, and a single program is the batch of one: there is one
-iteration loop (``_iterate``), over the (B, N) stacks of the B programs'
-iterates u and v.  Their K solves are one stacked matmul of (k, k) by
-(k, 1) products with the dense inverses of K, or of (n, n) by (n, 1)
-products with those of S between two block-diagonal sparse products, or
-SuperLU solves, one multi-right-hand-side solve for programs that share a
+iteration loop (``_iterate``), over the (B, N) stack of the B programs'
+states w.  Their linear steps are one stacked matmul of (N, N) by (N, 1)
+products with the programs' (I + Q)^{-1}, or K solves: one stacked
+matmul of (n, n) by (n, 1) products with the inverses of S between two
+block-diagonal sparse products, or SuperLU solves, one multi-right-hand-side solve for programs that share a
 factor (a layer whose A does not depend on the parameters) and row by row
 for the others.  The cone projection walks the stacked rows once.  Every
 other operation is elementwise or row by row, with each row's dot
@@ -361,16 +372,39 @@ K_DENSE_ORDER = 150
 # 0.78x at 386, 0.74x at 514, 0.80x at 642, 0.89x at 770 and 0.87x at 898,
 # and for minibatches of 8 sharing one inverse 0.74x at 258, 0.93x at 386
 # and 0.92x at 642; on sums of norms (A depends on theta, inverse built
-# every forward, 175 iterations) 0.84x alone at n 203, 0.89x at 303, 0.96x
-# at 353, 1.17x at 403 and 1.32x at 453, and for minibatches of 8 0.57x at
-# 153, 0.67x at 253 and 0.80x at 353.  So a factor built every call (A
-# depends on theta) is slower than SuperLU from about 400 columns on, where
-# its np.linalg.inv outweighs the cheaper iterations.  The inverse stack
-# holds B n^2 doubles for a minibatch of B programs whose A depends on
-# theta (with the scattered S stack alongside while it is inverted): 1 MB
-# per program at n 350, 3.9 MB at 700, against SuperLU factors that are
-# small on a sparse A; nothing bounds B.
+# every forward from the Cholesky factor, 175 iterations) 0.82x alone at n
+# 203, 0.87x at 353, 0.94x at 403 and 1.09x at 453 (0.88x, 1.09x, 1.24x and
+# 1.27x with np.linalg.inv in its place, measured alongside), and for
+# minibatches of 8, measured with np.linalg.inv, 0.57x at 153, 0.67x at
+# 253 and 0.80x at 353.  So a factor built every call (A depends on theta)
+# is slower than SuperLU from about 430 columns on, where its inverse
+# outweighs the cheaper iterations.  The inverse stack, inverted in place
+# of the scattered S stack, holds B n^2 doubles for a minibatch of B
+# programs whose A depends on theta: 1 MB per program at n 350, 3.9 MB at
+# 700, against SuperLU factors that are small on a sparse A; nothing
+# bounds B.
 REDUCED_ORDER = 700
+
+
+def _spd_inverses(S: np.ndarray) -> np.ndarray:
+    """The inverses of a (B, n, n) stack of symmetric positive definite
+    matrices, in place, one at a time: LAPACK's Cholesky factor and its
+    inverse (``dpotrf``, ``dpotri``) fill one triangle, which is then
+    mirrored.  Each matrix's C-ordered storage is its transpose, the same
+    matrix, in Fortran order, so LAPACK works on it without a copy.
+    Raises ``SolverInputError`` where LAPACK reports a failure."""
+    upper = np.triu(np.ones(S.shape[1:], dtype=bool), 1)
+    for j, s in enumerate(S):
+        chol, info = sla.lapack.dpotrf(s.T, overwrite_a=1, clean=0)
+        if info == 0:
+            info = sla.lapack.dpotri(chol, overwrite_c=1)[1]
+        if info != 0:
+            raise SolverInputError(
+                f"S = I + A'A of program {j} is not positive definite "
+                f"(LAPACK info {info})")
+        # LAPACK's upper triangle is the lower one of the C-ordered s
+        np.copyto(s, s.T, where=upper)
+    return S
 
 
 class IterationFactor:
@@ -387,11 +421,13 @@ class IterationFactor:
 
     - ``"dense"``, up to order ``K_DENSE_ORDER``: ``inverse`` is the
       dense (B, k, k) stack of the K_j^{-1}, from one ``np.linalg.inv`` of
-      the scattered stack of the K_j.
+      the scattered stack of the K_j (K is not symmetric); each call's
+      ``_IterationSystem`` builds every program's (I + Q)^{-1} from it.
     - ``"reduced"``, above it, when A has at most ``REDUCED_ORDER``
       columns: ``inverse`` is the dense (B, n, n) stack of the S_j^{-1},
       S_j = I + A_hat_j' A_hat_j, from one ``np.bincount`` of the pairs of
-      entries in a row (``Pattern.s_places``) and one ``np.linalg.inv``.
+      entries in a row (``Pattern.s_places``) and each S_j's Cholesky
+      factor (``_spd_inverses``).
       K_j [x; y] = [r_x; r_y] is then x = S_j^{-1} (r_x - A_hat_j' r_y)
       and y = r_y + A_hat_j x.  S_j needs no conditioning guard: after
       Ruiz scaling every entry of A_hat_j is at most 1 in magnitude (the last pass divides it by the square roots
@@ -425,12 +461,12 @@ class IterationFactor:
         self.inverse = self.lus = None
         if self.kind == "dense":
             # the K_j side by side, duplicate entries of A summed
-            self.inverse = self._inverses(pattern.k_places, m + n, [
-                self.data, -self.data])
+            self.inverse = np.linalg.inv(self._scattered(
+                pattern.k_places, m + n, [self.data, -self.data]))
         elif self.kind == "reduced":
             first, second, places = pattern.s_places
-            self.inverse = self._inverses(places, n, [
-                self.data[:, first] * self.data[:, second]])
+            self.inverse = _spd_inverses(self._scattered(places, n, [
+                self.data[:, first] * self.data[:, second]]))
         else:
             factors = [_factor_k(self.scaled(j)) for j in range(self.count)]
             self.lus = [lu for lu, _ in factors]
@@ -439,18 +475,16 @@ class IterationFactor:
         self.seconds = {"equilibrate": scaled - start,
                         "factorize": time.perf_counter() - scaled}
 
-    def _inverses(self, places: np.ndarray, size: int, parts: list):
-        """The inverses of the batch's (size, size) matrices I + the
-        entries ``parts`` (each a (B, .) stack) at ``places``, which list
-        the diagonal's first: each matrix scattered by one ``np.bincount``
-        of the whole batch, duplicates summed in the order of its batch of
-        one, and the stack inverted by one ``np.linalg.inv``."""
+    def _scattered(self, places: np.ndarray, size: int, parts: list):
+        """The batch's (size, size) matrices I + the entries ``parts``
+        (each a (B, .) stack) at ``places``, which list the diagonal's
+        first, as one (B, size, size) stack: one ``np.bincount`` of the
+        whole batch, duplicates summed in the order of its batch of one."""
         count = self.count
         places = np.arange(count)[:, None] * (size * size) + places
         vals = np.concatenate([np.ones((count, size)), *parts], axis=1)
-        return np.linalg.inv(np.bincount(
-            places.ravel(), vals.ravel(), count * size * size).reshape(
-                count, size, size))
+        return np.bincount(places.ravel(), vals.ravel(),
+                           count * size * size).reshape(count, size, size)
 
     @property
     def order(self) -> np.ndarray:
@@ -477,39 +511,49 @@ class _IterationSystem:
     the ``IterationFactor`` ``factor`` (row 0 for all, when the factor has
     one program) with scaled h_r = (c_r, b_r), row r of H.
 
-    With a dense inverse of K, every row's K solve is one product of the
-    stacked matmul, a (k, k) by (k, 1) product per row, so a row's value
-    does not depend on the other rows; rows of a shared inverse broadcast
-    it.  With dense inverses of S = I + A_hat'A_hat the same holds for the
-    (n, n) by (n, 1) products, and the products with A_hat and A_hat' are
-    one sparse product each, with block-diagonal matrices of the rows'
-    A_hat (``Pattern.blocks``).  With SuperLU factors, the rows of a
-    factor of one program are solved by one multi-right-hand-side solve,
-    and those of a factor of every program one row at a time, each with
-    its own factor.  The tau row and the products are row-wise
-    (``_row_dots``).  A single program's W, out and H may be vectors,
-    which costs the least."""
+    With a dense inverse of K, each row keeps its T_r = (I + Q_r)^{-1},
+    the (B, N, N) stack ``T``, built from K^{-1} by the block inverse of
+    I + Q = [[K, h], [-h', 1]]: with g = K^{-1} h, f' = h' K^{-1} and s =
+    1 + h'g,
+
+        T = [[K^{-1} - g f'/s, -g/s], [f'/s, 1/s]],
+
+    so every row's map is one product of the stacked matmul, an (N, N) by
+    (N, 1) product per row, and a row's value does not depend on the
+    other rows.  The other K solves keep SCS's two-solve identity (module
+    docstring): with dense inverses of S = I + A_hat'A_hat the K solve is
+    an (n, n) by (n, 1) product per row between two sparse products, one
+    each with block-diagonal matrices of the rows' A_hat and A_hat'
+    (``Pattern.blocks``); with SuperLU factors, the rows of a factor of
+    one program are solved by one multi-right-hand-side solve, and those
+    of a factor of every program one row at a time, each with its own
+    factor.  The tau row and the products are row-wise (``_row_dots``).  A
+    single program's W, out and H may be vectors, which costs the least.
+
+    ``kept`` is what ``subset`` keeps of its rows: T, or K^{-1} h."""
 
     def __init__(self, factor: IterationFactor, index: np.ndarray,
-                 H: np.ndarray, KH: np.ndarray | None = None):
+                 H: np.ndarray, kept: np.ndarray | None = None):
         self.factor, self.index, self.H = factor, index, H
+        if factor.kind == "dense" and kept is not None:
+            self.T = kept
+            return
         # each row's inverse, or the one shared inverse, broadcast
-        self._inverse = factor.inverse
-        if self._inverse is not None and factor.count > 1:
-            self._inverse = self._inverse[index]
+        inverse = factor.inverse
+        if inverse is not None and factor.count > 1:
+            inverse = inverse[index]
+        if factor.kind == "dense":
+            self.T = _bordered_inverses(inverse, H)
+            return
+        self._inverse = inverse
         if factor.kind == "reduced":
             self._a, self._at = factor.pattern.blocks(factor.data[index])
-        self.KH = self._solve(H) if KH is None else KH
+        self.KH = self._solve(H) if kept is None else kept
         self.denom = 1.0 + _row_dots(self.KH, self.KH)
 
     def _solve(self, R: np.ndarray) -> np.ndarray:
         """K_r^{-1} r_r for every row r_r of R."""
-        kind = self.factor.kind
-        if kind == "dense":
-            k = R.shape[-1]
-            return np.matmul(self._inverse, R.reshape(-1, k, 1)).reshape(
-                R.shape)
-        if kind == "reduced":
+        if self.factor.kind == "reduced":
             n = self.factor.pattern.shape[1]
             r_x, r_y = R[..., :n], R[..., n:]
             rhs = r_x - (self._at @ r_y.ravel()).reshape(r_x.shape)
@@ -526,6 +570,10 @@ class _IterationSystem:
         return out
 
     def __call__(self, W: np.ndarray, out: np.ndarray) -> np.ndarray:
+        if self.factor.kind == "dense":
+            N = W.shape[-1]
+            np.matmul(self.T, W.reshape(-1, N, 1), out=out.reshape(-1, N, 1))
+            return out
         # transposed, a stack and a vector index alike: a stack's rows
         # scale by their tau, and a vector's tau is a scalar
         kw = self._solve(W.T[:-1].T)
@@ -537,10 +585,31 @@ class _IterationSystem:
         return out
 
     def subset(self, keep: np.ndarray) -> "_IterationSystem":
-        """The system of the rows where ``keep`` is True; their K^{-1} h
-        are kept, not solved again."""
+        """The system of the rows where ``keep`` is True; their T, or their
+        K^{-1} h, are sliced, not built again."""
+        kept = self.T if self.factor.kind == "dense" else self.KH
         return _IterationSystem(self.factor, self.index[keep], self.H[keep],
-                                self.KH[keep])
+                                kept[keep])
+
+
+def _bordered_inverses(inverse: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """The (B, N, N) stack of T_r = [[K_r, h_r], [-h_r', 1]]^{-1}, for the
+    (B, k, k) stack of K_r^{-1} (or one (1, k, k) inverse, broadcast) and
+    the rows h_r of H (a vector for a single program), by the block
+    inverse (``_IterationSystem``).  Every product is one row's, so each
+    T_r does not depend on the other rows."""
+    H = H.reshape(-1, H.shape[-1])
+    count, k = H.shape
+    g = np.matmul(inverse, H[:, :, None])[:, :, 0]
+    f = np.matmul(H[:, None, :], inverse)[:, 0, :]
+    s = 1.0 + _row_dots(H, g)
+    f /= s[:, None]
+    T = np.empty((count, k + 1, k + 1))
+    np.subtract(inverse, g[:, :, None] * f[:, None, :], out=T[:, :k, :k])
+    np.divide(g, -s[:, None], out=T[:, :k, k])
+    T[:, k, :k] = f
+    T[:, k, k] = 1.0 / s
+    return T
 
 
 def _batch_matrices(datas: list) -> list:
@@ -1214,7 +1283,18 @@ class _Column:
 def _iterate(cols: list, factor: IterationFactor, settings: SolverSettings,
              spec, n: int) -> None:
     """The splitting iterations of every column, as one loop over the
-    (B, N) stacks of their iterates u and v.
+    (B, N) stack of one state w per column.
+
+    The splitting (SCS's u, v recurrence) in one state w = u_tilde_alpha -
+    v, the point the next iterate is the projection of: with p = Pi(w) and
+    r = 2p - w = u + v, an iteration is
+
+        w <- w + alpha (lin(r) - p),    p = Pi(w),    r = 2p - w,
+
+    and the checks receive u = p and v = p - w, formed only at the check
+    iterations.  The first step is seeded from each column's (u0, v0) as
+    p = u0, r = u0 + v0 and w = u0 - v0: a warm start need not be a Moreau
+    pair, so w0 is not projected first.
 
     Each iteration solves every row's system (``_IterationSystem``) and
     projects the stacked rows in one walk; every other update is
@@ -1225,35 +1305,35 @@ def _iterate(cols: list, factor: IterationFactor, settings: SolverSettings,
     # a lone program iterates on vectors, which costs the least; every
     # operation below takes vectors or stacks alike
     stack = np.stack if len(cols) > 1 else (lambda rows: rows[0])
-    U = stack([c.u for c in cols])
-    V = stack([c.v for c in cols])
+    P = stack([c.u for c in cols])
+    V0 = stack([c.v for c in cols])
+    R = P + V0
+    W = P - V0
     lin = _IterationSystem(factor, np.array([c.row for c in cols]),
                            stack([c.h for c in cols]))
     alpha = OVER_RELAX
-    # the iteration's vector updates, in place: u_tilde and one buffer
-    u_tilde = np.empty(U.shape)
-    buf = np.empty(U.shape)
+    step = np.empty(W.shape)
     active = cols
     for it in range(1, settings.max_iters + 1):
-        lin(np.add(U, V, out=buf), u_tilde)
-        np.multiply(u_tilde, alpha, out=u_tilde)
-        np.add(u_tilde, np.multiply(U, 1 - alpha, out=buf), out=u_tilde)
-        U_new = project_embedding(np.subtract(u_tilde, V, out=buf), spec, n)
-        np.subtract(V, u_tilde, out=V)
-        np.add(V, U_new, out=V)
-        U = U_new
+        lin(R, step)
+        np.subtract(step, P, out=step)
+        np.multiply(step, alpha, out=step)
+        np.add(W, step, out=W)
+        P = project_embedding(W, spec, n)
+        np.multiply(P, 2.0, out=R)
+        np.subtract(R, W, out=R)
 
         if it % CHECK_INTERVAL != 0 and it != settings.max_iters:
             continue
-        N = U.shape[-1]
-        keep = np.array([not c.check(it, u, v) for c, u, v in zip(
-            active, U.reshape(-1, N), V.reshape(-1, N))])
+        N = P.shape[-1]
+        keep = np.array([not c.check(it, u, u - w) for c, u, w in zip(
+            active, P.reshape(-1, N), W.reshape(-1, N))])
         if not keep.all():
             if not keep.any():
                 return
             active = [c for c, k in zip(active, keep) if k]
-            U, V, lin = U[keep], V[keep], lin.subset(keep)
-            u_tilde, buf = u_tilde[:len(active)], buf[:len(active)]
+            P, R, W, lin = P[keep], R[keep], W[keep], lin.subset(keep)
+            step = step[:len(active)]
 
 
 def solve(data, settings: SolverSettings | None = None, warm_start=None,

@@ -452,12 +452,12 @@ K_SOLVES = {"dense": (10 ** 6, 0), "reduced": (0, 10 ** 6),
 @given(iteration_programs(), st.sampled_from(sorted(K_SOLVES)),
        st.integers(0, 2 ** 32 - 1))
 def test_iteration_system_matches_direct_solve(program, kind, seed):
-    """The two-solve identity on K, with dense inverses of K, dense
-    inverses of S = I + A'A or SuperLU factors, equals a direct solve with
-    I + Q, Q the skew matrix of the scaled A with the given b and c, on
-    every row of a batch that shares one program's factor and of a batch
-    that holds one per program; and each row equals its batch of one, bit
-    for bit."""
+    """The iteration map, each row's T = (I + Q)^{-1} built from the dense
+    inverse of K, or the two-solve identity on K with dense inverses of
+    S = I + A'A or SuperLU factors, equals a direct solve with I + Q, Q
+    the skew matrix of the scaled A with the given b and c, on every row
+    of a batch that shares one program's factor and of a batch that holds
+    one per program; and each row equals its batch of one, bit for bit."""
     A, b, c, spec, w = program
     A = sp.csr_matrix(A)
     # a second program on A's pattern
@@ -554,6 +554,143 @@ def test_batched_ruiz_equals_the_loop(batch):
         assert np.array_equal(factor.d[j], d)
         assert np.array_equal(factor.e[j], e)
         assert np.array_equal(factor.scaled(j).toarray(), A_hat.toarray())
+
+
+def _uv_iterate(cols, factor, settings, spec, n):
+    """The splitting loop as it was written before it kept one state w:
+    the (B, N) stacks of u and v, each iteration u_tilde = lin(u + v),
+    over-relaxed, then u <- Pi(u_tilde - v) and v <- v - u_tilde + u.
+    The reference of ``TestOneStateLoop``."""
+    stack = np.stack if len(cols) > 1 else (lambda rows: rows[0])
+    U = stack([c.u for c in cols])
+    V = stack([c.v for c in cols])
+    lin = solver._IterationSystem(factor, np.array([c.row for c in cols]),
+                                  stack([c.h for c in cols]))
+    alpha = solver.OVER_RELAX
+    u_tilde = np.empty(U.shape)
+    buf = np.empty(U.shape)
+    active = cols
+    for it in range(1, settings.max_iters + 1):
+        lin(np.add(U, V, out=buf), u_tilde)
+        np.multiply(u_tilde, alpha, out=u_tilde)
+        np.add(u_tilde, np.multiply(U, 1 - alpha, out=buf), out=u_tilde)
+        U_new = project_embedding(np.subtract(u_tilde, V, out=buf), spec, n)
+        np.subtract(V, u_tilde, out=V)
+        np.add(V, U_new, out=V)
+        U = U_new
+        if it % solver.CHECK_INTERVAL != 0 and it != settings.max_iters:
+            continue
+        N = U.shape[-1]
+        keep = np.array([not c.check(it, u, v) for c, u, v in zip(
+            active, U.reshape(-1, N), V.reshape(-1, N))])
+        if not keep.all():
+            if not keep.any():
+                return
+            active = [c for c, k in zip(active, keep) if k]
+            U, V, lin = U[keep], V[keep], lin.subset(keep)
+            u_tilde, buf = u_tilde[:len(active)], buf[:len(active)]
+
+
+class TestOneStateLoop:
+    """``_iterate`` keeps one state w per column; every check receives the
+    u and v of the (u, v) recurrence (``_uv_iterate``) within 1e-12
+    relative, on a program of each K solve: from the cold start, from a
+    warm start that is not a Moreau pair (whose w0 = u0 - v0 must not be
+    projected before the first step), and in a batch whose first column
+    leaves 175 iterations before the second."""
+
+    # ends optimal at 75 iterations
+    DATA = sparse_qp_data(n=12, seed=0)
+    # its costs scaled by 1e-2: ends optimal at 250, with a polish
+    SLOW = ConeProgramData(DATA.A, DATA.b, 1e-2 * DATA.c, DATA.cones)
+
+    @staticmethod
+    def checks(loop, datas, warm_starts, kind):
+        """The (iteration, u, v) of every check of each column of
+        ``solve(datas)`` run by ``loop`` under the K solve ``kind``, and
+        the solutions."""
+        seen = {}
+        check = solver._Column.check
+
+        def record(col, it, u, v):
+            seen.setdefault(col.row, []).append((it, u.copy(), v.copy()))
+            return check(col, it, u, v)
+
+        with pytest.MonkeyPatch.context() as mp:
+            dense_order, reduced_order = K_SOLVES[kind]
+            mp.setattr(solver, "K_DENSE_ORDER", dense_order)
+            mp.setattr(solver, "REDUCED_ORDER", reduced_order)
+            mp.setattr(solver._Column, "check", record)
+            mp.setattr(solver, "_iterate", loop)
+            sols = solve(datas, SolverSettings(), warm_starts)
+        assert {s.info["iteration_system"] for s in sols} == {kind}
+        return seen, sols
+
+    @pytest.mark.parametrize("kind", sorted(K_SOLVES))
+    @pytest.mark.parametrize("case", ["cold", "warm", "batch"])
+    def test_checks_see_the_uv_iterates(self, kind, case):
+        datas, warm = [self.DATA], [None]
+        if case == "batch":
+            datas, warm = [self.DATA, self.SLOW], [None, None]
+        elif case == "warm":
+            m, n = self.DATA.A.shape
+            rng = np.random.default_rng(5)
+            # y0 and s0 leave their cones and are not complementary
+            warm = [(rng.standard_normal(n), rng.standard_normal(m),
+                     rng.standard_normal(m))]
+        got, got_sols = self.checks(solver._iterate, datas, warm, kind)
+        want, want_sols = self.checks(_uv_iterate, datas, warm, kind)
+        iterations = [s.info["iterations"] for s in want_sols]
+        assert [s.info["iterations"] for s in got_sols] == iterations
+        assert [s.status for s in got_sols] == ["optimal"] * len(datas)
+        if case == "batch":
+            assert iterations == [75, 250]
+        assert got.keys() == want.keys() == set(range(len(datas)))
+        for row in got:
+            assert [it for it, *_ in got[row]] == [it for it, *_ in want[row]]
+            for (_, u, v), (_, u_ref, v_ref) in zip(got[row], want[row]):
+                assert np.linalg.norm(u - u_ref) <= \
+                    1e-12 * np.linalg.norm(u_ref)
+                assert np.linalg.norm(v - v_ref) <= \
+                    1e-12 * np.linalg.norm(v_ref)
+
+
+class TestCholeskyInverse:
+    """The reduced K solve inverts S = I + A_hat'A_hat by its Cholesky
+    factor (``_spd_inverses``)."""
+
+    @staticmethod
+    def reduced(A, spec, a_data=None):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "K_DENSE_ORDER", 0)
+            mp.setattr(solver, "REDUCED_ORDER", 10 ** 6)
+            factor = IterationFactor(A, spec, a_data)
+        assert factor.kind == "reduced"
+        return factor
+
+    def test_matches_the_lu_inverse(self):
+        data = sparse_qp_data(n=48, seed=2)
+        factor = self.reduced(data.A, data.cones)
+        A_hat = factor.scaled(0).toarray()
+        S = np.eye(A_hat.shape[1]) + A_hat.T @ A_hat
+        assert np.max(np.abs(factor.inverse[0] - np.linalg.inv(S))) <= 1e-13
+        assert np.array_equal(factor.inverse[0], factor.inverse[0].T)
+
+    def test_batch_equals_lone_builds(self, rng):
+        data = sparse_qp_data(n=48, seed=2)
+        A = data.A.tocsr()
+        a_data = np.stack([A.data, rng.standard_normal(A.nnz),
+                           rng.standard_normal(A.nnz)])
+        batch = self.reduced(A, data.cones, a_data)
+        for j, entries in enumerate(a_data):
+            lone = self.reduced(sp.csr_matrix(
+                (entries, A.indices, A.indptr), shape=A.shape), data.cones)
+            assert np.array_equal(batch.inverse[j], lone.inverse[0])
+
+    def test_failure_raises(self):
+        S = np.stack([np.eye(3), np.diag([1.0, -1.0, 1.0])])
+        with pytest.raises(SolverInputError, match="program 1"):
+            solver._spd_inverses(S)
 
 
 class TestTimings:

@@ -2,8 +2,9 @@
 """Solver parity of one checkout on the benchmark's check bindings.
 
 Runs, at a seed, the first 12 bindings of each fixture-train layer (60 in
-all, through ``forward_batch`` in the workload's minibatches of 8), the
-first 12 soc-sum and the first 3 sparse-qp bindings, each with one
+all, through ``forward_batch`` in the workload's minibatches of 8;
+``--fixture-bindings`` sets how many), the first 12 soc-sum and the first
+3 sparse-qp bindings, each with one
 ``backward`` per cotangent (bitwise ``backward_batch``'s result),
 drawn by the checkout's ``perfbench/workloads.py``; ``--extra`` adds
 fixture-train bindings by (stream, index).  For each binding it prints
@@ -25,6 +26,8 @@ central-difference error, and every gradient that moved by more than
         --save parent.npz
     python tools/iteration_parity.py --seed 1 --save change.npz \\
         --against parent.npz
+    python tools/iteration_parity.py --seed 1 --fixture-bindings 128 \\
+        --save change.npz --against parent.npz
     python tools/iteration_parity.py --seed 68 --extra 4,635 --only-extra
 """
 
@@ -62,41 +65,46 @@ def _cd_error(layer, values, output, cot, grads, direction, h):
     return abs(numeric - analytic) / max(1.0, abs(numeric))
 
 
-def _selected(wl, extra, only_extra):
+def _selected(wl, per_layer, extra, only_extra):
     """The check bindings of a workload, grouped by layer in pool order."""
     chosen = {}
     for bd in wl.bindings:
         group = chosen.setdefault(bd.layer, [])
-        if bd.key in extra or (not only_extra
-                               and len(group) < PER_LAYER[wl.name]):
+        if bd.key in extra or (not only_extra and len(group) < per_layer):
             group.append(bd)
     return chosen
 
 
-def run(seed: int, extra: set, only_extra: bool) -> dict:
-    """key -> record of every check binding of the three workloads."""
+def run(seed: int, extra: set, only_extra: bool,
+        fixture_bindings: int = PER_LAYER["fixture-train"]) -> dict:
+    """key -> record of every check binding of the three workloads, with
+    the first ``fixture_bindings`` of each fixture-train layer."""
     import workloads
     from diffcone import Layer
 
     records = {}
+    per_layer = dict(PER_LAYER, **{"fixture-train": fixture_bindings})
     for name in PER_LAYER:
         if only_extra and name != "fixture-train":
             continue
         # binding i of a stream is the same for any pool size, so the
-        # pools are cut to what the check bindings need (fixture-train's
-        # in whole minibatches; its slow fixture keeps the first 16)
-        sizes = {"count": PER_LAYER[name]}
+        # pools are cut to what the check bindings need, fixture-train's
+        # in whole minibatches; its slow fixture's pool holds the check
+        # bindings alone, not the extra ones
+        sizes = {"count": per_layer[name]}
         if name == "fixture-train":
-            top = max([PER_LAYER[name]] + [i + 1 for _, i in extra])
-            sizes = {"count": -(-top // 8) * 8, "slow_count": 16}
+            top = max([fixture_bindings] + [i + 1 for _, i in extra])
+            slow = -(-fixture_bindings // 8) * 8
+            sizes = {"count": -(-top // 8) * 8, "slow_count": slow}
         wl = workloads.build(name, seed, **sizes)
         if name == "fixture-train":
             missing = extra - {bd.key for bd in wl.bindings}
             if missing:
                 raise SystemExit(f"not in the fixture-train pools (the "
-                                 f"slow fixture's holds 16): "
+                                 f"slow fixture's holds {slow}): "
                                  f"{sorted(missing)}")
-        for layer_name, group in _selected(wl, extra, only_extra).items():
+        for layer_name, group in _selected(wl, per_layer[name], extra,
+                                           only_extra).items():
             layer = Layer.compile(wl.problems[layer_name])
             output = wl.outputs[layer_name]
             size = 8 if wl.batch else 1
@@ -247,13 +255,19 @@ def main(argv=None) -> int:
                     help="a fixture-train binding to add; repeatable")
     ap.add_argument("--only-extra", action="store_true",
                     help="run the --extra bindings alone")
+    ap.add_argument("--fixture-bindings", type=int,
+                    default=PER_LAYER["fixture-train"], metavar="N",
+                    help="the first N bindings of each fixture-train layer "
+                         "(default: %(default)s)")
     args = ap.parse_args(argv)
     extra = {tuple(int(p) for p in e.split(",")) for e in args.extra}
     if args.only_extra and not extra:
         ap.error("--only-extra needs --extra")
+    if args.fixture_bindings < 1:
+        ap.error("--fixture-bindings must be at least 1")
     checkout = args.checkout.resolve()
     sys.path[:0] = [str(checkout / "src"), str(checkout / "perfbench")]
-    records = run(args.seed, extra, args.only_extra)
+    records = run(args.seed, extra, args.only_extra, args.fixture_bindings)
     for key, rec in records.items():
         print(f"{key} {rec['status']} {rec['iteration_system']} "
               f"iterations {rec['iterations']} "
