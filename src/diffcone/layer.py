@@ -21,7 +21,7 @@ in one product with the per-layer ``AsaForm._adjoint_map``.
 from __future__ import annotations
 
 import time
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,8 +39,14 @@ __all__ = ["Layer", "ForwardResult"]
 
 
 def _numeric(value, what: str) -> np.ndarray:
+    """``value`` as a float array; a complex value, whose imaginary part a
+    cast would drop, raises ``ShapeError`` like a non-numeric one."""
     try:
-        return np.asarray(value, dtype=float)
+        arr = np.asarray(value)
+        if np.iscomplexobj(arr):
+            raise ShapeError(f"{what} is complex; only real values are "
+                             f"accepted")
+        return arr.astype(float, copy=False)
     except (TypeError, ValueError):
         raise ShapeError(f"{what} is not numeric: {value!r}") from None
 
@@ -49,6 +55,15 @@ def _require_mapping(arg, what: str):
     if not isinstance(arg, Mapping):
         raise ShapeError(f"{what} must be a mapping of names to values, "
                          f"got {type(arg).__name__}")
+
+
+def _elements(arg, what: str) -> list:
+    """The elements of a batch argument; raises ``ShapeError`` unless it is
+    an iterable other than a mapping or a string."""
+    if isinstance(arg, (Mapping, str, bytes)) or not isinstance(arg, Iterable):
+        raise ShapeError(f"{what} must be a sequence, got "
+                         f"{type(arg).__name__}")
+    return list(arg)
 
 
 @dataclass(frozen=True)
@@ -105,7 +120,15 @@ class Layer:
 
     @staticmethod
     def compile(problem: Problem, settings: SolverSettings | None = None) -> "Layer":
-        """Verify and canonicalize once; subsequent passes reuse the maps."""
+        """Verify and canonicalize once; subsequent passes reuse the maps.
+        Anything but a ``Problem`` raises ``CompileError``, and settings
+        that are not ``SolverSettings`` raise ``ShapeError``."""
+        if not isinstance(problem, Problem):
+            raise CompileError(f"cannot compile a {type(problem).__name__}: "
+                               f"Layer.compile takes a Problem")
+        if settings is not None and not isinstance(settings, SolverSettings):
+            raise ShapeError(f"settings must be SolverSettings, got "
+                             f"{type(settings).__name__}")
         report = check_dpp(problem)
         if not report.valid:
             raise CompileError(f"cannot compile:\n{report}", report=report)
@@ -254,6 +277,9 @@ class Layer:
         if len(results) != len(cotangents):
             raise ShapeError("results and cotangents must have equal lengths")
         for result in results:
+            if not isinstance(result, ForwardResult):
+                raise ShapeError(f"results must be ForwardResults, got "
+                                 f"{type(result).__name__}")
             if result._layer_token is not self._token:
                 raise SolveStatusError("tape belongs to a different layer")
             if not result.ok or result._solution is None:
@@ -306,15 +332,17 @@ class Layer:
     def forward_batch(self, batch: list[dict]) -> list[ForwardResult]:
         """Forward passes of every element, solved as one batch; element for
         element equal to ``forward``.  Every element is bound and checked
-        before any is solved, so a malformed one raises ``ShapeError`` with
-        nothing solved."""
-        return self._forward(list(batch))
+        before any is solved, so a malformed one, or a ``batch`` that is
+        not a sequence, raises ``ShapeError`` with nothing solved."""
+        return self._forward(_elements(batch, "forward_batch's batch"))
 
     def backward_batch(self, results: list[ForwardResult],
                        cotangents: list[dict]) -> list[tuple[dict, dict]]:
         """``backward`` of every (result, cotangents) pair, as one batch;
         element for element equal to ``backward``.  Every tape and
         cotangent is checked before any factor is built, so a length
-        mismatch, a foreign or non-optimal tape or a malformed cotangent
-        raises with no work done."""
-        return self._backward(list(results), list(cotangents))
+        mismatch, a foreign or non-optimal tape, a malformed cotangent or
+        an argument that is not a sequence raises with no work done."""
+        return self._backward(_elements(results, "backward_batch's results"),
+                              _elements(cotangents,
+                                        "backward_batch's cotangents"))

@@ -41,9 +41,10 @@ entries in CSR and in CSC order.  K is solved in one of three ways
   the y block is eliminated (SCS's reduced system): K [x; y] = [r_x; r_y]
   is x = S^{-1} (r_x - A' r_y), y = r_y + A x with S = I + A'A of order
   n, whose inverse is a dense (B, n, n) stack from each S's Cholesky
-  factor; the products with A and A' are sparse.  A dense (I + Q)^{-1} of
-  such an order would cost far more per iteration than S^{-1} of order n,
-  so this and the next K solve keep the two-solve identity.
+  factor, held and read in one triangle; the products with A and A' are
+  sparse.  A dense (I + Q)^{-1} of such an order would cost far more per
+  iteration than S^{-1} of order n, so this and the next K solve keep the
+  two-solve identity.
 - ``"superlu"``: otherwise K is factored by SuperLU.  K's pattern is
   symmetric, and every Schur complement of I + skew has symmetric part >=
   I, so diagonal pivots are safe: K is factored with a symmetric
@@ -91,11 +92,12 @@ residuals on the embedding iterates.
 pattern of A, and a single program is the batch of one: there is one
 iteration loop (``_iterate``), over the (B, N) stack of the B programs'
 states w.  Their linear steps are one stacked matmul of (N, N) by (N, 1)
-products with the programs' (I + Q)^{-1}, or K solves: one stacked
-matmul of (n, n) by (n, 1) products with the inverses of S between two
-block-diagonal sparse products, or SuperLU solves, one multi-right-hand-side solve for programs that share a
-factor (a layer whose A does not depend on the parameters) and row by row
-for the others.  The cone projection walks the stacked rows once.  Every
+products with the programs' (I + Q)^{-1}, or K solves: one symmetric
+product (``dsymv``) per row with one triangle of its S^{-1} between two
+block-diagonal sparse products, or SuperLU solves, one
+multi-right-hand-side solve for programs that share a factor (a layer
+whose A does not depend on the parameters) and row by row for the
+others.  The cone projection walks the stacked rows once.  Every
 other operation is elementwise or row by row, with each row's dot
 products the BLAS dots of a lone solve, so each program's arithmetic is
 the same whatever the batch, and it keeps its own scaling, checks,
@@ -367,33 +369,42 @@ K_DENSE_ORDER = 150
 # Above K_DENSE_ORDER, K is solved through a dense inverse of S = I + A'A,
 # of order n, when A has at most this many columns; other K are factored by
 # SuperLU.  On a 2-vCPU x86 host (OpenBLAS on one thread) a whole forward
-# took, reduced against SuperLU: on sparse QPs whose A is fixed (inverse
-# built once, 225-250 iterations) 0.83x alone at n 258,
-# 0.78x at 386, 0.74x at 514, 0.80x at 642, 0.89x at 770 and 0.87x at 898,
-# and for minibatches of 8 sharing one inverse 0.74x at 258, 0.93x at 386
-# and 0.92x at 642; on sums of norms (A depends on theta, inverse built
-# every forward from the Cholesky factor, 175 iterations) 0.82x alone at n
-# 203, 0.87x at 353, 0.94x at 403 and 1.09x at 453 (0.88x, 1.09x, 1.24x and
-# 1.27x with np.linalg.inv in its place, measured alongside), and for
-# minibatches of 8, measured with np.linalg.inv, 0.57x at 153, 0.67x at
-# 253 and 0.80x at 353.  So a factor built every call (A depends on theta)
-# is slower than SuperLU from about 430 columns on, where its inverse
-# outweighs the cheaper iterations.  The inverse stack, inverted in place
-# of the scattered S stack, holds B n^2 doubles for a minibatch of B
-# programs whose A depends on theta: 1 MB per program at n 350, 3.9 MB at
-# 700, against SuperLU factors that are small on a sparse A; nothing
-# bounds B.
+# took, reduced against SuperLU, with S^{-1} applied by a general product
+# of the whole matrix (np.matmul): on sparse QPs whose A is fixed (inverse
+# built once, 225-250 iterations) 0.83x alone at n 258, 0.78x at 386,
+# 0.74x at 514, 0.80x at 642, 0.89x at 770 and 0.87x at 898, and for
+# minibatches of 8 sharing one inverse 0.74x at 258, 0.93x at 386 and
+# 0.92x at 642; on sums of norms (A depends on theta, inverse built every
+# forward from the Cholesky factor, 175 iterations) 0.82x alone at n 203,
+# 0.87x at 353, 0.94x at 403 and 1.09x at 453 (0.88x, 1.09x, 1.24x and
+# 1.27x with np.linalg.inv in its place), and for minibatches of 8,
+# measured with np.linalg.inv, 0.57x at 153, 0.67x at 253 and 0.80x at
+# 353.  With the symmetric product of one triangle (dsymv), which reads
+# half the matrix, two rounds on the same host gave, alone: fixed-A QPs
+# (no polish, 375, 500 and 250 iterations) 0.34-0.43x at n 513, 0.39-0.48x
+# at 769 and 0.75-0.76x at 897, against 0.54-0.63x, 0.55-0.60x and
+# 0.83-0.87x with the general product measured alongside; sums of norms
+# 0.68-0.73x at 403, 0.70-0.85x at 453 (general product 0.83-0.90x and
+# 0.91-0.96x), 0.87-0.92x at 553 and 0.90-1.00x at 653.  So a factor built
+# every call (A depends on theta) now keeps up with SuperLU to about 650
+# columns, close to this limit, and a kept one gains throughout.  The
+# inverse stack, inverted in place of the scattered S stack, holds B n^2
+# doubles for a minibatch of B programs whose A depends on theta: 1 MB per
+# program at n 350, 3.9 MB at 700, against SuperLU factors that are small
+# on a sparse A; nothing bounds B.
 REDUCED_ORDER = 700
 
 
 def _spd_inverses(S: np.ndarray) -> np.ndarray:
     """The inverses of a (B, n, n) stack of symmetric positive definite
-    matrices, in place, one at a time: LAPACK's Cholesky factor and its
-    inverse (``dpotrf``, ``dpotri``) fill one triangle, which is then
-    mirrored.  Each matrix's C-ordered storage is its transpose, the same
-    matrix, in Fortran order, so LAPACK works on it without a copy.
-    Raises ``SolverInputError`` where LAPACK reports a failure."""
-    upper = np.triu(np.ones(S.shape[1:], dtype=bool), 1)
+    matrices, in place, one at a time, in one triangle: LAPACK's Cholesky
+    factor and its inverse (``dpotrf``, ``dpotri``) overwrite the lower
+    triangle of each C-ordered matrix, diagonal included, and leave the
+    matrix's own entries in the strict upper one.  Each matrix's C-ordered
+    storage is its transpose, the same matrix, in Fortran order, so LAPACK
+    works on it without a copy, and the triangle it fills is that
+    transpose's upper one, which ``dsymv`` reads by default.  Raises
+    ``SolverInputError`` where LAPACK reports a failure."""
     for j, s in enumerate(S):
         chol, info = sla.lapack.dpotrf(s.T, overwrite_a=1, clean=0)
         if info == 0:
@@ -402,8 +413,6 @@ def _spd_inverses(S: np.ndarray) -> np.ndarray:
             raise SolverInputError(
                 f"S = I + A'A of program {j} is not positive definite "
                 f"(LAPACK info {info})")
-        # LAPACK's upper triangle is the lower one of the C-ordered s
-        np.copyto(s, s.T, where=upper)
     return S
 
 
@@ -427,7 +436,9 @@ class IterationFactor:
       columns: ``inverse`` is the dense (B, n, n) stack of the S_j^{-1},
       S_j = I + A_hat_j' A_hat_j, from one ``np.bincount`` of the pairs of
       entries in a row (``Pattern.s_places``) and each S_j's Cholesky
-      factor (``_spd_inverses``).
+      factor (``_spd_inverses``).  Only the lower triangle of each
+      C-ordered S_j^{-1}, diagonal included, holds it; the strict upper
+      triangle holds S_j, and nothing reads it.
       K_j [x; y] = [r_x; r_y] is then x = S_j^{-1} (r_x - A_hat_j' r_y)
       and y = r_y + A_hat_j x.  S_j needs no conditioning guard: after
       Ruiz scaling every entry of A_hat_j is at most 1 in magnitude (the last pass divides it by the square roots
@@ -522,12 +533,15 @@ class _IterationSystem:
     (N, 1) product per row, and a row's value does not depend on the
     other rows.  The other K solves keep SCS's two-solve identity (module
     docstring): with dense inverses of S = I + A_hat'A_hat the K solve is
-    an (n, n) by (n, 1) product per row between two sparse products, one
-    each with block-diagonal matrices of the rows' A_hat and A_hat'
-    (``Pattern.blocks``); with SuperLU factors, the rows of a factor of
-    one program are solved by one multi-right-hand-side solve, and those
-    of a factor of every program one row at a time, each with its own
-    factor.  The tau row and the products are row-wise (``_row_dots``).  A
+    one symmetric product per row (BLAS ``dsymv``, which reads the one
+    triangle of S^{-1} that ``_spd_inverses`` fills, half the memory of
+    the whole matrix) between two sparse products, one each with
+    block-diagonal matrices of the rows' A_hat and A_hat'
+    (``Pattern.blocks``); rows that share one program's S^{-1} each make
+    their own call, so a row's value is its lone solve's.  With SuperLU
+    factors, the rows of a factor of one program are solved by one
+    multi-right-hand-side solve, and those of a factor of every program
+    one row at a time, each with its own factor.  The tau row and the products are row-wise (``_row_dots``).  A
     single program's W, out and H may be vectors, which costs the least.
 
     ``kept`` is what ``subset`` keeps of its rows: T, or K^{-1} h."""
@@ -535,18 +549,16 @@ class _IterationSystem:
     def __init__(self, factor: IterationFactor, index: np.ndarray,
                  H: np.ndarray, kept: np.ndarray | None = None):
         self.factor, self.index, self.H = factor, index, H
-        if factor.kind == "dense" and kept is not None:
-            self.T = kept
-            return
-        # each row's inverse, or the one shared inverse, broadcast
-        inverse = factor.inverse
-        if inverse is not None and factor.count > 1:
-            inverse = inverse[index]
         if factor.kind == "dense":
-            self.T = _bordered_inverses(inverse, H)
+            # each row's inverse, or the one shared inverse, broadcast
+            self.T = kept if kept is not None else _bordered_inverses(
+                factor.inverse if factor.count == 1
+                else factor.inverse[index], H)
             return
-        self._inverse = inverse
         if factor.kind == "reduced":
+            # each row's S^{-1} as its Fortran-ordered transpose, a view
+            # that BLAS reads without a copy
+            self._inverses = [factor.inverse[j].T for j in index]
             self._a, self._at = factor.pattern.blocks(factor.data[index])
         self.KH = self._solve(H) if kept is None else kept
         self.denom = 1.0 + _row_dots(self.KH, self.KH)
@@ -557,8 +569,11 @@ class _IterationSystem:
             n = self.factor.pattern.shape[1]
             r_x, r_y = R[..., :n], R[..., n:]
             rhs = r_x - (self._at @ r_y.ravel()).reshape(r_x.shape)
-            x = np.matmul(self._inverse, rhs.reshape(-1, n, 1)).reshape(
-                r_x.shape)
+            rows = rhs.reshape(-1, n)
+            x = np.empty(rows.shape)
+            for r, inverse in enumerate(self._inverses):
+                x[r] = sla.blas.dsymv(1.0, inverse, rows[r])
+            x = x.reshape(r_x.shape)
             return np.concatenate(
                 [x, r_y + (self._a @ x.ravel()).reshape(r_y.shape)], axis=-1)
         lus = self.factor.lus
@@ -1074,7 +1089,8 @@ def _solution_from_z(z, spec, n):
 
 
 def _warm_start_point(warm_start, n: int, m: int) -> list[np.ndarray]:
-    """A warm start as finite float vectors (x, y, s) of lengths (n, m, m)."""
+    """A warm start as finite float vectors (x, y, s) of lengths (n, m, m);
+    a complex part, whose imaginary part a cast would drop, raises."""
     try:
         parts = tuple(warm_start)
     except TypeError:
@@ -1085,7 +1101,10 @@ def _warm_start_point(warm_start, n: int, m: int) -> list[np.ndarray]:
     out = []
     for name, part, size in zip("xys", parts, (n, m, m)):
         try:
-            arr = np.asarray(part, dtype=float)
+            arr = np.asarray(part)
+            if np.iscomplexobj(arr):
+                raise SolverInputError(f"warm start {name} is complex")
+            arr = arr.astype(float, copy=False)
         except (TypeError, ValueError):
             raise SolverInputError(
                 f"warm start {name} is not numeric: {part!r}") from None

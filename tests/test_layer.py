@@ -63,6 +63,12 @@ class TestCompile:
         res = layer.forward({})
         np.testing.assert_allclose(res.outputs["x"], [1.0, 1.0], atol=1e-7)
 
+    def test_compile_rejects_what_is_not_a_problem(self):
+        with pytest.raises(CompileError, match="int"):
+            Layer.compile(5)
+        with pytest.raises(ShapeError, match="SolverSettings"):
+            Layer.compile(relu_fixture(3).problem, 5)
+
     def test_invalid_problem_raises_with_report(self):
         p1, p2 = parameter("p1"), parameter("p2")
         prob = Problem("minimize",
@@ -91,7 +97,18 @@ class TestCompile:
         lambda layer, res: layer.backward(res, {"y": "x"}),
         lambda layer, res: layer.backward(res, None),
         lambda layer, res: layer.forward_batch([1]),
-    ], ids=["value", "cotangent", "cotangents-mapping", "binding-mapping"])
+        lambda layer, res: layer.forward({"x": np.array([1.0, 2j, 3.0])}),
+        lambda layer, res: layer.forward({"x": [1.0, -2.0, 3.0 + 0j]}),
+        lambda layer, res: layer.backward(res, {"y": np.ones(3) + 1j}),
+        lambda layer, res: layer.forward_batch(5),
+        lambda layer, res: layer.forward_batch({"x": np.ones(3)}),
+        lambda layer, res: layer.backward_batch(res, [{"y": np.ones(3)}]),
+        lambda layer, res: layer.backward_batch([res], {"y": np.ones(3)}),
+        lambda layer, res: layer.backward("r", {"y": np.ones(3)}),
+    ], ids=["value", "cotangent", "cotangents-mapping", "binding-mapping",
+            "complex-value", "complex-dtype-value", "complex-cotangent",
+            "batch-int", "batch-mapping", "backward-results-one",
+            "backward-cotangents-mapping", "backward-result-str"])
     def test_malformed_inputs_raise_shape_error(self, call):
         layer = Layer.compile(relu_fixture(3).problem, TIGHT)
         res = layer.forward({"x": np.array([1.0, -2.0, 3.0])})
@@ -103,7 +120,8 @@ class TestCompile:
         lambda x, y, s: (x[:-1], y, s),
         lambda x, y, s: (x, ["a"] * y.size, s),
         lambda x, y, s: (np.full_like(x, np.nan), y, s),
-    ], ids=["arity", "length", "non-numeric", "nan"])
+        lambda x, y, s: (x, y, s + 1e-3j),
+    ], ids=["arity", "length", "non-numeric", "nan", "complex"])
     def test_malformed_warm_start_raises_solver_input_error(self, bad):
         layer = Layer.compile(relu_fixture(3).problem, TIGHT)
         values = {"x": np.array([1.0, -2.0, 3.0])}
@@ -638,8 +656,8 @@ class TestBatching:
             assert_same_backward(layer.backward(r, c), b)
 
     @pytest.mark.parametrize("bad", [
-        "length", "foreign", "infeasible", "mapping", "name", "shape",
-        "numeric", "nan"])
+        "length", "foreign", "infeasible", "result", "mapping", "name",
+        "shape", "numeric", "complex", "nan"])
     def test_malformed_backward_batch_builds_nothing(self, bad):
         """Every tape and cotangent is checked before any factor is
         built: the bad element comes last, after two good ones."""
@@ -654,6 +672,10 @@ class TestBatching:
         elif bad == "infeasible":
             last = layer.forward(STATUS_BATCH[1])
             error = SolveStatusError
+        elif bad == "result":
+            # the layer's token on what is not a ForwardResult
+            last = SimpleNamespace(_layer_token=layer._token, ok=True,
+                                   _solution=good[0]._solution, _cache={})
         elif bad == "length":
             cots = cots[:2]
         elif bad == "nan":
@@ -662,7 +684,8 @@ class TestBatching:
         else:
             cots = cots[:2] + [{
                 "mapping": "not a mapping", "name": {"z": np.ones(2)},
-                "shape": {"x": np.ones(3)}, "numeric": {"x": ["a", "b"]}}[bad]]
+                "shape": {"x": np.ones(3)}, "numeric": {"x": ["a", "b"]},
+                "complex": {"x": np.array([1.0, 1j])}}[bad]]
         assert all(r.ok for r in good)
         with pytest.raises(error):
             layer.backward_batch(good + [last], cots)
@@ -745,8 +768,9 @@ class TestBatching:
         "not a mapping", {"p": np.ones(3), "t": np.ones(3), "w": 1.0},
         {"p": np.ones(4), "t": np.ones(3)},
         {"p": ["a", "b", "c"], "t": np.ones(3)},
+        {"p": np.ones(3) * (1 + 1e-9j), "t": np.ones(3)},
         {"p": np.ones(3), "t": -np.ones(3)}],
-        ids=["mapping", "name", "shape", "numeric", "sign"])
+        ids=["mapping", "name", "shape", "numeric", "complex", "sign"])
     def test_malformed_element_solves_nothing(self, bad, rng, monkeypatch):
         """Every element is bound and checked before any is materialized
         or solved."""

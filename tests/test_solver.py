@@ -669,12 +669,18 @@ class TestCholeskyInverse:
         return factor
 
     def test_matches_the_lu_inverse(self):
+        """The lower triangle of the C-ordered inverse, diagonal included,
+        is the one the K solve reads (``dsymv`` on its transpose); the
+        strict upper triangle keeps S."""
         data = sparse_qp_data(n=48, seed=2)
         factor = self.reduced(data.A, data.cones)
         A_hat = factor.scaled(0).toarray()
         S = np.eye(A_hat.shape[1]) + A_hat.T @ A_hat
-        assert np.max(np.abs(factor.inverse[0] - np.linalg.inv(S))) <= 1e-13
-        assert np.array_equal(factor.inverse[0], factor.inverse[0].T)
+        lower = np.tril_indices(S.shape[0])
+        upper = np.triu_indices(S.shape[0], 1)
+        assert np.max(np.abs(factor.inverse[0][lower]
+                             - np.linalg.inv(S)[lower])) <= 1e-13
+        assert np.max(np.abs(factor.inverse[0][upper] - S[upper])) <= 1e-13
 
     def test_batch_equals_lone_builds(self, rng):
         data = sparse_qp_data(n=48, seed=2)
@@ -691,6 +697,61 @@ class TestCholeskyInverse:
         S = np.stack([np.eye(3), np.diag([1.0, -1.0, 1.0])])
         with pytest.raises(SolverInputError, match="program 1"):
             solver._spd_inverses(S)
+
+
+class TestReducedKSolve:
+    """The reduced K solve (one ``dsymv`` per row with one triangle of its
+    S^{-1}) equals a dense solve with K = [[I, A_hat'], [-A_hat, I]], for
+    a lone program, a stack whose rows share one program's inverse and a
+    stack with one inverse per row; each stack row equals its lone solve
+    bit for bit."""
+
+    @staticmethod
+    def system(factor, index, H):
+        return solver._IterationSystem(factor, np.array(index), H)
+
+    @pytest.mark.parametrize("n", [48, 130])
+    def test_matches_the_dense_k_solve(self, n, rng):
+        data = sparse_qp_data(n=n, seed=3)
+        A = data.A.tocsr()
+        As = [A] + [sp.csr_matrix((rng.standard_normal(A.nnz), A.indices,
+                                   A.indptr), shape=A.shape)
+                    for _ in range(2)]
+        size = sum(A.shape)
+        H = rng.standard_normal((3, size))
+        R = rng.standard_normal((3, size))
+        lones = [TestCholeskyInverse.reduced(a, data.cones) for a in As]
+
+        def dense_k_solve(factor, j, r):
+            A_hat = factor.scaled(j).toarray()
+            K = np.block([[np.eye(A.shape[1]), A_hat.T],
+                          [-A_hat, np.eye(A.shape[0])]])
+            return np.linalg.solve(K, r)
+
+        alone = []
+        for j, lone in enumerate(lones):
+            got = self.system(lone, [0], H[j])._solve(R[j])
+            want = dense_k_solve(lone, 0, R[j])
+            assert np.linalg.norm(got - want) <= \
+                1e-12 * np.linalg.norm(want)
+            alone.append(got)
+
+        # three rows sharing the first program's inverse
+        shared = self.system(lones[0], [0, 0, 0], H)._solve(R)
+        for r in range(3):
+            want = dense_k_solve(lones[0], 0, R[r])
+            assert np.linalg.norm(shared[r] - want) <= \
+                1e-12 * np.linalg.norm(want)
+            assert np.array_equal(
+                shared[r], self.system(lones[0], [0], H[r])._solve(R[r]))
+
+        # one inverse per row, the rows out of the factor's order
+        each = TestCholeskyInverse.reduced(
+            A, data.cones, np.stack([a.data for a in As]))
+        index = [2, 0, 1]
+        got = self.system(each, index, H[index])._solve(R[index])
+        for r, j in enumerate(index):
+            assert np.array_equal(got[r], alone[j])
 
 
 class TestTimings:
