@@ -20,6 +20,7 @@ in one product with the per-layer ``AsaForm._adjoint_map``.
 
 from __future__ import annotations
 
+import sys
 import time
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
@@ -89,6 +90,24 @@ class ForwardResult:
         return self.status == OPTIMAL
 
 
+def _depth(problem: Problem) -> int:
+    """The deepest nesting of the problem's expressions, a leaf at depth 1,
+    walked without recursion."""
+    roots = [problem.objective] + [side for c in problem.constraints
+                                   for side in (c.lhs, c.rhs)]
+    seen: dict[int, int] = {}
+    stack = [(e, 1) for e in roots]
+    deepest = 0
+    while stack:
+        e, d = stack.pop()
+        if seen.get(id(e), 0) >= d:
+            continue
+        seen[id(e)] = d
+        deepest = max(deepest, d)
+        stack.extend((a, d + 1) for a in e.args)
+    return deepest
+
+
 class Layer:
     """A compiled differentiable solution map with a fixed binding signature."""
 
@@ -132,7 +151,16 @@ class Layer:
         report = check_dpp(problem)
         if not report.valid:
             raise CompileError(f"cannot compile:\n{report}", report=report)
-        asa = build_asa(lower(problem))
+        try:
+            asa = build_asa(lower(problem))
+        except RecursionError:
+            raise CompileError(
+                f"cannot compile: the problem's expressions nest "
+                f"{_depth(problem)} deep, more than the lowering's recursion "
+                f"takes within Python's recursion limit "
+                f"({sys.getrecursionlimit()}); a sum of k terms built with + "
+                f"nests k deep, sum_entries(vstack(terms)) nests 2 deep"
+            ) from None
         return Layer(asa, settings or SolverSettings(), problem)
 
     # -- forward ------------------------------------------------------------

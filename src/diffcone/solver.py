@@ -52,6 +52,30 @@ entries in CSR and in CSC order.  K is solved in one of three ways
   COLAMD orders for K'K; on the benchmark's sparse QP (n + m = 1795) its
   factors of I + Q held 6.6x the nonzeros.
 
+On the ``"reduced"`` and ``"superlu"`` K solves the loop is Anderson
+accelerated (``_Anderson``, type II, memory ``ANDERSON_MEMORY``): it
+treats an iteration as the fixed-point map g(w) = w + alpha (lin(2 Pi(w)
+- w) - Pi(w)) and steps to the combination of its last plain points g
+whose steps f = g(w) - w best cancel, from each program's differences of
+f and g and their Gram matrix, by one regularised solve of order
+``ANDERSON_MEMORY`` per program.  Two guards keep it safe.  A point whose
+next step is longer than the step before is rejected: the program goes
+back to its plain point and runs the iteration again from there.  A
+point shorter than half its g, or whose tau entry falls below half of
+g's, is replaced by g: w = 0 and the tau = 0 face are fixed points of the
+embedding where no check finds a solution.  Either empties the program's
+history.  Where the accelerated iterates converge only linearly, the
+error they stop at varies with the data far faster than the plain
+splitting's, so an accelerated solve that meets the tolerance after an
+interval in which its residuals fell less than ``SETTLE_DROP``-fold runs
+on, up to ``SETTLE_INTERVALS`` more intervals; a check on the way that
+does not meet the tolerance ends it at its best point.  Soc-sum ends at 50
+iterations instead of 175 and sparse-qp at 225 instead of 375.  The
+``"dense"`` K solve, whose iterations cost 50-90 us of numpy calls on the
+fixture layers, is not accelerated.  Each program's products and solve
+are its own calls and the history's head advances alike for all, so
+batches stay bit for bit their lone solves.
+
 That order depends on A's pattern alone, so the ``Pattern`` keeps it, and
 the lifted M system below is factored under it, extended by a fixed rule,
 with no ordering pass of its own; a pattern whose K is not factored by
@@ -78,7 +102,8 @@ Polishing is an accelerator, not a step every slow solve takes.  Every
 iterate check keeps q, the largest ratio of a residual to its stopping
 tolerance (q <= 1 is converged).  A polish that falls due before
 ``max_iters`` on a program whose lifted system SuperLU would factor (order
-above ``DENSE_ORDER``) is skipped when the rate of the last check
+above ``DENSE_ORDER``) and whose splitting is not accelerated (whose rate
+is steady) is skipped when the rate of the last check
 interval, q_last -> q, brings q to 1 within as many more iterations as the
 solve has run (``_splitting_converges``): the doubling schedule waits that
 long for its next polish anyway.  A skipped polish stays due, so the next
@@ -152,6 +177,43 @@ MAX_ITERS = "max_iters"
 OVER_RELAX = 1.5
 CHECK_INTERVAL = 25
 REFINE_STEPS = 10
+# Differences kept by the Anderson acceleration of the "reduced" and
+# "superlu" K solves' splitting (``_Anderson``); 0 switches it off.  On a
+# 2-vCPU x86 host (OpenBLAS on one thread) a whole forward took, against
+# the plain splitting (medians of in-process paired ratios, perfbench's
+# seed-1 bindings), x0.77, x0.75 and x0.62 on soc-sum (75, 75 and 50
+# iterations instead of 175) and x1.10, x1.23 and x1.03 on sparse-qp (250,
+# 262 and 225 instead of 375) with memories 5, 7 and 10: there the
+# acceleration's own work per iteration, about 80 us beside a plain
+# iteration's 100, costs what the fewer iterations save.
+ANDERSON_MEMORY = 10
+# An accelerated state shorter than its program's first plain point over
+# this is scaled up by it, with its history (``_Anderson``): the map g is
+# positively homogeneous and a power of two scales exactly, so only the
+# iterates' scale changes, which the checks' absolute thresholds
+# (tau > 1e-9, b'y < -1e-12) would otherwise meet.
+RESCALE = 2.0 ** 10
+# An accelerated solve whose iterate meets the tolerance at a check, but
+# whose ratio of residual to tolerance fell less than SETTLE_DROP-fold over
+# the last check interval, runs on, up to SETTLE_INTERVALS more intervals
+# (``_Column._runs_another_interval``).  Where the acceleration converges
+# only linearly, as on sparse-qp (about tenfold per interval), the error
+# of the iterate it stops at varies with the data far faster than the
+# plain splitting's: the derivative of the computed solution map missed
+# its limit by about 3000 times the iterate's error after 175 accelerated
+# iterations, against 25 times for the plain splitting, and perfbench's
+# central-difference check of the first sparse-qp binding read up to
+# 5e-4 over seeds 21-300 (the plain splitting's: at most 6e-6).  Each
+# interval run on cuts that about tenfold; after one the check still read
+# 1.2e-4 at seed 167, after two at most 2e-5 (225 iterations instead of
+# 375).  Where it converges fast, as on soc-sum, whose ratio falls a
+# hundredfold or more in its last interval, it ends at once.  Running the
+# plain splitting from the first such interval instead (50 accelerated
+# iterations, then 250-325 plain ones) left the check at up to 3.0e-4
+# over seeds 1-100: the plain iterations damp the error of the
+# accelerated start only slowly.
+SETTLE_DROP = 100.0
+SETTLE_INTERVALS = 2
 
 
 def _is_int(value) -> bool:
@@ -387,7 +449,12 @@ K_DENSE_ORDER = 150
 # 0.68-0.73x at 403, 0.70-0.85x at 453 (general product 0.83-0.90x and
 # 0.91-0.96x), 0.87-0.92x at 553 and 0.90-1.00x at 653.  So a factor built
 # every call (A depends on theta) now keeps up with SuperLU to about 650
-# columns, close to this limit, and a kept one gains throughout.  The
+# columns, close to this limit, and a kept one gains throughout.  With
+# the Anderson-accelerated splitting (50-75 iterations instead of 175)
+# the per-call inverse weighs more: sums of norms took 0.91x SuperLU's at
+# n 353 and 453, 0.92-1.01x at 553, 0.97x at 603 and 0.96-1.21x at 653
+# (two rounds), so a factor built every call now keeps up only to about
+# 550-650 columns; the limit stays, since no workload has such an A.  The
 # inverse stack, inverted in place of the scattered S stack, holds B n^2
 # doubles for a minibatch of B programs whose A depends on theta: 1 MB per
 # program at n 350, 3.9 MB at 700, against SuperLU factors that are small
@@ -1183,6 +1250,9 @@ class _Column:
         self.status = MAX_ITERS
         self.iters = self.polishes = 0
         self.polish_s = 0.0
+        # the splitting's accelerated points (``_Anderson``), set by the loop
+        self.acceleration = {"accepted": 0, "rejected": 0}
+        self.deferred = 0  # intervals run on since it met the tolerance
         # polish attempts are exponentially spaced so their total cost stays
         # logarithmic in the iteration count
         self.next_refine = settings.refine_interval
@@ -1226,6 +1296,18 @@ class _Column:
         self.polish_s += time.perf_counter() - polishing
         return polished
 
+    def _runs_another_interval(self, it: int, q: float) -> bool:
+        """Whether an accelerated solve whose iterate meets the tolerance at
+        iteration ``it``, with ratio q, runs one more check interval
+        instead of ending: before ``max_iters``, when its ratio fell less
+        than ``SETTLE_DROP``-fold over the last interval, at most
+        ``SETTLE_INTERVALS`` times."""
+        return bool(self.acceleration["accepted"]
+                    and self.deferred < SETTLE_INTERVALS
+                    and it != self.settings.max_iters
+                    and self.last_check is not None
+                    and self.last_check[1] < SETTLE_DROP * q)
+
     def check(self, it: int, u: np.ndarray, v: np.ndarray) -> bool:
         """The checks of iteration ``it`` on this column's iterates u and v:
         convergence, a polish when one is due, and the infeasibility and
@@ -1236,22 +1318,33 @@ class _Column:
         if tau > 1e-9 * max(1.0, np.linalg.norm(u)):
             xh, yh, sh = u[:n] / tau, u[n:n + m] / tau, v[n:n + m] / tau
             ok, q = self.consider(xh, yh, sh)
-            if ok:
+            if ok and self._runs_another_interval(it, q):
+                self.deferred += 1
+                self.last_check = (it, q)
+                return False
+            # a check after one that met the tolerance and ran on ends the
+            # solve at its best point, whether it meets the tolerance or not
+            if ok or self.deferred:
                 self.status = OPTIMAL
                 return True
             last, self.last_check = self.last_check, (it, q)
             # a polish due before max_iters that would factor its lifted
             # system (of order at least n + m + 2) with SuperLU is left to
-            # the splitting, and stays due, while the last interval's rate
-            # reaches the tolerance within as many iterations as the
-            # doubling schedule waits for the next polish
+            # the plain splitting, and stays due, while the last interval's
+            # rate reaches the tolerance within as many iterations as the
+            # doubling schedule waits for the next polish; an accelerated
+            # splitting's rate is not steady enough to tell
             do_refine = settings.refine and (
                 it == settings.max_iters or it >= self.next_refine and not (
                     n + m + 2 > DENSE_ORDER
+                    and not self.acceleration["accepted"]
                     and _splitting_converges(it, q, last)))
             if do_refine and self.polish(it, xh, yh, sh):
                 self.status = OPTIMAL
                 return True
+        elif self.deferred:  # as above
+            self.status = OPTIMAL
+            return True
 
         # Certificate checks for infeasibility/unboundedness, evaluated in
         # the original units.
@@ -1285,6 +1378,7 @@ class _Column:
                 "timings": dict(self.timings, iterate=iterate_s,
                                 polish=self.polish_s),
                 "iteration_system": self.factor.kind,
+                "acceleration": dict(self.acceleration),
                 "sizes": {"n": n, "m": m, "N": n + m + 1,
                           "zero": spec.n_zero, "nonneg": spec.n_nonneg,
                           "soc_blocks": len(spec.soc_dims),
@@ -1297,6 +1391,139 @@ class _Column:
         info["solve_time"] = (self.setup_s + iterate_s + self.polish_s
                               + time.perf_counter() - finishing)
         return ConeSolution(x=x, y=y, s=s, status=self.status, info=info)
+
+
+class _Anderson:
+    """Safeguarded type-II Anderson acceleration of the splitting map g of
+    a (B, N) stack of states, one history per row (Walker & Ni 2011; the
+    safeguard as in SCS 3.0, Zhang, O'Donoghue & Boyd 2020).
+
+    Each row keeps the differences of its last ``memory`` steps f = g(w) -
+    w and plain points g(w), as the (B, memory, N) stacks ``dF`` and
+    ``dG``, in a ring whose head advances alike for every row, and their
+    Gram matrix dF dF' as a (B, memory, memory) stack that each new
+    difference updates by one row and column.  The accelerated point is
+    g - dG' gamma, with gamma from the normal equations (dF dF' + 1e-10
+    trace I) gamma = dF f, solved by LAPACK's Cholesky solver (``dposv``).
+    A slot that holds no difference, emptied or not yet filled, is zero,
+    and so are its row and column of the Gram matrix and its right-hand
+    side, so its coefficient is exactly 0.  The stacked updates are
+    elementwise, and every product and solve is one row's own call, as
+    the reduced K solve's ``dsymv``, so a row's arithmetic does not depend
+    on the batch.
+
+    Two guards.  The safeguard (``rejects``): a row whose step at its
+    accelerated point is longer than the step at the point before goes
+    back to that point's plain g.  The collapse guard: a row whose
+    accelerated point is shorter than half its g, or whose last entry
+    (tau - kappa) falls below half of g's where g's is positive, takes g
+    instead, since w = 0 is a fixed point of the embedding and so is every
+    point of its tau = 0 face, where no check finds a solution.  A
+    rejection empties the row's history, and so does a system that LAPACK
+    does not find positive definite.  ``accepted`` counts each row's
+    accelerated points that no guard rejected, ``rejected`` those the
+    guards rejected.  An accepted point shorter than the row's first g
+    over ``RESCALE`` is scaled up by ``RESCALE``, with the row's history.
+    """
+
+    def __init__(self, count: int, N: int, memory: int):
+        self.memory, self.head = memory, 0
+        self.dF = np.zeros((count, memory, N))
+        self.dG = np.zeros((count, memory, N))
+        self.gram = np.zeros((count, memory, memory))
+        self.floor = None  # squared lengths below which a state is scaled
+        # each row's newest difference of f and its last step f, side by
+        # side for one product with its dF
+        self.pair = np.zeros((count, 2, N))
+        self.g = None  # the last plain points
+        self.norm = [0.0] * count  # |f|^2 of each row's last step
+        self.taken = [False] * count  # whether a row's state is accelerated
+        self.accepted = [0] * count
+        self.rejected = [0] * count
+
+    def _clear(self, r: int) -> None:
+        """Empty row r's history, counting a rejection."""
+        self.dF[r] = 0.0
+        self.dG[r] = 0.0
+        self.gram[r] = 0.0
+        self.rejected[r] += 1
+
+    def rejects(self, norms: list) -> np.ndarray:
+        """The rows whose state is an accelerated point and whose step
+        there, of squared length ``norms[r]``, is longer than the step at
+        the point before; their histories are emptied, and ``g`` holds the
+        plain points to go back to."""
+        out = np.zeros(len(norms), dtype=bool)
+        for r, (taken, norm) in enumerate(zip(self.taken, norms)):
+            if taken and norm > self.norm[r]:
+                out[r] = True
+                self._clear(r)
+                self.accepted[r] -= 1
+        return out
+
+    def point(self, W: np.ndarray, F: np.ndarray, norms: list) -> np.ndarray:
+        """The next states of the rows of W, whose steps are the rows of F,
+        of squared lengths ``norms``: each row's accelerated point, or its
+        g = w + f where its history is empty or a guard rejects the
+        point."""
+        G = W + F
+        first, k = self.g is None, self.head
+        if not first:
+            np.subtract(F, self.pair[:, 1], out=self.pair[:, 0])
+            self.dF[:, k] = self.pair[:, 0]
+            np.subtract(G, self.g, out=self.dG[:, k])
+        self.pair[:, 1] = F
+        self.g, self.norm, self.taken = G, norms, [False] * len(G)
+        if first:
+            self.floor = [float(g @ g) / RESCALE ** 2 for g in G]
+            return G
+        self.head = (k + 1) % self.memory
+        out = G.copy()
+        for r, (dF, gram) in enumerate(zip(self.dF, self.gram)):
+            # the Gram matrix's new row and column, and dF f
+            both = dF @ self.pair[r].T
+            gram[k, :] = gram[:, k] = both[:, 0]
+            trace = gram.trace()
+            if trace == 0.0:
+                continue
+            system = gram.copy()
+            system.flat[::self.memory + 1] += 1e-10 * trace
+            gamma, info = sla.lapack.dposv(system, both[:, 1])[1:]
+            if info != 0:
+                self._clear(r)
+                continue
+            point = np.subtract(G[r], gamma @ self.dG[r], out=out[r])
+            length, tau = point @ point, G[r, -1]
+            if length < 0.25 * (G[r] @ G[r]) or (
+                    0.0 < tau and point[-1] < 0.5 * tau):
+                point[:] = G[r]
+                self._clear(r)
+                continue
+            self.taken[r] = True
+            self.accepted[r] += 1
+            if length < self.floor[r]:
+                self._rescale(r, out)
+        return out
+
+    def _rescale(self, r: int, out: np.ndarray) -> None:
+        """Scale row r's state ``out[r]``, plain point and history by
+        RESCALE, and its squared lengths by its square."""
+        for part in (out[r], self.g[r], self.pair[r], self.dF[r],
+                     self.dG[r]):
+            part *= RESCALE
+        self.gram[r] *= RESCALE ** 2
+        self.norm[r] *= RESCALE ** 2
+
+    def subset(self, keep: np.ndarray) -> None:
+        """Keep the rows where ``keep`` is True; ``g`` and ``floor`` are
+        None until the first ``point``."""
+        for name in ("dF", "dG", "gram", "pair", "g"):
+            if getattr(self, name) is not None:
+                setattr(self, name, getattr(self, name)[keep])
+        for name in ("norm", "floor", "taken", "accepted", "rejected"):
+            if getattr(self, name) is not None:
+                setattr(self, name, [v for v, k in zip(getattr(self, name),
+                                                       keep) if k])
 
 
 def _iterate(cols: list, factor: IterationFactor, settings: SolverSettings,
@@ -1320,6 +1547,17 @@ def _iterate(cols: list, factor: IterationFactor, settings: SolverSettings,
     elementwise.  So a row's arithmetic does not depend on the other rows,
     and every column runs the iterations, checks and polishes of its own
     solve.  A column whose checks end its solve leaves the stacks.
+
+    On the ``"reduced"`` and ``"superlu"`` K solves, with
+    ``ANDERSON_MEMORY`` above 0, the new state is not g = w + alpha
+    (lin(r) - p) but the accelerated point ``_Anderson.point`` makes of
+    it, from the second iteration on (the seeded first step is no step of
+    g).  A row the safeguard rejects (``_Anderson.rejects``) goes back to
+    its last plain point g and runs the iteration again from there: its
+    projection and its system, through ``_IterationSystem.subset`` when
+    only some rows go back, before the new points are made.  The
+    ``"dense"`` K solve runs the plain splitting.  Each column's counts of
+    accepted and rejected points are handed to it at every check.
     """
     # a lone program iterates on vectors, which costs the least; every
     # operation below takes vectors or stacks alike
@@ -1328,23 +1566,50 @@ def _iterate(cols: list, factor: IterationFactor, settings: SolverSettings,
     V0 = stack([c.v for c in cols])
     R = P + V0
     W = P - V0
+    N = W.shape[-1]
     lin = _IterationSystem(factor, np.array([c.row for c in cols]),
                            stack([c.h for c in cols]))
     alpha = OVER_RELAX
     step = np.empty(W.shape)
+    accel = None
+    if ANDERSON_MEMORY > 0 and factor.kind != "dense":
+        accel = _Anderson(len(cols), N, ANDERSON_MEMORY)
     active = cols
     for it in range(1, settings.max_iters + 1):
         lin(R, step)
         np.subtract(step, P, out=step)
         np.multiply(step, alpha, out=step)
-        np.add(W, step, out=W)
+        # the seeded first step is no step of the map g, so it enters no
+        # history
+        if accel is None or it == 1:
+            np.add(W, step, out=W)
+        else:
+            F = step.reshape(-1, N)
+            norms = [float(f @ f) for f in F]
+            back = accel.rejects(norms)
+            if back.any():
+                # the iteration again, from the plain points g
+                rows = ... if back.all() else back
+                W_b = accel.g.reshape(W.shape)[rows]
+                P_b = project_embedding(W_b, spec, n)
+                R_b = np.subtract(np.multiply(P_b, 2.0), W_b)
+                step_b = (lin if rows is ... else lin.subset(back))(
+                    R_b, np.empty(W_b.shape))
+                np.subtract(step_b, P_b, out=step_b)
+                np.multiply(step_b, alpha, out=step_b)
+                W[rows], step[rows] = W_b, step_b
+                for r in np.flatnonzero(back):
+                    norms[r] = float(F[r] @ F[r])
+            W = accel.point(W.reshape(-1, N), F, norms).reshape(W.shape)
         P = project_embedding(W, spec, n)
         np.multiply(P, 2.0, out=R)
         np.subtract(R, W, out=R)
 
         if it % CHECK_INTERVAL != 0 and it != settings.max_iters:
             continue
-        N = P.shape[-1]
+        if accel is not None:
+            for c, a, r in zip(active, accel.accepted, accel.rejected):
+                c.acceleration = {"accepted": a, "rejected": r}
         keep = np.array([not c.check(it, u, u - w) for c, u, w in zip(
             active, P.reshape(-1, N), W.reshape(-1, N))])
         if not keep.all():
@@ -1353,6 +1618,8 @@ def _iterate(cols: list, factor: IterationFactor, settings: SolverSettings,
             active = [c for c, k in zip(active, keep) if k]
             P, R, W, lin = P[keep], R[keep], W[keep], lin.subset(keep)
             step = step[:len(active)]
+            if accel is not None:
+                accel.subset(keep)
 
 
 def solve(data, settings: SolverSettings | None = None, warm_start=None,

@@ -67,9 +67,12 @@ def gradcheck_layer(layer, values, cotangents, h=1e-6):
 
 def assert_same_solve(a, b):
     """Two forward results of one binding are the same solve: status,
-    iteration and polish counts, and x, y, s bit for bit."""
-    assert (a.status, a.info["iterations"], a.info["polishes"]) == \
-        (b.status, b.info["iterations"], b.info["polishes"])
+    iteration, polish and accelerated-point counts, and x, y, s bit for
+    bit."""
+    assert (a.status, a.info["iterations"], a.info["polishes"],
+            a.info["acceleration"]) == \
+        (b.status, b.info["iterations"], b.info["polishes"],
+         b.info["acceleration"])
     for part in "xys":
         assert np.array_equal(getattr(a._solution, part),
                               getattr(b._solution, part))

@@ -1,5 +1,7 @@
 """Compiled-layer tests: forward outputs, gradients, batching, caching."""
 
+import copy
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -68,6 +70,19 @@ class TestCompile:
             Layer.compile(5)
         with pytest.raises(ShapeError, match="SolverSettings"):
             Layer.compile(relu_fixture(3).problem, 5)
+
+    def test_deep_sum_raises_compile_error(self):
+        """A sum of 600 norms built with + nests past the lowering's
+        recursion; compile names the depth instead of a bare
+        RecursionError."""
+        x = variable("x", 3)
+        objective = norm2(x - parameter("p0", 3))
+        for i in range(1, 600):
+            objective = objective + norm2(x - parameter(f"p{i}", 3))
+        with pytest.raises(CompileError, match=r"nest (\d+) deep") as err:
+            Layer.compile(Problem("minimize", objective))
+        depth = int(re.search(r"nest (\d+) deep", str(err.value))[1])
+        assert depth == 599 + 4  # the adds, norm2, x - p0's add and neg, p0
 
     def test_invalid_problem_raises_with_report(self):
         p1, p2 = parameter("p1"), parameter("p2")
@@ -566,16 +581,18 @@ class TestBatching:
         """The same with every K factored by SuperLU: a layer whose A is
         fixed solves all its rows with its one factor in one
         multi-right-hand-side solve, any other layer each row with its
-        element's own factor.  Elements leave the batch at different
-        iterations, so the batch shrinks as it runs."""
+        element's own factor.  With the plain splitting elements leave the
+        batch at different iterations, so the batch shrinks as it runs;
+        the accelerated splitting (``ANDERSON_MEMORY``) solves the same
+        bindings, bit for bit as their sequential solves too."""
         monkeypatch.setattr(solver, "K_DENSE_ORDER", 0)
         monkeypatch.setattr(solver, "REDUCED_ORDER", 0)
-        layer, whole = self.check_batch_equals_sequential(
-            BATCH_FIXTURES[name], rng)
-        if layer._a_fixed:
-            assert layer._factor.lus is not None
-        assert {r.info["iteration_system"] for r in whole} == {"superlu"}
-        assert len({r.info["iterations"] for r in whole}) > 1
+        for layer, whole in self.plain_and_accelerated(
+                BATCH_FIXTURES[name], rng, monkeypatch):
+            if layer._a_fixed:
+                assert layer._factor.lus is not None
+            assert {r.info["iteration_system"] for r in whole} == \
+                {"superlu"}
 
     @pytest.mark.parametrize("name", list(BATCH_FIXTURES))
     def test_batch_equals_sequential_on_reduced(self, name, rng,
@@ -584,14 +601,30 @@ class TestBatching:
         A'A: a layer whose A is fixed broadcasts its one inverse over the
         rows, any other layer gives each row its element's own inverse,
         and the products with A and A' are one block-diagonal product
-        for the batch."""
+        for the batch; plain and accelerated, as above."""
         monkeypatch.setattr(solver, "K_DENSE_ORDER", 0)
-        layer, whole = self.check_batch_equals_sequential(
-            BATCH_FIXTURES[name], rng)
-        if layer._a_fixed:
-            assert layer._factor.kind == "reduced"
-        assert {r.info["iteration_system"] for r in whole} == {"reduced"}
-        assert len({r.info["iterations"] for r in whole}) > 1
+        for layer, whole in self.plain_and_accelerated(
+                BATCH_FIXTURES[name], rng, monkeypatch):
+            if layer._a_fixed:
+                assert layer._factor.kind == "reduced"
+            assert {r.info["iteration_system"] for r in whole} == \
+                {"reduced"}
+
+    def plain_and_accelerated(self, fx, rng, monkeypatch):
+        """``check_batch_equals_sequential`` on the same bindings with the
+        plain splitting, whose batch shrinks as it runs, and then with the
+        accelerated one, whose elements accept accelerated points; the
+        (layer, results) of each."""
+        memory = solver.ANDERSON_MEMORY
+        same = copy.deepcopy(rng)
+        monkeypatch.setattr(solver, "ANDERSON_MEMORY", 0)
+        plain = self.check_batch_equals_sequential(fx, rng)
+        assert len({r.info["iterations"] for r in plain[1]}) > 1
+        monkeypatch.setattr(solver, "ANDERSON_MEMORY", memory)
+        accelerated = self.check_batch_equals_sequential(fx, same)
+        assert all(r.info["acceleration"]["accepted"] > 0
+                   for r in accelerated[1])
+        return plain, accelerated
 
     @staticmethod
     def check_batch_equals_sequential(fx, rng):
@@ -838,6 +871,8 @@ def _duplicated_rows_layer():
 
 
 class TestInfo:
+    FORWARD_KEYS = {"iterations", "polishes", "solve_time", "timings",
+                    "sizes", "status", "iteration_system", "acceleration"}
     FORWARD_TIMINGS = {"bind", "materialize", "equilibrate", "factorize",
                        "iterate", "polish", "retrieve"}
     BACKWARD_KEYS = {"mode", "fallback", "residual", "iterations",
@@ -872,6 +907,7 @@ class TestInfo:
         layer = self._bounded_layer(settings)
         res = layer.forward(values)
         assert res.status == status
+        assert self.FORWARD_KEYS <= set(res.info)
         timings = res.info["timings"]
         assert set(timings) == self.FORWARD_TIMINGS
         assert all(isinstance(t, float) and t >= 0.0
@@ -892,15 +928,19 @@ class TestInfo:
     def test_iteration_system(self, rng):
         """A forward names its K solve: a dense inverse of K on a fixture
         layer, a dense inverse of S = I + A'A on a QP whose K is above
-        ``K_DENSE_ORDER``."""
+        ``K_DENSE_ORDER``; and counts the accelerated points, which the
+        dense K solve takes none of."""
         fx = relu_fixture()
         res = Layer.compile(fx.problem, TIGHT).forward(fx.sample(rng))
         assert res.info["iteration_system"] == "dense"
+        assert res.info["acceleration"] == {"accepted": 0, "rejected": 0}
         fx = small_sparse_qp(n=48)
         values = fx.sample(rng)
         res = Layer.compile(fx.problem, TIGHT).forward(values)
         assert res.ok and res.info["sizes"]["N"] - 1 > solver.K_DENSE_ORDER
         assert res.info["iteration_system"] == "reduced"
+        accepted = res.info["acceleration"]["accepted"]
+        assert 0 < accepted < res.info["iterations"]
 
     def test_sizes_count_second_order_blocks(self, rng):
         layer, values = _sum_of_norms_layer(3, rng)

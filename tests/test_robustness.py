@@ -26,7 +26,7 @@ from diffcone.layer import Layer
 
 STATUSES = {"optimal", "infeasible", "unbounded", "max_iters"}
 FORWARD_KEYS = {"iterations", "polishes", "solve_time", "timings", "sizes",
-                "status", "iteration_system"}
+                "status", "iteration_system", "acceleration"}
 FORWARD_TIMINGS = {"bind", "materialize", "equilibrate", "factorize",
                    "iterate", "polish", "retrieve"}
 BACKWARD_KEYS = {"mode", "fallback", "residual", "iterations",

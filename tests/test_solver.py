@@ -22,6 +22,7 @@ from diffcone.cones import (
 )
 from diffcone.errors import ShapeError, SolveStatusError, SolverInputError
 from diffcone.fixtures import (
+    gen_random_dpp,
     nonneg_least_squares_fixture,
     oracle_eq_qp,
     oracle_lp_vertex,
@@ -597,7 +598,12 @@ class TestOneStateLoop:
     relative, on a program of each K solve: from the cold start, from a
     warm start that is not a Moreau pair (whose w0 = u0 - v0 must not be
     projected before the first step), and in a batch whose first column
-    leaves 175 iterations before the second."""
+    leaves 175 iterations before the second.  They pin the plain
+    splitting, so its Anderson acceleration is off."""
+
+    @pytest.fixture(autouse=True)
+    def plain_splitting(self, monkeypatch):
+        monkeypatch.setattr(solver, "ANDERSON_MEMORY", 0)
 
     # ends optimal at 75 iterations
     DATA = sparse_qp_data(n=12, seed=0)
@@ -653,6 +659,288 @@ class TestOneStateLoop:
                     1e-12 * np.linalg.norm(u_ref)
                 assert np.linalg.norm(v - v_ref) <= \
                     1e-12 * np.linalg.norm(v_ref)
+
+
+def _signed_values(problem, rng):
+    """Parameter values from N(0, 1) with their declared signs."""
+    out = {}
+    for p in problem.parameters:
+        v = rng.standard_normal(p.shape.dims)
+        out[p.name] = np.abs(v) if p.nonneg else (
+            -np.abs(v) if p.nonpos else v)
+    return out
+
+
+class TestAnderson:
+    """The splitting of the ``"reduced"`` and ``"superlu"`` K solves is
+    Anderson accelerated (``_Anderson``), with two guards; ``"dense"``'s
+    is not."""
+
+    # each ends optimal; lone and under TIGHT they take 50, 125, 50 and 100
+    # iterations, and the guards reject 6-7 points of the second alone
+    DATA = sparse_qp_data(n=12, seed=0)
+
+    @classmethod
+    def programs(cls):
+        """DATA, its costs scaled by 1e-2, its b perturbed, and its A's
+        entries perturbed: the first three share A."""
+        data = cls.DATA
+        rng = np.random.default_rng(3)
+        A = data.A.tocsr()
+        return [data,
+                ConeProgramData(A, data.b, 1e-2 * data.c, data.cones),
+                ConeProgramData(A, data.b + 0.1 * rng.standard_normal(
+                    data.b.size), data.c, data.cones),
+                ConeProgramData(sp.csr_matrix(
+                    (A.data * (1 + 0.2 * rng.standard_normal(A.nnz)),
+                     A.indices, A.indptr), shape=A.shape),
+                    data.b, data.c, data.cones)]
+
+    @staticmethod
+    def force(monkeypatch, kind):
+        dense_order, reduced_order = K_SOLVES[kind]
+        monkeypatch.setattr(solver, "K_DENSE_ORDER", dense_order)
+        monkeypatch.setattr(solver, "REDUCED_ORDER", reduced_order)
+
+    @pytest.mark.parametrize("kind", ["reduced", "superlu"])
+    def test_batch_equals_lone_solves(self, kind, monkeypatch):
+        """A batch whose rows leave at different iterations, and in which
+        the safeguard sends one row back to its plain point at iterations
+        where the others keep their accelerated points, is its lone solves
+        bit for bit: with one factor per program, and with one shared."""
+        self.force(monkeypatch, kind)
+        datas = self.programs()
+        lone = [solve(data, TIGHT) for data in datas]
+        assert len({s.info["iterations"] for s in lone}) > 1
+        rejected = [s.info["acceleration"]["rejected"] for s in lone]
+        assert rejected[1] > 0 and rejected.count(0) == 3
+        shared = IterationFactor(datas[0].A, datas[0].cones)
+        for batch, factor in ((datas, None), (datas[:3], shared)):
+            for got, want in zip(solve(batch, TIGHT, factor=factor), lone):
+                assert got.info["iteration_system"] == kind
+                for key in ("iterations", "polishes", "acceleration"):
+                    assert got.info[key] == want.info[key]
+                assert got.status == want.status == "optimal"
+                for part in "xys":
+                    assert np.array_equal(getattr(got, part),
+                                          getattr(want, part))
+
+    @pytest.mark.parametrize("max_iters", [1, 2, 25])
+    def test_row_leaving_before_the_first_point(self, max_iters,
+                                                monkeypatch):
+        """A batch whose infeasible row leaves at a check before, or right
+        after, the accelerator's first point equals its lone solves."""
+        self.force(monkeypatch, "reduced")
+        A = sp.csr_matrix(np.array([[-1.0], [1.0]]))
+        spec = ConeSpec(0, 2, ())
+        datas = [ConeProgramData(A, np.array([-1.0, 0.0]), np.zeros(1),
+                                 spec),  # x >= 1 and x <= 0
+                 ConeProgramData(A, np.array([-1.0, 5.0]), np.ones(1),
+                                 spec)]
+        settings = SolverSettings(max_iters=max_iters)
+        lone = [solve(data, settings) for data in datas]
+        for got, want in zip(solve(datas, settings), lone):
+            assert (got.status, got.info["iterations"]) == \
+                (want.status, want.info["iterations"])
+            assert np.array_equal(got.x, want.x)
+
+    def test_fewer_iterations_and_the_same_point(self, monkeypatch):
+        """On the reduced K solve the accelerated splitting ends in fewer
+        iterations than the plain one, at a point within 1e-6."""
+        self.force(monkeypatch, "reduced")
+        memory = solver.ANDERSON_MEMORY
+        for data in self.programs():
+            fast = solve(data, TIGHT)
+            monkeypatch.setattr(solver, "ANDERSON_MEMORY", 0)
+            plain = solve(data, TIGHT)
+            monkeypatch.setattr(solver, "ANDERSON_MEMORY", memory)
+            assert plain.info["acceleration"] == {"accepted": 0,
+                                                  "rejected": 0}
+            assert fast.info["acceleration"]["accepted"] > 0
+            assert fast.info["iterations"] < plain.info["iterations"]
+            assert np.linalg.norm(fast.x - plain.x) <= \
+                1e-6 * np.linalg.norm(plain.x)
+
+    def test_dense_is_not_accelerated(self, monkeypatch):
+        self.force(monkeypatch, "dense")
+        sol = solve(self.DATA, TIGHT)
+        assert sol.info["iteration_system"] == "dense"
+        assert sol.info["acceleration"] == {"accepted": 0, "rejected": 0}
+
+    # w -> w / 2 and w -> (w + 1) / 2 from w0 = (1, 2, 3, -4): the last
+    # entry, tau - kappa in the embedding, stays negative on the way to
+    # 0, so the tau entry's guard leaves the first map to the norm's
+    TO_ZERO = (0.5 * np.eye(4), np.zeros(4), np.array([1.0, 2.0, 3.0, -4.0]))
+    TO_ONE = (0.5 * np.eye(4), 0.5 * np.ones(4), np.arange(1.0, 5.0))
+
+    @staticmethod
+    def run(maps, steps=6, memory=3):
+        """Accelerate the affine maps w -> M w + t of the rows, (M, t,
+        w0) each, as one ``_Anderson`` stack for ``steps`` steps; the
+        states of each step and the accelerator."""
+        N = len(maps[0][2])
+        accel = solver._Anderson(len(maps), N, memory)
+        W = np.array([w for *_, w in maps])
+        states = []
+        for _ in range(steps):
+            F = np.array([M @ w + t - w for (M, t, _), w in zip(maps, W)])
+            norms = [float(f @ f) for f in F]
+            back = accel.rejects(norms)
+            if back.any():
+                W = np.where(back[:, None], accel.g, W)
+            F = np.array([M @ w + t - w for (M, t, _), w in zip(maps, W)])
+            W = accel.point(W, F, [float(f @ f) for f in F])
+            states.append(W.copy())
+        return states, accel
+
+    def test_collapse_guard(self):
+        """A history that heads for w = 0 (a contraction to 0, whose
+        fixed point is the embedding's trivial one) is rejected: the row
+        takes its plain point g and empties its history, while a row that
+        heads for a nonzero fixed point keeps its accelerated point; each
+        row of the stack is its lone run, bit for bit."""
+        to_zero, to_one = self.TO_ZERO, self.TO_ONE
+        N = len(to_zero[2])
+        states, accel = self.run([to_zero, to_one])
+        assert accel.rejected[0] > 0 and accel.accepted[0] == 0
+        assert accel.rejected[1] == 0 and accel.accepted[1] > 0
+        # the plain map halves w at every step: no point jumped to 0
+        assert np.array_equal(states[-1][0], 0.5 ** 6 * to_zero[2])
+        assert np.allclose(states[-1][1], np.ones(N))
+        for row, spec in enumerate((to_zero, to_one)):
+            alone, _ = self.run([spec])
+            for got, want in zip(states, alone):
+                assert np.array_equal(got[row], want[0])
+
+    def test_safeguard_rejects_a_longer_step(self):
+        """A row whose state is an accelerated point and whose step there
+        is longer than the step before is rejected, and its history
+        emptied; a row whose state is a plain point is not, however long
+        its step."""
+        _, accel = self.run([self.TO_ONE, self.TO_ONE], steps=4)
+        assert all(accel.taken) and accel.gram.any()
+        accepted = list(accel.accepted)
+        longer = [norm + 1.0 for norm in accel.norm]
+        accel.taken[1] = False
+        assert list(accel.rejects(longer)) == [True, False]
+        assert not accel.gram[0].any() and not accel.dF[0].any()
+        assert not accel.dG[0].any() and accel.gram[1].any()
+        assert accel.rejected == [1, 0]
+        assert accel.accepted == [accepted[0] - 1, accepted[1]]
+        assert not accel.rejects(accel.norm).any()
+
+    @pytest.mark.parametrize("accepted, deferred, it, last, q, more", [
+        (40, 0, 150, (125, 1.5), 0.9, True),      # fell 1.7-fold
+        (40, 0, 150, (125, 85.0), 0.9, True),     # fell 94-fold
+        (40, 0, 150, (125, 200.0), 0.9, False),   # fell 220-fold
+        (40, 0, 25, None, 0.9, False),            # no check before
+        (40, 1, 175, (150, 0.9), 0.5, True),      # ran one interval on
+        (40, 1, 175, (150, 0.9), 0.005, False),   # ... and fell 180-fold
+        (40, 2, 200, (175, 0.5), 0.3, False),     # ran two intervals on
+        (40, 0, 1000, (975, 1.5), 0.9, False),    # at max_iters
+        (0, 0, 150, (125, 1.5), 0.9, False),      # not accelerated
+    ])
+    def test_runs_another_interval(self, accepted, deferred, it, last, q,
+                                   more):
+        column = dataclasses.make_dataclass("Column", [
+            "acceleration", "deferred", "settings", "last_check"])(
+            {"accepted": accepted, "rejected": 0}, deferred,
+            SolverSettings(max_iters=1000), last)
+        assert solver._Column._runs_another_interval(column, it, q) is more
+
+    def test_slow_accelerated_solve_runs_on(self, monkeypatch):
+        """A QP whose accelerated splitting converges only linearly meets
+        the tolerance at 125 iterations and runs two more intervals, to
+        175; it ends optimal either way."""
+        self.force(monkeypatch, "reduced")
+        data = sparse_qp_data(n=256, seed=0)
+        settled = solve(data)
+        monkeypatch.setattr(solver, "SETTLE_DROP", 0.0)
+        first = solve(data)
+        assert (settled.status, first.status) == ("optimal", "optimal")
+        assert (first.info["iterations"], settled.info["iterations"]) == \
+            (125, 175)
+        assert settled.info["acceleration"]["accepted"] > 0
+
+    @pytest.mark.parametrize("max_iters", [75, 1000])
+    def test_check_after_running_on_ends_optimal(self, max_iters,
+                                                 monkeypatch):
+        """A check that meets the tolerance and runs on (its ratio fell
+        less than ``SETTLE_DROP``-fold), followed by one that does not,
+        ends the solve optimal at the second, at its best point, before
+        ``max_iters`` and at it, without a polish."""
+        self.force(monkeypatch, "reduced")
+        ratios = iter([(False, 50.0), (True, 0.9), (False, 2.0)])
+        consider = solver._Column.consider
+
+        def stub(column, *point):
+            consider(column, *point)
+            return next(ratios)
+
+        monkeypatch.setattr(solver._Column, "consider", stub)
+        sol = solve(self.DATA, SolverSettings(max_iters=max_iters))
+        assert (sol.status, sol.info["iterations"], sol.info["polishes"]) \
+            == ("optimal", 75, 0)
+        assert sol.info["acceleration"]["accepted"] > 0
+
+    def test_accelerated_polish_is_not_skipped(self, monkeypatch):
+        """A polish due on an accelerated solve runs whatever the last
+        interval's rate predicts: the prediction holds for the plain
+        splitting's steady rate only.  Due at 50, the QP of order above
+        ``DENSE_ORDER`` polishes there, where the prediction would have
+        left it to the splitting."""
+        self.force(monkeypatch, "reduced")
+        data = sparse_qp_data(n=64, seed=0)
+        assert sum(data.A.shape) + 2 > solver.DENSE_ORDER
+        monkeypatch.setattr(solver, "_splitting_converges",
+                            lambda it, q, last: True)
+        sol = solve(data, SolverSettings(refine_interval=50))
+        assert sol.status == "optimal"
+        assert (sol.info["iterations"], sol.info["polishes"]) == (50, 1)
+        assert sol.info["acceleration"]["accepted"] > 0
+
+    @pytest.mark.parametrize("kind", ["reduced", "superlu"])
+    @pytest.mark.parametrize("seed", [30, 344, 407, 508])
+    def test_guarded_corpus_programs_end_optimal(self, seed, kind,
+                                                monkeypatch):
+        """``gen_random_dpp(seed, 1 + seed % 3, seed % 4)`` at its corpus
+        parameters ends optimal, as the plain splitting does, where an
+        unguarded acceleration stopped at ``max_iters``: at 508 its
+        points shrank to w = 0, at 407 its tau entry fell from 0.28 to
+        5e-3 in one step and on to the tau = 0 face, and at 344 the
+        state's scale slid below the checks' absolute thresholds (2675
+        iterations on the reduced K solve, against 3875 plain).  At 30
+        the guards reject points that shrink below half of g."""
+        self.force(monkeypatch, kind)
+        problem = gen_random_dpp(seed, 1 + seed % 3, seed % 4)
+        res = Layer.compile(problem, SolverSettings(max_iters=20_000)).forward(
+            _signed_values(problem, np.random.default_rng(seed)))
+        assert res.status == "optimal"
+        assert res.info["acceleration"]["rejected"] > 0
+
+    @pytest.mark.parametrize("kind", ["reduced", "superlu"])
+    def test_corpus_statuses_match_the_plain_splitting(self, kind,
+                                                       monkeypatch):
+        """The random corpus ``gen_random_dpp(seed, 1 + seed % 3, seed %
+        4)``, seeds 0-99 with N(0, 1) parameters of their declared signs,
+        ends in the statuses of the plain splitting, in no more iterations
+        in all."""
+        self.force(monkeypatch, kind)
+        memory = solver.ANDERSON_MEMORY
+        got, want = {}, {}
+        for seed in range(100):
+            problem = gen_random_dpp(seed, 1 + seed % 3, seed % 4)
+            values = _signed_values(problem, np.random.default_rng(seed))
+            layer = Layer.compile(problem)
+            for kept, out in ((memory, got), (0, want)):
+                monkeypatch.setattr(solver, "ANDERSON_MEMORY", kept)
+                res = layer.forward(values)
+                out[seed] = res.status, res.info["iterations"]
+            monkeypatch.setattr(solver, "ANDERSON_MEMORY", memory)
+        assert {s: st for s, (st, _) in got.items()} == \
+            {s: st for s, (st, _) in want.items()}
+        assert sum(it for _, it in got.values()) < \
+            sum(it for _, it in want.values())
 
 
 class TestCholeskyInverse:
@@ -1073,7 +1361,13 @@ class TestPolishFactor:
 class TestPolishSkip:
     """A polish that would factor with SuperLU is left to the splitting
     when the last check interval's rate reaches the tolerance within as
-    many more iterations as the solve has run."""
+    many more iterations as the solve has run.  The iteration counts and
+    ratios below are the plain splitting's, so its Anderson acceleration
+    is off."""
+
+    @pytest.fixture(autouse=True)
+    def plain_splitting(self, monkeypatch):
+        monkeypatch.setattr(solver, "ANDERSON_MEMORY", 0)
 
     # lifted order 263, above DENSE_ORDER; without a polish it ends
     # optimal at 150 iterations, its ratio of residual to tolerance

@@ -15,12 +15,14 @@ iteration and polish counts, and hashes of x, y and s.
 gradient's central-difference error (along a seeded direction, step
 ``workloads.GRADCHECK_H``, relative above 1 and absolute below, as in
 acceptance criterion 4) to an ``.npz``.  ``--against`` compares with a
-file saved from another checkout: every status, iteration or polish
-count that differs, the largest move of x, y and s per workload, per
+file saved from another checkout: every status that differs (STATUS
+lines) and, apart from them, every iteration or polish count that
+differs (COUNTS lines), the largest move of x, y and s per workload, per
 workload the bindings whose status, counts, x, y, s and gradients are
-bitwise equal, each side's number of polishes and its largest
-central-difference error, and every gradient that moved by more than
-1e-8 relative, with its central-difference error before and after.
+bitwise equal, each side's total of iterations and of polishes and its
+largest central-difference error, and every gradient that moved by more
+than 1e-8 relative, with its central-difference error before and after.
+It exits 1 when a status changed or a binding is in one file only.
 
     python tools/iteration_parity.py --checkout ../parent --seed 1 \\
         --save parent.npz
@@ -180,31 +182,37 @@ def _bitwise_equal(a: dict, b: dict) -> bool:
 
 
 def compare(new: dict, old: dict) -> int:
-    """Print the differences; returns the number of changed statuses,
-    iteration counts and polish counts."""
-    changed = 0
+    """Print the differences; returns the number of changed statuses and
+    of bindings in one file only.  Changed statuses and changed iteration
+    or polish counts are listed apart, as STATUS and COUNTS lines."""
+    statuses = counted = 0
     moves = {}
     gradients = []
     # workload -> [bindings, bitwise equal, polishes before and after,
-    # largest central-difference error before and after]
+    # largest central-difference error before and after, iterations
+    # before and after]
     sides = {}
     for key in sorted(set(new) & set(old)):
         a, b = old[key], new[key]
-        counts = tuple((a[f], b[f]) for f in ("status", "iterations",
-                                              "polishes"))
+        if a["status"] != b["status"]:
+            statuses += 1
+            print(f"STATUS {key}: {a['status']} -> {b['status']}")
+        counts = tuple((a[f], b[f]) for f in ("iterations", "polishes"))
         if any(x != y for x, y in counts):
-            changed += 1
-            print(f"CHANGED {key}: " + ", ".join(
+            counted += 1
+            print(f"COUNTS {key}: " + ", ".join(
                 f"{f} {x} -> {y}" for f, (x, y) in zip(
-                    ("status", "iterations", "polishes"), counts)))
+                    ("iterations", "polishes"), counts)))
         workload = key.split(":")[0]
-        side = sides.setdefault(workload, [0, 0, 0, 0, 0.0, 0.0])
+        side = sides.setdefault(workload, [0, 0, 0, 0, 0.0, 0.0, 0, 0])
         side[0] += 1
         side[1] += _bitwise_equal(a, b)
         side[2] += int(a["polishes"])
         side[3] += int(b["polishes"])
         side[4] = max(side[4], _largest_cd_error(a))
         side[5] = max(side[5], _largest_cd_error(b))
+        side[6] += int(a["iterations"])
+        side[7] += int(b["iterations"])
         for part in "xys":
             if a[part].shape == b[part].shape:
                 move = float(np.max(np.abs(a[part] - b[part]), initial=0.0))
@@ -223,22 +231,24 @@ def compare(new: dict, old: dict) -> int:
     missing = sorted(set(new) ^ set(old))
     for key in missing:
         print(f"ONLY IN ONE FILE {key}")
-    print(f"{len(set(new) & set(old))} bindings compared, {changed} with a "
-          f"changed status, iteration or polish count")
+    print(f"{len(set(new) & set(old))} bindings compared, {statuses} with a "
+          f"changed status, {counted} with a changed iteration or polish "
+          f"count")
     for (workload, part), (move, rel) in sorted(moves.items()):
         print(f"largest move of {part} on {workload}: {move:.3e} absolute, "
               f"{rel:.3e} relative")
-    for workload, (count, equal, polished, polishes, before, after) in \
-            sorted(sides.items()):
+    for workload, (count, equal, polished, polishes, before, after,
+                   iterated, iterations) in sorted(sides.items()):
         print(f"{workload}: {equal} of {count} bindings bitwise equal; "
-              f"polishes {polished} -> {polishes}; largest "
-              f"central-difference error {before:.3e} -> {after:.3e}")
+              f"iterations {iterated} -> {iterations}; polishes {polished} "
+              f"-> {polishes}; largest central-difference error "
+              f"{before:.3e} -> {after:.3e}")
     print(f"{len(gradients)} gradients moved by more than {GRADIENT_MOVE:g} "
           f"relative")
     for key, i, rel, before, after in gradients:
         print(f"  {key} cotangent {i}: moved {rel:.3e}, central-difference "
               f"error {before:.3e} -> {after:.3e}")
-    return changed + len(missing)
+    return statuses + len(missing)
 
 
 def main(argv=None) -> int:
