@@ -17,6 +17,7 @@ appearance in the lowered objective followed by the ordered constraints.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -415,9 +416,24 @@ class ConeProgramData:
         if self.cones.total_dim != m:
             raise SolverInputError(
                 f"cone rows {self.cones.total_dim} != constraint rows {m}")
-        if not (np.all(np.isfinite(self.A.data)) and np.all(np.isfinite(self.b))
-                and np.all(np.isfinite(self.c))):
-            raise SolverInputError("problem data contains NaN/Inf")
+        _require_finite(self.A.data, self.b, self.c)
+
+    @classmethod
+    def _checked(cls, A, b, c, cones) -> "ConeProgramData":
+        """A program whose dimensions and finiteness its caller has already
+        checked, for a whole batch at once (``materialize``)."""
+        program = object.__new__(cls)
+        for name, value in (("A", A), ("b", b), ("c", c), ("cones", cones)):
+            object.__setattr__(program, name, value)
+        return program
+
+
+def _require_finite(a_data, b, c) -> None:
+    """Raises ``SolverInputError`` unless every entry of A, b and c (of one
+    program, or (B, .) stacks of a batch's) is finite."""
+    if not (np.all(np.isfinite(a_data)) and np.all(np.isfinite(b))
+            and np.all(np.isfinite(c))):
+        raise SolverInputError("problem data contains NaN/Inf")
 
 
 @dataclass(frozen=True)
@@ -451,6 +467,18 @@ class AsaForm:
         return sp.hstack([self._a_coeff.T, self._b_map.T, self.c_map.T],
                          format="csr")[:self.n_params]
 
+    @cached_property
+    def _a_shared(self) -> sp.csr_matrix:
+        """A on its pattern with no entries stored yet, whose index arrays
+        every materialized A shares: read-only, so that no in-place
+        operation on one program's A reaches the others'."""
+        A = sp.csr_matrix((np.zeros(self._a_cols.size), self._a_cols.copy(),
+                           self._a_indptr.copy()),
+                          shape=(self.n_rows, self.n_cone_vars))
+        A.indices.flags.writeable = A.indptr.flags.writeable = False
+        A.has_canonical_format  # computed once, copied with the matrix
+        return A
+
     @property
     def n_cone_vars(self) -> int:
         return self.c_map.shape[0]
@@ -474,21 +502,46 @@ class AsaForm:
         return np.append(theta, 1.0)
 
     def flatten_params(self, values: dict) -> np.ndarray:
+        """theta from a value for each parameter, each converted to a float
+        array."""
+        return self._flatten(values, lambda v: np.asarray(v, dtype=float))
+
+    def _flatten(self, values: dict, convert) -> np.ndarray:
+        """theta from each parameter's value in ``values``, ``convert``ed
+        to a float array, run by run (``_param_runs``): a run of k slots
+        of dims d is one (k, *d) array of its values, written by one
+        strided copy.  A run whose values do not make that array is
+        checked slot by slot (``_check_values``), which raises for the
+        first slot in layout order that is missing or of another shape."""
         theta = np.zeros(self.n_params)
+        for run, offset, shape, strides in self._param_runs[1]:
+            try:
+                block = np.array([convert(values[name]) for name in run],
+                                 dtype=float)
+            except (KeyError, TypeError, ValueError):
+                block = None
+            if block is None or block.shape != shape:
+                self._check_values(values, convert)
+            np.ndarray(shape, float, theta, offset, strides)[...] = block
+        return theta
+
+    def _check_values(self, values: dict, convert) -> None:
+        """Raises for the first slot in layout order whose value is missing
+        (``DeclarationError``) or, ``convert``ed, of another shape than
+        the slot's (``ShapeError``)."""
         for slot in self.param_layout:
             if slot.name not in values:
                 raise DeclarationError(f"no value bound for parameter {slot.name!r}")
-            arr = np.asarray(values[slot.name], dtype=float)
+            arr = convert(values[slot.name])
             if arr.shape != slot.dims:
                 raise ShapeError(
                     f"value for {slot.name!r} has shape {arr.shape}, "
                     f"expected {slot.dims}")
-            theta[slot.offset:slot.offset + slot.size] = arr.ravel(order="F")
-        return theta
 
     @cached_property
     def _param_runs(self) -> tuple[list, list]:
-        """``param_layout`` for ``unflatten_params``, built once per layout:
+        """``param_layout`` for ``_flatten`` and ``unflatten_params``, built
+        once per layout:
         the slots' names in layout order, and the slots as runs of equal
         dims at equally spaced offsets.  A run is (names, offset, shape,
         strides) of the run's (k, *dims) view of a float theta, in bytes:
@@ -659,16 +712,39 @@ def canonicalize(problem: Problem) -> AsaForm:
 # ---------------------------------------------------------------------------
 # Materialization and its adjoint
 
-def materialize(asa: AsaForm, theta) -> ConeProgramData:
-    """Problem data for one parameter vector via sparse contractions only."""
-    ta = asa.theta_aug(theta)
-    a_data = asa._a_coeff @ ta
-    A = sp.csr_matrix((a_data, asa._a_cols.copy(), asa._a_indptr),
-                      shape=(asa.n_rows, asa.n_cone_vars))
-    b = asa._b_map @ ta
-    c = asa.c_map @ ta
-    return ConeProgramData(A=A, b=np.asarray(b).ravel(),
-                           c=np.asarray(c).ravel(), cones=asa.cones)
+def materialize(asa: AsaForm, theta):
+    """Problem data for one parameter vector via sparse contractions only.
+
+    ``theta`` may also be a (B, p) stack of parameter vectors: a list of B
+    programs comes back, program j equal to ``materialize(asa,
+    theta[j])``.  Either way the stack, with its trailing 1 (theta_aug),
+    is checked once and goes through one product each with ``_a_coeff``,
+    ``_b_map`` and ``c_map``; each product sums a row's entries in the
+    order of the one-vector product, so a program does not depend on the
+    stack.  The programs' A share the index arrays of ``_a_shared``, each
+    with its own entries.
+    """
+    one = np.ndim(theta) < 2
+    thetas = np.asarray(theta, dtype=float)
+    if one:
+        thetas = thetas.reshape(1, -1)
+    if thetas.ndim != 2 or thetas.shape[1] != asa.n_params:
+        got = thetas.shape[1] if thetas.ndim == 2 else thetas.shape
+        raise ShapeError(f"parameter vector has length {got}, expected "
+                         f"{asa.n_params}")
+    if thetas.size and not np.all(np.isfinite(thetas)):
+        raise SolverInputError("parameter vector contains NaN/Inf")
+    augmented = np.ones((asa.n_params + 1, len(thetas)))
+    augmented[:-1] = thetas.T
+    a_data, b, c = (np.ascontiguousarray((M @ augmented).T) for M in (
+        asa._a_coeff, asa._b_map, asa.c_map))
+    _require_finite(a_data, b, c)
+    programs = []
+    for row, b_j, c_j in zip(a_data, b, c):
+        A = copy.copy(asa._a_shared)
+        A.data = row
+        programs.append(ConeProgramData._checked(A, b_j, c_j, asa.cones))
+    return programs[0] if one else programs
 
 
 def _da_values(asa: AsaForm, dA) -> np.ndarray:
@@ -724,16 +800,27 @@ def _cotangent_row(asa: AsaForm, dA, db, dc) -> np.ndarray:
     return np.concatenate([vals, db, dc])
 
 
-def retrieve(asa: AsaForm, x_tilde) -> dict:
-    """Slice the cone-program primal back to named original variables."""
-    x_tilde = np.asarray(x_tilde, dtype=float).ravel()
-    if x_tilde.size != asa.n_cone_vars:
+def retrieve(asa: AsaForm, x_tilde):
+    """Slice the cone-program primal back to named original variables.
+
+    ``x_tilde`` may also be a (B, n) stack of primals: a list of B dicts
+    comes back, dict j equal to ``retrieve(asa, x_tilde[j])``, from one
+    product of the stack with ``retrieval``, which sums each output in
+    the order of the one-vector product."""
+    one = np.ndim(x_tilde) < 2
+    xs = np.asarray(x_tilde, dtype=float)
+    xs = xs.reshape(1, -1) if one else xs
+    if xs.ndim != 2 or xs.shape[1] != asa.n_cone_vars:
+        got = xs.shape[1] if xs.ndim == 2 else xs.shape
         raise ShapeError(
-            f"solution has length {x_tilde.size}, expected {asa.n_cone_vars}")
-    flat = asa.retrieval @ x_tilde
-    out = {}
-    for slot in asa.variable_layout:
-        part = flat[slot.offset:slot.offset + slot.size]
-        out[slot.name] = part.reshape(slot.dims, order="F") if slot.dims \
-            else np.asarray(part[0])
-    return out
+            f"solution has length {got}, expected {asa.n_cone_vars}")
+    flat = np.ascontiguousarray((asa.retrieval @ xs.T).T)
+    outs = []
+    for row in flat:
+        out = {}
+        for slot in asa.variable_layout:
+            part = row[slot.offset:slot.offset + slot.size]
+            out[slot.name] = part.reshape(slot.dims, order="F") \
+                if slot.dims else np.asarray(part[0])
+        outs.append(out)
+    return outs[0] if one else outs

@@ -7,10 +7,12 @@ and a sparse slice, and a backward pass chains the retrieval adjoint, the
 solver adjoint, and the canonicalizer adjoint.
 
 Both directions run over minibatches, and a single binding is the batch
-of one.  ``forward_batch`` solves its elements through one iteration loop,
-with one iteration factor for all of them: the layer's own when A is
-fixed, else one built for the minibatch on A's pattern, which the layer
-keeps (``solver.Pattern``).
+of one.  ``forward_batch`` materializes its elements in one go (one
+product of the (p + 1, B) theta stack with each map), solves them through
+one iteration loop, with one iteration factor for all of them: the
+layer's own when A is fixed, else one built for the minibatch on A's
+pattern, which the layer keeps (``solver.Pattern``), and retrieves the
+outputs in one product.
 ``backward_batch`` checks every tape and cotangent, maps the stacked
 cotangents through the retrieval adjoint (a CSR matrix kept per layer) in
 one product, builds the missing derivative factors in one assembly, runs
@@ -33,23 +35,27 @@ from .errors import CompileError, ShapeError, SolverInputError, \
     SolveStatusError
 from .problem import Problem, check_dpp
 from .solver import OPTIMAL, ConeSolution, IterationFactor, MFactor, \
-    Pattern, SolverSettings, normalized_point, solve
+    Pattern, SolverSettings, _row_dots, normalized_point, solve
 from .derivatives import adjoint_derivative
 
 __all__ = ["Layer", "ForwardResult"]
 
 
-def _numeric(value, what: str) -> np.ndarray:
+def _numeric(value, what: str, name: str) -> np.ndarray:
     """``value`` as a float array; a complex value, whose imaginary part a
-    cast would drop, raises ``ShapeError`` like a non-numeric one."""
+    cast would drop, raises ``ShapeError`` like a non-numeric one, naming
+    it as ``what.format(name)``.  A float array is returned as it is."""
+    if type(value) is np.ndarray and value.dtype == np.float64:
+        return value
     try:
         arr = np.asarray(value)
         if np.iscomplexobj(arr):
-            raise ShapeError(f"{what} is complex; only real values are "
-                             f"accepted")
+            raise ShapeError(f"{what.format(name)} is complex; only real "
+                             f"values are accepted")
         return arr.astype(float, copy=False)
     except (TypeError, ValueError):
-        raise ShapeError(f"{what} is not numeric: {value!r}") from None
+        raise ShapeError(f"{what.format(name)} is not numeric: "
+                         f"{value!r}") from None
 
 
 def _require_mapping(arg, what: str):
@@ -119,6 +125,7 @@ class Layer:
         self._token = object()
         self.problem = problem
         self.parameter_order = tuple(s.name for s in asa.param_layout)
+        self._param_names = frozenset(self.parameter_order)
         self.variable_order = tuple(s.name for s in asa.variable_layout)
         self._param_attrs = {}
         # When no parameter column of _a_coeff holds an entry, A is the same
@@ -136,6 +143,9 @@ class Layer:
         if problem is not None:
             for p in problem.parameters:
                 self._param_attrs[p.name] = (p.nonneg, p.nonpos)
+        # the parameters with a declared sign, which binding checks
+        self._signed = [(name, nonneg, nonpos) for name, (nonneg, nonpos)
+                        in self._param_attrs.items() if nonneg or nonpos]
 
     @staticmethod
     def compile(problem: Problem, settings: SolverSettings | None = None) -> "Layer":
@@ -167,12 +177,12 @@ class Layer:
 
     def _bind(self, values: dict) -> np.ndarray:
         _require_mapping(values, "parameter values")
-        unknown = set(values) - set(self.parameter_order)
+        unknown = values.keys() - self._param_names
         if unknown:
             raise ShapeError(f"unknown parameters bound: {sorted(unknown)}")
-        values = {name: _numeric(v, f"value for parameter {name!r}")
+        values = {name: _numeric(v, "value for parameter {!r}", name)
                   for name, v in values.items()}
-        for name, (nonneg, nonpos) in self._param_attrs.items():
+        for name, nonneg, nonpos in self._signed:
             if name in values:
                 arr = values[name]
                 if nonneg and np.any(arr < 0):
@@ -183,33 +193,38 @@ class Layer:
                     raise ShapeError(
                         f"parameter {name!r} is declared nonpos but got a "
                         f"positive value")
-        return self.asa.flatten_params(values)
+        # converted once, above
+        return self.asa._flatten(values, lambda arr: arr)
 
     def forward(self, values: dict, warm_start=None) -> ForwardResult:
         return self._forward([values], [warm_start])[0]
 
     def _forward(self, batch: list, warm_starts: list | None = None
                  ) -> list[ForwardResult]:
-        """Bind and materialize every element, then solve them all as one
-        batch (``solver.solve`` of a list) with the layer's iteration
-        factor.  A layer whose A depends on theta builds one factor for
-        the batch, and shares its build time out equally; the first
-        forward of a layer whose A is fixed builds the layer's factor, and
-        its first element takes that build time."""
+        """Bind every element, materialize the minibatch in one go, then
+        solve them all as one batch (``solver.solve`` of a list) with the
+        layer's iteration factor, and retrieve the optimal elements'
+        outputs in one go.  A layer whose A depends on theta builds one
+        factor for the batch, and shares its build time out equally; the
+        first forward of a layer whose A is fixed builds the layer's
+        factor, and its first element takes that build time.  Each
+        element's ``bind`` is its own; ``materialize`` is shared out
+        equally over the elements, and ``retrieve`` over the optimal
+        ones."""
         clock = time.perf_counter
         thetas, bind_s = [], []
         for values in batch:
             start = clock()
             thetas.append(self._bind(values))
             bind_s.append(clock() - start)
-        datas, materialize_s = [], []
-        for theta in thetas:
-            start = clock()
-            datas.append(materialize(self.asa, theta))
-            materialize_s.append(clock() - start)
-        if not datas:
+        if not thetas:
             return []
-        factor, built = self._factor, [{}] * len(datas)
+        count = len(thetas)
+        start = clock()
+        thetas = np.array(thetas).reshape(count, self.asa.n_params)
+        datas = materialize(self.asa, thetas)
+        materialize_s = (clock() - start) / count
+        factor, built = self._factor, [{}] * count
         if factor is None:
             A, spec = datas[0].A, datas[0].cones
             if self._pattern is None:
@@ -221,19 +236,37 @@ class Layer:
                 self._factor = factor
                 built[0] = factor.seconds
             else:
-                built = [{k: t / len(datas)
-                          for k, t in factor.seconds.items()}] * len(datas)
+                built = [{k: t / count
+                          for k, t in factor.seconds.items()}] * count
         sols = solve(datas, self.settings, warm_starts, factor)
-        return [self._result(*args) for args in zip(
-            thetas, datas, sols, bind_s, materialize_s, built)]
+        start = clock()
+        optimal = [j for j, sol in enumerate(sols) if sol.status == OPTIMAL]
+        outputs = dict.fromkeys(range(count))
+        objectives = {}
+        if optimal:
+            X = np.array([sols[j].x for j in optimal])
+            outputs.update(zip(optimal, retrieve(self.asa, X)))
+            # c'x and the offset's product with theta_aug, row by row
+            augmented = np.ones((len(optimal), self.asa.n_params + 1))
+            augmented[:, :-1] = thetas[optimal]
+            offsets = _row_dots(augmented, np.broadcast_to(
+                self.asa.objective_offset_map, augmented.shape))
+            costs = _row_dots(np.array([datas[j].c for j in optimal]), X)
+            sign = -1.0 if self.problem is not None and \
+                self.problem.sense == "maximize" else 1.0
+            objectives = dict(zip(optimal, (sign * (costs + offsets)).tolist()))
+        retrieve_s = (clock() - start) / max(len(optimal), 1)
+        return [self._result(data, sol, bind_s[j], materialize_s, built[j],
+                             outputs[j], objectives.get(j), retrieve_s)
+                for j, (data, sol) in enumerate(zip(datas, sols))]
 
     @property
     def _order(self) -> np.ndarray | None:
         """K's elimination order, once the layer's pattern holds it."""
         return None if self._pattern is None else self._pattern._order
 
-    def _result(self, theta, data, sol, bind_s, materialize_s,
-                built) -> ForwardResult:
+    def _result(self, data, sol, bind_s, materialize_s, built, outputs,
+                objective, retrieve_s) -> ForwardResult:
         info = dict(sol.info, status=sol.status,
                     solve_time=sol.info["solve_time"] + sum(built.values()))
         timings = info["timings"] = {
@@ -242,14 +275,8 @@ class Layer:
         if sol.status != OPTIMAL:
             return ForwardResult(outputs=None, status=sol.status, info=info,
                                  _layer_token=self._token, _data=data, _solution=sol)
-        retrieving = time.perf_counter()
-        outputs = retrieve(self.asa, sol.x)
-        info["objective"] = float(
-            data.c @ sol.x
-            + self.asa.objective_offset_map @ self.asa.theta_aug(theta))
-        if self.problem is not None and self.problem.sense == "maximize":
-            info["objective"] = -info["objective"]
-        timings["retrieve"] = time.perf_counter() - retrieving
+        info["objective"] = objective
+        timings["retrieve"] = retrieve_s
         z = normalized_point(sol)
         return ForwardResult(outputs=outputs, status=sol.status, info=info,
                              _layer_token=self._token, _data=data, _solution=sol, _z=z)
@@ -275,8 +302,8 @@ class Layer:
         for slot in self.asa.variable_layout:
             if slot.name not in cotangents:
                 continue
-            arr = _numeric(cotangents[slot.name],
-                           f"cotangent for {slot.name!r}")
+            arr = _numeric(cotangents[slot.name], "cotangent for {!r}",
+                           slot.name)
             if arr.shape != slot.dims:
                 raise ShapeError(
                     f"cotangent for {slot.name!r} has shape {arr.shape}, "

@@ -125,21 +125,29 @@ whose A does not depend on the parameters) and row by row for the
 others.  The cone projection walks the stacked rows once.  Every
 other operation is elementwise or row by row, with each row's dot
 products the BLAS dots of a lone solve, so each program's arithmetic is
-the same whatever the batch, and it keeps its own scaling, checks,
-polishes and status (``_Column``), and leaves the loop at the iteration
-its lone solve would end.  Batch results therefore equal lone solves bit
-for bit wherever SuperLU's multi-right-hand-side solve equals its
-column-by-column solves, as it does on small systems; on large ones its
-supernodal kernels may sum in another order.
+the same whatever the batch.  The programs' data, their scaling of b and
+c and their checks are (B, .) stacks too (``_Batch``): a check round
+evaluates the residuals, tolerances, ratios and certificates of every
+active program at once, with one product each with block-diagonal
+matrices of the programs' A and A', which sum each row in the order of
+its lone product.  Each program then decides alone (``_Column``): it
+keeps its best point, runs on or polishes, takes its status, and leaves
+the loop at the iteration its lone solve would end.  Batch results
+therefore equal lone solves bit for bit wherever SuperLU's
+multi-right-hand-side solve equals its column-by-column solves, as it
+does on small systems; on large ones its supernodal kernels may sum in
+another order.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 import numbers
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.linalg as sla
@@ -293,6 +301,7 @@ class Pattern:
                             - col_counts)[self._full_cols]
         self._t_indptr = np.concatenate([[0], np.cumsum(col_counts)])
         self._order = None
+        self._blocks = {}  # the index arrays of ``blocks``, per B
 
     def matrix(self, data: np.ndarray) -> sp.csr_matrix:
         """The matrix with entries ``data`` on this pattern."""
@@ -346,26 +355,48 @@ class Pattern:
             np.arange(n) * (n + 1),
             self.indices[first] * n + self.indices[second]])
 
+    def block(self, data: np.ndarray) -> sp.csr_matrix:
+        """A_r of each row of the (B, nnz) stack ``data`` of entries on
+        this pattern, as the blocks of one block-diagonal CSR matrix; a
+        product with it multiplies every block by its own slice, each row
+        summed in the order of the block's lone product.  Its index arrays
+        depend on B alone: the pattern keeps them per B, read-only, and
+        each call copies the matrix with its own entries."""
+        A = copy.copy(self._block_patterns(len(data))[0])
+        A.data = np.ravel(data)
+        return A
+
     def blocks(self, data: np.ndarray):
-        """A_r and A_r' of each row of the (B, nnz) stack ``data`` of
-        entries on this pattern, as the blocks of two block-diagonal CSR
-        matrices; a product with one multiplies every block by its own
-        slice, each row summed in the order of the block's lone product."""
-        count = len(data)
-        m, n = self.shape
-        shift = np.arange(count)[:, None]
+        """``block(data)`` and the block-diagonal CSR matrix of the A_r',
+        whose product sums each row in the order of the CSC product of a
+        lone A_r'."""
+        At = copy.copy(self._block_patterns(len(data))[1])
+        At.data = data[:, self._csc].ravel()
+        return self.block(data), At
 
-        def stack(indptr, indices, vals, shape):
-            rows, cols = shape
-            return sp.csr_matrix(
-                (vals.ravel(), (indices + shift * cols).ravel(),
-                 np.append((indptr[:-1] + shift * self.nnz).ravel(),
-                           count * self.nnz)),
-                shape=(count * rows, count * cols))
+    def _block_patterns(self, count: int):
+        """The block-diagonal CSR patterns of A and A' for B = ``count``,
+        with read-only index arrays, built once per B."""
+        if count not in self._blocks:
+            m, n = self.shape
+            shift = np.arange(count)[:, None]
 
-        return (stack(self.indptr, self.indices, data, (m, n)),
-                stack(self._t_indptr, self.rows[self._csc],
-                      data[:, self._csc], (n, m)))
+            def stack(indptr, indices, shape):
+                rows, cols = shape
+                block = sp.csr_matrix(
+                    (np.zeros(count * self.nnz),
+                     (indices + shift * cols).ravel(),
+                     np.append((indptr[:-1] + shift * self.nnz).ravel(),
+                               count * self.nnz)),
+                    shape=(count * rows, count * cols))
+                block.indices.flags.writeable = False
+                block.indptr.flags.writeable = False
+                return block
+
+            self._blocks[count] = (
+                stack(self.indptr, self.indices, (m, n)),
+                stack(self._t_indptr, self.rows[self._csc], (n, m)))
+        return self._blocks[count]
 
 
 def _ruiz(pattern: Pattern, a_data: np.ndarray, passes: int = 10):
@@ -755,19 +786,38 @@ def skew_matrix(data: ConeProgramData) -> sp.csc_matrix:
     return sp.csc_matrix((vals, (rows, cols)), shape=(N, N))
 
 
-def _kkt_residuals(data, At, x, y, s):
-    """Primal, dual and gap residual norms of a primal-dual point, and its
-    c'x and b'y; At is A', taken once per solve."""
-    pri = float(np.linalg.norm(data.A @ x + s - data.b))
-    dua = float(np.linalg.norm(At @ y + data.c))
-    ctx = float(data.c @ x)
-    bty = float(data.b @ y)
-    return (pri, dua, abs(ctx + bty)), ctx, bty
+def _norms(X: np.ndarray) -> np.ndarray:
+    """The 2-norm of each row of a stack, as ``np.linalg.norm`` takes it
+    of the row alone: sqrt(x @ x), the dot by ``_row_dots``."""
+    return np.sqrt(_row_dots(X, X))
+
+
+def _larger(a, b):
+    """Python's ``max(a, b)`` elementwise: b where b > a, else a, NaN
+    included."""
+    return np.where(b > a, b, a)
+
+
+def _kkt_residuals(A, At, b, c, X, Y, S):
+    """Primal, dual and gap residual norms of the primal-dual point of
+    each row of the (k, .) stacks X, Y and S, and its c'x and b'y, as (k,)
+    arrays; b and c are the rows' b and c, and A and At a block-diagonal
+    matrix of the rows' A (``Pattern.block``) and its transpose, or, for
+    one row, A and A' themselves.  A product sums each row in the order of its
+    block's lone product, so a row's residuals do not depend on the
+    others."""
+    pri = _norms((A @ X.ravel()).reshape(S.shape) + S - b)
+    dua = _norms((At @ Y.ravel()).reshape(X.shape) + c)
+    ctx, bty = _row_dots(c, X), _row_dots(b, Y)
+    return pri, dua, np.abs(ctx + bty), ctx, bty
 
 
 def residuals(data: ConeProgramData, sol: ConeSolution) -> tuple[float, float, float]:
     """Primal, dual, and gap residual norms of a primal-dual point."""
-    return _kkt_residuals(data, data.A.T, sol.x, sol.y, sol.s)[0]
+    x, y, s = (np.asarray(v, dtype=float)[None]
+               for v in (sol.x, sol.y, sol.s))
+    return tuple(float(r[0]) for r in _kkt_residuals(
+        data.A, data.A.T, data.b[None], data.c[None], x, y, s)[:3])
 
 
 def _residual_map(z, Q, spec, n):
@@ -1199,53 +1249,18 @@ def _splitting_converges(it: int, q: float, last) -> bool:
 
 
 class _Column:
-    """One program of a batch: its data in original and scaled units, its
-    first iterate, and its own checks, polishes and best point.
-
-    ``solve`` advances the iterates of every column together and
-    hands each column its own row at the check iterations; the checks
-    depend on that row and the column's data alone.
+    """One program of a batch, row ``index`` of its ``_Batch``: its own
+    decisions on the checks of its iterates, which ``_Batch.check`` makes
+    for every row at once.  It keeps its best point, whether it runs on
+    after meeting the tolerance, when a polish falls due, and its status.
     """
 
-    def __init__(self, data: ConeProgramData, settings: SolverSettings,
-                 warm_start, factor: IterationFactor, row: int,
-                 built: dict):
-        """Program ``row`` of ``factor``, whose share of the factor's build
-        time is ``built``."""
-        clock = time.perf_counter
-        start = clock()
-        self.data, self.settings, self.spec = data, settings, data.cones
-        self.m, self.n = m, n = data.A.shape
-        self.At = data.A.T  # one transpose, shared by every residual
-        # the primal and dual tolerances; the gap's depends on the point
-        eps_abs, eps_rel = settings.eps_abs, settings.eps_rel
-        self.tol_pri = eps_abs + eps_rel * (1.0 + float(np.linalg.norm(
-            data.b)))
-        self.tol_dua = eps_abs + eps_rel * (1.0 + float(np.linalg.norm(
-            data.c)))
-        self.timings = dict(built)
-        self.factor, self.row = factor, row
-        scaled = clock()
-        self.dscale = dscale = factor.d[row]
-        self.escale = escale = factor.e[row]
-        b_hat = dscale * data.b
-        c_hat = escale * data.c
-        sigma = max(1.0, float(np.linalg.norm(b_hat)))
-        rho = max(1.0, float(np.linalg.norm(c_hat)))
-        self.sigma, self.rho = sigma, rho
-        self.b_hat, self.c_hat = b_hat / sigma, c_hat / rho
-        self.h = np.concatenate([self.c_hat, self.b_hat])
-        self.timings["equilibrate"] += clock() - scaled
-
-        N = n + m + 1
-        self.u, self.v = np.zeros(N), np.zeros(N)
-        self.u[-1] = 1.0
-        if warm_start is not None:
-            x0, y0, s0 = warm_start
-            self.u[:n] = x0 / (sigma * escale)
-            self.u[n:n + m] = y0 / (rho * dscale)
-            self.v[n:n + m] = s0 * dscale / sigma
-
+    def __init__(self, batch: "_Batch", index: int, timings: dict,
+                 setup_s: float):
+        """``timings`` and ``setup_s``: the program's share of the build
+        times of its factor and batch."""
+        self.batch, self.index, self.settings = batch, index, batch.settings
+        self.timings, self.setup_s = timings, setup_s
         self.best = None  # (residual score, x, y, s, res) in original units
         self.status = MAX_ITERS
         self.iters = self.polishes = 0
@@ -1255,46 +1270,61 @@ class _Column:
         self.deferred = 0  # intervals run on since it met the tolerance
         # polish attempts are exponentially spaced so their total cost stays
         # logarithmic in the iteration count
-        self.next_refine = settings.refine_interval
+        self.next_refine = self.settings.refine_interval
         # (iteration, ratio) of the last iterate check; a polish's
         # candidate never enters it
         self.last_check = None
         self.Q = None  # the skew matrix, built when a polish first needs it
-        self.setup_s = clock() - start + sum(built.values())
 
-    def unscale(self, xh, yh, sh):
-        return (self.sigma * self.escale * xh, self.rho * self.dscale * yh,
-                self.sigma * sh / self.dscale)
-
-    def consider(self, xh, yh, sh) -> tuple[bool, float]:
-        """Keeps a candidate point when it is the best so far; returns
-        whether every residual is within its tolerance, and q, the largest
-        ratio of a residual to its tolerance."""
-        x, y, s = self.unscale(xh, yh, sh)
-        res, ctx, bty = _kkt_residuals(self.data, self.At, x, y, s)
-        pri, dua, gap = res
-        score = max(pri, dua, gap)
+    def consider(self, x, y, s, res) -> None:
+        """Keeps a candidate point, with its residuals ``res``, when it is
+        the best so far."""
+        score = max(res)
         if self.best is None or score < self.best[0]:
-            self.best = (score, x, y, s, res)
-        tol_gap = self.settings.eps_abs + self.settings.eps_rel * (
-            1.0 + abs(ctx) + abs(bty))
-        ok = pri <= self.tol_pri and dua <= self.tol_dua and gap <= tol_gap
-        return ok, max(pri / self.tol_pri, dua / self.tol_dua, gap / tol_gap)
+            self.best = (score, x, y, s, tuple(res))
 
-    def polish(self, it: int, xh, yh, sh) -> bool:
+    def polish_due(self, it: int, q: float, last) -> bool:
+        """Whether a polish runs at iteration ``it``, whose iterate has the
+        ratio q and does not meet the tolerance; ``last`` is the
+        (iteration, ratio) of the check before.  A polish due before
+        ``max_iters`` that would factor its lifted system (of order at
+        least n + m + 2) with SuperLU is left to the plain splitting, and
+        stays due, while the last interval's rate reaches the tolerance
+        within as many iterations as the doubling schedule waits for the
+        next polish; an accelerated splitting's rate is not steady enough
+        to tell."""
+        settings, batch = self.settings, self.batch
+        return settings.refine and (
+            it == settings.max_iters or it >= self.next_refine and not (
+                batch.n + batch.m + 2 > DENSE_ORDER
+                and not self.acceleration["accepted"]
+                and _splitting_converges(it, q, last)))
+
+    def polish(self, it: int, u: np.ndarray, v: np.ndarray) -> bool:
+        """Polishes the candidate of the iterates u and v, and considers
+        the result; whether it meets the tolerance."""
         polishing = time.perf_counter()
+        batch, j, n, m = self.batch, self.index, self.batch.n, self.batch.m
         self.next_refine = 2 * it
         if self.Q is None:
-            self.program = ConeProgramData(self.factor.scaled(self.row),
-                                           self.b_hat, self.c_hat, self.spec)
+            self.program = ConeProgramData(
+                batch.factor.scaled(batch.rows[j]), batch.b_hat[j],
+                batch.c_hat[j], batch.spec)
             self.Q = skew_matrix(self.program)
-        z = np.concatenate([xh, yh - sh, [1.0]])
+        tau = u[-1]
+        z = np.concatenate([u[:n] / tau, u[n:n + m] / tau - v[n:n + m] / tau,
+                            [1.0]])
         z = _refine(z, self.program, self.Q, 4 * z.size,
-                    self.factor.pattern.elimination_order)
+                    batch.factor.pattern.elimination_order)
         self.polishes += 1
-        polished = self.consider(*_solution_from_z(z, self.spec, self.n))[0]
+        # the polished point as iterates with tau = 1
+        xh, yh, sh = _solution_from_z(z, batch.spec, n)
+        u, v = np.zeros((2, 1, n + m + 1))
+        u[0, :n], u[0, n:n + m], u[0, -1], v[0, n:n + m] = xh, yh, 1.0, sh
+        ev = batch.evaluate(np.array([j]), u, v)
+        self.consider(ev.X[0], ev.Y[0], ev.S[0], ev.res[0])
         self.polish_s += time.perf_counter() - polishing
-        return polished
+        return ev.ok[0]
 
     def _runs_another_interval(self, it: int, q: float) -> bool:
         """Whether an accelerated solve whose iterate meets the tolerance at
@@ -1308,89 +1338,202 @@ class _Column:
                     and self.last_check is not None
                     and self.last_check[1] < SETTLE_DROP * q)
 
-    def check(self, it: int, u: np.ndarray, v: np.ndarray) -> bool:
-        """The checks of iteration ``it`` on this column's iterates u and v:
-        convergence, a polish when one is due, and the infeasibility and
-        unboundedness certificates.  True when they end its solve."""
-        self.iters = it
-        settings, data, n, m = self.settings, self.data, self.n, self.m
-        tau = u[-1]
-        if tau > 1e-9 * max(1.0, np.linalg.norm(u)):
-            xh, yh, sh = u[:n] / tau, u[n:n + m] / tau, v[n:n + m] / tau
-            ok, q = self.consider(xh, yh, sh)
-            if ok and self._runs_another_interval(it, q):
-                self.deferred += 1
-                self.last_check = (it, q)
-                return False
-            # a check after one that met the tolerance and ran on ends the
-            # solve at its best point, whether it meets the tolerance or not
-            if ok or self.deferred:
-                self.status = OPTIMAL
-                return True
-            last, self.last_check = self.last_check, (it, q)
-            # a polish due before max_iters that would factor its lifted
-            # system (of order at least n + m + 2) with SuperLU is left to
-            # the plain splitting, and stays due, while the last interval's
-            # rate reaches the tolerance within as many iterations as the
-            # doubling schedule waits for the next polish; an accelerated
-            # splitting's rate is not steady enough to tell
-            do_refine = settings.refine and (
-                it == settings.max_iters or it >= self.next_refine and not (
-                    n + m + 2 > DENSE_ORDER
-                    and not self.acceleration["accepted"]
-                    and _splitting_converges(it, q, last)))
-            if do_refine and self.polish(it, xh, yh, sh):
-                self.status = OPTIMAL
-                return True
-        elif self.deferred:  # as above
-            self.status = OPTIMAL
-            return True
-
-        # Certificate checks for infeasibility/unboundedness, evaluated in
-        # the original units.
-        y_cert = self.rho * self.dscale * u[n:n + m]
-        bty = data.b @ y_cert
-        if bty < -1e-12:
-            y_cert = y_cert / (-bty)
-            if np.linalg.norm(self.At @ y_cert) <= settings.eps_abs:
-                self.status = INFEASIBLE
-                self.best = (np.inf, np.zeros(n), y_cert, np.zeros(m), None)
-                return True
-        x_cert = self.sigma * self.escale * u[:n]
-        s_cert = self.sigma * v[n:n + m] / self.dscale
-        ctx = data.c @ x_cert
-        if ctx < -1e-12:
-            x_cert, s_cert = x_cert / (-ctx), s_cert / (-ctx)
-            if np.linalg.norm(data.A @ x_cert + s_cert) <= settings.eps_abs:
-                self.status = UNBOUNDED
-                self.best = (np.inf, x_cert, np.zeros(m), s_cert, None)
-                return True
-        return False
-
     def solution(self, iterate_s: float) -> ConeSolution:
         """The column's result, given its share of the loop's time."""
         finishing = time.perf_counter()
-        n, m, spec = self.n, self.m, self.spec
-        if self.best is None:
-            self.best = (np.inf, np.zeros(n), np.zeros(m), np.zeros(m), None)
+        batch = self.batch
+        n, m, spec = batch.n, batch.m, batch.spec
+        if self.best is None:  # no check had a candidate: the zero point
+            ev = batch.evaluate(np.array([self.index]), *np.zeros(
+                (2, 1, n + m + 1)))
+            self.best = (np.inf, ev.X[0], ev.Y[0], ev.S[0], tuple(ev.res[0]))
         _, x, y, s, res = self.best
         info = {"iterations": self.iters, "polishes": self.polishes,
                 "timings": dict(self.timings, iterate=iterate_s,
                                 polish=self.polish_s),
-                "iteration_system": self.factor.kind,
+                "iteration_system": batch.factor.kind,
                 "acceleration": dict(self.acceleration),
                 "sizes": {"n": n, "m": m, "N": n + m + 1,
                           "zero": spec.n_zero, "nonneg": spec.n_nonneg,
                           "soc_blocks": len(spec.soc_dims),
                           "soc_rows": sum(spec.soc_dims)}}
         if self.status not in (INFEASIBLE, UNBOUNDED):
-            if res is None:
-                res = _kkt_residuals(self.data, self.At, x, y, s)[0]
             info.update(primal_residual=res[0], dual_residual=res[1],
                         gap_residual=res[2])
         info["solve_time"] = (self.setup_s + iterate_s + self.polish_s
                               + time.perf_counter() - finishing)
         return ConeSolution(x=x, y=y, s=s, status=self.status, info=info)
+
+
+class _Batch:
+    """The B programs of one solve as (B, .) stacks, and the checks of
+    their iterates.
+
+    It holds their data in original units, their scaling (row ``rows[j]``
+    of the ``IterationFactor`` ``factor`` for program j), their scaled and
+    normalized b and c and h = (c, b), and their first iterates U0 and V0.
+    A's entries are the blocks of a block-diagonal matrix of A
+    (``Pattern.block``).  ``check`` evaluates every row's residuals,
+    tolerances, ratio q and certificates at once, as (B,) arrays
+    (``evaluate``); each program's ``_Column`` then decides alone.  Every
+    product is a block-diagonal product, which sums each row in the order
+    of its block's lone product, and every dot a row's own BLAS dot
+    (``_row_dots``), so each row's arithmetic is that of its lone solve.
+    """
+
+    def __init__(self, a_data: np.ndarray, b: np.ndarray, c: np.ndarray,
+                 factor: IterationFactor, settings: SolverSettings,
+                 warm_starts: list):
+        start = time.perf_counter()
+        self.factor, self.settings, self.count = factor, settings, len(b)
+        pattern = factor.pattern
+        self.spec = pattern.spec
+        self.m, self.n = m, n = pattern.shape
+        self.rows = np.arange(self.count) if factor.count > 1 else \
+            np.zeros(self.count, dtype=int)
+        self.b, self.c = b, c
+        # A' as the CSC view of A, which shares its arrays and sums each
+        # row of A' in the order of a lone A' product
+        self.A = pattern.block(a_data)
+        self.At = self.A.T
+        # the primal and dual tolerances; the gap's depends on the point
+        eps_abs, eps_rel = settings.eps_abs, settings.eps_rel
+        self.tol_pri = eps_abs + eps_rel * (1.0 + _norms(b))
+        self.tol_dua = eps_abs + eps_rel * (1.0 + _norms(c))
+        scaling = time.perf_counter()
+        D, E = factor.d[self.rows], factor.e[self.rows]
+        b_hat, c_hat = D * b, E * c
+        sigma = np.fmax(1.0, _norms(b_hat))[:, None]
+        rho = np.fmax(1.0, _norms(c_hat))[:, None]
+        self.b_hat, self.c_hat = b_hat / sigma, c_hat / rho
+        self.H = np.concatenate([self.c_hat, self.b_hat], axis=1)
+        # x = sigma E x_hat, y = rho D y_hat and s = sigma s_hat / D
+        self.x_scale, self.y_scale = sigma * E, rho * D
+        self.sigma, self.D = sigma, D
+        self.scaling_s = time.perf_counter() - scaling
+        N = n + m + 1
+        self.U0, self.V0 = np.zeros((self.count, N)), np.zeros((self.count, N))
+        self.U0[:, -1] = 1.0
+        for j, warm in enumerate(warm_starts):
+            if warm is not None:
+                x0, y0, s0 = warm
+                self.U0[j, :n] = x0 / self.x_scale[j]
+                self.U0[j, n:n + m] = y0 / self.y_scale[j]
+                self.V0[j, n:n + m] = s0 * D[j] / sigma[j]
+        self.setup_s = time.perf_counter() - start
+
+    def evaluate(self, rows: np.ndarray, U: np.ndarray, V: np.ndarray):
+        """Every quantity the checks read off the iterates u and v of the
+        programs ``rows`` (ascending), the rows of U and V, in original
+        units: ``has``, whether tau = u[-1] is large enough for a
+        candidate point; the candidate (u_x, u_y, v_s) / tau (/ 1 where
+        tau is not), as stacks X, Y and S, its residuals ``res``, one
+        (primal, dual, gap) per row, whether it meets every tolerance
+        (``ok``) and q, the largest ratio of a residual to its tolerance;
+        and which iterates certify infeasibility (with the certificate
+        ``Yc``) and unboundedness (``Xc``, ``Sc``; ``Sc`` is None when no
+        row certifies it).  Masks, residuals and ratios are lists."""
+        n, m, count, settings = self.n, self.m, self.count, self.settings
+        k = len(rows)
+        pick = (lambda a: a) if k == count else (lambda a: a[rows])
+        x_scale, y_scale, sigma, D, b, c = map(pick, (
+            self.x_scale, self.y_scale, self.sigma, self.D, self.b, self.c))
+        U_x, U_y, V_s = U[:, :n], U[:, n:n + m], V[:, n:n + m]
+        tau = U[:, -1]
+        # Python's max(1.0, |u|) is fmax's, even for a NaN |u|
+        has = tau > 1e-9 * np.fmax(1.0, _norms(U))
+        t = (tau if has.all() else np.where(has, tau, 1.0))[:, None]
+        X = x_scale * (U_x / t)
+        Y = y_scale * (U_y / t)
+        S = sigma * (V_s / t) / D
+        out = _kkt_residuals(self.A, self.At, self.b, self.c, *(
+            self._spread(rows, Z) for Z in (X, Y, S)))
+        pri, dua, gap, ctx, bty = out if k == count else (
+            r[rows] for r in out)
+        tol_gap = settings.eps_abs + settings.eps_rel * (
+            1.0 + np.abs(ctx) + np.abs(bty))
+        tol_pri, tol_dua = pick(self.tol_pri), pick(self.tol_dua)
+        ok = (pri <= tol_pri) & (dua <= tol_dua) & (gap <= tol_gap)
+        q = _larger(_larger(pri / tol_pri, dua / tol_dua), gap / tol_gap)
+        # the certificates y / -b'y and (x, s) / -c'x, whose norms |A'y|
+        # and |Ax + s| are taken where b'y or c'x is negative
+        Yc = y_scale * U_y
+        bty_c = _row_dots(b, Yc)
+        infeasible = bty_c < -1e-12
+        if infeasible.any():
+            Yc = Yc / np.where(infeasible, -bty_c, 1.0)[:, None]
+            infeasible &= _norms(self._product(self.At, rows, Yc)) \
+                <= settings.eps_abs
+        Xc, Sc = x_scale * U_x, None
+        ctx_c = _row_dots(c, Xc)
+        unbounded = ctx_c < -1e-12
+        if unbounded.any():
+            scale = np.where(unbounded, -ctx_c, 1.0)[:, None]
+            Xc, Sc = Xc / scale, sigma * V_s / D / scale
+            unbounded &= _norms(self._product(self.A, rows, Xc) + Sc) \
+                <= settings.eps_abs
+        return SimpleNamespace(
+            has=has.tolist(), X=X, Y=Y, S=S,
+            res=list(zip(pri.tolist(), dua.tolist(), gap.tolist())),
+            ok=ok.tolist(), q=q.tolist(), infeasible=infeasible.tolist(),
+            Yc=Yc, unbounded=unbounded.tolist(), Xc=Xc, Sc=Sc)
+
+    def _spread(self, rows: np.ndarray, Z: np.ndarray) -> np.ndarray:
+        """The rows of Z, which belong to the programs ``rows``, in a (B, .)
+        stack whose other rows are zeros; Z itself when it holds every
+        program (``rows`` ascend, so they are then 0, ..., B - 1)."""
+        if len(rows) == self.count:
+            return Z
+        full = np.zeros((self.count, Z.shape[1]))
+        full[rows] = Z
+        return full
+
+    def _product(self, M, rows: np.ndarray, Z: np.ndarray) -> np.ndarray:
+        """The block-diagonal M's products with the rows of Z, which belong
+        to the programs ``rows``."""
+        out = (M @ self._spread(rows, Z).ravel()).reshape(self.count, -1)
+        return out if len(rows) == self.count else out[rows]
+
+    def check(self, it: int, cols: list, U: np.ndarray,
+              V: np.ndarray) -> np.ndarray:
+        """The checks of iteration ``it`` of the columns ``cols``, whose
+        iterates u and v are the rows of U and V: convergence, a polish
+        when one is due, and the infeasibility and unboundedness
+        certificates.  Returns which columns go on."""
+        n, m = self.n, self.m
+        ev = self.evaluate(np.array([col.index for col in cols]), U, V)
+        ok, q = ev.ok, ev.q
+        keep = np.ones(len(cols), dtype=bool)
+        for r, col in enumerate(cols):
+            col.iters = it
+            if ev.has[r]:
+                col.consider(ev.X[r], ev.Y[r], ev.S[r], ev.res[r])
+                if ok[r] and col._runs_another_interval(it, q[r]):
+                    col.deferred += 1
+                    col.last_check = (it, q[r])
+                    continue
+                # a check after one that met the tolerance and ran on ends
+                # the solve at its best point, whether it meets the
+                # tolerance or not
+                if ok[r] or col.deferred:
+                    col.status = OPTIMAL
+                else:
+                    last, col.last_check = col.last_check, (it, q[r])
+                    if col.polish_due(it, q[r], last) and col.polish(
+                            it, U[r], V[r]):
+                        col.status = OPTIMAL
+            elif col.deferred:  # as above
+                col.status = OPTIMAL
+            if col.status == MAX_ITERS:
+                if ev.infeasible[r]:
+                    col.status = INFEASIBLE
+                    col.best = (np.inf, np.zeros(n), ev.Yc[r], np.zeros(m),
+                                None)
+                elif ev.unbounded[r]:
+                    col.status = UNBOUNDED
+                    col.best = (np.inf, ev.Xc[r], np.zeros(m), ev.Sc[r], None)
+            keep[r] = col.status == MAX_ITERS
+        return keep
 
 
 class _Anderson:
@@ -1526,8 +1669,7 @@ class _Anderson:
                                                        keep) if k])
 
 
-def _iterate(cols: list, factor: IterationFactor, settings: SolverSettings,
-             spec, n: int) -> None:
+def _iterate(cols: list, batch: _Batch) -> None:
     """The splitting iterations of every column, as one loop over the
     (B, N) stack of one state w per column.
 
@@ -1557,18 +1699,20 @@ def _iterate(cols: list, factor: IterationFactor, settings: SolverSettings,
     projection and its system, through ``_IterationSystem.subset`` when
     only some rows go back, before the new points are made.  The
     ``"dense"`` K solve runs the plain splitting.  Each column's counts of
-    accepted and rejected points are handed to it at every check.
+    accepted and rejected points are handed to it at every check, and
+    every check round checks the active columns' rows at once
+    (``_Batch.check``).
     """
+    factor, settings, spec, n = batch.factor, batch.settings, batch.spec, \
+        batch.n
     # a lone program iterates on vectors, which costs the least; every
     # operation below takes vectors or stacks alike
-    stack = np.stack if len(cols) > 1 else (lambda rows: rows[0])
-    P = stack([c.u for c in cols])
-    V0 = stack([c.v for c in cols])
+    row = slice(None) if len(cols) > 1 else 0
+    P, V0 = batch.U0[row], batch.V0[row]
     R = P + V0
     W = P - V0
     N = W.shape[-1]
-    lin = _IterationSystem(factor, np.array([c.row for c in cols]),
-                           stack([c.h for c in cols]))
+    lin = _IterationSystem(factor, batch.rows, batch.H[row])
     alpha = OVER_RELAX
     step = np.empty(W.shape)
     accel = None
@@ -1610,8 +1754,8 @@ def _iterate(cols: list, factor: IterationFactor, settings: SolverSettings,
         if accel is not None:
             for c, a, r in zip(active, accel.accepted, accel.rejected):
                 c.acceleration = {"accepted": a, "rejected": r}
-        keep = np.array([not c.check(it, u, u - w) for c, u, w in zip(
-            active, P.reshape(-1, N), W.reshape(-1, N))])
+        U = P.reshape(-1, N)
+        keep = batch.check(it, active, U, U - W.reshape(-1, N))
         if not keep.all():
             if not keep.any():
                 return
@@ -1643,14 +1787,15 @@ def solve(data, settings: SolverSettings | None = None, warm_start=None,
     turn; without it one is built here for the whole batch, with one Ruiz
     pass and, for a dense or reduced K solve, one stacked inverse.  A single
     program is the batch of one: there is one iteration loop, over the
-    stacked iterates of every program (``_iterate``).  Each program keeps
-    its own scaling, checks, polishes and status, and leaves the loop at
-    the iteration its own solve ends.
+    stacked iterates of every program (``_iterate``), and one check of
+    every active program per check round (``_Batch.check``).  Each
+    program keeps its own scaling, best point, polishes and status, and
+    leaves the loop at the iteration its own solve ends.
 
     ``timings["equilibrate"]`` and ``timings["factorize"]`` of each
     program are the build time of the factor built here, shared out
     equally over the programs (0.0 when ``factor`` is given), plus, in
-    ``equilibrate``, its own scaling of b and c.  ``timings["iterate"]``
+    ``equilibrate``, an equal share of the batch's scaling of b and c.  ``timings["iterate"]``
     of each is the loop's wall time, less every program's polish time,
     shared out in proportion to the programs' iteration counts.  Every
     warm start and the factor are checked before any program is solved.
@@ -1667,8 +1812,8 @@ def solve(data, settings: SolverSettings | None = None, warm_start=None,
                          f"warm starts")
     if not count:
         return []
-    As = _batch_matrices(datas)
-    A, spec = As[0], datas[0].cones
+    A, a_data, b, c = _stacked(datas)
+    spec = datas[0].cones
     m, n = A.shape
     if factor is not None:
         if factor.pattern.shape != (m, n):
@@ -1681,15 +1826,15 @@ def solve(data, settings: SolverSettings | None = None, warm_start=None,
                    for w in warm_starts]
     built = {"equilibrate": 0.0, "factorize": 0.0}
     if factor is None:
-        a_data = np.array([a.data for a in As], dtype=float).reshape(
-            count, A.nnz)
         factor = IterationFactor(A, spec, a_data)
         built = {k: t / count for k, t in factor.seconds.items()}
-    cols = [_Column(program, settings, w, factor,
-                    j if factor.count > 1 else 0, built)
-            for j, (program, w) in enumerate(zip(datas, warm_starts))]
+    batch = _Batch(a_data, b, c, factor, settings, warm_starts)
+    timings = dict(built, equilibrate=built["equilibrate"]
+                   + batch.scaling_s / count)
+    setup_s = batch.setup_s / count + sum(built.values())
+    cols = [_Column(batch, j, dict(timings), setup_s) for j in range(count)]
     looping = time.perf_counter()
-    _iterate(cols, factor, settings, spec, n)
+    _iterate(cols, batch)
     loop_s = time.perf_counter() - looping
     share = (loop_s - sum(c.polish_s for c in cols)) / sum(
         c.iters for c in cols)

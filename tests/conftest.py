@@ -67,12 +67,17 @@ def gradcheck_layer(layer, values, cotangents, h=1e-6):
 
 def assert_same_solve(a, b):
     """Two forward results of one binding are the same solve: status,
-    iteration, polish and accelerated-point counts, and x, y, s bit for
-    bit."""
+    iteration, polish and accelerated-point counts, the residuals and
+    the objective where present, and x, y, s bit for bit."""
     assert (a.status, a.info["iterations"], a.info["polishes"],
             a.info["acceleration"]) == \
         (b.status, b.info["iterations"], b.info["polishes"],
          b.info["acceleration"])
+    for key in ("primal_residual", "dual_residual", "gap_residual",
+                "objective"):
+        assert (key in a.info) == (key in b.info), key
+        if key in a.info:
+            assert np.array_equal(a.info[key], b.info[key]), key
     for part in "xys":
         assert np.array_equal(getattr(a._solution, part),
                               getattr(b._solution, part))

@@ -279,6 +279,59 @@ class TestMaterialize:
         asa = canonicalize(regularized_least_squares())
         with pytest.raises(ShapeError, match="length"):
             materialize(asa, np.zeros(asa.n_params + 1))
+        with pytest.raises(ShapeError, match="length"):
+            materialize(asa, np.zeros((2, asa.n_params + 1)))
+
+    @staticmethod
+    def assert_stack_equals_lone(asa, thetas):
+        """``materialize`` of the stack gives each row's program bit for
+        bit: A's entries, b and c equal the one-vector products of the
+        maps with the row's theta_aug, and ``materialize`` of the row
+        alone; A keeps its pattern."""
+        programs = materialize(asa, thetas)
+        assert len(programs) == len(thetas)
+        for theta, data in zip(thetas, programs):
+            ta = np.append(theta, 1.0)
+            lone = materialize(asa, theta)
+            for got, want in ((data.A.data, asa._a_coeff @ ta),
+                              (data.b, asa._b_map @ ta),
+                              (data.c, asa.c_map @ ta),
+                              (lone.A.data, asa._a_coeff @ ta),
+                              (lone.b, asa._b_map @ ta),
+                              (lone.c, asa.c_map @ ta)):
+                assert np.array_equal(got, want)
+            assert np.array_equal(data.A.indices, asa._a_cols)
+            assert np.array_equal(data.A.indptr, asa._a_indptr)
+            assert data.cones == asa.cones
+
+    def test_stack_equals_lone_on_gradient_fixtures(self, rng):
+        for fx in gradient_fixtures():
+            layer = Layer.compile(fx.problem)
+            thetas = np.array([layer._bind(fx.sample(rng))
+                               for _ in range(5)])
+            self.assert_stack_equals_lone(layer.asa, thetas)
+
+    def test_stack_equals_lone_on_random_programs(self, rng):
+        for seed in range(100):
+            prob = gen_random_dpp(seed, n_vars=1 + seed % 3,
+                                  n_params=seed % 4)
+            asa = canonicalize(prob)
+            thetas = np.array([asa.flatten_params(sample_values(prob, rng))
+                               for _ in range(1 + seed % 4)])
+            self.assert_stack_equals_lone(asa, thetas)
+
+    def test_shared_pattern_is_read_only(self, rng):
+        """The programs of a stack share A's index arrays, which no
+        in-place operation may change; each has its own entries."""
+        asa = canonicalize(regularized_least_squares())
+        first, second = materialize(asa, rng.standard_normal(
+            (2, asa.n_params)))
+        assert first.A.indices is second.A.indices
+        with pytest.raises(ValueError):
+            first.A.indices[0] = 1
+        before = second.A.data.copy()
+        first.A.data += 1.0
+        assert np.array_equal(second.A.data, before)
 
 
 class TestMaterializeAdjoint:

@@ -469,11 +469,11 @@ class TestDenseIterationSystem:
 
     def test_build_timings_are_shared_out(self, rng, monkeypatch):
         """A minibatch's factor build is timed once and shared out equally
-        over its elements, so their ``equilibrate`` and ``factorize`` add
-        up to the build's wall time plus each element's own scaling of b
-        and c; as in a list given to ``solve``.  The solver's clock here
-        ticks once per read: the build reads it three times, an element's
-        scaling twice."""
+        over its elements, and so is the stacked scaling of their b and
+        c, so their ``equilibrate`` and ``factorize`` add up to the
+        build's and the scaling's wall time; as in a list given to
+        ``solve``.  The solver's clock here ticks once per read: the build
+        reads it three times, the scaling twice."""
         clock = [0.0]
 
         def tick():
@@ -489,7 +489,7 @@ class TestDenseIterationSystem:
                        layer.settings)
         for info in [r.info for r in results] + [s.info for s in solved]:
             assert info["timings"]["factorize"] == pytest.approx(1 / 5)
-            assert info["timings"]["equilibrate"] == pytest.approx(1 / 5 + 1)
+            assert info["timings"]["equilibrate"] == pytest.approx(2 / 5)
 
     def test_elimination_order_is_computed_once_per_layer(self, rng,
                                                           monkeypatch):
@@ -819,6 +819,24 @@ class TestBatching:
             layer.forward_batch([good, good, bad])
         assert calls == [] and layer._factor is None
         assert layer.forward_batch([good])[0].ok
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_non_finite_element_solves_nothing(self, bad, k, rng,
+                                               monkeypatch):
+        """A minibatch whose element k has a non-finite parameter raises
+        ``SolverInputError`` from the one check of the materialized
+        minibatch, before any element is solved."""
+        fx = relu_fixture(3)
+        layer = Layer.compile(fx.problem, TIGHT)
+        batch = [fx.sample(rng) for _ in range(3)]
+        batch[k] = {"x": np.array([1.0, bad, -1.0])}
+        calls = []
+        monkeypatch.setattr(layer_module, "solve",
+                            lambda *a: calls.append(a) or solve(*a))
+        with pytest.raises(SolverInputError, match="NaN/Inf"):
+            layer.forward_batch(batch)
+        assert calls == []
 
     def test_iterate_time_is_the_loop_shared_by_iterations(self,
                                                           monkeypatch):

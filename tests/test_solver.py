@@ -557,16 +557,16 @@ def test_batched_ruiz_equals_the_loop(batch):
         assert np.array_equal(factor.scaled(j).toarray(), A_hat.toarray())
 
 
-def _uv_iterate(cols, factor, settings, spec, n):
+def _uv_iterate(cols, batch):
     """The splitting loop as it was written before it kept one state w:
     the (B, N) stacks of u and v, each iteration u_tilde = lin(u + v),
     over-relaxed, then u <- Pi(u_tilde - v) and v <- v - u_tilde + u.
     The reference of ``TestOneStateLoop``."""
-    stack = np.stack if len(cols) > 1 else (lambda rows: rows[0])
-    U = stack([c.u for c in cols])
-    V = stack([c.v for c in cols])
-    lin = solver._IterationSystem(factor, np.array([c.row for c in cols]),
-                                  stack([c.h for c in cols]))
+    settings, spec, n = batch.settings, batch.spec, batch.n
+    row = slice(None) if len(cols) > 1 else 0
+    U = batch.U0[row].copy()
+    V = batch.V0[row].copy()
+    lin = solver._IterationSystem(batch.factor, batch.rows, batch.H[row])
     alpha = solver.OVER_RELAX
     u_tilde = np.empty(U.shape)
     buf = np.empty(U.shape)
@@ -582,8 +582,7 @@ def _uv_iterate(cols, factor, settings, spec, n):
         if it % solver.CHECK_INTERVAL != 0 and it != settings.max_iters:
             continue
         N = U.shape[-1]
-        keep = np.array([not c.check(it, u, v) for c, u, v in zip(
-            active, U.reshape(-1, N), V.reshape(-1, N))])
+        keep = batch.check(it, active, U.reshape(-1, N), V.reshape(-1, N))
         if not keep.all():
             if not keep.any():
                 return
@@ -616,17 +615,19 @@ class TestOneStateLoop:
         ``solve(datas)`` run by ``loop`` under the K solve ``kind``, and
         the solutions."""
         seen = {}
-        check = solver._Column.check
+        check = solver._Batch.check
 
-        def record(col, it, u, v):
-            seen.setdefault(col.row, []).append((it, u.copy(), v.copy()))
-            return check(col, it, u, v)
+        def record(batch, it, cols, U, V):
+            for col, u, v in zip(cols, U, V):
+                seen.setdefault(col.index, []).append(
+                    (it, u.copy(), v.copy()))
+            return check(batch, it, cols, U, V)
 
         with pytest.MonkeyPatch.context() as mp:
             dense_order, reduced_order = K_SOLVES[kind]
             mp.setattr(solver, "K_DENSE_ORDER", dense_order)
             mp.setattr(solver, "REDUCED_ORDER", reduced_order)
-            mp.setattr(solver._Column, "check", record)
+            mp.setattr(solver._Batch, "check", record)
             mp.setattr(solver, "_iterate", loop)
             sols = solve(datas, SolverSettings(), warm_starts)
         assert {s.info["iteration_system"] for s in sols} == {kind}
@@ -870,14 +871,16 @@ class TestAnderson:
         ends the solve optimal at the second, at its best point, before
         ``max_iters`` and at it, without a polish."""
         self.force(monkeypatch, "reduced")
-        ratios = iter([(False, 50.0), (True, 0.9), (False, 2.0)])
-        consider = solver._Column.consider
+        ratios = iter([50.0, 0.9, 2.0])
+        evaluate = solver._Batch.evaluate
 
-        def stub(column, *point):
-            consider(column, *point)
-            return next(ratios)
+        def stub(batch, rows, U, V):
+            checked = evaluate(batch, rows, U, V)
+            checked.q = [next(ratios)]
+            checked.ok = [checked.q[0] <= 1.0]
+            return checked
 
-        monkeypatch.setattr(solver._Column, "consider", stub)
+        monkeypatch.setattr(solver._Batch, "evaluate", stub)
         sol = solve(self.DATA, SolverSettings(max_iters=max_iters))
         assert (sol.status, sol.info["iterations"], sol.info["polishes"]) \
             == ("optimal", 75, 0)

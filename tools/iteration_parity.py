@@ -11,6 +11,13 @@ fixture-train bindings by (stream, index).  For each binding it prints
 the status, the K solve it ran (``info["iteration_system"]``), the
 iteration and polish counts, and hashes of x, y and s.
 
+``--timings`` prints, per layer, the median wall time of a minibatch's
+``forward_batch`` (a lone ``forward`` on soc-sum and sparse-qp), the
+median of each ``info["timings"]`` stage summed over the minibatch, and
+the median iteration count of an element and of a minibatch's slowest
+element.  It reads the library's ``info`` and nothing else, so it runs
+against any checkout.
+
 ``--save`` writes x, y, s, each cotangent's parameter gradient and that
 gradient's central-difference error (along a seeded direction, step
 ``workloads.GRADCHECK_H``, relative above 1 and absolute below, as in
@@ -31,6 +38,8 @@ It exits 1 when a status changed or a binding is in one file only.
     python tools/iteration_parity.py --seed 1 --fixture-bindings 128 \\
         --save change.npz --against parent.npz
     python tools/iteration_parity.py --seed 68 --extra 4,635 --only-extra
+    python tools/iteration_parity.py --seed 1 --fixture-bindings 128 \
+        --timings
 """
 
 from __future__ import annotations
@@ -39,6 +48,7 @@ import argparse
 import hashlib
 import pathlib
 import sys
+import time
 
 import numpy as np
 
@@ -78,9 +88,12 @@ def _selected(wl, per_layer, extra, only_extra):
 
 
 def run(seed: int, extra: set, only_extra: bool,
-        fixture_bindings: int = PER_LAYER["fixture-train"]) -> dict:
+        fixture_bindings: int = PER_LAYER["fixture-train"],
+        timings: dict | None = None) -> dict:
     """key -> record of every check binding of the three workloads, with
-    the first ``fixture_bindings`` of each fixture-train layer."""
+    the first ``fixture_bindings`` of each fixture-train layer.  With a
+    dict ``timings``, each minibatch's forward adds (wall time, results)
+    under "workload:layer"."""
     import workloads
     from diffcone import Layer
 
@@ -112,7 +125,12 @@ def run(seed: int, extra: set, only_extra: bool,
             size = 8 if wl.batch else 1
             for lo in range(0, len(group), size):
                 chunk = group[lo:lo + size]
+                start = time.perf_counter()
                 results = layer.forward_batch([bd.values for bd in chunk])
+                wall = time.perf_counter() - start
+                if timings is not None:
+                    timings.setdefault(f"{name}:{layer_name}", []).append(
+                        (wall, results))
                 for bd, res in zip(chunk, results):
                     records[f"{name}:{layer_name}:{bd.key[0]},{bd.key[1]}"] \
                         = _record(layer, bd, res, output, seed)
@@ -141,6 +159,27 @@ def _record(layer, bd, res, output, seed) -> dict:
             layer, bd.values, output, cot[output], grads, direction,
             workloads.GRADCHECK_H))
     return rec
+
+
+def print_timings(timings: dict) -> None:
+    """Per layer: the median minibatch forward, the median of each stage
+    of ``info["timings"]`` summed over a minibatch, in ms, and the median
+    iterations of an element and of a minibatch's slowest element."""
+    for layer, batches in timings.items():
+        stages = {}
+        for _, results in batches:
+            for stage in results[0].info["timings"]:
+                stages.setdefault(stage, []).append(
+                    sum(r.info["timings"][stage] for r in results))
+        iterations = [r.info["iterations"] for _, rs in batches for r in rs]
+        slowest = [max(r.info["iterations"] for r in rs) for _, rs in batches]
+        print(f"TIMINGS {layer}: {len(batches)} minibatches of "
+              f"{len(batches[0][1])}, forward "
+              f"{1e3 * np.median([w for w, _ in batches]):.3f} ms; " + ", ".join(
+                  f"{stage} {1e3 * np.median(t):.3f}"
+                  for stage, t in stages.items())
+              + f" ms; iterations {np.median(iterations):g}, slowest "
+              f"{np.median(slowest):g}")
 
 
 def save(records: dict, path: str) -> None:
@@ -265,6 +304,9 @@ def main(argv=None) -> int:
                     help="a fixture-train binding to add; repeatable")
     ap.add_argument("--only-extra", action="store_true",
                     help="run the --extra bindings alone")
+    ap.add_argument("--timings", action="store_true",
+                    help="print each layer's forward time, stage split and "
+                         "iteration counts")
     ap.add_argument("--fixture-bindings", type=int,
                     default=PER_LAYER["fixture-train"], metavar="N",
                     help="the first N bindings of each fixture-train layer "
@@ -277,12 +319,16 @@ def main(argv=None) -> int:
         ap.error("--fixture-bindings must be at least 1")
     checkout = args.checkout.resolve()
     sys.path[:0] = [str(checkout / "src"), str(checkout / "perfbench")]
-    records = run(args.seed, extra, args.only_extra, args.fixture_bindings)
+    timings = {} if args.timings else None
+    records = run(args.seed, extra, args.only_extra, args.fixture_bindings,
+                  timings)
     for key, rec in records.items():
         print(f"{key} {rec['status']} {rec['iteration_system']} "
               f"iterations {rec['iterations']} "
               f"polishes {rec['polishes']} x {_digest(rec['x'])} "
               f"y {_digest(rec['y'])} s {_digest(rec['s'])}")
+    if timings is not None:
+        print_timings(timings)
     if args.save:
         save(records, args.save)
     if args.against:
