@@ -98,20 +98,16 @@ so the step is still exact Gauss-Newton and only LSQR's iteration count
 grows.  It factors again only when that factor is singular or LSQR stops
 at its iteration limit on it.
 
-Polishing is an accelerator, not a step every slow solve takes.  Every
-iterate check keeps q, the largest ratio of a residual to its stopping
-tolerance (q <= 1 is converged).  A polish that falls due before
-``max_iters`` on a program whose lifted system SuperLU would factor (order
-above ``DENSE_ORDER``) and whose splitting is not accelerated (whose rate
-is steady) is skipped when the rate of the last check
-interval, q_last -> q, brings q to 1 within as many more iterations as the
-solve has run (``_splitting_converges``): the doubling schedule waits that
-long for its next polish anyway.  A skipped polish stays due, so the next
-check decides again; the polish at ``max_iters`` always runs.  On the
-benchmark's sparse QP the splitting then ends at 350-400 iterations
-instead of a polish at 250 that cost more than the 100-150 iterations.
-Statuses for infeasible and unbounded problems come from certificate
-residuals on the embedding iterates.
+A polish falls due on a doubling schedule: at the first check from
+``refine_interval`` on whose iterate misses the tolerance, then from twice
+the iteration of the last polish on, and always at ``max_iters``, so the
+polishes' total cost stays logarithmic in the iteration count.  Every
+program keeps this one schedule, whatever its K solve and its order.  On
+the benchmark's soc-sum and sparse-qp the accelerated splitting meets the
+tolerance at 50 and 225 iterations, before the first polish is due at the
+default ``refine_interval`` of 250.  Statuses for infeasible and
+unbounded problems come from certificate residuals on the embedding
+iterates.
 
 ``solve`` takes one program or a batch of programs of one cone and one
 pattern of A, and a single program is the batch of one: there is one
@@ -240,8 +236,10 @@ class SolverSettings:
         if not (_is_int(self.max_iters) and self.max_iters >= 1):
             raise ShapeError(f"max_iters must be an integer >= 1, got "
                              f"{self.max_iters!r}")
-        if not _is_int(self.refine_interval):
-            raise ShapeError(f"refine_interval must be an integer, got "
+        if not isinstance(self.refine, (bool, np.bool_)):
+            raise ShapeError(f"refine must be a bool, got {self.refine!r}")
+        if not (_is_int(self.refine_interval) and self.refine_interval >= 1):
+            raise ShapeError(f"refine_interval must be an integer >= 1, got "
                              f"{self.refine_interval!r}")
         for name in ("eps_abs", "eps_rel"):
             eps = getattr(self, name)
@@ -594,11 +592,6 @@ class IterationFactor:
         vals = np.concatenate([np.ones((count, size)), *parts], axis=1)
         return np.bincount(places.ravel(), vals.ravel(),
                            count * size * size).reshape(count, size, size)
-
-    @property
-    def order(self) -> np.ndarray:
-        """K's elimination order (``Pattern.elimination_order``)."""
-        return self.pattern.elimination_order()
 
     def scaled(self, j: int) -> sp.csr_matrix:
         """Program j's scaled matrix A_hat_j."""
@@ -1063,8 +1056,7 @@ class MFactor:
                 raise ShapeError(f"order of length {len(order)} given for a "
                                  f"K of order {N - 1}")
             urow, ucol, blocks = lifted.lift_rows(index)
-            places = self.places = _lifted_places(order, urow, ucol, N,
-                                                  blocks)
+            places = _lifted_places(order, urow, ucol, N, blocks)
             self._head, self._tail = places[:N], places[N:]
             rows, cols, vals = lifted.entries(index)
             self._L = sp.csc_matrix((vals, (places[rows], places[cols])),
@@ -1234,20 +1226,6 @@ def _warm_start_point(warm_start, n: int, m: int) -> list[np.ndarray]:
     return out
 
 
-def _splitting_converges(it: int, q: float, last) -> bool:
-    """Whether the splitting, kept at the rate of its last check interval,
-    brings the ratio q of residual to tolerance at iteration ``it`` down
-    to 1 within ``it`` more iterations; ``last`` is the (iteration, ratio)
-    of the check before, or None.  With q_last > q > 1 the ratio fell by
-    q_last / q over it - it_last iterations, so at that rate it reaches 1
-    after (it - it_last) ln q / ln(q_last / q) more."""
-    if last is None:
-        return False
-    it_last, q_last = last
-    return q_last > q > 1.0 and (
-        (it - it_last) * math.log(q) <= it * math.log(q_last / q))
-
-
 class _Column:
     """One program of a batch, row ``index`` of its ``_Batch``: its own
     decisions on the checks of its iterates, which ``_Batch.check`` makes
@@ -1271,8 +1249,9 @@ class _Column:
         # polish attempts are exponentially spaced so their total cost stays
         # logarithmic in the iteration count
         self.next_refine = self.settings.refine_interval
-        # (iteration, ratio) of the last iterate check; a polish's
-        # candidate never enters it
+        # (iteration, ratio) of the last iterate check, from which
+        # ``_runs_another_interval`` reads the last interval's drop; a
+        # polish's candidate never enters it
         self.last_check = None
         self.Q = None  # the skew matrix, built when a polish first needs it
 
@@ -1283,22 +1262,13 @@ class _Column:
         if self.best is None or score < self.best[0]:
             self.best = (score, x, y, s, tuple(res))
 
-    def polish_due(self, it: int, q: float, last) -> bool:
-        """Whether a polish runs at iteration ``it``, whose iterate has the
-        ratio q and does not meet the tolerance; ``last`` is the
-        (iteration, ratio) of the check before.  A polish due before
-        ``max_iters`` that would factor its lifted system (of order at
-        least n + m + 2) with SuperLU is left to the plain splitting, and
-        stays due, while the last interval's rate reaches the tolerance
-        within as many iterations as the doubling schedule waits for the
-        next polish; an accelerated splitting's rate is not steady enough
-        to tell."""
-        settings, batch = self.settings, self.batch
-        return settings.refine and (
-            it == settings.max_iters or it >= self.next_refine and not (
-                batch.n + batch.m + 2 > DENSE_ORDER
-                and not self.acceleration["accepted"]
-                and _splitting_converges(it, q, last)))
+    def polish_due(self, it: int) -> bool:
+        """Whether a polish runs at iteration ``it``, whose iterate does not
+        meet the tolerance: on the doubling schedule, and at
+        ``max_iters``."""
+        settings = self.settings
+        return settings.refine and (it == settings.max_iters
+                                    or it >= self.next_refine)
 
     def polish(self, it: int, u: np.ndarray, v: np.ndarray) -> bool:
         """Polishes the candidate of the iterates u and v, and considers
@@ -1518,9 +1488,8 @@ class _Batch:
                 if ok[r] or col.deferred:
                     col.status = OPTIMAL
                 else:
-                    last, col.last_check = col.last_check, (it, q[r])
-                    if col.polish_due(it, q[r], last) and col.polish(
-                            it, U[r], V[r]):
+                    col.last_check = (it, q[r])
+                    if col.polish_due(it) and col.polish(it, U[r], V[r]):
                         col.status = OPTIMAL
             elif col.deferred:  # as above
                 col.status = OPTIMAL

@@ -202,7 +202,7 @@ def test_ordered_lifted_factor(program):
         patch.setattr(solver, "DENSE_ORDER", 0)
         factor = MFactor(data, z)
     assert factor.ok
-    N, places = factor.size, factor.places
+    N, places = factor.size, np.concatenate([factor._head, factor._tail])
     lifted = factor._L[places][:, places].tocsc()
     reference = spla.splu(lifted, permc_spec="MMD_AT_PLUS_A",
                           diag_pivot_thresh=0.01,

@@ -511,7 +511,9 @@ class TestDenseIterationSystem:
                 r.outputs[fx.output].shape)} for r in tapes]
             layer.backward_batch(tapes[1:], cots[1:])
             layer.backward(tapes[0], cots[0])
-            assert all(hasattr(r._cache["m_factor"], "places") for r in tapes)
+            # a SuperLU factor's rows sit at places under K's order
+            assert not any(isinstance(r._cache["m_factor"]._head, slice)
+                           for r in tapes)
         assert len(calls) == 1
         assert layer._order is not None
 

@@ -887,16 +887,11 @@ class TestAnderson:
         assert sol.info["acceleration"]["accepted"] > 0
 
     def test_accelerated_polish_is_not_skipped(self, monkeypatch):
-        """A polish due on an accelerated solve runs whatever the last
-        interval's rate predicts: the prediction holds for the plain
-        splitting's steady rate only.  Due at 50, the QP of order above
-        ``DENSE_ORDER`` polishes there, where the prediction would have
-        left it to the splitting."""
+        """A polish due on an accelerated solve runs: due at 50, the QP of
+        order above ``DENSE_ORDER`` polishes there and ends."""
         self.force(monkeypatch, "reduced")
         data = sparse_qp_data(n=64, seed=0)
         assert sum(data.A.shape) + 2 > solver.DENSE_ORDER
-        monkeypatch.setattr(solver, "_splitting_converges",
-                            lambda it, q, last: True)
         sol = solve(data, SolverSettings(refine_interval=50))
         assert sol.status == "optimal"
         assert (sol.info["iterations"], sol.info["polishes"]) == (50, 1)
@@ -1123,6 +1118,7 @@ class TestSettings:
     def test_numpy_scalars_accepted(self):
         settings = SolverSettings(max_iters=np.int64(50),
                                   eps_abs=np.float64(1e-6), eps_rel=1e-6,
+                                  refine=np.bool_(True),
                                   refine_interval=np.int32(25))
         data = lp_data(np.array([1.0]), np.array([[-1.0]]), np.array([-2.0]))
         assert solve(data, settings).status == "optimal"
@@ -1132,10 +1128,15 @@ class TestSettings:
         with pytest.raises(ShapeError, match="max_iters"):
             SolverSettings(max_iters=value)
 
-    @pytest.mark.parametrize("value", [2.5, "250", None])
+    @pytest.mark.parametrize("value", [2.5, "250", None, 0, -5])
     def test_refine_interval_must_be_an_integer(self, value):
         with pytest.raises(ShapeError, match="refine_interval"):
             SolverSettings(refine_interval=value)
+
+    @pytest.mark.parametrize("value", ["no", None, 1, 0, 1.0])
+    def test_refine_must_be_a_bool(self, value):
+        with pytest.raises(ShapeError, match="refine"):
+            SolverSettings(refine=value)
 
     @pytest.mark.parametrize("name", ["eps_abs", "eps_rel"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1e-8, "1e-8"])
@@ -1145,8 +1146,8 @@ class TestSettings:
 
 
 class TestIterationOrder:
-    """``IterationFactor`` keeps K's symmetric elimination order, which the
-    lifted M factor extends."""
+    """A SuperLU ``IterationFactor`` leaves K's symmetric elimination order
+    in its ``Pattern``, which the lifted M factor extends."""
 
     # K of order 195, above K_DENSE_ORDER: SuperLU factors it when
     # REDUCED_ORDER is below its 49 columns
@@ -1156,11 +1157,11 @@ class TestIterationOrder:
         monkeypatch.setattr(solver, "REDUCED_ORDER", 0)
         data = sparse_qp_data(n=self.N_ABOVE, seed=2)
         factor = IterationFactor(data.A, data.cones)
+        order = factor.pattern.elimination_order()
         # a view of perm_c would keep the whole SuperLU factor alive
-        assert factor.order.base is None
-        assert np.array_equal(factor.order, np.argsort(factor.lus[0].perm_c))
-        assert np.array_equal(np.sort(factor.order),
-                              np.arange(sum(data.A.shape)))
+        assert order.base is None
+        assert np.array_equal(order, np.argsort(factor.lus[0].perm_c))
+        assert np.array_equal(np.sort(order), np.arange(sum(data.A.shape)))
 
     def test_order_depends_on_the_pattern_alone(self, rng):
         """One order serves every binding of a layer, whose A keeps its
@@ -1169,8 +1170,9 @@ class TestIterationOrder:
         A, spec = data.A.tocsr(), data.cones
         other = sp.csr_matrix((rng.standard_normal(A.nnz), A.indices,
                                A.indptr), shape=A.shape)
-        assert np.array_equal(IterationFactor(A, spec).order,
-                              IterationFactor(other, spec).order)
+        orders = [IterationFactor(B, spec).pattern.elimination_order()
+                  for B in (A, other)]
+        assert np.array_equal(*orders)
 
 
 class TestIterationSystem:
@@ -1297,7 +1299,8 @@ class TestPolishFactor:
         z1 = z0 + 1e-6 * rng.standard_normal(z0.size)
         z1[-1] = 1.0
         r = _residual_map(z1, skew_matrix(data), data.cones, n)
-        order = IterationFactor(data.A, data.cones).order
+        order = IterationFactor(data.A,
+                                data.cones).pattern.elimination_order()
         kept = MFactor(data, z0, order)
         J1 = _normalized_jacobian(MFactor(data, z1, factorize=False))
         step, istop = _gauss_newton_step(J1, kept, r, 4 * z1.size)
@@ -1361,125 +1364,114 @@ class TestPolishFactor:
         assert not any(args[1].ok for args, _ in steps)
 
 
-class TestPolishSkip:
-    """A polish that would factor with SuperLU is left to the splitting
-    when the last check interval's rate reaches the tolerance within as
-    many more iterations as the solve has run.  The iteration counts and
-    ratios below are the plain splitting's, so its Anderson acceleration
-    is off."""
+class TestPolishSchedule:
+    """Every program keeps one polish schedule: a polish is due at the first
+    check from ``refine_interval`` on whose iterate misses the tolerance,
+    then from twice the iteration of the last polish on, and always at
+    ``max_iters``."""
 
-    @pytest.fixture(autouse=True)
-    def plain_splitting(self, monkeypatch):
-        monkeypatch.setattr(solver, "ANDERSON_MEMORY", 0)
-
-    # lifted order 263, above DENSE_ORDER; without a polish it ends
-    # optimal at 150 iterations, its ratio of residual to tolerance
-    # falling 1419 -> 83 -> 5.4 over the checks at 75, 100 and 125
-    FAST = sparse_qp_data(n=64, seed=0)
-    # its costs scaled by 1e-3: the ratio falls by only ~13% a check
-    SLOW = ConeProgramData(FAST.A, FAST.b, 1e-3 * FAST.c, FAST.cones)
-    AT_100 = SolverSettings(refine_interval=100)
-
-    @pytest.mark.parametrize("it, q, last, skip", [
-        (250, 30.0, (225, 80.0), True),     # ~87 of 250 iterations
-        (50, 4.0, (25, 8.1), True),         # 49 of 50 iterations
-        (50, 4.0, (25, 7.9), False),        # 51 of 50 iterations
-        (250, 1e6, (225, 1.1e6), False),    # slow: ~3600 iterations
-        (250, 30.0, (225, 30.0), False),    # stagnating
-        (250, 40.0, (225, 30.0), False),    # diverging
-        (250, 1.0, (225, 5.0), False),      # already converged
-        (250, 0.5, (225, 5.0), False),
-        (250, 30.0, None, False),           # no check before
-        (250, np.nan, (225, 80.0), False),
-    ])
-    def test_prediction(self, it, q, last, skip):
-        assert solver._splitting_converges(it, q, last) is skip
+    # lifted order at least n + m + 2 = 261, above DENSE_ORDER, so SuperLU
+    # factors its polish; without one it ends optimal at 75 accelerated
+    # iterations, or 150 plain ones
+    QP = sparse_qp_data(n=64, seed=0)
+    # its costs scaled by 1e-3: the splitting converges slowly
+    SLOW = ConeProgramData(QP.A, QP.b, 1e-3 * QP.c, QP.cones)
 
     @staticmethod
-    def assert_same_solve(got, want):
-        """Status, iteration and polish counts, and x, y, s bit for bit."""
-        assert (got.status, got.info["iterations"], got.info["polishes"]) \
-            == (want.status, want.info["iterations"], want.info["polishes"])
-        for part in "xys":
-            assert np.array_equal(getattr(got, part), getattr(want, part))
-
-    @staticmethod
-    def predict(monkeypatch, answer=None):
-        """Record each prediction as (it, q, last, out); with ``answer``,
-        every prediction returns it."""
+    def record_polishes(monkeypatch):
+        """The iteration of each polish, in order."""
         calls = []
-        inner = solver._splitting_converges
+        polish = solver._Column.polish
 
-        def wrapper(it, q, last):
-            out = inner(it, q, last) if answer is None else answer
-            calls.append((it, q, last, out))
-            return out
+        def wrapper(column, it, u, v):
+            calls.append(it)
+            return polish(column, it, u, v)
 
-        monkeypatch.setattr(solver, "_splitting_converges", wrapper)
+        monkeypatch.setattr(solver._Column, "polish", wrapper)
         return calls
 
-    def test_fast_qp_ends_without_a_polish(self, monkeypatch):
-        """Due at 100 and again at 125, the polish is skipped both times;
-        the splitting ends optimal at 150, 1.5 x refine_interval."""
-        assert sum(self.FAST.A.shape) + 2 > solver.DENSE_ORDER
-        calls = self.predict(monkeypatch)
-        sol = solve(self.FAST, self.AT_100)
+    @pytest.mark.parametrize("memory, refine_interval", [
+        (solver.ANDERSON_MEMORY, 50), (0, 100)])
+    def test_large_program_polishes_at_the_first_due_check(
+            self, memory, refine_interval, monkeypatch):
+        """The QP polishes at the first due check, where its iterate misses
+        the tolerance, and ends there: with the accelerated splitting and
+        with the plain one, whose steady rate no longer leaves a due polish
+        to the splitting."""
+        assert sum(self.QP.A.shape) + 2 > solver.DENSE_ORDER
+        monkeypatch.setattr(solver, "ANDERSON_MEMORY", memory)
+        unpolished = solve(self.QP, SolverSettings(refine=False))
+        assert unpolished.info["iterations"] > refine_interval
+        sol = solve(self.QP, SolverSettings(refine_interval=refine_interval))
         assert sol.status == "optimal"
-        assert (sol.info["iterations"], sol.info["polishes"]) == (150, 0)
-        assert [(it, out) for it, *_, out in calls] == [(100, True),
-                                                         (125, True)]
-        with monkeypatch.context() as patch:
-            self.predict(patch, answer=False)
-            assert solve(self.FAST, self.AT_100).info["polishes"] == 1
-
-    def test_stagnating_qp_polishes(self, monkeypatch):
-        calls = self.predict(monkeypatch)
-        sol = solve(self.SLOW, self.AT_100)
-        assert sol.status == "optimal"
-        assert sol.info["polishes"] >= 1
-        it, q, (_, q_last), out = calls[0]
-        assert it == 100 and q_last > q > 1.0 and not out
+        assert (sol.info["iterations"], sol.info["polishes"]) == \
+            (refine_interval, 1)
 
     def test_small_program_polishes_on_schedule(self, monkeypatch):
-        """A program whose lifted system LAPACK would factor is polished
-        at every due check, whatever the prediction."""
+        """A program whose lifted system LAPACK factors polishes at every
+        due check: a polish of one Gauss-Newton step fails at 25, and the
+        next is due at 50, where it ends."""
+        monkeypatch.setattr(solver, "REFINE_STEPS", 1)
         data = sparse_qp_data(n=40, seed=0)
         assert sum(data.A.shape) + 2 <= solver.DENSE_ORDER
-        settings = SolverSettings(eps_abs=1e-11, eps_rel=1e-11,
-                                  refine_interval=100)
-        want = solve(data, settings)
-        assert want.info["polishes"] == 1
-        self.predict(monkeypatch, answer=True)
-        self.assert_same_solve(solve(data, settings), want)
+        calls = self.record_polishes(monkeypatch)
+        sol = solve(data, SolverSettings(eps_abs=1e-11, eps_rel=1e-11,
+                                         refine_interval=25))
+        assert sol.status == "optimal"
+        assert (sol.info["iterations"], sol.info["polishes"]) == (50, 2)
+        assert calls == [25, 50]
 
     def test_max_iters_polishes(self, monkeypatch):
-        """The polish at max_iters runs even when the splitting is
-        predicted to converge; those due before it are skipped."""
-        calls = self.predict(monkeypatch, answer=True)
-        sol = solve(self.FAST, SolverSettings(max_iters=60,
-                                              refine_interval=25))
-        assert sol.info["polishes"] == 1
-        assert [it for it, *_ in calls] == [25, 50]
+        """The polish at max_iters runs, though none is due before it."""
+        calls = self.record_polishes(monkeypatch)
+        sol = solve(self.QP, SolverSettings(max_iters=60,
+                                            refine_interval=1000))
+        assert (sol.info["iterations"], sol.info["polishes"]) == (60, 1)
+        assert calls == [60]
 
-    def test_batch_that_skips_and_polishes_equals_lone_solves(self):
-        lone = [solve(data, self.AT_100) for data in (self.FAST, self.SLOW)]
-        assert lone[0].info["polishes"] == 0
-        assert lone[1].info["polishes"] >= 1
-        for got, want in zip(solve([self.FAST, self.SLOW], self.AT_100),
-                             lone):
-            self.assert_same_solve(got, want)
+    def test_batch_of_a_polishing_and_a_plain_column_equals_lone_solves(
+            self):
+        """The QP ends at 75 without a polish and the slow QP polishes at
+        100: together they are their lone solves bit for bit."""
+        settings = SolverSettings(refine_interval=100)
+        lone = [solve(data, settings) for data in (self.QP, self.SLOW)]
+        assert [s.info["polishes"] for s in lone] == [0, 1]
+        for got, want in zip(solve([self.QP, self.SLOW], settings), lone):
+            assert (got.status, got.info["iterations"],
+                    got.info["polishes"]) == \
+                (want.status, want.info["iterations"], want.info["polishes"])
+            for part in "xys":
+                assert np.array_equal(getattr(got, part), getattr(want, part))
 
     def test_polish_candidate_stays_out_of_the_history(self, monkeypatch):
-        """A polish of one Gauss-Newton step fails at 25; the next check,
-        at 50, predicts from the iterate checked at 25 (ratio 1.65e5 ->
-        930, at that rate 1 in ~33 more iterations) and skips, not from the
-        failed polish's better candidate, which would call for another
-        polish."""
+        """A polish of one Gauss-Newton step fails at 25, and the iterate
+        meets the tolerance at 50.  Whether the accelerated solve runs on
+        there (``_Column._runs_another_interval``) is read from the ratio
+        of residual to tolerance of the iterate checked at 25, which fell
+        more than ``SETTLE_DROP``-fold, so it ends; the failed polish's
+        better candidate would have run it on."""
         monkeypatch.setattr(solver, "REFINE_STEPS", 1)
-        data = sparse_qp_data(n=64, m_eq=10, seed=0)
-        calls = self.predict(monkeypatch)
-        sol = solve(data, SolverSettings(refine_interval=25))
-        assert sol.status == "optimal"
-        assert sol.info["polishes"] == 1
-        (it0, q0, _, _), (it1, _, last, out) = calls[:2]
-        assert (it1, last, out) == (50, (it0, q0), True)
+        ratios, calls = [], []
+        evaluate = solver._Batch.evaluate
+        runs_on = solver._Column._runs_another_interval
+
+        def record_ratios(batch, rows, U, V):
+            checked = evaluate(batch, rows, U, V)
+            ratios.extend(checked.q)
+            return checked
+
+        def record_history(column, it, q):
+            calls.append((it, q, column.last_check))
+            return runs_on(column, it, q)
+
+        monkeypatch.setattr(solver._Batch, "evaluate", record_ratios)
+        monkeypatch.setattr(solver._Column, "_runs_another_interval",
+                            record_history)
+        sol = solve(self.QP, SolverSettings(eps_abs=1e-6, eps_rel=1e-6,
+                                            refine_interval=25))
+        assert (sol.status, sol.info["iterations"], sol.info["polishes"]) \
+            == ("optimal", 50, 1)
+        assert sol.info["acceleration"]["accepted"] > 0
+        at_25, candidate, at_50 = ratios
+        assert candidate < solver.SETTLE_DROP * at_50 < at_25
+        assert calls == [(50, at_50, (25, at_25))]

@@ -38,7 +38,7 @@ It exits 1 when a status changed or a binding is in one file only.
     python tools/iteration_parity.py --seed 1 --fixture-bindings 128 \\
         --save change.npz --against parent.npz
     python tools/iteration_parity.py --seed 68 --extra 4,635 --only-extra
-    python tools/iteration_parity.py --seed 1 --fixture-bindings 128 \
+    python tools/iteration_parity.py --seed 1 --fixture-bindings 128 \\
         --timings
 """
 
