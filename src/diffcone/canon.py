@@ -36,6 +36,7 @@ from .expressions import (
     evaluate,
     make_node,
     multiply,
+    postorder,
     reshape,
     sub,
     variable,
@@ -125,39 +126,35 @@ def lower(problem: Problem) -> LoweredProblem:
         aux.append(v.leaf)
         return v
 
-    def transform(e: Expression) -> Expression:
-        got = memo.get(id(e))
-        if got is not None:
-            return got
-        if e.is_leaf or e.is_constant():
-            memo[id(e)] = e
-            return e
-        args = [transform(a) for a in e.args]
+    def expand(e: Expression, args: list[Expression]) -> Expression:
         if e.atom == "norm2":
             t = fresh(())
             emitted.append(LoweredConstraint(vstack([t, _vec(args[0])]), SOC_KIND))
-            out = t
-        elif e.atom == "sum_squares":
+            return t
+        if e.atom == "sum_squares":
             t = fresh(())
             block = vstack([add(constant(1.0), t),
                             sub(constant(1.0), t),
                             multiply(constant(2.0), _vec(args[0]))])
             emitted.append(LoweredConstraint(block, SOC_KIND))
-            out = t
-        elif e.atom == "abs":
+            return t
+        if e.atom == "abs":
             t = fresh(args[0].shape.dims)
             emitted.append(LoweredConstraint(sub(t, args[0]), NONNEG_KIND))
             emitted.append(LoweredConstraint(add(t, args[0]), NONNEG_KIND))
-            out = t
-        elif e.atom == "maximum":
+            return t
+        if e.atom == "maximum":
             t = fresh(args[0].shape.dims)
             emitted.append(LoweredConstraint(sub(t, args[0]), NONNEG_KIND))
             emitted.append(LoweredConstraint(sub(t, args[1]), NONNEG_KIND))
-            out = t
-        else:
-            out = make_node(e.atom, args, meta=e.meta)
-        memo[id(e)] = out
-        return out
+            return t
+        return make_node(e.atom, args, meta=e.meta)
+
+    def transform(root: Expression) -> Expression:
+        for e in postorder(root, done=memo, prune=Expression.is_constant):
+            memo[id(e)] = e if e.is_leaf or e.is_constant() else expand(
+                e, [memo[id(a)] for a in e.args])
+        return memo[id(root)]
 
     objective = transform(problem.objective)
     for c in problem.constraints:
@@ -343,40 +340,43 @@ def _lift_product(e: Expression, data_tensor: SparseTensor3, data_side: int,
 
 def canon_tensor(expr: Expression, ctx: CanonContext,
                  memo: dict | None = None) -> SparseTensor3:
-    """Reduce an affine expression tree to its sparse tensor."""
+    """Reduce an affine expression tree to its sparse tensor; ``memo`` maps
+    the id of each node reduced so far to its tensor."""
     if memo is None:
         memo = {}
-    got = memo.get(id(expr))
-    if got is not None:
-        return got
+    for e in postorder(expr, done=memo, prune=Expression.is_constant):
+        memo[id(e)] = _node_tensor(e, ctx, [memo.get(id(a)) for a in e.args])
+    return memo[id(expr)]
 
+
+def _node_tensor(expr: Expression, ctx: CanonContext,
+                 args: list) -> SparseTensor3:
+    """The tensor of one node given its arguments' tensors (None for the
+    arguments of a constant node, which is folded to its value)."""
     if expr.is_constant():
         val = np.ravel(evaluate(expr, {}), order="F")
         d = expr.shape.size
         nz = np.flatnonzero(val)
-        out = SparseTensor3.from_entries(
+        return SparseTensor3.from_entries(
             (d, ctx.n_cols, ctx.n_slices),
             nz, np.full(nz.size, ctx.const_col),
             np.full(nz.size, ctx.const_slice), val[nz])
-    elif expr.is_leaf:
-        out = leaf_tensor(expr.leaf, ctx)
-    elif expr.atom == "add":
-        out = canon_tensor(expr.args[0], ctx, memo).add(
-            canon_tensor(expr.args[1], ctx, memo))
-    elif expr.atom in ("vstack", "hstack"):
+    if expr.is_leaf:
+        return leaf_tensor(expr.leaf, ctx)
+    if expr.atom == "add":
+        return args[0].add(args[1])
+    if expr.atom in ("vstack", "hstack"):
         # The placement is injective, so the parts' entries move unchanged.
-        parts = [canon_tensor(arg, ctx, memo) for arg in expr.args]
         dests = _stack_destinations(expr)
-        out = SparseTensor3.from_entries(
+        return SparseTensor3.from_entries(
             (expr.shape.size, ctx.n_cols, ctx.n_slices),
-            np.concatenate([dest[t.i] for dest, t in zip(dests, parts)]),
-            np.concatenate([t.j for t in parts]),
-            np.concatenate([t.k for t in parts]),
-            np.concatenate([t.v for t in parts]))
-    elif expr.atom in ("neg", "sum", "index", "reshape", "transpose", "promote"):
-        out = psi_combine(_map_tensor(_fixed_linear_map(expr), ctx),
-                          canon_tensor(expr.args[0], ctx, memo))
-    elif expr.atom in ("matmul", "mul_elem"):
+            np.concatenate([dest[t.i] for dest, t in zip(dests, args)]),
+            np.concatenate([t.j for t in args]),
+            np.concatenate([t.k for t in args]),
+            np.concatenate([t.v for t in args]))
+    if expr.atom in ("neg", "sum", "index", "reshape", "transpose", "promote"):
+        return psi_combine(_map_tensor(_fixed_linear_map(expr), ctx), args[0])
+    if expr.atom in ("matmul", "mul_elem"):
         a, b = expr.args
         if a.variable_free:
             data_side = 0
@@ -386,13 +386,9 @@ def canon_tensor(expr: Expression, ctx: CanonContext,
             raise CompileError(
                 f"product {expr!r} has variables on both sides; verification "
                 f"should have rejected this tree")
-        data_tensor = canon_tensor(expr.args[data_side], ctx, memo)
-        lifted = _lift_product(expr, data_tensor, data_side, ctx)
-        out = psi_combine(lifted, canon_tensor(expr.args[1 - data_side], ctx, memo))
-    else:
-        raise CompileError(f"nonlinear atom {expr.atom!r} survived lowering")
-    memo[id(expr)] = out
-    return out
+        lifted = _lift_product(expr, args[data_side], data_side, ctx)
+        return psi_combine(lifted, args[1 - data_side])
+    raise CompileError(f"nonlinear atom {expr.atom!r} survived lowering")
 
 
 # ---------------------------------------------------------------------------
@@ -589,26 +585,15 @@ class AsaForm:
 
 
 def _collect_variable_order(lowered: LoweredProblem) -> list[Leaf]:
-    seen: set[str] = set()
-    order: list[Leaf] = []
-
-    def walk(e: Expression):
-        if e.is_leaf:
-            if e.leaf.kind == VARIABLE and e.leaf.name not in seen:
-                seen.add(e.leaf.name)
-                order.append(e.leaf)
-            return
-        for a in e.args:
-            walk(a)
-
-    walk(lowered.objective)
-    for c in lowered.constraints:
-        walk(c.expr)
-    for v in lowered.problem.variables:  # declared but unused variables
-        if v.name not in seen:
-            seen.add(v.name)
-            order.append(v)
-    return order
+    """Variables by first appearance in the lowered objective and then the
+    ordered constraints, followed by declared but unused ones."""
+    order: dict[str, Leaf] = {}
+    for e in postorder(lowered.objective, *(c.expr for c in lowered.constraints)):
+        if e.is_leaf and e.leaf.kind == VARIABLE:
+            order.setdefault(e.leaf.name, e.leaf)
+    for v in lowered.problem.variables:
+        order.setdefault(v.name, v)
+    return list(order.values())
 
 
 def _layout(leaves) -> tuple[tuple[LayoutSlot, ...], dict]:

@@ -7,6 +7,12 @@ flags (parameter_free, variable_free, parameter_affine) that drive the
 parametrized product rule.  Parameters are treated as affine unknowns, so a
 product of two expressions is accepted only when one side is constant or when
 one side is parameter-affine and the other is parameter-free.
+
+Every analysis of a tree (evaluation, leaf declaration, verification,
+parameter substitution, lowering and the tensor reduction) runs on one
+iterative walk, ``postorder``: it yields each distinct node of the DAG
+once, after its arguments, in the order a left-to-right recursive walk
+finishes them, so no analysis is bounded by Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -50,6 +56,7 @@ __all__ = [
     "absval",
     "maximum",
     "evaluate",
+    "postorder",
 ]
 
 
@@ -777,14 +784,29 @@ def _eval_atom(atom: str, vals: list[np.ndarray], meta) -> np.ndarray:
     raise ShapeError(f"unknown atom {atom!r}")
 
 
+def postorder(*roots: Expression, done=(), prune=None):
+    """Yield each distinct node under ``roots`` once, after its arguments,
+    in the order a left-to-right recursive walk finishes them, without
+    recursion.  A node whose id is in ``done`` (a caller's memo, read as
+    the walk goes) is skipped with its subtree; a node for which
+    ``prune(node)`` is true is yielded without visiting its arguments."""
+    seen: set[int] = set()
+    stack = [(e, False) for e in reversed(roots)]
+    while stack:
+        e, finished = stack.pop()
+        if finished:
+            yield e
+        elif id(e) not in seen and id(e) not in done:
+            seen.add(id(e))
+            stack.append((e, True))
+            if prune is None or not prune(e):
+                stack.extend((a, False) for a in reversed(e.args))
+
+
 def evaluate(expr: Expression, values: Mapping[str, np.ndarray]) -> np.ndarray:
     """Evaluate a tree given values for every variable and parameter leaf."""
     memo: dict[int, np.ndarray] = {}
-
-    def rec(e: Expression) -> np.ndarray:
-        got = memo.get(id(e))
-        if got is not None:
-            return got
+    for e in postorder(expr):
         if e.is_leaf:
             if e.leaf.kind == CONSTANT:
                 out = np.asarray(e.leaf.value, dtype=float)
@@ -798,8 +820,6 @@ def evaluate(expr: Expression, values: Mapping[str, np.ndarray]) -> np.ndarray:
                         f"expected {e.shape.dims}"
                     )
         else:
-            out = _eval_atom(e.atom, [rec(a) for a in e.args], e.meta)
+            out = _eval_atom(e.atom, [memo[id(a)] for a in e.args], e.meta)
         memo[id(e)] = out
-        return out
-
-    return rec(expr)
+    return memo[id(expr)]

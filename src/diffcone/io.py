@@ -14,6 +14,7 @@ A, plain-text vectors for b and c, and a cone sidecar with lines
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from dataclasses import dataclass
@@ -62,10 +63,19 @@ class ProblemDocument:
         }
 
 
-def _as_tudict(d: dict) -> dict:
-    return dict(d)
+def _nesting_bounded(load):
+    """``load`` raising ``ParseError`` at ``$`` for a document nested deeper
+    than the JSON decoder or its own recursive walk can go."""
+    @functools.wraps(load)
+    def bounded(*args, **kwargs):
+        try:
+            return load(*args, **kwargs)
+        except RecursionError:
+            raise ParseError("document nests too deep", location="$") from None
+    return bounded
 
 
+@_nesting_bounded
 def load_problem_document(text: str) -> ProblemDocument:
     try:
         raw = json.loads(text)
@@ -167,6 +177,7 @@ def dump_problem_document(doc: ProblemDocument) -> str:
     return json.dumps(doc.to_json_dict(), indent=2, sort_keys=False) + "\n"
 
 
+@_nesting_bounded
 def document_to_problem(doc: ProblemDocument) -> Problem:
     leaves: dict[str, Expression] = {}
     for d in doc.variables:
@@ -266,6 +277,7 @@ def parse_problem(text: str) -> Problem:
 # ---------------------------------------------------------------------------
 # Values documents
 
+@_nesting_bounded
 def load_values(text: str, problem: Problem | None = None) -> dict:
     try:
         raw = json.loads(text)

@@ -22,7 +22,6 @@ in one product with the per-layer ``AsaForm._adjoint_map``.
 
 from __future__ import annotations
 
-import sys
 import time
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
@@ -33,7 +32,7 @@ from .canon import AsaForm, ConeProgramData, build_asa, lower, materialize, \
     materialize_adjoint, retrieve
 from .errors import CompileError, ShapeError, SolverInputError, \
     SolveStatusError
-from .problem import Problem, check_dpp
+from .problem import Problem
 from .solver import OPTIMAL, ConeSolution, IterationFactor, MFactor, \
     Pattern, SolverSettings, _row_dots, normalized_point, solve
 from .derivatives import adjoint_derivative
@@ -96,24 +95,6 @@ class ForwardResult:
         return self.status == OPTIMAL
 
 
-def _depth(problem: Problem) -> int:
-    """The deepest nesting of the problem's expressions, a leaf at depth 1,
-    walked without recursion."""
-    roots = [problem.objective] + [side for c in problem.constraints
-                                   for side in (c.lhs, c.rhs)]
-    seen: dict[int, int] = {}
-    stack = [(e, 1) for e in roots]
-    deepest = 0
-    while stack:
-        e, d = stack.pop()
-        if seen.get(id(e), 0) >= d:
-            continue
-        seen[id(e)] = d
-        deepest = max(deepest, d)
-        stack.extend((a, d + 1) for a in e.args)
-    return deepest
-
-
 class Layer:
     """A compiled differentiable solution map with a fixed binding signature."""
 
@@ -149,28 +130,18 @@ class Layer:
 
     @staticmethod
     def compile(problem: Problem, settings: SolverSettings | None = None) -> "Layer":
-        """Verify and canonicalize once; subsequent passes reuse the maps.
-        Anything but a ``Problem`` raises ``CompileError``, and settings
-        that are not ``SolverSettings`` raise ``ShapeError``."""
+        """Verify and canonicalize once (``lower`` raises ``CompileError``,
+        with the verification report, for an invalid problem); subsequent
+        passes reuse the maps.  Anything but a ``Problem`` raises
+        ``CompileError``, and settings that are not ``SolverSettings``
+        raise ``ShapeError``."""
         if not isinstance(problem, Problem):
             raise CompileError(f"cannot compile a {type(problem).__name__}: "
                                f"Layer.compile takes a Problem")
         if settings is not None and not isinstance(settings, SolverSettings):
             raise ShapeError(f"settings must be SolverSettings, got "
                              f"{type(settings).__name__}")
-        report = check_dpp(problem)
-        if not report.valid:
-            raise CompileError(f"cannot compile:\n{report}", report=report)
-        try:
-            asa = build_asa(lower(problem))
-        except RecursionError:
-            raise CompileError(
-                f"cannot compile: the problem's expressions nest "
-                f"{_depth(problem)} deep, more than the lowering's recursion "
-                f"takes within Python's recursion limit "
-                f"({sys.getrecursionlimit()}); a sum of k terms built with + "
-                f"nests k deep, sum_entries(vstack(terms)) nests 2 deep"
-            ) from None
+        asa = build_asa(lower(problem))
         return Layer(asa, settings or SolverSettings(), problem)
 
     # -- forward ------------------------------------------------------------

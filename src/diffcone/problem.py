@@ -21,6 +21,7 @@ from .expressions import (
     constant,
     make_node,
     neg,
+    postorder,
     promote,
 )
 
@@ -90,17 +91,6 @@ def eq(lhs, rhs) -> Constraint:
     return Constraint.create(lhs, rhs, "==")
 
 
-def _walk_leaves(expr: Expression, out: list[Leaf], seen: set[int]):
-    if id(expr) in seen:
-        return
-    seen.add(id(expr))
-    if expr.is_leaf:
-        out.append(expr.leaf)
-        return
-    for a in expr.args:
-        _walk_leaves(a, out, seen)
-
-
 class Problem:
     """An objective plus constraints over declared variables and parameters.
 
@@ -127,17 +117,12 @@ class Problem:
         self._declare(variables, parameters)
 
     def _declare(self, variables, parameters):
-        leaves: list[Leaf] = []
-        seen: set[int] = set()
-        _walk_leaves(self.objective, leaves, seen)
-        for c in self.constraints:
-            _walk_leaves(c.lhs, leaves, seen)
-            _walk_leaves(c.rhs, leaves, seen)
-
         by_name: dict[tuple[str, str], Leaf] = {}
         order: dict[str, list[Leaf]] = {VARIABLE: [], PARAMETER: []}
-        for leaf in leaves:
-            if leaf.kind == CONSTANT:
+        sides = (side for c in self.constraints for side in (c.lhs, c.rhs))
+        for e in postorder(self.objective, *sides):
+            leaf = e.leaf
+            if leaf is None or leaf.kind == CONSTANT:
                 continue
             key = (leaf.kind, leaf.name)
             prev = by_name.get(key)
@@ -227,38 +212,37 @@ class DppReport:
         return "\n".join(lines)
 
 
-def _product_violations(expr: Expression, path: str, out: list[DppViolation],
-                        seen: set[int]):
-    if id(expr) in seen:
-        return
-    seen.add(id(expr))
-    if expr.is_leaf:
-        return
-    if not expr.product_ok:
-        out.append(DppViolation(
-            path, "parameter-product",
-            f"{expr.atom} of {expr.args[0]!r} and {expr.args[1]!r}: "
-            f"neither side is constant and the sides are not "
-            f"parameter-affine times parameter-free",
-        ))
-    for i, a in enumerate(expr.args):
-        _product_violations(a, f"{path}.args[{i}]", out, seen)
-
-
 def check_dpp(problem: Problem) -> DppReport:
     """Verify a problem against the parametrized convexity ruleset.
 
     Valid iff the (minimization-form) objective is convex, every ``<=``
     constraint has convex lhs and concave rhs, every ``==`` constraint has
     affine sides, and every product node satisfies the product rule.
-    Violations are data, not errors; the report is deterministic.
+    Violations are data, not errors; the report is deterministic.  Product
+    violations come first, in pre-order, each at the path that reaches its
+    node first.
     """
     out: list[DppViolation] = []
     seen: set[int] = set()
-    _product_violations(problem.objective, "objective", out, seen)
-    for i, c in enumerate(problem.constraints):
-        _product_violations(c.lhs, f"constraints[{i}].lhs", out, seen)
-        _product_violations(c.rhs, f"constraints[{i}].rhs", out, seen)
+    roots = [(problem.objective, "objective")] + [
+        (side, f"constraints[{i}].{name}")
+        for i, c in enumerate(problem.constraints)
+        for side, name in ((c.lhs, "lhs"), (c.rhs, "rhs"))]
+    stack = roots[::-1]
+    while stack:
+        expr, path = stack.pop()
+        if id(expr) in seen:
+            continue
+        seen.add(id(expr))
+        if not expr.product_ok:
+            out.append(DppViolation(
+                path, "parameter-product",
+                f"{expr.atom} of {expr.args[0]!r} and {expr.args[1]!r}: "
+                f"neither side is constant and the sides are not "
+                f"parameter-affine times parameter-free",
+            ))
+        stack.extend(reversed([(a, f"{path}.args[{i}]")
+                               for i, a in enumerate(expr.args)]))
 
     if not problem.objective.is_convex():
         out.append(DppViolation(
@@ -298,29 +282,25 @@ def substitute_parameters(problem: Problem, values) -> Problem:
     subtrees in the same order as for the parametrized problem.
     """
     memo: dict[int, Expression] = {}
-
-    def rec(e: Expression) -> Expression:
-        got = memo.get(id(e))
-        if got is not None:
-            return got
-        if e.is_leaf:
-            if e.leaf.kind == PARAMETER:
-                val = np.asarray(values[e.leaf.name], dtype=float)
-                if tuple(val.shape) != e.shape.dims:
-                    raise ShapeError(
-                        f"value for {e.leaf.name!r} has shape {val.shape}, "
-                        f"expected {e.shape.dims}"
-                    )
-                out = constant(val)
-            else:
-                out = e
+    sides = [side for c in problem.constraints for side in (c.lhs, c.rhs)]
+    for e in postorder(*sides, problem.objective):
+        if e.leaf is not None and e.leaf.kind == PARAMETER:
+            val = np.asarray(values[e.leaf.name], dtype=float)
+            if tuple(val.shape) != e.shape.dims:
+                raise ShapeError(
+                    f"value for {e.leaf.name!r} has shape {val.shape}, "
+                    f"expected {e.shape.dims}"
+                )
+            memo[id(e)] = constant(val)
+        elif e.is_leaf:
+            memo[id(e)] = e
         else:
-            out = make_node(e.atom, [rec(a) for a in e.args], meta=e.meta)
-        memo[id(e)] = out
-        return out
+            memo[id(e)] = make_node(e.atom, [memo[id(a)] for a in e.args],
+                                    meta=e.meta)
 
     new_constraints = [
-        Constraint(rec(c.lhs), c.relop, rec(c.rhs)) for c in problem.constraints
+        Constraint(memo[id(c.lhs)], c.relop, memo[id(c.rhs)])
+        for c in problem.constraints
     ]
-    return Problem(MINIMIZE, rec(problem.objective), new_constraints,
+    return Problem(MINIMIZE, memo[id(problem.objective)], new_constraints,
                    variables=problem.variables)

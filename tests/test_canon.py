@@ -32,7 +32,7 @@ from diffcone.expressions import (
 )
 from diffcone.fixtures import gen_random_dpp, gradient_fixtures
 from diffcone.layer import Layer
-from diffcone.problem import Problem, eq, ge, substitute_parameters
+from diffcone.problem import Problem, check_dpp, eq, ge, substitute_parameters
 
 
 def regularized_least_squares(n=2, m=3):
@@ -94,6 +94,31 @@ class TestLower:
         prob = Problem("minimize", multiply(p1, p2) + sum_squares(variable("x")))
         with pytest.raises(CompileError, match="parameter-product"):
             lower(prob)
+
+    def test_deep_sum_lowers(self, rng):
+        """A sum of 3000 norms built with + nests 3000 deep, three times
+        Python's default recursion limit: it builds, verifies, evaluates,
+        has its parameters substituted and lowers, in the order of its
+        terms."""
+        k = 3000
+        x = variable("x", 3)
+        objective = norm2(x - parameter("p0", 3))
+        for i in range(1, k):
+            objective = objective + norm2(x - parameter(f"p{i}", 3))
+        prob = Problem("minimize", objective)
+        assert [p.name for p in prob.parameters] == [f"p{i}" for i in range(k)]
+        assert check_dpp(prob).valid
+        values = {p.name: rng.standard_normal(3) for p in prob.parameters}
+        xv = rng.standard_normal(3)
+        want = sum(np.linalg.norm(xv - values[f"p{i}"]) for i in range(k))
+        np.testing.assert_allclose(evaluate(objective, dict(values, x=xv)), want)
+        folded = substitute_parameters(prob, values)
+        assert not folded.parameters
+        np.testing.assert_allclose(evaluate(folded.objective, {"x": xv}), want)
+        low = lower(prob)
+        assert [v.name for v in low.aux_variables] == [
+            f"_t{i}" for i in range(1, k + 1)]
+        assert [c.kind for c in low.constraints] == ["soc"] * k
 
 
 class TestWorkedExample:

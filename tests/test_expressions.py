@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from diffcone.errors import DeclarationError, ShapeError
 from diffcone.expressions import (
     Curvature,
+    Expression,
     Shape,
     Sign,
     absval,
@@ -20,6 +21,7 @@ from diffcone.expressions import (
     multiply,
     norm2,
     parameter,
+    postorder,
     promote,
     reshape,
     sum_entries,
@@ -28,6 +30,7 @@ from diffcone.expressions import (
     variable,
     vstack,
 )
+from diffcone.fixtures import gen_random_dpp
 
 
 class TestShapes:
@@ -247,6 +250,61 @@ class TestEvaluate:
     def test_promote_broadcast(self):
         e = promote(constant(2.5), (2, 2))
         np.testing.assert_allclose(evaluate(e, {}), np.full((2, 2), 2.5))
+
+
+def _recursive_postorder(e, out, seen, prune=None):
+    if id(e) in seen:
+        return
+    seen.add(id(e))
+    if prune is None or not prune(e):
+        for a in e.args:
+            _recursive_postorder(a, out, seen, prune)
+    out.append(e)
+
+
+class TestPostorder:
+    def test_finish_order_of_a_recursive_walk(self):
+        problems = [gen_random_dpp(seed, 1 + seed % 3, seed % 4)
+                    for seed in range(40)]
+        for prob in problems:
+            roots = [prob.objective] + [side for c in prob.constraints
+                                        for side in (c.lhs, c.rhs)]
+            for prune in (None, Expression.is_constant):
+                want, seen = [], set()
+                for root in roots:
+                    _recursive_postorder(root, want, seen, prune)
+                got = list(postorder(*roots, prune=prune))
+                assert [id(e) for e in got] == [id(e) for e in want]
+
+    def test_shared_nodes_once_after_their_arguments(self):
+        x = variable("x", 2)
+        shared = -x
+        e = shared + (shared + x)
+        assert list(postorder(e)) == [
+            x, shared, e.args[1], e]
+
+    def test_done_skips_subtrees(self):
+        x, y = variable("x", 2), variable("y", 2)
+        left = -x
+        e = left + y
+        assert list(postorder(e, done={id(left)})) == [y, e]
+
+    def test_prune_leaves_arguments_unvisited(self):
+        x = variable("x", 2)
+        c = constant(np.ones(2))
+        folded = c + c
+        e = x + folded
+        assert list(postorder(e, prune=Expression.is_constant)) == [
+            x, folded, e]
+
+    def test_deep_chain_without_recursion(self):
+        x = variable("x")
+        e = x
+        for _ in range(5000):
+            e = e + x
+        nodes = list(postorder(e))
+        assert len(nodes) == 5001 and nodes[0] is x and nodes[-1] is e
+        assert float(evaluate(e, {"x": 2.0})) == 10002.0
 
 
 class TestDeterminism:

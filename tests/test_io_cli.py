@@ -14,6 +14,7 @@ from diffcone.fixtures import (
     nonneg_least_squares_fixture,
 )
 from diffcone.io import (
+    ProblemDocument,
     document_to_problem,
     dump_problem_document,
     dump_values,
@@ -121,6 +122,29 @@ class TestParseErrors:
                                     "lam": 1.0}), prob)
 
 
+    def test_values_nested_too_deep(self):
+        with pytest.raises(ParseError, match="too deep") as err:
+            load_values('{"a": ' + "[" * 3000 + "]" * 3000 + "}")
+        assert err.value.location == "$"
+
+    def test_problem_nested_too_deep(self):
+        node = {"var": "x"}
+        for _ in range(3000):
+            node = {"atom": "neg", "args": [node]}
+        with pytest.raises(ParseError, match="too deep") as err:
+            load_problem_document('{"sense": "minimize", "objective": '
+                                  + "[" * 3000 + "]" * 3000 + "}")
+        assert err.value.location == "$"
+        # a document that the decoder never saw still nests past build's
+        # recursion
+        doc = ProblemDocument(variables=({"name": "x", "shape": []},),
+                              parameters=(), sense="minimize",
+                              objective=node, constraints=())
+        with pytest.raises(ParseError, match="too deep") as err:
+            document_to_problem(doc)
+        assert err.value.location == "$"
+
+
 class TestConeDataFiles:
     def test_roundtrip(self, tmp_path, rng):
         fx = nonneg_least_squares_fixture()
@@ -173,6 +197,13 @@ class TestCli:
 
     def test_usage_error_exits_1(self, capsys):
         assert cli.main(["solve"]) == 1
+
+    def test_params_nested_too_deep_exits_2(self, ls_files, tmp_path, capsys):
+        path = write(tmp_path / "deep.json",
+                     '{"F": ' + "[" * 3000 + "]" * 3000 + "}")
+        assert cli.main(["solve", "--problem", ls_files[0],
+                         "--params", path]) == 2
+        assert "too deep" in capsys.readouterr().err
 
     def test_missing_file_exits_2(self, capsys):
         assert cli.main(["check-dpp", "--problem", "/nonexistent.json"]) == 2

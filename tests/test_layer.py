@@ -1,7 +1,9 @@
 """Compiled-layer tests: forward outputs, gradients, batching, caching."""
 
 import copy
-import re
+import inspect
+import sys
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -32,6 +34,7 @@ from diffcone.expressions import (
     sum_entries,
     sum_squares,
     variable,
+    vstack,
 )
 from diffcone.fixtures import (
     constrained_sparsemax_fixture,
@@ -42,11 +45,27 @@ from diffcone.fixtures import (
     sparse_qp_data,
     sparsemax_fixture,
 )
+from diffcone import canon as canon_module
 from diffcone import layer as layer_module
+from diffcone import problem as problem_module
 from diffcone import solver
 from diffcone.layer import Layer
 from diffcone.problem import Problem, eq, ge, le
 from diffcone.solver import SolverSettings, solve
+
+
+def _norm_chain(k):
+    """A sum of k norms built with +, which nests k deep, and its terms."""
+    x = variable("x", 3)
+    terms = [norm2(x - parameter(f"p{i}", 3)) for i in range(k)]
+    objective = terms[0]
+    for term in terms[1:]:
+        objective = objective + term
+    return objective, terms
+
+
+def _chain_values(k, rng):
+    return {f"p{i}": rng.standard_normal(3) for i in range(k)}
 
 
 class TestCompile:
@@ -71,18 +90,74 @@ class TestCompile:
         with pytest.raises(ShapeError, match="SolverSettings"):
             Layer.compile(relu_fixture(3).problem, 5)
 
-    def test_deep_sum_raises_compile_error(self):
-        """A sum of 600 norms built with + nests past the lowering's
-        recursion; compile names the depth instead of a bare
-        RecursionError."""
-        x = variable("x", 3)
-        objective = norm2(x - parameter("p0", 3))
-        for i in range(1, 600):
-            objective = objective + norm2(x - parameter(f"p{i}", 3))
-        with pytest.raises(CompileError, match=r"nest (\d+) deep") as err:
-            Layer.compile(Problem("minimize", objective))
-        depth = int(re.search(r"nest (\d+) deep", str(err.value))[1])
-        assert depth == 599 + 4  # the adds, norm2, x - p0's add and neg, p0
+    def test_deep_sum_compiles_like_stacked_sum(self, rng):
+        """A sum of 1200 norms built with + nests past Python's default
+        recursion limit; it compiles to the same maps as the same sum
+        nested two deep, and solves and differentiates."""
+        objective, terms = _norm_chain(1200)
+        deep = Layer.compile(Problem("minimize", objective)).asa
+        flat = Layer.compile(Problem("minimize",
+                                     sum_entries(vstack(terms)))).asa
+        for name in ("c_map", "_a_coeff", "_b_map", "retrieval"):
+            a, b = getattr(deep, name), getattr(flat, name)
+            assert a.shape == b.shape
+            for part in ("data", "indices", "indptr"):
+                np.testing.assert_array_equal(getattr(a, part),
+                                              getattr(b, part))
+        np.testing.assert_array_equal(deep.objective_offset_map,
+                                      flat.objective_offset_map)
+        for name in ("cones", "param_layout", "variable_layout",
+                     "cone_var_layout"):
+            assert getattr(deep, name) == getattr(flat, name)
+
+        layer = Layer(deep, SolverSettings())
+        res = layer.forward(_chain_values(1200, rng))
+        assert res.ok
+        grads, _ = layer.backward(res, {"x": np.ones(3)})
+        assert all(np.all(np.isfinite(g)) for g in grads.values())
+
+    def test_compile_walks_without_recursion(self, rng):
+        """With the recursion limit a fixed margin above the current stack
+        depth, a sum of 600 norms built with + builds, compiles and solves:
+        no walk over its expressions recurses once per level."""
+        values = _chain_values(600, rng)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+        try:
+            objective, _ = _norm_chain(600)
+            res = Layer.compile(Problem("minimize", objective)).forward(values)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert res.ok
+
+    def test_shared_subtrees_compile_once(self):
+        """``e = e + e`` 40 times reaches one norm by 2**40 paths; compile
+        visits each node once, so it takes well under a second and lays
+        out what one doubling does."""
+        x, p = variable("x", 3), parameter("p", 3)
+        e = norm2(x - p)
+        once = Layer.compile(Problem("minimize", e + e)).asa
+        for _ in range(40):
+            e = e + e
+        start = time.perf_counter()
+        doubled = Layer.compile(Problem("minimize", e)).asa
+        assert time.perf_counter() - start < 1.0
+        for name in ("param_layout", "variable_layout", "cone_var_layout"):
+            assert getattr(doubled, name) == getattr(once, name)
+
+    def test_compile_checks_dpp_once(self, monkeypatch):
+        """The problem is verified once per compile, wherever the check is
+        looked up."""
+        calls = []
+        for module in (problem_module, canon_module, layer_module):
+            original = getattr(module, "check_dpp", None)
+            if original is not None:
+                monkeypatch.setattr(module, "check_dpp",
+                                    lambda p, f=original: calls.append(p)
+                                    or f(p))
+        fx = relu_fixture(3)
+        Layer.compile(fx.problem)
+        assert calls == [fx.problem]
 
     def test_invalid_problem_raises_with_report(self):
         p1, p2 = parameter("p1"), parameter("p2")

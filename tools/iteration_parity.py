@@ -29,7 +29,12 @@ workload the bindings whose status, counts, x, y, s and gradients are
 bitwise equal, each side's total of iterations and of polishes and its
 largest central-difference error, and every gradient that moved by more
 than 1e-8 relative, with its central-difference error before and after.
-It exits 1 when a status changed or a binding is in one file only.
+``--save`` also stores each compiled layer's ``AsaForm`` (its four maps,
+the objective offset map, the pattern of A, the cone spec and the three
+layouts), and ``--against`` prints an ASA line for each layer whose form
+differs in any of them, bit for bit, or is in one file only.
+It exits 1 when a status changed, a binding is in one file only or an
+ASA line was printed.
 
     python tools/iteration_parity.py --checkout ../parent --seed 1 \\
         --save parent.npz
@@ -54,6 +59,10 @@ import numpy as np
 
 PER_LAYER = {"fixture-train": 12, "soc-sum": 12, "sparse-qp": 3}
 GRADIENT_MOVE = 1e-8
+# the AsaForm fields saved per compiled layer, under keys "asa:workload:layer"
+ASA_MAPS = ("c_map", "_a_coeff", "_b_map", "retrieval")
+ASA_ARRAYS = ("objective_offset_map", "_a_rows", "_a_cols", "_a_indptr")
+ASA_SPECS = ("cones", "param_layout", "variable_layout", "cone_var_layout")
 
 
 def _digest(arr) -> str:
@@ -91,7 +100,8 @@ def run(seed: int, extra: set, only_extra: bool,
         fixture_bindings: int = PER_LAYER["fixture-train"],
         timings: dict | None = None) -> dict:
     """key -> record of every check binding of the three workloads, with
-    the first ``fixture_bindings`` of each fixture-train layer.  With a
+    the first ``fixture_bindings`` of each fixture-train layer, and of
+    each layer's compiled form (``_asa_record``).  With a
     dict ``timings``, each minibatch's forward adds (wall time, results)
     under "workload:layer"."""
     import workloads
@@ -121,6 +131,7 @@ def run(seed: int, extra: set, only_extra: bool,
         for layer_name, group in _selected(wl, per_layer[name], extra,
                                            only_extra).items():
             layer = Layer.compile(wl.problems[layer_name])
+            records[f"asa:{name}:{layer_name}"] = _asa_record(layer.asa)
             output = wl.outputs[layer_name]
             size = 8 if wl.batch else 1
             for lo in range(0, len(group), size):
@@ -135,6 +146,21 @@ def run(seed: int, extra: set, only_extra: bool,
                     records[f"{name}:{layer_name}:{bd.key[0]},{bd.key[1]}"] \
                         = _record(layer, bd, res, output, seed)
     return records
+
+
+def _asa_record(asa) -> dict:
+    """The fields of a compiled form: each sparse map's arrays and shape,
+    the dense arrays, and the cone spec and layouts by their repr."""
+    rec = {}
+    for name in ASA_MAPS:
+        matrix = getattr(asa, name)
+        for part in ("data", "indices", "indptr", "shape"):
+            rec[f"{name}.{part}"] = np.asarray(getattr(matrix, part))
+    for name in ASA_ARRAYS:
+        rec[name] = np.asarray(getattr(asa, name))
+    for name in ASA_SPECS:
+        rec[name] = repr(getattr(asa, name))
+    return rec
 
 
 def _record(layer, bd, res, output, seed) -> dict:
@@ -207,17 +233,39 @@ def _largest_cd_error(rec: dict) -> float:
     return float(np.nanmax(errors)) if errors else 0.0
 
 
+def _same(x, y) -> bool:
+    """An array bit for bit, any other value by equality."""
+    if isinstance(x, np.ndarray):
+        return (isinstance(y, np.ndarray) and x.dtype == y.dtype
+                and x.shape == y.shape and x.tobytes() == y.tobytes())
+    return x == y
+
+
 def _bitwise_equal(a: dict, b: dict) -> bool:
     """Two records of one binding hold the same fields, every array bit
     for bit and every other value equal."""
-    def same(x, y):
-        if isinstance(x, np.ndarray):
-            return (isinstance(y, np.ndarray) and x.dtype == y.dtype
-                    and x.shape == y.shape and x.tobytes() == y.tobytes())
-        return x == y
-
     return a.keys() == b.keys() and all(
-        same(a[f], b[f]) for f in a if not f.startswith("cd"))
+        _same(a[f], b[f]) for f in a if not f.startswith("cd"))
+
+
+def compare_asa(new: dict, old: dict) -> int:
+    """Print an ASA line for each compiled form that is in one file only
+    or differs in a field; returns their number."""
+    differ = 0
+    for key in sorted(set(new) | set(old)):
+        if key not in new or key not in old:
+            print(f"ASA {key}: in one file only")
+        else:
+            fields = sorted(f for f in new[key].keys() | old[key].keys()
+                            if f not in new[key] or f not in old[key]
+                            or not _same(new[key][f], old[key][f]))
+            if not fields:
+                continue
+            print(f"ASA {key}: differs in {', '.join(fields)}")
+        differ += 1
+    print(f"{len(set(new) & set(old))} compiled forms compared, {differ} "
+          f"with an ASA line")
+    return differ
 
 
 def compare(new: dict, old: dict) -> int:
@@ -290,6 +338,12 @@ def compare(new: dict, old: dict) -> int:
     return statuses + len(missing)
 
 
+def _split(records: dict) -> tuple[dict, dict]:
+    """The binding records and the compiled forms' records."""
+    forms = {k: r for k, r in records.items() if k.startswith("asa:")}
+    return {k: r for k, r in records.items() if k not in forms}, forms
+
+
 def main(argv=None) -> int:
     root = pathlib.Path(__file__).resolve().parents[1]
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
@@ -322,7 +376,8 @@ def main(argv=None) -> int:
     timings = {} if args.timings else None
     records = run(args.seed, extra, args.only_extra, args.fixture_bindings,
                   timings)
-    for key, rec in records.items():
+    bindings, forms = _split(records)
+    for key, rec in bindings.items():
         print(f"{key} {rec['status']} {rec['iteration_system']} "
               f"iterations {rec['iterations']} "
               f"polishes {rec['polishes']} x {_digest(rec['x'])} "
@@ -332,7 +387,9 @@ def main(argv=None) -> int:
     if args.save:
         save(records, args.save)
     if args.against:
-        return 1 if compare(records, load(args.against)) else 0
+        old_bindings, old_forms = _split(load(args.against))
+        changed = compare(bindings, old_bindings)
+        return 1 if changed + compare_asa(forms, old_forms) else 0
     return 0
 
 
