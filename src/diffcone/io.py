@@ -26,7 +26,8 @@ import scipy.sparse as sp
 from .canon import ConeProgramData
 from .cones import ConeSpec
 from .errors import ParseError
-from .expressions import ATOM_IDS, Expression, constant, make_node, parameter, variable
+from .expressions import (ATOM_IDS, Expression, constant, make_node, parameter,
+                          postorder, variable)
 from .problem import Constraint, Problem
 
 __all__ = [
@@ -173,6 +174,7 @@ def load_problem_document(text: str) -> ProblemDocument:
                            constraints=tuple(constraints))
 
 
+@_nesting_bounded
 def dump_problem_document(doc: ProblemDocument) -> str:
     return json.dumps(doc.to_json_dict(), indent=2, sort_keys=False) + "\n"
 
@@ -234,21 +236,28 @@ def document_to_problem(doc: ProblemDocument) -> Problem:
 
 
 def problem_to_document(problem: Problem) -> ProblemDocument:
-    """Document form of an in-memory problem (normalized sense and relops)."""
-    def expr_doc(e: Expression) -> dict:
+    """Document form of an in-memory problem (normalized sense and relops).
+    Each distinct node is converted once, without recursion, and a subtree
+    shared by several parents is one dict in each of their args."""
+    docs: dict[int, dict] = {}
+    for e in postorder(problem.objective,
+                       *(side for c in problem.constraints
+                         for side in (c.lhs, c.rhs))):
         if e.is_leaf:
             leaf = e.leaf
             if leaf.kind == "variable":
-                return {"var": leaf.name}
-            if leaf.kind == "parameter":
-                return {"param": leaf.name}
-            return {"const": np.asarray(leaf.value).tolist()}
-        out = {"atom": e.atom, "args": [expr_doc(a) for a in e.args]}
-        if e.atom in ("reshape", "promote"):
-            out["shape"] = list(e.meta)
-        elif e.atom == "index":
-            out["slices"] = [list(s) for s in e.meta]
-        return out
+                out = {"var": leaf.name}
+            elif leaf.kind == "parameter":
+                out = {"param": leaf.name}
+            else:
+                out = {"const": np.asarray(leaf.value).tolist()}
+        else:
+            out = {"atom": e.atom, "args": [docs[id(a)] for a in e.args]}
+            if e.atom in ("reshape", "promote"):
+                out["shape"] = list(e.meta)
+            elif e.atom == "index":
+                out["slices"] = [list(s) for s in e.meta]
+        docs[id(e)] = out
 
     def decl(leaf):
         d = {"name": leaf.name, "shape": list(leaf.shape.dims)}
@@ -262,9 +271,9 @@ def problem_to_document(problem: Problem) -> ProblemDocument:
         variables=tuple(decl(v) for v in problem.variables),
         parameters=tuple(decl(p) for p in problem.parameters),
         sense="minimize",
-        objective=expr_doc(problem.objective),
+        objective=docs[id(problem.objective)],
         constraints=tuple(
-            {"lhs": expr_doc(c.lhs), "relop": c.relop, "rhs": expr_doc(c.rhs)}
+            {"lhs": docs[id(c.lhs)], "relop": c.relop, "rhs": docs[id(c.rhs)]}
             for c in problem.constraints),
     )
 

@@ -91,12 +91,9 @@ whose root encodes an exact primal-dual solution; on well-behaved problems
 this reaches residuals near machine precision in a few steps.  The
 Jacobian of the residual map is M = (Q - I) DPi(z) + I; ``MFactor``
 applies and exactly factors its deflated form M + zhat zhat' for the
-polish (as a right preconditioner) and for the derivatives module.  A
-polish factors it once, at its first point: each later step applies M at
-its own point, unfactored, and keeps the first factor as preconditioner,
-so the step is still exact Gauss-Newton and only LSQR's iteration count
-grows.  It factors again only when that factor is singular or LSQR stops
-at its iteration limit on it.
+polish and for the derivatives module.  Each Gauss-Newton step of a
+polish factors it at its own point and uses that factor as LSQR's right
+preconditioner; the step's factor is freed before the next is built.
 
 A polish falls due on a doubling schedule: at the first check from
 ``refine_interval`` on whose iterate misses the tolerance, then from twice
@@ -806,11 +803,16 @@ def _kkt_residuals(A, At, b, c, X, Y, S):
 
 
 def residuals(data: ConeProgramData, sol: ConeSolution) -> tuple[float, float, float]:
-    """Primal, dual, and gap residual norms of a primal-dual point."""
-    x, y, s = (np.asarray(v, dtype=float)[None]
-               for v in (sol.x, sol.y, sol.s))
+    """Primal, dual, and gap residual norms of a primal-dual point; an x, y
+    or s whose length is not A's column or row count raises ``ShapeError``."""
+    m, n = data.A.shape
+    x, y, s = (np.asarray(v, dtype=float) for v in (sol.x, sol.y, sol.s))
+    for name, v, size in zip("xys", (x, y, s), (n, m, m)):
+        if v.shape != (size,):
+            raise ShapeError(f"{name} has shape {v.shape}, expected ({size},)")
     return tuple(float(r[0]) for r in _kkt_residuals(
-        data.A, data.A.T, data.b[None], data.c[None], x, y, s)[:3])
+        data.A, data.A.T, data.b[None], data.c[None], x[None], y[None],
+        s[None])[:3])
 
 
 def _residual_map(z, Q, spec, n):
@@ -1013,15 +1015,10 @@ class MFactor:
     then fall back to least squares on ``apply``.  The SuperLU factor
     keeps no such guard: reading U's diagonal out of SuperLU caches CSC
     copies of L and U on the factor.
-
-    With ``factorize`` False, L is only assembled, sparse and unpermuted,
-    for ``apply`` (``ok`` False, ``nnz`` 0): the polish applies M at each
-    later point of its Gauss-Newton steps this way and preconditions with
-    the factor of its first point.
     """
 
     def __init__(self, data: ConeProgramData, z: np.ndarray,
-                 order: np.ndarray | None = None, factorize: bool = True,
+                 order: np.ndarray | None = None,
                  lifted: _Lifted | None = None, index: int = 0):
         """``lifted``, when given, is the assembly of a batch whose program
         ``index`` is (data, z); ``batch`` passes it."""
@@ -1034,11 +1031,7 @@ class MFactor:
         # _head and _tail: where the rows of M + zhat zhat' and the lift
         # rows sit in the factored matrix
         self._head, self._tail = slice(0, N), slice(N, size)
-        if not factorize:
-            rows, cols, vals = lifted.entries(index)
-            self._L = sp.csc_matrix((vals, (rows, cols)), shape=(size, size))
-            self.ok, self.nnz = False, 0
-        elif size <= DENSE_ORDER:
+        if size <= DENSE_ORDER:
             self._L, norm = lifted.dense(index)
             lu, piv, info = sla.lapack.dgetrf(self._L)
             # info > 0: U has an exact zero pivot
@@ -1081,7 +1074,7 @@ class MFactor:
             return []
         Z = np.array(zs, dtype=float).reshape(len(datas), -1)
         lifted = _Lifted(datas, Z)
-        return [cls(data, z, order, True, lifted, j)
+        return [cls(data, z, order, lifted, j)
                 for j, (data, z) in enumerate(zip(datas, zs))]
 
     def solve(self, rhs: np.ndarray, transpose: bool = False) -> np.ndarray:
@@ -1120,55 +1113,39 @@ def _normalized_jacobian(P: MFactor) -> spla.LinearOperator:
                                rmatvec=rmatvec, dtype=float)
 
 
-def _gauss_newton_step(J, P, r, lsqr_iters):
-    """LSQR's step for the normalized Jacobian J at a point z and residual
-    r, and LSQR's stop code (7: iteration limit).  LSQR runs on J P^{-1}
-    for the polish's lifted factor P, or on J alone when P is not ``ok``.
-    P comes from the polish's first point and preconditions its later
-    steps too: J = M (I - z e_N') is P at z up to low rank, and the step
-    is the same for any P, up to a multiple of z (J z = 0) that the
-    polish's normalization of its candidates removes; only LSQR's
-    iteration count depends on how far P's point is from z."""
+def _gauss_newton_step(P, r, lsqr_iters):
+    """LSQR's step for the normalized Jacobian J at P's point and residual
+    r: LSQR runs on J P^{-1}, or on J alone when P is not ``ok``."""
+    J = _normalized_jacobian(P)
     if not P.ok:
         return spla.lsqr(J, r, atol=1e-14, btol=1e-14,
-                         iter_lim=min(lsqr_iters, 1500))[:2]
+                         iter_lim=min(lsqr_iters, 1500))[0]
     op = spla.LinearOperator(
         J.shape, dtype=float, matvec=lambda w: J.matvec(P.solve(w)),
         rmatvec=lambda u: P.solve(J.rmatvec(u), transpose=True))
-    y, istop = spla.lsqr(op, r, atol=1e-14, btol=1e-14, iter_lim=300)[:2]
-    return P.solve(y), istop
+    return P.solve(spla.lsqr(op, r, atol=1e-14, btol=1e-14,
+                             iter_lim=300)[0])
 
 
 def _refine(z, data, Q, lsqr_iters, order):
     """Up to ``REFINE_STEPS`` damped Gauss-Newton steps on the normalized
     residual map of ``data`` (whose skew matrix is Q, and K's elimination
     order ``order``, or a function that returns it; see ``MFactor``);
-    keeps the best z.
-
-    The lifted M factor is built once, at the first point, and kept as the
-    preconditioner of every later step, which applies M at its own point
-    unfactored.  It is built again, at the current point, only when it is
-    not ``ok`` or LSQR stops at its iteration limit on it, and the old one
-    is dropped first, so one factor is alive at a time."""
+    keeps the best z.  Each step factors the lifted M system at its own
+    point, after the last step's factor is freed, so one factor is alive
+    at a time."""
     spec = data.cones
     n = data.A.shape[1]
     z = z / abs(z[-1])
     best = z
     r = _residual_map(z, Q, spec, n)
     best_norm = np.linalg.norm(r)
-    P = None  # the polish's lifted factor
     for _ in range(REFINE_STEPS):
         if best_norm <= 1e-15:
             break
-        istop = 7  # LSQR's code for its iteration limit: factor below
-        if P is not None and P.ok:
-            J = _normalized_jacobian(MFactor(data, best, factorize=False))
-            step, istop = _gauss_newton_step(J, P, r, lsqr_iters)
-        if istop == 7:
-            P = None  # freed before the next one is built
-            P = MFactor(data, best, order)
-            step = _gauss_newton_step(_normalized_jacobian(P), P, r,
-                                      lsqr_iters)[0]
+        P = None  # freed before the next one is built
+        P = MFactor(data, best, order)
+        step = _gauss_newton_step(P, r, lsqr_iters)
         improved = False
         scale = 1.0
         for _ in range(5):
@@ -1745,7 +1722,9 @@ def solve(data, settings: SolverSettings | None = None, warm_start=None,
     ``timings`` and the program's ``sizes`` in ``info``.  ``factor`` is an
     ``IterationFactor`` of ``data.A`` built earlier by a caller whose A
     does not change; without it one is built here.  A malformed warm
-    start raises ``SolverInputError``.  Deterministic given (data,
+    start raises ``SolverInputError``; ``settings`` that are not
+    ``SolverSettings``, or ``data`` that is not a ``ConeProgramData`` or a
+    list of them, raise ``ShapeError``.  Deterministic given (data,
     settings, warm_start).
 
     ``data`` may also be a list of programs of one cone and one pattern of
@@ -1773,7 +1752,17 @@ def solve(data, settings: SolverSettings | None = None, warm_start=None,
         return solve([data], settings, [warm_start], factor)[0]
     if settings is None:
         settings = SolverSettings()
-    datas = list(data)
+    elif not isinstance(settings, SolverSettings):
+        raise ShapeError(f"settings must be SolverSettings, got "
+                         f"{type(settings).__name__}")
+    try:
+        datas = list(data)
+    except TypeError:
+        datas = [data]
+    for d in datas:
+        if not isinstance(d, ConeProgramData):
+            raise ShapeError(f"solve takes ConeProgramData or a list of them, "
+                             f"got {type(d).__name__}")
     count = len(datas)
     warm_starts = [None] * count if warm_start is None else list(warm_start)
     if len(warm_starts) != count:

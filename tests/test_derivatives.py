@@ -92,21 +92,18 @@ class TestMOperator:
             Q = skew_matrix(data).toarray()
             for z in (rng.standard_normal(N), boundary_point(data, rng)):
                 zhat = z / np.linalg.norm(z)
-                # factored, and assembled alone as the polish's later steps
-                # apply it
-                for factor in (MFactor(data, z),
-                               MFactor(data, z, factorize=False)):
-                    for _ in range(10):
-                        u = rng.standard_normal(N)
-                        dpi = dproject_embedding(z, u, data.cones,
-                                                 data.A.shape[1])
-                        want = (Q - np.eye(N)) @ dpi + u + zhat * (zhat @ u)
-                        np.testing.assert_allclose(factor.apply(u), want,
-                                                   rtol=0, atol=1e-12)
-                        np.testing.assert_allclose(
-                            factor.apply(u, transpose=True),
-                            deflated(data, z, u, transpose=True),
-                            rtol=0, atol=1e-12)
+                factor = MFactor(data, z)
+                for _ in range(10):
+                    u = rng.standard_normal(N)
+                    dpi = dproject_embedding(z, u, data.cones,
+                                             data.A.shape[1])
+                    want = (Q - np.eye(N)) @ dpi + u + zhat * (zhat @ u)
+                    np.testing.assert_allclose(factor.apply(u), want,
+                                               rtol=0, atol=1e-12)
+                    np.testing.assert_allclose(
+                        factor.apply(u, transpose=True),
+                        deflated(data, z, u, transpose=True),
+                        rtol=0, atol=1e-12)
 
     def test_adjoint_pairing(self, rng, monkeypatch):
         for _ in each_backend(monkeypatch):

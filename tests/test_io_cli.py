@@ -1,14 +1,16 @@
 """Document round-trips, cone-data files, and the command-line front-end."""
 
 import json
+import pathlib
 
 import numpy as np
 import pytest
 
 from conftest import TIGHT
 from diffcone import cli
-from diffcone.canon import canonicalize, materialize
+from diffcone.canon import build_asa, canonicalize, lower, materialize
 from diffcone.errors import ParseError
+from diffcone.expressions import norm2, parameter, variable
 from diffcone.fixtures import (
     gradient_fixtures,
     nonneg_least_squares_fixture,
@@ -25,8 +27,10 @@ from diffcone.io import (
     read_cone_data,
     write_cone_data,
 )
-from diffcone.problem import check_dpp
+from diffcone.problem import Problem, check_dpp
 from diffcone.solver import solve
+
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def write(path, text):
@@ -75,6 +79,52 @@ class TestDocumentRoundTrip:
         np.testing.assert_array_equal(d1.A.toarray(), d2.A.toarray())
         np.testing.assert_array_equal(d1.b, d2.b)
         np.testing.assert_array_equal(d1.c, d2.c)
+
+
+def norm_chain_problem(k):
+    """Minimize a sum of k norms built with +, which nests k deep."""
+    x = variable("x", 3)
+    objective = norm2(x - parameter("p0", 3))
+    for i in range(1, k):
+        objective = objective + norm2(x - parameter(f"p{i}", 3))
+    return Problem("minimize", objective)
+
+
+class TestProblemToDocument:
+    """``problem_to_document`` walks the expression graph without
+    recursion; only the JSON text of a deep problem nests too deep."""
+
+    def test_fixtures_dump_to_their_shipped_documents(self):
+        for fx in gradient_fixtures():
+            shipped = (FIXTURES / f"{fx.name}.problem.json").read_text()
+            assert dump_problem_document(
+                problem_to_document(fx.problem)) == shipped
+
+    def test_deep_chain_converts_but_does_not_dump(self):
+        doc = problem_to_document(norm_chain_problem(1200))
+        node, depth = doc.objective, 0
+        while node.get("atom") == "add":
+            node, depth = node["args"][0], depth + 1
+        assert depth == 1199
+        with pytest.raises(ParseError, match="too deep") as err:
+            dump_problem_document(doc)
+        assert err.value.location == "$"
+
+    def test_chain_round_trips_to_the_same_form(self):
+        prob = norm_chain_problem(300)
+        again = parse_problem(dump_problem_document(problem_to_document(prob)))
+        want, got = build_asa(lower(prob)), build_asa(lower(again))
+        for name in ("c_map", "_a_coeff", "_b_map", "retrieval"):
+            a, b = getattr(want, name), getattr(got, name)
+            assert a.shape == b.shape
+            for part in ("data", "indices", "indptr"):
+                np.testing.assert_array_equal(getattr(a, part),
+                                              getattr(b, part))
+        np.testing.assert_array_equal(want.objective_offset_map,
+                                      got.objective_offset_map)
+        for name in ("cones", "param_layout", "variable_layout",
+                     "cone_var_layout"):
+            assert getattr(want, name) == getattr(got, name)
 
 
 class TestParseErrors:

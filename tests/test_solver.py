@@ -1,7 +1,6 @@
 """Solver correctness against analytic and enumeration oracles."""
 
 import dataclasses
-import itertools
 import weakref
 
 import numpy as np
@@ -34,7 +33,6 @@ from diffcone.solver import (
     MFactor,
     Pattern,
     SolverSettings,
-    _gauss_newton_step,
     _normalized_jacobian,
     _residual_map,
     normalized_point,
@@ -225,6 +223,16 @@ class TestResiduals:
         pri1 = residuals(data, moved)[0]
         np.testing.assert_allclose(pri1 - pri0,
                                    np.linalg.norm(G @ delta), atol=1e-9)
+
+    @pytest.mark.parametrize("name", ["x", "y", "s"])
+    @pytest.mark.parametrize("size", [0, 2])
+    def test_wrong_length_raises_shape_error(self, name, size):
+        from diffcone.solver import ConeSolution
+        data = lp_data(np.array([1.0]), np.array([[-1.0]]), np.array([-2.0]))
+        parts = {"x": np.array([2.0]), "y": np.array([1.0]),
+                 "s": np.array([0.0]), name: np.zeros(size)}
+        with pytest.raises(ShapeError, match=f"^{name} has shape"):
+            residuals(data, ConeSolution(**parts, status="optimal"))
 
     def test_zero_data_zero_point(self):
         from diffcone.solver import ConeSolution
@@ -1144,6 +1152,27 @@ class TestSettings:
         with pytest.raises(ShapeError, match=name):
             SolverSettings(**{name: value})
 
+    @pytest.mark.parametrize("batch", [False, True])
+    @pytest.mark.parametrize("value", ["x", {}])
+    def test_solve_takes_only_solver_settings(self, value, batch):
+        data = lp_data(np.array([1.0]), np.array([[-1.0]]), np.array([-2.0]))
+        with pytest.raises(ShapeError, match="SolverSettings"):
+            solve([data] if batch else data, value)
+
+
+class TestSolveInputs:
+    """``solve`` takes one ``ConeProgramData`` or a list of them."""
+
+    @pytest.mark.parametrize("data", [5, [1, 2], None])
+    def test_other_data_raises_shape_error(self, data):
+        with pytest.raises(ShapeError, match="ConeProgramData"):
+            solve(data)
+
+    def test_list_with_another_entry_raises_shape_error(self):
+        data = lp_data(np.array([1.0]), np.array([[-1.0]]), np.array([-2.0]))
+        with pytest.raises(ShapeError, match="got str"):
+            solve([data, "program"])
+
 
 class TestIterationOrder:
     """A SuperLU ``IterationFactor`` leaves K's symmetric elimination order
@@ -1258,8 +1287,8 @@ class TestBatchCheck:
 
 
 class TestPolishFactor:
-    """The polish factors the lifted M system once, at its first point, and
-    preconditions its later Gauss-Newton steps with that factor."""
+    """Each Gauss-Newton step of the polish factors the lifted M system at
+    its own point, after the last step's factor is freed."""
 
     # polishing from iteration 25, far from the solution, takes 3-4
     # Gauss-Newton steps; lifted order 263, above DENSE_ORDER
@@ -1281,76 +1310,31 @@ class TestPolishFactor:
         monkeypatch.setattr(solver, name, wrapper)
         return calls
 
-    def test_one_factor_per_polish(self, monkeypatch):
+    def test_one_factor_per_step(self, monkeypatch):
         factors = self.spy(monkeypatch, "_splu_lifted", lambda *_: None)
-        steps = self.spy(monkeypatch, "_gauss_newton_step")
+        steps = self.spy(monkeypatch, "_gauss_newton_step", lambda *_: None)
         sol = solve(sparse_qp_data(n=64), self.EARLY)
         assert sol.status == "optimal"
         assert sol.info["polishes"] >= 1
-        assert len(factors) == sol.info["polishes"]
-        assert len(steps) > len(factors)
+        assert len(steps) > sol.info["polishes"]
+        assert len(factors) == len(steps)
 
-    def test_kept_factor_gives_the_fresh_step(self, rng):
-        """Near the factor's point the kept-factor step is the step a
-        fresh factor at the new point gives."""
-        data = sparse_qp_data(n=64)
-        n = data.A.shape[1]
-        z0 = normalized_point(solve(data, TIGHT))
-        z1 = z0 + 1e-6 * rng.standard_normal(z0.size)
-        z1[-1] = 1.0
-        r = _residual_map(z1, skew_matrix(data), data.cones, n)
-        order = IterationFactor(data.A,
-                                data.cones).pattern.elimination_order()
-        kept = MFactor(data, z0, order)
-        J1 = _normalized_jacobian(MFactor(data, z1, factorize=False))
-        step, istop = _gauss_newton_step(J1, kept, r, 4 * z1.size)
-        assert kept.ok and istop != 7
-        fresh = MFactor(data, z1, order)
-        want = _gauss_newton_step(_normalized_jacobian(fresh), fresh, r,
-                                  4 * z1.size)[0]
-        # J z1 = 0: steps are equal up to a multiple of z1, which the
-        # polish's normalization of its candidates removes
-        step, want = step - z1 * step[-1], want - z1 * want[-1]
-        assert np.linalg.norm(step - want) <= 1e-10 * np.linalg.norm(want)
-
-    def test_guard_refactors_when_lsqr_stops_at_its_limit(self, monkeypatch):
-        """With LSQR cut to 4 iterations, kept-factor steps (10-14
-        iterations here) stop at the limit: each such step factors again
-        at its own point, after the old factor is freed, and the solve
-        still ends optimal."""
-        inner = spla.lsqr
-
-        def short(*args, **kwargs):
-            return inner(*args, **dict(kwargs, iter_lim=4))
-
-        monkeypatch.setattr(solver.spla, "lsqr", short)
+    def test_one_factor_alive_at_a_time(self, monkeypatch):
+        """Every step's factor is built after the last step's is freed."""
         live = weakref.WeakSet()
-        serials = itertools.count()
 
         class OneAtATime(solver.MFactor):
-            def __init__(self, *args, factorize=True, **kwargs):
-                if factorize:
-                    assert not live, "two lifted factors alive at once"
-                super().__init__(*args, factorize=factorize, **kwargs)
-                self.serial = next(serials)
-                if factorize:
-                    live.add(self)
+            def __init__(self, *args, **kwargs):
+                assert not live, "two lifted factors alive at once"
+                super().__init__(*args, **kwargs)
+                live.add(self)
 
         monkeypatch.setattr(solver, "MFactor", OneAtATime)
-        factors = self.spy(monkeypatch, "_splu_lifted", lambda *_: None)
-        # (residual, factor, LSQR's stop code), holding no factor alive
-        steps = self.spy(monkeypatch, "_gauss_newton_step",
-                         lambda args, out: (args[2], args[1].serial,
-                                            out and out[1]))
+        # records nothing, so it holds no factor alive
+        steps = self.spy(monkeypatch, "_gauss_newton_step", lambda *_: None)
         sol = solve(sparse_qp_data(n=64), self.EARLY)
         assert sol.status == "optimal"
-        # a guarded step runs twice on one residual: on the kept factor,
-        # stopping at the limit, then on a new factor
-        guarded = [(a, b) for a, b in zip(steps, steps[1:]) if b[0] is a[0]]
-        assert guarded
-        for (_, kept, istop), (_, new, _) in guarded:
-            assert istop == 7 and new > kept
-        assert len(factors) == sol.info["polishes"] + len(guarded)
+        assert len(steps) > sol.info["polishes"] >= 1
 
     def test_fallback_factors_at_every_step(self, monkeypatch):
         """Without a usable factor every step tries to factor at its own
@@ -1361,7 +1345,7 @@ class TestPolishFactor:
         sol = solve(sparse_qp_data(n=64), self.EARLY)
         assert sol.status == "optimal"
         assert steps and len(factors) == len(steps)
-        assert not any(args[1].ok for args, _ in steps)
+        assert not any(args[0].ok for args, _ in steps)
 
 
 class TestPolishSchedule:
