@@ -371,17 +371,21 @@ def project_embedding(z: np.ndarray, spec: ConeSpec, n: int) -> np.ndarray:
 
 
 def dproject_embedding(z: np.ndarray, dz: np.ndarray, spec: ConeSpec, n: int) -> np.ndarray:
-    """Directional derivative of ``project_embedding`` at z along dz."""
+    """Directional derivative of ``project_embedding`` at z along dz; or,
+    for (B, N) stacks z and dz, of each row of z along its row of dz, each
+    row's bit for bit whatever the other rows."""
     z = np.asarray(z, dtype=float)
     dz = np.asarray(dz, dtype=float)
-    m = spec.total_dim
-    _check_length(z, n + m + 1)
-    _check_length(dz, n + m + 1)
+    N = n + spec.total_dim + 1
+    if z.ndim not in (1, 2) or z.shape[-1] != N or dz.shape != z.shape:
+        raise ShapeError(f"expected vectors of length {N}, got arrays of "
+                         f"shapes {z.shape} and {dz.shape}")
     out = np.empty_like(dz)
-    out[:n + spec.n_zero] = dz[:n + spec.n_zero]
+    free = n + spec.n_zero
+    out[..., :free] = dz[..., :free]
     _walk_runs(spec, n, out, (z, dz), _dclamp, _dproject_soc_run,
                _dproject_soc)
-    out[n + m] = dz[n + m] if z[n + m] > 0.0 else 0.0
+    out[..., -1] = np.where(z[..., -1] > 0.0, dz[..., -1], 0.0)
     return out
 
 

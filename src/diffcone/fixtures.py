@@ -445,11 +445,18 @@ def _random_convex_term(rng: np.random.Generator, var: Expression,
 
 
 def gen_random_dpp(seed: int, n_vars: int = 2, n_params: int = 2,
-                   max_terms: int = 3) -> Problem:
+                   max_terms: int = 3, every_variable: bool = False
+                   ) -> Problem:
     """A random valid parametrized program; deterministic per seed.
 
     Bounded sizes keep dense cross-checks cheap: at most 4 variables,
-    3 parameters, and short atom chains.
+    3 parameters, and short atom chains.  The objective's terms each take
+    a random variable, so a variable may appear nowhere.  With
+    ``every_variable`` the objective also holds |F v - g|^2 for each
+    declared variable v, with a random square F (of full rank almost
+    surely) and g, drawn after the rest of the program, which is the same
+    draw as without it: every variable is used, and the objective is
+    strictly convex in it.
     """
     rng = np.random.default_rng(seed)
     n_vars = min(max(1, n_vars), 4)
@@ -492,5 +499,11 @@ def gen_random_dpp(seed: int, n_vars: int = 2, n_params: int = 2,
         else:
             cvx = _random_convex_term(rng, var, params, scalars, depth=1)
             constraints.append(le(cvx, float(rng.uniform(0.5, 2.0))))
+    if every_variable:
+        for var in variables:
+            n = var.shape.dims[0]
+            objective = objective + sum_squares(
+                constant(rng.standard_normal((n, n))) @ var
+                - constant(rng.standard_normal(n)))
     return Problem("minimize", objective, constraints,
                    variables=variables, parameters=params)

@@ -77,9 +77,10 @@ are its own calls and the history's head advances alike for all, so
 batches stay bit for bit their lone solves.
 
 That order depends on A's pattern alone, so the ``Pattern`` keeps it, and
-the lifted M system below is factored under it, extended by a fixed rule,
-with no ordering pass of its own; a pattern whose K is not factored by
-SuperLU computes it, once, when a lifted factor first needs it.
+the lifted M system of a program above ``DENSE_ORDER`` is factored under
+it, extended by a fixed rule, with no ordering pass of its own; a pattern
+whose K is not factored by SuperLU computes it, once, when a lifted factor
+first needs it.
 
 Because splitting iterations gain accuracy slowly, candidate solutions are
 periodically polished by damped Gauss-Newton steps on the normalized
@@ -91,8 +92,11 @@ whose root encodes an exact primal-dual solution; on well-behaved problems
 this reaches residuals near machine precision in a few steps.  The
 Jacobian of the residual map is M = (Q - I) DPi(z) + I; ``MFactor``
 applies and exactly factors its deflated form M + zhat zhat' for the
-polish and for the derivatives module.  Each Gauss-Newton step of a
-polish factors it at its own point and uses that factor as LSQR's right
+polish and for the derivatives module: up to ``DENSE_ORDER`` (a bound on
+N) as a dense matrix with its inverse, a batch's as one (B, N, N) stack
+with one ``np.linalg.inv`` call, and above it through SuperLU's factor of
+a sparse lifted matrix.  Each Gauss-Newton step of a polish factors it at
+its own point, as a batch of one, and uses that factor as LSQR's right
 preconditioner; the step's factor is freed before the next is built.
 
 A polish falls due on a doubling schedule: at the first check from
@@ -149,6 +153,8 @@ import scipy.sparse.linalg as spla
 
 from .canon import ConeProgramData
 from .cones import (
+    RUN_MIN_BLOCKS,
+    dproject_embedding,
     dproject_embedding_parts,
     project_dual_cone,
     project_embedding,
@@ -543,7 +549,7 @@ class IterationFactor:
     - ``"superlu"``, otherwise: ``lus`` holds each K_j's SuperLU factor
       under a symmetric minimum-degree ordering (``_factor_k``), and the
       pattern keeps the factors' elimination ``order``, which ``MFactor``
-      extends to the lifted M system.
+      extends to the lifted M system of a program above ``DENSE_ORDER``.
 
     ``inverse`` and ``lus`` are None where they do not apply.  ``seconds``
     holds the batch's build time of the scaling (``equilibrate``) and of
@@ -846,20 +852,33 @@ def _lifted_places(order, urow, ucol, N, blocks):
     return places
 
 
-# LAPACK factors lifted systems up to this order, SuperLU larger ones.  On
-# a 2-vCPU x86 host (OpenBLAS on one thread) assembly, factor and one solve
-# took 0.24-0.43 ms dense against 0.60-0.86 ms sparse at orders 19-25 (the
-# fixture layers); on sums of norms, 0.48-0.81 against 0.57-0.89 ms at
-# order 180, 1.12-1.27 against 0.97-1.05 ms at 215, 1.51-1.85 against
-# 1.05-1.08 ms at 250 and 2.8-3.2 against 0.94-1.14 ms at 355.
-DENSE_ORDER = 200
-# A LAPACK factor whose reciprocal condition number (LAPACK's 1-norm
-# estimate) is below this counts as singular, as an exact zero pivot does.
-# Over 1,040 backwards of the benchmark's minibatch layers (seeds 1 and
-# 33) the systems without an exact zero pivot had rcond >= 7.8e-4, except
-# 11 at 2e-22 to 6e-20.  The direct solutions of 8 of those passed the
-# residual check, and on 4 of them the gradient missed the central
-# difference by 1.6e-4 to 1.5e-2, where LSQR's stayed within 3e-7.
+# M + zhat zhat' is held dense, with its inverse, when N = n + m + 1 is up
+# to this, and SuperLU factors its lifted matrix when N is larger; every
+# program of a batch shares N, so a batch never mixes the two.  On a
+# 2-vCPU x86 host (OpenBLAS on one thread), assembly, factor and one solve
+# took, in ms, dense against SuperLU (two rounds; lifted order in
+# brackets), alone and per program in a batch of 8: on sums of norms
+# 0.18 vs 0.48-0.49 and 0.05 vs 0.24-0.25 at N 24 (31), 0.27 vs 0.50-0.54
+# and 0.13 vs 0.30-0.33 at 54 (75), 0.40-0.53 vs 0.54-0.58 and 0.29-0.35
+# vs 0.33-0.34 at 79 (110), 0.57 vs 0.60-0.64 and 0.51-0.55 vs 0.37-0.38
+# at 104 (145), 0.86-0.89 vs 0.60-0.63 and 0.83-0.85 vs 0.40-0.41 at 129
+# (180), 1.27-1.31 vs 0.65-0.68 and 1.28-1.30 vs 0.44 at 154 (215), 2.31
+# vs 0.74-0.78 and 2.4-3.0 vs 0.59-0.66 at 204 (285); on sparse QPs,
+# alone, 0.29-0.30 vs 0.51-0.52 at N 52 (55), 0.42-0.44 vs 0.52-0.53 at 84
+# (87), 0.79-0.85 vs 0.56-0.59 at 116 (119) and 1.18-1.60 vs 0.66-0.75 at
+# 148 (151).  The fixture layers (N 14-21) are far below, soc-sum and
+# sparse-qp (N 1004, 1796) far above.
+DENSE_ORDER = 90
+# A dense M + zhat zhat' whose exact 1-norm reciprocal condition number
+# 1 / (|M|_1 |M^{-1}|_1), from its inverse, is below this counts as
+# singular, as an exactly singular one does.  Over 1,040 backwards of the
+# benchmark's minibatch layers (seeds 1 and 33) it was at least 1.1e-3
+# except on 47 nonneg_least_squares systems, at 2.7e-23 to 7.2e-19, whose
+# direct solves of a random right-hand side all missed the residual
+# check.  It replaced a gate on LAPACK's estimate for the LU factor of the
+# lifted matrix, which let 8 of 11 such solutions pass that check, 4 of
+# them with gradients that missed the central difference by 1.6e-4 to
+# 1.5e-2 (LSQR's: within 3e-7).
 RCOND_MIN = 1e-12
 
 
@@ -868,6 +887,107 @@ def _nonzero(*entries):
     exactly zero."""
     keep = entries[-1] != 0
     return entries if keep.all() else tuple(a[keep] for a in entries)
+
+
+def _points(zs, count: int, N: int) -> np.ndarray:
+    """The points of ``count`` programs of order N as a (count, N) float
+    stack; raises ``ShapeError`` for a malformed one and
+    ``SolverInputError`` for a non-finite or zero one, at which M is not
+    defined."""
+    try:
+        Z = np.array(zs, dtype=float)
+    except (TypeError, ValueError):
+        raise ShapeError("the points are not numeric arrays") from None
+    if Z.shape != (count, N):
+        raise ShapeError(f"points of shape {Z.shape} given, expected "
+                         f"{(count, N)}")
+    if not np.isfinite(Z).all():
+        raise SolverInputError("a point contains NaN/Inf")
+    if not Z.any(axis=1).all():
+        raise SolverInputError("a point is zero")
+    return Z
+
+
+class _Dense:
+    """M + zhat zhat' of a batch of programs of one cone and one pattern of
+    A, program j at row j of the (B, N) stack Z, as one dense (B, N, N)
+    stack ``M``; ``inverse``, their inverses from one ``np.linalg.inv``
+    call; and ``ok``, whether each inverse exists and the matrix's exact
+    1-norm reciprocal condition number 1 / (|M|_1 |M^{-1}|_1) is at least
+    ``RCOND_MIN``.
+
+    M = (Q - I) DPi(z) + I is formed as defined, one stacked matmul of
+    Q - I, scattered dense from Q's entries (``_skew_entries``), with the
+    dense DPi(z) (``_projection_jacobians``).  Every step is row by row or
+    one program's product, so each program's M and inverse are its batch
+    of one's, bit for bit.  ``np.linalg.inv`` raises for the whole stack
+    when a matrix is exactly singular; the stack is then inverted matrix
+    by matrix, and a singular one is not ``ok``.
+    """
+
+    def __init__(self, datas: list, Z: np.ndarray):
+        count, N = Z.shape
+        A, a_data, b, c = _stacked(datas)
+        self.N, self.Z = N, Z
+        # each |z| is np.linalg.norm's, sqrt(z @ z)
+        self.zhat = Z / np.sqrt(_row_dots(Z, Z))[:, None]
+        e, rows, cols, vals = _skew_entries(A, a_data, b, c)
+        # float also when Q has no entries, where bincount counts in ints
+        QI = np.bincount((e * N + rows) * N + cols, vals, count * N * N
+                         ).astype(float, copy=False).reshape(count, N, N)
+        diag = np.arange(N)
+        QI[:, diag, diag] = -1.0
+        M = np.matmul(QI, _projection_jacobians(Z, datas[0].cones,
+                                                A.shape[1]))
+        M[:, diag, diag] += 1.0
+        M += self.zhat[:, :, None] * self.zhat[:, None, :]
+        self.M = M
+        try:
+            self.inverse = np.linalg.inv(M)
+        except np.linalg.LinAlgError:
+            self.inverse = np.full(M.shape, np.nan)
+            for X, out in zip(M, self.inverse):
+                try:
+                    out[...] = np.linalg.inv(X)
+                except np.linalg.LinAlgError:  # X is exactly singular
+                    pass
+        # a NaN inverse gives a NaN condition, which is not ok
+        self.ok = 1.0 / (_norm_1(M) * _norm_1(self.inverse)) >= RCOND_MIN
+
+
+def _projection_jacobians(Z: np.ndarray, spec, n: int) -> np.ndarray:
+    """DPi(z) of each row z of the (B, N) stack Z, dense, as a (B, N, N)
+    stack.  DPi(z) is diagonal but on the second-order blocks, each a
+    dense block of its own, so the derivative along direction j, the j-th
+    unit vector of every block at once (and, for j = 0, ones on the other
+    rows), holds column j of every block and, for j = 0, the diagonal.
+    One ``dproject_embedding`` takes every program's directions, at least
+    ``cones.RUN_MIN_BLOCKS`` of them, so that the walk takes each run with
+    its run kernel however many programs the stack holds."""
+    count, N = Z.shape
+    first, size = np.arange(N), np.ones(N, dtype=np.int64)
+    for start, stop, _, d in spec.soc_runs:
+        rows = np.arange(n + start, n + stop)
+        first[rows] -= (rows - n - start) % d
+        size[rows] = d
+    ways = max(int(size.max()), RUN_MIN_BLOCKS)
+    directions = np.zeros((ways, N))
+    directions[np.arange(N) - first, np.arange(N)] = 1.0
+    along = dproject_embedding(
+        np.repeat(Z, ways, axis=0), np.tile(directions, (count, 1)), spec,
+        n).reshape(count, ways, N)
+    # row r's entries lie in its block's columns first[r] + j, j < size[r]
+    rows = np.repeat(np.arange(N), size)
+    way = np.arange(rows.size) - np.repeat(np.cumsum(size) - size, size)
+    J = np.zeros((count, N, N))
+    J[:, rows, first[rows] + way] = along[:, way, rows]
+    return J
+
+
+def _norm_1(X: np.ndarray) -> np.ndarray:
+    """The 1-norm of each matrix of a (B, N, N) stack: its largest column
+    sum of absolute values."""
+    return np.abs(X).sum(axis=1).max(axis=1)
 
 
 class _Lifted:
@@ -885,7 +1005,7 @@ class _Lifted:
         count, N = Z.shape
         A, a_data, b, c = _stacked(datas)
         n = A.shape[1]
-        self.N, self.count = N, count
+        self.N, self.Z = N, Z
         # each |z| is np.linalg.norm's, sqrt(z @ z)
         self.zhat = Z / np.sqrt(_row_dots(Z, Z))[:, None]
         D, (urow, gcol, uval), C = dproject_embedding_parts(
@@ -914,16 +1034,12 @@ class _Lifted:
         lifted = np.repeat(np.arange(count), r)
         lift = N + np.arange(lifted.size) - np.repeat(2 * first, r)
         # D's zeros leave exact zeros in (Q - I) D, in every column where D
-        # = 0, and on the diagonal 1 - D where D = 1.  When SuperLU factors
-        # a program of the batch they are left out, since it would keep
-        # them as structure and fill around them; a scatter into the dense
-        # matrix of another program sums the rest bit for bit alike.
-        drop = _nonzero if (self.orders > DENSE_ORDER).any() else (
-            lambda *entries: entries)
+        # = 0, and on the diagonal 1 - D where D = 1.  They are left out,
+        # since SuperLU would keep them as structure and fill around them.
         self.elems, self.rows, self.cols, self.vals = (
             np.concatenate(a) for a in zip(
-                drop(qe, qrow, qcol, qval * D.ravel()[qe * N + qcol]),
-                drop(every, diag, diag, (1.0 - D).ravel()),
+                _nonzero(qe, qrow, qcol, qval * D.ravel()[qe * N + qcol]),
+                _nonzero(every, diag, diag, (1.0 - D).ravel()),
                 (ge, A.indices[gather], N + np.repeat(ucol, counts),
                  a_data.ravel()[ge * A.nnz + gather]
                  * np.repeat(uval, counts)),
@@ -936,16 +1052,10 @@ class _Lifted:
                 (every, diag, edge[every], self.zhat.ravel()),
                 (every, edge[every], diag, self.zhat.ravel()),
                 (np.arange(count), edge, edge, np.full(count, -1.0))))
-        self._dense = None
-        # programs factored by LAPACK, and where each one's L' starts in
-        # the dense buffer
-        self._squares = np.where(self.orders <= DENSE_ORDER, self.orders,
-                                 0) ** 2
-        self._offsets = np.cumsum(self._squares) - self._squares
 
     def entries(self, j: int):
         """(rows, cols, vals) of program j's lifted matrix."""
-        if self.count == 1:
+        if len(self.orders) == 1:
             return self.rows, self.cols, self.vals
         keep = self.elems == j
         return self.rows[keep], self.cols[keep], self.vals[keep]
@@ -956,135 +1066,160 @@ class _Lifted:
         keep = ue == j
         return urow[keep], ucol[keep], int(self.blocks[j])
 
-    def dense(self, j: int) -> tuple[np.ndarray, float]:
-        """Program j's lifted matrix, dense and in Fortran order, and its
-        1-norm.  The first call scatters every program of order up to
-        ``DENSE_ORDER`` into one buffer, each as its L' in C order, and
-        takes their 1-norms, the largest row sums of |L'|, at once."""
-        squares, offsets, orders = self._squares, self._offsets, self.orders
-        if self._dense is None:
-            keep = squares[self.elems] > 0
-            e = self.elems[keep]
-            self._dense = np.bincount(
-                offsets[e] + self.cols[keep] * orders[e] + self.rows[keep],
-                self.vals[keep], squares.sum())
-            dense = np.flatnonzero(squares)
-            starts = np.concatenate([o + s * np.arange(s) for o, s in zip(
-                offsets[dense], orders[dense])])
-            sums = np.add.reduceat(np.abs(self._dense), starts) if \
-                starts.size else starts
-            self._norms = np.zeros(self.count)
-            self._norms[dense] = np.maximum.reduceat(
-                sums, np.searchsorted(starts, offsets[dense]))
-        size = orders[j]
-        return self._dense[offsets[j]:offsets[j] + squares[j]].reshape(
-            size, size).T, self._norms[j]
+
+def _assembly(datas: list, zs):
+    """The M systems of a batch of programs at their points: a ``_Dense``
+    stack when their N is up to ``DENSE_ORDER``, else their ``_Lifted``
+    entries.  Raises ``ShapeError`` unless every program is a
+    ``ConeProgramData`` of the first one's cone and pattern of A and the
+    points are a (B, N) array, and ``SolverInputError`` for a non-finite
+    or zero point."""
+    for d in datas:
+        if not isinstance(d, ConeProgramData):
+            raise ShapeError(f"an M system needs a ConeProgramData, got "
+                             f"{type(d).__name__}")
+    N = sum(datas[0].A.shape) + 1
+    Z = _points(zs, len(datas), N)
+    return (_Dense if N <= DENSE_ORDER else _Lifted)(datas, Z)
+
+
+def _products(factors: list, X: np.ndarray, transpose: bool = False,
+              inverse: bool = False) -> np.ndarray:
+    """Row j is ``factors[j].apply(X[j], transpose)``, or, with
+    ``inverse``, ``factors[j].solve(X[j], transpose)``.  The dense
+    factors' rows are one stacked matmul, which makes each row its own
+    matrix's product, so a row's value does not depend on the others."""
+    out = np.empty(X.shape)
+    dense = [j for j, f in enumerate(factors) if f._M is not None]
+    if dense:
+        mats = np.array([factors[j]._inverse if inverse else factors[j]._M
+                         for j in dense])
+        Y = X[dense]
+        out[dense] = (np.matmul(Y[:, None, :], mats)[:, 0, :] if transpose
+                      else np.matmul(mats, Y[:, :, None])[:, :, 0])
+    for j, f in enumerate(factors):
+        if f._M is None:
+            out[j] = (f.solve if inverse else f.apply)(X[j], transpose)
+    return out
 
 
 class MFactor:
     """M + zhat zhat' at z, zhat = z / |z|, for the program ``data``, and
     its exact factor; M = (Q - I) DPi(z) + I is the Jacobian of the
-    residual map u -> Q Pi(u) - Pi(u) + u at z.
+    residual map u -> Q Pi(u) - Pi(u) + u at z.  ``batch`` assembles the
+    factors of many programs of one cone and one pattern of A at once; a
+    single one is the batch of one.  Which of two backends holds it
+    depends on N alone, which every program of a batch shares.
 
-    With DPi(z) = diag(D) + U C U' (``cones.dproject_embedding_parts``),
-    the lifted matrix
+    Up to ``DENSE_ORDER`` it is held dense with its inverse (``_Dense``),
+    one (B, N, N) stack and one ``np.linalg.inv`` call per batch; ``solve``
+    and ``apply`` are products with them, ``order`` is N and ``nnz`` N**2,
+    and ``ok`` is False when the matrix is exactly singular or its exact
+    1-norm reciprocal condition number is below ``RCOND_MIN``.
+    ``_products`` runs a list of factors on the rows of a stack, the dense
+    ones in one stacked product.
+
+    Above it, SuperLU factors the lifted matrix (``_Lifted``)
 
         L = [[(Q - I) D + I, (Q - I) U, zhat],
              [C U',          -I,        0   ],
-             [zhat',          0,       -1   ]]
+             [zhat',          0,       -1   ]],
 
-    has M + zhat zhat' as the Schur complement of its trailing -I, so a
-    solve of L, or of L', gives one with M + zhat zhat', or its transpose.
-    L's entries are index arithmetic on those of A, b, c and U: (Q - I) D
-    scales Q's entries by D at their column, and (Q - I) U gathers rows of
-    A, with no sparse product.  ``batch`` assembles the factors of many
-    programs of one cone and one pattern of A at once (``_Lifted``); a
-    single one is the batch of one.
+    with DPi(z) = diag(D) + U C U' (``cones.dproject_embedding_parts``),
+    which has M + zhat zhat' as the Schur complement of its trailing -I,
+    so a solve of L, or of L', gives one with M + zhat zhat', or its
+    transpose.  L's entries are index arithmetic on those of A, b, c and
+    U: (Q - I) D scales Q's entries by D at their column, and (Q - I) U
+    gathers rows of A, with no sparse product.  L is factored with no
+    ordering pass: it is assembled already permuted, row i at
+    ``places[i]``, under ``order``, the elimination order of K = [[I,
+    A'], [-A, I]], which depends on A's pattern alone (from ``_factor_k``
+    when not given), or a function that returns it, called only by a
+    SuperLU factor: a layer passes its ``Pattern.elimination_order``,
+    which computes it once; see ``_lifted_places``.  ``order`` is L's
+    order, N plus 2 per boundary block plus 1, and ``nnz`` the factor's
+    stored entries, 0 when SuperLU found an exactly zero pivot, which
+    leaves ``ok`` False.  The SuperLU factor keeps no condition guard:
+    reading U's diagonal out of SuperLU caches CSC copies of L and U on
+    the factor.
 
-    Orders up to ``DENSE_ORDER`` are factored by LAPACK.  Larger ones are
-    factored by SuperLU with no ordering pass: L is assembled already
-    permuted, row i at ``places[i]``, under ``order``, the elimination
-    order of K = [[I, A'], [-A, I]], which depends on A's pattern alone
-    (from ``_factor_k`` when not given), or a function that returns it,
-    called only by a factor above ``DENSE_ORDER``: a layer passes its
-    ``Pattern.elimination_order``, which computes it once; see
-    ``_lifted_places``.  ``nnz`` is the factor's stored entries, order**2
-    on LAPACK and 0 when SuperLU found an exactly zero pivot.  ``ok`` is
-    False when the factor has an exactly zero pivot (either backend), or,
-    on LAPACK, a reciprocal condition number below ``RCOND_MIN``; callers
-    then fall back to least squares on ``apply``.  The SuperLU factor
-    keeps no such guard: reading U's diagonal out of SuperLU caches CSC
-    copies of L and U on the factor.
+    Callers fall back to least squares on ``apply`` when ``ok`` is False.
+    A ``data`` that is not a ``ConeProgramData``, or a point of the wrong
+    length, raises ``ShapeError``; a non-finite or zero point raises
+    ``SolverInputError``.
     """
 
     def __init__(self, data: ConeProgramData, z: np.ndarray,
-                 order: np.ndarray | None = None,
-                 lifted: _Lifted | None = None, index: int = 0):
-        """``lifted``, when given, is the assembly of a batch whose program
-        ``index`` is (data, z); ``batch`` passes it."""
-        self.z = z = np.asarray(z, dtype=float)
-        if lifted is None:
-            lifted = _Lifted([data], z.reshape(1, -1))
-        N = self.size = lifted.N
-        self.zhat = lifted.zhat[index]
-        size = self.order = int(lifted.orders[index])
-        # _head and _tail: where the rows of M + zhat zhat' and the lift
-        # rows sit in the factored matrix
-        self._head, self._tail = slice(0, N), slice(N, size)
-        if size <= DENSE_ORDER:
-            self._L, norm = lifted.dense(index)
-            lu, piv, info = sla.lapack.dgetrf(self._L)
-            # info > 0: U has an exact zero pivot
-            self.ok = info == 0 and bool(
-                sla.lapack.dgecon(lu, norm)[0] >= RCOND_MIN)
-            self.nnz = size * size
-            self._solve = lambda b, trans: sla.lapack.dgetrs(
-                lu, piv, b, trans=int(trans))[0]
-        else:
-            if order is None:
-                order = _factor_k(data.A.tocsr())[1]
-            elif callable(order):
-                order = order()
-            if len(order) != N - 1:
-                raise ShapeError(f"order of length {len(order)} given for a "
-                                 f"K of order {N - 1}")
-            urow, ucol, blocks = lifted.lift_rows(index)
-            places = _lifted_places(order, urow, ucol, N, blocks)
-            self._head, self._tail = places[:N], places[N:]
-            rows, cols, vals = lifted.entries(index)
-            self._L = sp.csc_matrix((vals, (places[rows], places[cols])),
-                                    shape=(size, size))
-            try:
-                lu = _splu_lifted(self._L)
-            except RuntimeError:  # the factor is exactly singular
-                lu = None
-            self.ok = lu is not None
-            self.nnz = lu.nnz if self.ok else 0
-            self._solve = lambda b, trans: lu.solve(b, "T" if trans else "N")
+                 order: np.ndarray | None = None, assembly=None,
+                 index: int = 0):
+        """``assembly``, when given, is the ``_assembly`` of a batch whose
+        program ``index`` is (data, z); ``batch`` passes it."""
+        if assembly is None:
+            assembly = _assembly([data], [z])
+        self.z = assembly.Z[index]
+        N = self.size = assembly.N
+        self.zhat = assembly.zhat[index]
+        self._M = self._inverse = None
+        if isinstance(assembly, _Dense):
+            self.order, self.nnz = N, N * N
+            self.ok = bool(assembly.ok[index])
+            self._M, self._inverse = assembly.M[index], assembly.inverse[index]
+            return
+        if order is None:
+            order = _factor_k(data.A.tocsr())[1]
+        elif callable(order):
+            order = order()
+        if len(order) != N - 1:
+            raise ShapeError(f"order of length {len(order)} given for a "
+                             f"K of order {N - 1}")
+        size = self.order = int(assembly.orders[index])
+        urow, ucol, blocks = assembly.lift_rows(index)
+        places = _lifted_places(order, urow, ucol, N, blocks)
+        # where the rows of M + zhat zhat' and the lift rows sit in L
+        self._head, self._tail = places[:N], places[N:]
+        rows, cols, vals = assembly.entries(index)
+        self._L = sp.csc_matrix((vals, (places[rows], places[cols])),
+                                shape=(size, size))
+        try:
+            self._lu = _splu_lifted(self._L)
+        except RuntimeError:  # the factor is exactly singular
+            self._lu = None
+        self.ok = self._lu is not None
+        self.nnz = self._lu.nnz if self.ok else 0
 
     @classmethod
     def batch(cls, datas: list, zs, order: np.ndarray | None = None
               ) -> list["MFactor"]:
         """``MFactor(data, z, order)`` of every program of ``datas`` (of one
         cone and one pattern of A, else ``ShapeError``) at its point in
-        ``zs``, with one assembly of all their lifted matrices; each factor
-        is its batch of one's, bit for bit, and factored alone."""
-        datas = list(datas)
+        ``zs``, with one assembly of them all: on the dense backend one
+        stack and one inverse call, on SuperLU one gathering of every
+        lifted matrix's entries, each then factored alone.  Each factor is
+        its batch of one's, bit for bit."""
+        try:
+            datas = list(datas)
+        except TypeError:
+            raise ShapeError(f"MFactor.batch takes a list of programs, got "
+                             f"{type(datas).__name__}") from None
         if not datas:
             return []
-        Z = np.array(zs, dtype=float).reshape(len(datas), -1)
-        lifted = _Lifted(datas, Z)
-        return [cls(data, z, order, lifted, j)
-                for j, (data, z) in enumerate(zip(datas, zs))]
+        assembly = _assembly(datas, zs)
+        return [cls(data, z, order, assembly, j)
+                for j, (data, z) in enumerate(zip(datas, assembly.Z))]
 
     def solve(self, rhs: np.ndarray, transpose: bool = False) -> np.ndarray:
         """g with (M + zhat zhat') g = rhs, or its transpose; needs ``ok``."""
+        if self._inverse is not None:
+            return rhs @ self._inverse if transpose else self._inverse @ rhs
         b = np.zeros(self.order)
         b[self._head] = rhs
-        return self._solve(b, transpose)[self._head]
+        return self._lu.solve(b, "T" if transpose else "N")[self._head]
 
     def apply(self, u: np.ndarray, transpose: bool = False) -> np.ndarray:
-        """(M + zhat zhat') u, or its transpose, as L11 u + L12 (L21 u)."""
+        """(M + zhat zhat') u, or its transpose; on SuperLU as L11 u + L12
+        (L21 u)."""
+        if self._M is not None:
+            return u @ self._M if transpose else self._M @ u
         head, tail = self._head, self._tail
         L = self._L.T if transpose else self._L
         x = np.zeros(self.order)
@@ -1131,9 +1266,9 @@ def _refine(z, data, Q, lsqr_iters, order):
     """Up to ``REFINE_STEPS`` damped Gauss-Newton steps on the normalized
     residual map of ``data`` (whose skew matrix is Q, and K's elimination
     order ``order``, or a function that returns it; see ``MFactor``);
-    keeps the best z.  Each step factors the lifted M system at its own
-    point, after the last step's factor is freed, so one factor is alive
-    at a time."""
+    keeps the best z.  Each step factors the M system at its own point
+    (``MFactor``, a batch of one), after the last step's factor is freed,
+    so one factor is alive at a time."""
     spec = data.cones
     n = data.A.shape[1]
     z = z / abs(z[-1])

@@ -75,7 +75,7 @@ def boundary_point(data, rng):
 
 
 def each_backend(monkeypatch):
-    """Loops twice: MFactor on LAPACK, then on SuperLU, at every size."""
+    """Loops twice: MFactor dense, then on SuperLU, at every size."""
     for order in (np.iinfo(np.int64).max, 0):
         monkeypatch.setattr(solver, "DENSE_ORDER", order)
         yield
@@ -277,22 +277,21 @@ class TestSolveMSystem:
 
     def test_inaccurate_solve_falls_back(self, rng, monkeypatch):
         """A factored solution that misses the residual bound gives way to
-        LSQR on the same operator."""
+        LSQR on the same operator: here the dense inverse is off by
+        1e-6 in every entry."""
         data = socp_ball_data(rng)
         factor = MFactor(data, boundary_point(data, rng))
-        exact = factor.solve
-        monkeypatch.setattr(factor, "solve",
-                            lambda rhs, transpose=False:
-                            exact(rhs, transpose) + 1e-6)
+        assert factor.ok and factor._inverse is not None
+        monkeypatch.setattr(factor, "_inverse", factor._inverse + 1e-6)
         rhs = rng.standard_normal(factor.size)
         g, info = solve_m_system(factor, rhs)
         assert info["mode"] == "lsqr" and info["fallback"]
         assert info["residual"] <= 1e-8 * (1.0 + np.linalg.norm(rhs))
 
-    @pytest.mark.parametrize("n", [48, 64, 200])
+    @pytest.mark.parametrize("n", [20, 48, 64, 200])
     def test_residual_on_sparse_qp(self, n):
         """The exact solve leaves a relative residual below 1e-12 at a
-        dense (N 196) and two sparse (N 260, 804) backend sizes."""
+        dense (N 84) and three sparse (N 196, 260, 804) backend sizes."""
         data = sparse_qp_data(n=n, seed=1)
         sol = solve(data, SolverSettings(eps_abs=1e-9, eps_rel=1e-9))
         z = normalized_point(sol)
@@ -344,31 +343,47 @@ class TestSolveMSystem:
 
 
 def test_batch_factors_equal_lone_factors(rng, monkeypatch):
-    """``MFactor.batch`` assembles every program's lifted matrix at once;
-    each factor equals its lone ``MFactor`` bit for bit, also in a batch
-    that mixes LAPACK and SuperLU (programs without and with a boundary
-    block, of orders N + 1 and N + 3).  Programs of another pattern of A
-    are refused."""
-    datas = [socp_ball_data(rng) for _ in range(4)]
+    """``MFactor.batch`` assembles every program's M system at once; each
+    factor equals its lone ``MFactor`` bit for bit, on either backend, in
+    a batch whose programs have no boundary block and one (on SuperLU,
+    lifted orders N + 1 and N + 3), and so do their stacked solves and
+    products.  Programs of another pattern of A are refused."""
+    datas = [socp_ball_data(rng) for _ in range(6)]
     N = sum(datas[0].A.shape) + 1
     zs = [boundary_point(d, rng) for d in datas]
     for z in zs[::2]:  # the ball block strictly inside its cone
         z[-6] = 10.0 * np.linalg.norm(z[-5:-1])
-    monkeypatch.setattr(solver, "DENSE_ORDER", N + 1)
-    batch = MFactor.batch(datas, zs)
-    assert [f.order for f in batch] == [N + 1, N + 3] * 2
-    for data, z, factor in zip(datas, zs, batch):
-        lone = MFactor(data, z)
-        assert (factor.order, factor.nnz, factor.ok) == \
-            (lone.order, lone.nnz, lone.ok)
-        if sp.issparse(lone._L):
-            assert (factor._L != lone._L).nnz == 0
-        else:
-            assert np.array_equal(factor._L, lone._L)
-        rhs = rng.standard_normal(N)
+    R = rng.standard_normal((6, N))
+    for dense in (True, False):
+        monkeypatch.setattr(solver, "DENSE_ORDER", N if dense else N - 1)
+        batch = MFactor.batch(datas, zs)
+        assert [f.order for f in batch] == (
+            [N] * 6 if dense else [N + 1, N + 3] * 3)
+        lones = [MFactor(data, z) for data, z in zip(datas, zs)]
+        assert sum(f.ok for f in batch) >= 3
+        for factor, lone, rhs in zip(batch, lones, R):
+            assert (factor.order, factor.nnz, factor.ok) == \
+                (lone.order, lone.nnz, lone.ok)
+            if dense:
+                assert factor.nnz == N * N
+                assert np.array_equal(factor._M, lone._M)
+                assert np.array_equal(factor._inverse, lone._inverse)
+            else:
+                assert (factor._L != lone._L).nnz == 0
+            for transpose in (False, True):
+                assert np.array_equal(factor.apply(rhs, transpose),
+                                      lone.apply(rhs, transpose))
+                if factor.ok:
+                    assert np.array_equal(factor.solve(rhs, transpose),
+                                          lone.solve(rhs, transpose))
+        ok = [j for j, f in enumerate(batch) if f.ok]
         for transpose in (False, True):
-            assert np.array_equal(factor.solve(rhs, transpose),
-                                  lone.solve(rhs, transpose))
+            for inverse, js in ((True, ok), (False, range(6))):
+                stacked = solver._products([batch[j] for j in js], R[js],
+                                           transpose, inverse)
+                for row, j in zip(stacked, js):
+                    assert np.array_equal(row, solver._products(
+                        [lones[j]], R[j:j + 1], transpose, inverse)[0])
     A = datas[1].A.copy()
     A.data[0] = 0.0
     A.eliminate_zeros()
@@ -575,3 +590,53 @@ class TestInputValidation:
         sol = solve(data, TIGHT)
         with pytest.raises(error):
             forward_derivative(data, sol, dA, db, dc)
+
+    @pytest.mark.parametrize("call", [
+        lambda data, sol, z, dx, rhs: solve_m_system(5, rhs),
+        lambda data, sol, z, dx, rhs: solve_m_system([1, 2], rhs),
+        lambda data, sol, z, dx, rhs: MFactor("x", z),
+        lambda data, sol, z, dx, rhs: MFactor.batch(["x"], [z]),
+        lambda data, sol, z, dx, rhs: MFactor.batch(data, [z]),
+        lambda data, sol, z, dx, rhs: MFactor(data, z[:-1]),
+        lambda data, sol, z, dx, rhs: adjoint_derivative(data, sol, dx,
+                                                         factor="x"),
+        lambda data, sol, z, dx, rhs: adjoint_derivative(data, 5, dx),
+        lambda data, sol, z, dx, rhs: adjoint_derivative([data], sol,
+                                                         dx[None]),
+        lambda data, sol, z, dx, rhs: adjoint_derivative(["x"], [sol],
+                                                         dx[None]),
+        lambda data, sol, z, dx, rhs: forward_derivative(
+            data, sol, [[0.0]], [0.0], [0.0], factor="x"),
+        lambda data, sol, z, dx, rhs: forward_derivative(
+            "x", sol, [[0.0]], [0.0], [0.0]),
+    ], ids=["solve-int", "solve-ints", "factor-str", "batch-strs",
+            "batch-not-a-list", "factor-short-point", "adjoint-factor-str",
+            "adjoint-sol-int", "adjoint-sol-not-a-list", "adjoint-data-strs",
+            "forward-factor-str", "forward-data-str"])
+    def test_malformed_arguments(self, call):
+        """Arguments of the wrong kind raise ``ShapeError``, not the
+        ``TypeError`` or ``AttributeError`` of whatever touches them
+        first."""
+        data = one_d_lp()
+        sol = solve(data, TIGHT)
+        z = normalized_point(sol)
+        with pytest.raises(ShapeError):
+            call(data, sol, z, np.ones(1), np.ones(z.size))
+
+    @pytest.mark.parametrize("point", [np.nan, 0.0], ids=["nan", "zero"])
+    def test_undefined_point(self, point):
+        """M is not defined at a non-finite or zero point: every derivative
+        entry point raises ``SolverInputError`` there, before any factor
+        or LSQR runs."""
+        data = one_d_lp()
+        sol = solve(data, TIGHT)
+        z = normalized_point(sol)
+        bad = np.full(z.size, point)
+        calls = [lambda: MFactor(data, bad),
+                 lambda: MFactor.batch([data, data], [z, bad]),
+                 lambda: adjoint_derivative(data, sol, [1.0], z=bad),
+                 lambda: forward_derivative(data, sol, [[1.0]], [0.0], [0.0],
+                                            z=bad)]
+        for call in calls:
+            with pytest.raises(SolverInputError):
+                call()

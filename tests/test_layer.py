@@ -1065,8 +1065,9 @@ class TestInfo:
         assert all(isinstance(t, float) and t >= 0.0
                    for t in info["timings"].values())
         assert info["timings"]["m_factor"] > 0.0
-        # both factors are small enough for LAPACK, which stores order**2
-        assert info["m_factor_order"] > res.info["sizes"]["N"]
+        # both programs are small enough for the dense backend, which
+        # holds M + zhat zhat' of order N and its N**2 entries
+        assert info["m_factor_order"] == res.info["sizes"]["N"]
         assert info["m_factor_nnz"] == info["m_factor_order"] ** 2
 
     @pytest.mark.parametrize("singular", [False, True],
@@ -1116,6 +1117,86 @@ def test_numerically_singular_factor_falls_back():
     for name in layer.parameter_order:
         fd = fd_param_gradient(layer, values, cot, name, h=1e-5)
         assert max_rel_error(fd, grads[name]) <= 1e-4, name
+
+
+class TestSingularMembers:
+    """One minibatch backward whose stack of M + zhat zhat' holds an exactly
+    singular program, one under ``RCOND_MIN`` and regular ones."""
+
+    # p = 0 empties w's column of A and its cost, so w stays 0 and M +
+    # zhat zhat' has an exactly zero column; t2 = t1 with a = 1 makes the
+    # two bounds on x duplicates, active together: nearly singular
+    VALUES = [dict(t1=2.0, a=1.0, t2=1.0, p=1.0),
+              dict(t1=2.0, a=1.0, t2=1.0, p=0.0),
+              dict(t1=2.0, a=1.0, t2=2.0, p=1.0),
+              dict(t1=1.0, a=2.0, t2=3.0, p=0.5)]
+    KINDS = ["regular", "singular", "gated", "regular"]
+    COTANGENT = {"x": np.asarray(1.0), "w": np.asarray(0.5)}
+
+    @staticmethod
+    def _layer():
+        t1, a, t2, p = (parameter(name) for name in ("t1", "a", "t2", "p"))
+        x, w = variable("x"), variable("w")
+        return Layer.compile(Problem("minimize", x + p * w, [
+            ge(x, t1), ge(a * x, t2), ge(p * w, 0.0)]), TIGHT)
+
+    def _forward(self, layer):
+        results = layer.forward_batch(self.VALUES)
+        assert all(r.ok for r in results)
+        return results
+
+    def _backward(self, layer, results):
+        return layer.backward_batch(results, [self.COTANGENT] * len(results))
+
+    def test_each_member_keeps_its_mode(self, monkeypatch):
+        """The stack's one inverse call raises for the singular program, so
+        the stack is inverted matrix by matrix: each regular program takes
+        the direct solve and equals its lone backward bit for bit, the
+        other two take LSQR, with finite gradients."""
+        layer = self._layer()
+        results = self._forward(layer)
+        calls = []
+        inverse = np.linalg.inv
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "inv", lambda X: calls.append(
+                X.shape) or inverse(X))
+            out = self._backward(layer, results)
+        N = results[0].info["sizes"]["N"]
+        assert calls == [(4, N, N)] + [(N, N)] * 4
+        for values, result, (grads, info), kind in zip(
+                self.VALUES, results, out, self.KINDS):
+            factor = result._cache["m_factor"]
+            assert np.isnan(factor._inverse).any() == (kind == "singular")
+            assert factor.ok == (kind == "regular")
+            assert info["mode"] == ("direct" if kind == "regular" else "lsqr")
+            assert all(np.all(np.isfinite(g)) for g in grads.values())
+            if kind == "regular":
+                lone, _ = layer.backward(layer.forward(values), self.COTANGENT)
+                for name in layer.parameter_order:
+                    assert np.array_equal(grads[name], lone[name]), name
+
+    def test_no_inverse_at_all(self, monkeypatch):
+        """With every inverse call of the backward failing, every program
+        takes LSQR on its dense M + zhat zhat': the regular ones give their
+        direct gradients to 1e-8, the others the same gradients as
+        before."""
+        layer = self._layer()
+        want = self._backward(layer, self._forward(layer))
+        results = self._forward(layer)
+
+        def singular(X):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "inv", singular)
+        out = self._backward(layer, results)
+        for (grads, info), (direct, _), kind in zip(out, want, self.KINDS):
+            assert info["mode"] == "lsqr"
+            for name in layer.parameter_order:
+                if kind == "regular":
+                    np.testing.assert_allclose(grads[name], direct[name],
+                                               rtol=1e-8, atol=1e-8)
+                else:
+                    assert np.array_equal(grads[name], direct[name])
 
 
 class TestTapeFactor:

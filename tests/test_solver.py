@@ -896,10 +896,10 @@ class TestAnderson:
 
     def test_accelerated_polish_is_not_skipped(self, monkeypatch):
         """A polish due on an accelerated solve runs: due at 50, the QP of
-        order above ``DENSE_ORDER`` polishes there and ends."""
+        N above ``DENSE_ORDER`` polishes there and ends."""
         self.force(monkeypatch, "reduced")
         data = sparse_qp_data(n=64, seed=0)
-        assert sum(data.A.shape) + 2 > solver.DENSE_ORDER
+        assert sum(data.A.shape) + 1 > solver.DENSE_ORDER
         sol = solve(data, SolverSettings(refine_interval=50))
         assert sol.status == "optimal"
         assert (sol.info["iterations"], sol.info["polishes"]) == (50, 1)
@@ -1291,7 +1291,8 @@ class TestPolishFactor:
     its own point, after the last step's factor is freed."""
 
     # polishing from iteration 25, far from the solution, takes 3-4
-    # Gauss-Newton steps; lifted order 263, above DENSE_ORDER
+    # Gauss-Newton steps; N 260, above DENSE_ORDER, so SuperLU factors
+    # each step's lifted system (order 263)
     EARLY = SolverSettings(refine_interval=25)
 
     @staticmethod
@@ -1354,7 +1355,7 @@ class TestPolishSchedule:
     then from twice the iteration of the last polish on, and always at
     ``max_iters``."""
 
-    # lifted order at least n + m + 2 = 261, above DENSE_ORDER, so SuperLU
+    # N = n + m + 1 = 260, above DENSE_ORDER, so SuperLU
     # factors its polish; without one it ends optimal at 75 accelerated
     # iterations, or 150 plain ones
     QP = sparse_qp_data(n=64, seed=0)
@@ -1382,7 +1383,7 @@ class TestPolishSchedule:
         the tolerance, and ends there: with the accelerated splitting and
         with the plain one, whose steady rate no longer leaves a due polish
         to the splitting."""
-        assert sum(self.QP.A.shape) + 2 > solver.DENSE_ORDER
+        assert sum(self.QP.A.shape) + 1 > solver.DENSE_ORDER
         monkeypatch.setattr(solver, "ANDERSON_MEMORY", memory)
         unpolished = solve(self.QP, SolverSettings(refine=False))
         assert unpolished.info["iterations"] > refine_interval
@@ -1392,12 +1393,12 @@ class TestPolishSchedule:
             (refine_interval, 1)
 
     def test_small_program_polishes_on_schedule(self, monkeypatch):
-        """A program whose lifted system LAPACK factors polishes at every
-        due check: a polish of one Gauss-Newton step fails at 25, and the
-        next is due at 50, where it ends."""
+        """A program whose M system is held dense polishes at every due
+        check: a polish of one Gauss-Newton step fails at 25, and the next
+        is due at 50, where it ends."""
         monkeypatch.setattr(solver, "REFINE_STEPS", 1)
-        data = sparse_qp_data(n=40, seed=0)
-        assert sum(data.A.shape) + 2 <= solver.DENSE_ORDER
+        data = sparse_qp_data(n=20, seed=0)
+        assert sum(data.A.shape) + 1 <= solver.DENSE_ORDER
         calls = self.record_polishes(monkeypatch)
         sol = solve(data, SolverSettings(eps_abs=1e-11, eps_rel=1e-11,
                                          refine_interval=25))

@@ -15,11 +15,20 @@ iteration and polish counts, and hashes of x, y and s.
 ``forward_batch`` (a lone ``forward`` on soc-sum and sparse-qp), the
 median of each ``info["timings"]`` stage summed over the minibatch, and
 the median iteration count of an element and of a minibatch's slowest
-element.  It reads the library's ``info`` and nothing else, so it runs
+element (a TIMINGS line); and the median wall time of one
+``backward_batch`` of the minibatch's optimal elements, on each one's
+first cotangent, with the median of each backward stage
+(``retrieval_adjoint``, ``m_factor``, ``m_solve``,
+``materialize_adjoint``) summed over the minibatch, and the elements
+that took LSQR (a BACKWARD line).  That backward builds the elements'
+derivative factors, which the recorded backwards below then reuse; a
+batch's factors equal lone ones bit for bit, so the records do not
+change.  It reads the library's ``info`` and nothing else, so it runs
 against any checkout.
 
-``--save`` writes x, y, s, each cotangent's parameter gradient and that
-gradient's central-difference error (along a seeded direction, step
+``--save`` writes x, y, s, each cotangent's parameter gradient, the
+backward's ``mode`` ("direct" or "lsqr") and LSQR iteration count, and
+that gradient's central-difference error (along a seeded direction, step
 ``workloads.GRADCHECK_H``, relative above 1 and absolute below, as in
 acceptance criterion 4) to an ``.npz``.  ``--against`` compares with a
 file saved from another checkout: every status that differs (STATUS
@@ -28,7 +37,9 @@ differs (COUNTS lines), the largest move of x, y and s per workload, per
 workload the bindings whose status, counts, x, y, s and gradients are
 bitwise equal, each side's total of iterations and of polishes and its
 largest central-difference error, and every gradient that moved by more
-than 1e-8 relative, with its central-difference error before and after.
+than 1e-8 relative, with its central-difference error before and after,
+and a MODE line for every backward whose mode changed, with its LSQR
+iterations before and after.
 ``--save`` also stores each compiled layer's ``AsaForm`` (its four maps,
 the objective offset map, the pattern of A, the cone spec and the three
 layouts), and ``--against`` prints an ASA line for each layer whose form
@@ -113,7 +124,9 @@ def run(seed: int, extra: set, only_extra: bool,
     the first ``fixture_bindings`` of each fixture-train layer, and of
     each layer's compiled form (``_asa_record``).  With a
     dict ``timings``, each minibatch's forward adds (wall time, results)
-    under "workload:layer".  With ``refine_interval``, every layer is
+    under "workload:layer", and each minibatch's timed ``backward_batch``
+    (wall time, infos) under "backward:workload:layer".  With
+    ``refine_interval``, every layer is
     compiled with ``SolverSettings(refine_interval=refine_interval)``."""
     import workloads
     from diffcone import Layer, SolverSettings
@@ -156,6 +169,15 @@ def run(seed: int, extra: set, only_extra: bool,
                 if timings is not None:
                     timings.setdefault(f"{name}:{layer_name}", []).append(
                         (wall, results))
+                    tapes = [(res, bd.cotangents[0])
+                             for bd, res in zip(chunk, results) if res.ok]
+                    if tapes:
+                        start = time.perf_counter()
+                        pairs = layer.backward_batch(*zip(*tapes))
+                        wall = time.perf_counter() - start
+                        timings.setdefault(
+                            f"backward:{name}:{layer_name}", []).append(
+                            (wall, [info for _, info in pairs]))
                 for bd, res in zip(chunk, results):
                     records[f"{name}:{layer_name}:{bd.key[0]},{bd.key[1]}"] \
                         = _record(layer, bd, res, output, seed)
@@ -193,8 +215,10 @@ def _record(layer, bd, res, output, seed) -> dict:
                  for k, v in bd.values.items()}
     names = layer.parameter_order
     for i, cot in enumerate(bd.cotangents):
-        grads, _ = layer.backward(res, cot)
+        grads, info = layer.backward(res, cot)
         rec[f"grad{i}"] = _flat(grads, names)
+        rec[f"mode{i}"] = info["mode"]
+        rec[f"lsqr{i}"] = info["iterations"]
         rec[f"cd{i}"] = np.float64(_cd_error(
             layer, bd.values, output, cot[output], grads, direction,
             workloads.GRADCHECK_H))
@@ -204,22 +228,41 @@ def _record(layer, bd, res, output, seed) -> dict:
 def print_timings(timings: dict) -> None:
     """Per layer: the median minibatch forward, the median of each stage
     of ``info["timings"]`` summed over a minibatch, in ms, and the median
-    iterations of an element and of a minibatch's slowest element."""
+    iterations of an element and of a minibatch's slowest element (a
+    TIMINGS line); then the median minibatch backward, the median of
+    each backward stage summed over a minibatch and the elements that
+    took LSQR (a BACKWARD line)."""
     for layer, batches in timings.items():
-        stages = {}
-        for _, results in batches:
-            for stage in results[0].info["timings"]:
-                stages.setdefault(stage, []).append(
-                    sum(r.info["timings"][stage] for r in results))
+        if layer.startswith("backward:"):
+            continue
+        stages = _stage_medians([[r.info for r in rs] for _, rs in batches])
         iterations = [r.info["iterations"] for _, rs in batches for r in rs]
         slowest = [max(r.info["iterations"] for r in rs) for _, rs in batches]
         print(f"TIMINGS {layer}: {len(batches)} minibatches of "
               f"{len(batches[0][1])}, forward "
-              f"{1e3 * np.median([w for w, _ in batches]):.3f} ms; " + ", ".join(
-                  f"{stage} {1e3 * np.median(t):.3f}"
-                  for stage, t in stages.items())
-              + f" ms; iterations {np.median(iterations):g}, slowest "
+              f"{1e3 * np.median([w for w, _ in batches]):.3f} ms; {stages}"
+              f" ms; iterations {np.median(iterations):g}, slowest "
               f"{np.median(slowest):g}")
+        backwards = timings.get(f"backward:{layer}", [])
+        if backwards:
+            infos = [info for _, infos in backwards for info in infos]
+            lsqr = sum(info["mode"] == "lsqr" for info in infos)
+            print(f"BACKWARD {layer}: {len(backwards)} minibatches, backward "
+                  f"{1e3 * np.median([w for w, _ in backwards]):.3f} ms; "
+                  f"{_stage_medians([i for _, i in backwards])} ms; lsqr "
+                  f"{lsqr} of {len(infos)}")
+
+
+def _stage_medians(batches: list) -> str:
+    """The median over minibatches of each ``info["timings"]`` stage summed
+    over a minibatch's infos, in ms."""
+    stages = {}
+    for infos in batches:
+        for stage in infos[0]["timings"]:
+            stages.setdefault(stage, []).append(
+                sum(info["timings"][stage] for info in infos))
+    return ", ".join(f"{stage} {1e3 * np.median(t):.3f}"
+                     for stage, t in stages.items())
 
 
 def save(records: dict, path: str) -> None:
@@ -257,9 +300,13 @@ def _same(x, y) -> bool:
 
 def _bitwise_equal(a: dict, b: dict) -> bool:
     """Two records of one binding hold the same fields, every array bit
-    for bit and every other value equal."""
-    return a.keys() == b.keys() and all(
-        _same(a[f], b[f]) for f in a if not f.startswith("cd"))
+    for bit and every other value equal; the backward's mode and LSQR
+    count, which a file saved before they were recorded lacks, are left
+    to the MODE lines."""
+    kept = [set(r) - {f for f in r if f.startswith(("mode", "lsqr"))}
+            for r in (a, b)]
+    return kept[0] == kept[1] and all(
+        _same(a[f], b[f]) for f in kept[0] if not f.startswith("cd"))
 
 
 def compare_asa(new: dict, old: dict) -> int:
@@ -289,6 +336,7 @@ def compare(new: dict, old: dict) -> int:
     statuses = counted = 0
     moves = {}
     gradients = []
+    modes = []
     # workload -> [bindings, bitwise equal, polishes before and after,
     # largest central-difference error before and after, iterations
     # before and after]
@@ -328,6 +376,10 @@ def compare(new: dict, old: dict) -> int:
                 float(np.max(np.abs(ga), initial=0.0)), 1e-300)
             if rel > GRADIENT_MOVE:
                 gradients.append((key, i, rel, a[f"cd{i}"], b[f"cd{i}"]))
+            if f"mode{i}" in a and f"mode{i}" in b \
+                    and a[f"mode{i}"] != b[f"mode{i}"]:
+                modes.append((key, i, a[f"mode{i}"], b[f"mode{i}"],
+                              a[f"lsqr{i}"], b[f"lsqr{i}"]))
             i += 1
     missing = sorted(set(new) ^ set(old))
     for key in missing:
@@ -349,6 +401,10 @@ def compare(new: dict, old: dict) -> int:
     for key, i, rel, before, after in gradients:
         print(f"  {key} cotangent {i}: moved {rel:.3e}, central-difference "
               f"error {before:.3e} -> {after:.3e}")
+    for key, i, before, after, itn_before, itn_after in modes:
+        print(f"MODE {key} cotangent {i}: {before} -> {after}, LSQR "
+              f"iterations {itn_before} -> {itn_after}")
+    print(f"{len(modes)} backwards changed their mode")
     return statuses + len(missing)
 
 
