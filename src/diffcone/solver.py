@@ -72,9 +72,12 @@ on, up to ``SETTLE_INTERVALS`` more intervals; a check on the way that
 does not meet the tolerance ends it at its best point.  Soc-sum ends at 50
 iterations instead of 175 and sparse-qp at 225 instead of 375.  The
 ``"dense"`` K solve, whose iterations cost 50-90 us of numpy calls on the
-fixture layers, is not accelerated.  Each program's products and solve
-are its own calls and the history's head advances alike for all, so
-batches stay bit for bit their lone solves.
+fixture layers, is not accelerated: its programs (N up to ``DENSE_ORDER``
+on the fixture layers) take the dense polish at the first check, which
+ends nearly all of them at 25 iterations, and Anderson's own work per
+iteration (~60 us for 8 rows) would cost more than it saves there.  Each
+program's products and solve are its own calls and the history's head
+advances alike for all, so batches stay bit for bit their lone solves.
 
 That order depends on A's pattern alone, so the ``Pattern`` keeps it, and
 the lifted M system of a program above ``DENSE_ORDER`` is factored under
@@ -90,21 +93,39 @@ residual map
 
 whose root encodes an exact primal-dual solution; on well-behaved problems
 this reaches residuals near machine precision in a few steps.  The
-Jacobian of the residual map is M = (Q - I) DPi(z) + I; ``MFactor``
-applies and exactly factors its deflated form M + zhat zhat' for the
-polish and for the derivatives module: up to ``DENSE_ORDER`` (a bound on
-N) as a dense matrix with its inverse, a batch's as one (B, N, N) stack
-with one ``np.linalg.inv`` call, and above it through SuperLU's factor of
-a sparse lifted matrix.  Each Gauss-Newton step of a polish factors it at
-its own point, as a batch of one, and uses that factor as LSQR's right
-preconditioner; the step's factor is freed before the next is built.
+Jacobian of the residual map is M = (Q - I) DPi(z) + I.  A polish has
+two backends, chosen by N as ``MFactor``'s are:
 
-A polish falls due on a doubling schedule: at the first check from
-``refine_interval`` on whose iterate misses the tolerance, then from twice
-the iteration of the last polish on, and always at ``max_iters``, so the
-polishes' total cost stays logarithmic in the iteration count.  Every
-program keeps this one schedule, whatever its K solve and its order.  On
-the benchmark's soc-sum and sparse-qp the accelerated splitting meets the
+- Up to ``DENSE_ORDER`` (a bound on N) one polish runs over every column
+  whose polish is due in a check round (``_dense_refine``).  M is a dense
+  (k, N, N) stack (``_dense_m``, which ``MFactor``'s dense backend
+  shares), and each step is least squares on its first N - 1 columns,
+  z_N fixed at 1: one stacked ``np.linalg.qr`` and one stacked inverse of
+  the triangular factors, and for a numerically rank-deficient column (a
+  degenerate point) the minimum-norm step of one stacked
+  ``np.linalg.pinv`` (``_least_squares_steps``).  The line search is
+  stacked too, and every polished candidate is checked in one
+  ``_Batch.evaluate``.  It ended 616 of the 640 minibatches of
+  perfbench's seed-3 fixture-train run at 25 iterations and the rest at
+  50-400, where the splitting alone ran 100-200 in the median minibatch;
+  on a 2-vCPU x86 host (OpenBLAS on one thread) the median forward took
+  x0.63.
+- Above it, each column is polished alone by LSQR (``_refine``):
+  ``MFactor`` exactly factors the deflated M + zhat zhat' through
+  SuperLU's factor of a sparse lifted matrix, at each Gauss-Newton step's
+  own point, as a batch of one, and that factor is LSQR's right
+  preconditioner; the step's factor is freed before the next is built.
+  ``MFactor`` also serves the derivatives module, up to ``DENSE_ORDER``
+  as a dense matrix with its inverse, a batch's as one (B, N, N) stack
+  with one ``np.linalg.inv`` call.
+
+A polish falls due on a doubling schedule: at the first check whose
+iterate misses the tolerance from ``CHECK_INTERVAL`` on, up to
+``DENSE_ORDER``, or from ``refine_interval`` on above it; then from twice
+the iteration of the last polish on; and always at ``max_iters``, so the
+polishes' total cost stays logarithmic in the iteration count.  A column
+whose polish fails keeps iterating.  On the benchmark's soc-sum and
+sparse-qp (N above ``DENSE_ORDER``) the accelerated splitting meets the
 tolerance at 50 and 225 iterations, before the first polish is due at the
 default ``refine_interval`` of 250.  Statuses for infeasible and
 unbounded problems come from certificate residuals on the embedding
@@ -128,12 +149,14 @@ evaluates the residuals, tolerances, ratios and certificates of every
 active program at once, with one product each with block-diagonal
 matrices of the programs' A and A', which sum each row in the order of
 its lone product.  Each program then decides alone (``_Column``): it
-keeps its best point, runs on or polishes, takes its status, and leaves
-the loop at the iteration its lone solve would end.  Batch results
-therefore equal lone solves bit for bit wherever SuperLU's
-multi-right-hand-side solve equals its column-by-column solves, as it
-does on small systems; on large ones its supernodal kernels may sum in
-another order.
+keeps its best point, runs on or falls due for a polish, which one
+``_Batch.polish`` runs for every due program of the round, takes its
+status, and leaves the loop at the iteration its lone solve would end.
+The dense polish's stacked LAPACK calls (QR, inverse, pseudo-inverse)
+factor each matrix alone, so batch results equal lone solves bit for
+bit wherever SuperLU's multi-right-hand-side solve equals its
+column-by-column solves, as it does on small systems; on large ones its
+supernodal kernels may sum in another order.
 """
 
 from __future__ import annotations
@@ -156,7 +179,6 @@ from .cones import (
     RUN_MIN_BLOCKS,
     dproject_embedding,
     dproject_embedding_parts,
-    project_dual_cone,
     project_embedding,
 )
 from .errors import ShapeError, SolverInputError, SolveStatusError
@@ -229,6 +251,13 @@ def _is_int(value) -> bool:
 
 @dataclass(frozen=True)
 class SolverSettings:
+    """What a caller sets of a solve: the iteration limit, the absolute
+    and relative tolerances, whether candidate points are polished
+    (``refine``), and ``refine_interval``, the iteration from which the
+    first LSQR polish of a program above ``DENSE_ORDER`` is due.  A
+    program up to ``DENSE_ORDER`` takes the dense polish, due from the
+    first check (``CHECK_INTERVAL``) on, whatever ``refine_interval``."""
+
     max_iters: int = 100_000
     eps_abs: float = 1e-8
     eps_rel: float = 1e-8
@@ -916,30 +945,21 @@ class _Dense:
     1-norm reciprocal condition number 1 / (|M|_1 |M^{-1}|_1) is at least
     ``RCOND_MIN``.
 
-    M = (Q - I) DPi(z) + I is formed as defined, one stacked matmul of
-    Q - I, scattered dense from Q's entries (``_skew_entries``), with the
-    dense DPi(z) (``_projection_jacobians``).  Every step is row by row or
-    one program's product, so each program's M and inverse are its batch
-    of one's, bit for bit.  ``np.linalg.inv`` raises for the whole stack
+    M = (Q - I) DPi(z) + I is formed by ``_dense_m``, which the dense
+    polish (``_dense_refine``) shares.  Every step is row by row or one
+    program's product, so each program's M and inverse are its batch of
+    one's, bit for bit.  ``np.linalg.inv`` raises for the whole stack
     when a matrix is exactly singular; the stack is then inverted matrix
     by matrix, and a singular one is not ``ok``.
     """
 
     def __init__(self, datas: list, Z: np.ndarray):
-        count, N = Z.shape
         A, a_data, b, c = _stacked(datas)
-        self.N, self.Z = N, Z
+        self.N, self.Z = Z.shape[1], Z
         # each |z| is np.linalg.norm's, sqrt(z @ z)
         self.zhat = Z / np.sqrt(_row_dots(Z, Z))[:, None]
-        e, rows, cols, vals = _skew_entries(A, a_data, b, c)
-        # float also when Q has no entries, where bincount counts in ints
-        QI = np.bincount((e * N + rows) * N + cols, vals, count * N * N
-                         ).astype(float, copy=False).reshape(count, N, N)
-        diag = np.arange(N)
-        QI[:, diag, diag] = -1.0
-        M = np.matmul(QI, _projection_jacobians(Z, datas[0].cones,
-                                                A.shape[1]))
-        M[:, diag, diag] += 1.0
+        M = _dense_m(_skew_minus_identity(A, a_data, b, c), Z,
+                     datas[0].cones, A.shape[1])
         M += self.zhat[:, :, None] * self.zhat[:, None, :]
         self.M = M
         try:
@@ -953,6 +973,32 @@ class _Dense:
                     pass
         # a NaN inverse gives a NaN condition, which is not ok
         self.ok = 1.0 / (_norm_1(M) * _norm_1(self.inverse)) >= RCOND_MIN
+
+
+def _skew_minus_identity(A, a_data, b, c) -> np.ndarray:
+    """Q - I of each program of a batch (``_skew_entries``; A is the
+    shared pattern, a CSR matrix or a ``Pattern``), dense, as one (B, N,
+    N) stack scattered by one ``np.bincount``, each program's duplicates
+    summed in the order of its batch of one."""
+    count, N = len(a_data), sum(A.shape) + 1
+    e, rows, cols, vals = _skew_entries(A, a_data, b, c)
+    # float also when Q has no entries, where bincount counts in ints
+    QI = np.bincount((e * N + rows) * N + cols, vals, count * N * N
+                     ).astype(float, copy=False).reshape(count, N, N)
+    diag = np.arange(N)
+    QI[:, diag, diag] = -1.0
+    return QI
+
+
+def _dense_m(QI: np.ndarray, Z: np.ndarray, spec, n: int) -> np.ndarray:
+    """M = (Q - I) DPi(z) + I at each row z of the (B, N) stack Z, as a
+    (B, N, N) stack: one stacked matmul of the programs' Q - I, the stack
+    QI (``_skew_minus_identity``), with the dense DPi(z)
+    (``_projection_jacobians``)."""
+    M = np.matmul(QI, _projection_jacobians(Z, spec, n))
+    diag = np.arange(Z.shape[1])
+    M[:, diag, diag] += 1.0
+    return M
 
 
 def _projection_jacobians(Z: np.ndarray, spec, n: int) -> np.ndarray:
@@ -1301,12 +1347,82 @@ def _refine(z, data, Q, lsqr_iters, order):
     return best
 
 
-def _solution_from_z(z, spec, n):
-    m = spec.total_dim
-    w = z[-1]
-    u, v = z[:n] / w, z[n:n + m] / w
-    y = project_dual_cone(v, spec)
-    return u, y, y - v
+def _least_squares_steps(M: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """argmin_d |M_r d - r_r| of each matrix M_r of the (k, N, N - 1)
+    stack M and row r_r of R: R_r^{-1} Q_r' r_r from one stacked
+    ``np.linalg.qr`` M_r = Q_r R_r and one stacked inverse of the
+    triangular factors; or, where R_r's exact 1-norm reciprocal condition
+    number is below ``RCOND_MIN`` (M_r is numerically rank-deficient, as
+    at degenerate points), the minimum-norm step, from one stacked
+    ``np.linalg.pinv`` that drops singular values below ``RCOND_MIN``
+    times the largest.  LAPACK runs on each matrix alone, so a row's step
+    does not depend on the other rows."""
+    basis, tri = np.linalg.qr(M)
+    # an exactly singular factor would make the stacked inverse raise; its
+    # NaN inverse gives a NaN condition, which is not full rank
+    inverse = np.full(tri.shape, np.nan)
+    regular = np.diagonal(tri, axis1=1, axis2=2).all(axis=1)
+    if regular.any():
+        inverse[regular] = np.linalg.inv(tri[regular])
+    full = 1.0 / (_norm_1(tri) * _norm_1(inverse)) >= RCOND_MIN
+    steps = np.empty((len(M), M.shape[2]))
+    if full.any():
+        rhs = np.matmul(R[full][:, None, :], basis[full])
+        steps[full] = np.matmul(inverse[full], rhs.transpose(0, 2, 1)
+                                )[:, :, 0]
+    if not full.all():
+        steps[~full] = np.matmul(np.linalg.pinv(M[~full], rcond=RCOND_MIN),
+                                 R[~full][:, :, None])[:, :, 0]
+    return steps
+
+
+def _dense_refine(QI: np.ndarray, Z: np.ndarray, spec, n: int
+                  ) -> np.ndarray:
+    """The dense polish of a stack: up to ``REFINE_STEPS`` damped
+    Gauss-Newton steps on the normalized residual map r(z) = (Q - I)
+    Pi(z) + z of the program of each row z of the (k, N) stack Z, whose
+    last entries are 1, with the programs' Q - I the (k, N, N) stack QI;
+    returns each row's best point.
+
+    A step keeps z_N at 1: it is least squares on the first N - 1 columns
+    of M = (Q - I) DPi(z) + I (``_dense_m``), for every row that still
+    steps at once (``_least_squares_steps``).  The line search halves the
+    step up to five times, all rows at each length at once, and a row
+    takes the first that lowers its residual norm; a row stops stepping
+    when none does or when the norm is at most 1e-15, as in ``_refine``.
+    Every operation is a row's own, so each row is its stack of one's."""
+    best = Z.copy()
+    R = np.matmul(QI, project_embedding(best, spec, n)[:, :, None])[:, :, 0]
+    R += best
+    norms = _norms(R)
+    live = np.flatnonzero(norms > 1e-15)
+    for _ in range(REFINE_STEPS):
+        if not live.size:
+            break
+        steps = _least_squares_steps(
+            _dense_m(QI[live], best[live], spec, n)[:, :, :-1], R[live])
+        improved = np.zeros(live.size, dtype=bool)
+        searching = np.arange(live.size)  # places in live
+        scale = 1.0
+        for _ in range(5):
+            rows = live[searching]
+            cand = best[rows]
+            cand[:, :-1] -= scale * steps[searching]
+            r_cand = np.matmul(QI[rows], project_embedding(
+                cand, spec, n)[:, :, None])[:, :, 0]
+            r_cand += cand
+            cand_norms = _norms(r_cand)
+            lower = cand_norms < norms[rows]
+            took = rows[lower]
+            best[took], R[took], norms[took] = \
+                cand[lower], r_cand[lower], cand_norms[lower]
+            improved[searching[lower]] = True
+            searching = searching[~lower]
+            if not searching.size:
+                break
+            scale *= 0.5
+        live = live[improved & (norms[live] > 1e-15)]
+    return best
 
 
 def _warm_start_point(warm_start, n: int, m: int) -> list[np.ndarray]:
@@ -1356,16 +1472,19 @@ class _Column:
         self.iters = self.polishes = 0
         self.polish_s = 0.0
         # the splitting's accelerated points (``_Anderson``), set by the loop
-        self.acceleration = {"accepted": 0, "rejected": 0}
+        # at every check; until then the batch's one zero count
+        self.acceleration = batch.unaccelerated
         self.deferred = 0  # intervals run on since it met the tolerance
         # polish attempts are exponentially spaced so their total cost stays
-        # logarithmic in the iteration count
-        self.next_refine = self.settings.refine_interval
+        # logarithmic in the iteration count; the dense polish is due at the
+        # first check
+        self.next_refine = CHECK_INTERVAL if batch.dense_polish \
+            else self.settings.refine_interval
         # (iteration, ratio) of the last iterate check, from which
         # ``_runs_another_interval`` reads the last interval's drop; a
         # polish's candidate never enters it
         self.last_check = None
-        self.Q = None  # the skew matrix, built when a polish first needs it
+        self.Q = None  # the skew matrix, built when an LSQR polish needs it
 
     def consider(self, x, y, s, res) -> None:
         """Keeps a candidate point, with its residuals ``res``, when it is
@@ -1382,31 +1501,17 @@ class _Column:
         return settings.refine and (it == settings.max_iters
                                     or it >= self.next_refine)
 
-    def polish(self, it: int, u: np.ndarray, v: np.ndarray) -> bool:
-        """Polishes the candidate of the iterates u and v, and considers
-        the result; whether it meets the tolerance."""
-        polishing = time.perf_counter()
-        batch, j, n, m = self.batch, self.index, self.batch.n, self.batch.m
-        self.next_refine = 2 * it
+    def refine(self, z: np.ndarray) -> np.ndarray:
+        """The LSQR polish (``_refine``) of the point z of the program's
+        scaled embedding, for a program above ``DENSE_ORDER``."""
+        batch, j = self.batch, self.index
         if self.Q is None:
             self.program = ConeProgramData(
                 batch.factor.scaled(batch.rows[j]), batch.b_hat[j],
                 batch.c_hat[j], batch.spec)
             self.Q = skew_matrix(self.program)
-        tau = u[-1]
-        z = np.concatenate([u[:n] / tau, u[n:n + m] / tau - v[n:n + m] / tau,
-                            [1.0]])
-        z = _refine(z, self.program, self.Q, 4 * z.size,
-                    batch.factor.pattern.elimination_order)
-        self.polishes += 1
-        # the polished point as iterates with tau = 1
-        xh, yh, sh = _solution_from_z(z, batch.spec, n)
-        u, v = np.zeros((2, 1, n + m + 1))
-        u[0, :n], u[0, n:n + m], u[0, -1], v[0, n:n + m] = xh, yh, 1.0, sh
-        ev = batch.evaluate(np.array([j]), u, v)
-        self.consider(ev.X[0], ev.Y[0], ev.S[0], ev.res[0])
-        self.polish_s += time.perf_counter() - polishing
-        return ev.ok[0]
+        return _refine(z, self.program, self.Q, 4 * z.size,
+                       batch.factor.pattern.elimination_order)
 
     def _runs_another_interval(self, it: int, q: float) -> bool:
         """Whether an accelerated solve whose iterate meets the tolerance at
@@ -1424,7 +1529,7 @@ class _Column:
         """The column's result, given its share of the loop's time."""
         finishing = time.perf_counter()
         batch = self.batch
-        n, m, spec = batch.n, batch.m, batch.spec
+        n, m = batch.n, batch.m
         if self.best is None:  # no check had a candidate: the zero point
             ev = batch.evaluate(np.array([self.index]), *np.zeros(
                 (2, 1, n + m + 1)))
@@ -1434,11 +1539,7 @@ class _Column:
                 "timings": dict(self.timings, iterate=iterate_s,
                                 polish=self.polish_s),
                 "iteration_system": batch.factor.kind,
-                "acceleration": dict(self.acceleration),
-                "sizes": {"n": n, "m": m, "N": n + m + 1,
-                          "zero": spec.n_zero, "nonneg": spec.n_nonneg,
-                          "soc_blocks": len(spec.soc_dims),
-                          "soc_rows": sum(spec.soc_dims)}}
+                "acceleration": self.acceleration, "sizes": batch.sizes}
         if self.status not in (INFEASIBLE, UNBOUNDED):
             info.update(primal_residual=res[0], dual_residual=res[1],
                         gap_residual=res[2])
@@ -1494,6 +1595,15 @@ class _Batch:
         self.sigma, self.D = sigma, D
         self.scaling_s = time.perf_counter() - scaling
         N = n + m + 1
+        # the polish of programs up to DENSE_ORDER (``_dense_refine``)
+        self.dense_polish = N <= DENSE_ORDER
+        # every result of the solve shares these two dicts
+        spec = self.spec
+        self.sizes = {"n": n, "m": m, "N": N, "zero": spec.n_zero,
+                      "nonneg": spec.n_nonneg,
+                      "soc_blocks": len(spec.soc_dims),
+                      "soc_rows": sum(spec.soc_dims)}
+        self.unaccelerated = {"accepted": 0, "rejected": 0}
         self.U0, self.V0 = np.zeros((self.count, N)), np.zeros((self.count, N))
         self.U0[:, -1] = 1.0
         for j, warm in enumerate(warm_starts):
@@ -1579,13 +1689,15 @@ class _Batch:
     def check(self, it: int, cols: list, U: np.ndarray,
               V: np.ndarray) -> np.ndarray:
         """The checks of iteration ``it`` of the columns ``cols``, whose
-        iterates u and v are the rows of U and V: convergence, a polish
-        when one is due, and the infeasibility and unboundedness
-        certificates.  Returns which columns go on."""
+        iterates u and v are the rows of U and V: convergence, one polish
+        of every column whose polish is due (``polish``), and the
+        infeasibility and unboundedness certificates.  Returns which
+        columns go on."""
         n, m = self.n, self.m
         ev = self.evaluate(np.array([col.index for col in cols]), U, V)
         ok, q = ev.ok, ev.q
-        keep = np.ones(len(cols), dtype=bool)
+        runs_on = np.zeros(len(cols), dtype=bool)
+        due = []
         for r, col in enumerate(cols):
             col.iters = it
             if ev.has[r]:
@@ -1593,19 +1705,26 @@ class _Batch:
                 if ok[r] and col._runs_another_interval(it, q[r]):
                     col.deferred += 1
                     col.last_check = (it, q[r])
-                    continue
+                    runs_on[r] = True
                 # a check after one that met the tolerance and ran on ends
                 # the solve at its best point, whether it meets the
                 # tolerance or not
-                if ok[r] or col.deferred:
+                elif ok[r] or col.deferred:
                     col.status = OPTIMAL
                 else:
                     col.last_check = (it, q[r])
-                    if col.polish_due(it) and col.polish(it, U[r], V[r]):
-                        col.status = OPTIMAL
+                    if col.polish_due(it):
+                        due.append(r)
             elif col.deferred:  # as above
                 col.status = OPTIMAL
-            if col.status == MAX_ITERS:
+        if due:
+            polished = self.polish(it, [cols[r] for r in due], U[due], V[due])
+            for r, good in zip(due, polished):
+                if good:
+                    cols[r].status = OPTIMAL
+        keep = np.ones(len(cols), dtype=bool)
+        for r, col in enumerate(cols):
+            if col.status == MAX_ITERS and not runs_on[r]:
                 if ev.infeasible[r]:
                     col.status = INFEASIBLE
                     col.best = (np.inf, np.zeros(n), ev.Yc[r], np.zeros(m),
@@ -1615,6 +1734,46 @@ class _Batch:
                     col.best = (np.inf, ev.Xc[r], np.zeros(m), ev.Sc[r], None)
             keep[r] = col.status == MAX_ITERS
         return keep
+
+    def polish(self, it: int, cols: list, U: np.ndarray,
+               V: np.ndarray) -> list:
+        """Polishes the candidates of the iterates u and v of the columns
+        ``cols`` at iteration ``it``, the rows of U and V, and lets each
+        column consider its polished point; whether each meets the
+        tolerance.
+
+        The candidate of (u, v) is z = (u_x, u_y - v_s, tau) / tau in the
+        scaled embedding.  Up to ``DENSE_ORDER`` the columns' candidates
+        are polished as one stack (``_dense_refine``), above it each by
+        LSQR (``_Column.refine``).  A polished z, whose last entry is 1,
+        gives the iterates u = Pi(z) and v = Pi(z) - z, whose candidate is
+        (x, y, s) = (z_x, Pi*(z_v), Pi*(z_v) - z_v), and every column's
+        are checked in one ``evaluate``.  Each column counts one polish,
+        its next is due from twice ``it`` on, and its ``polish_s`` takes
+        an equal share of the wall time."""
+        start = time.perf_counter()
+        n, m, spec = self.n, self.m, self.spec
+        rows = np.array([col.index for col in cols])
+        tau = U[:, -1:]
+        Z = np.concatenate([U[:, :n] / tau, U[:, n:n + m] / tau
+                            - V[:, n:n + m] / tau, np.ones((len(cols), 1))],
+                           axis=1)
+        if self.dense_polish:
+            factor = self.factor
+            Z = _dense_refine(_skew_minus_identity(
+                factor.pattern, factor.data[self.rows[rows]],
+                self.b_hat[rows], self.c_hat[rows]), Z, spec, n)
+        else:
+            Z = np.array([col.refine(z) for col, z in zip(cols, Z)])
+        P = project_embedding(Z, spec, n)
+        ev = self.evaluate(rows, P, P - Z)
+        share = (time.perf_counter() - start) / len(cols)
+        for r, col in enumerate(cols):
+            col.consider(ev.X[r], ev.Y[r], ev.S[r], ev.res[r])
+            col.polishes += 1
+            col.next_refine = 2 * it
+            col.polish_s += share
+        return ev.ok
 
 
 class _Anderson:
@@ -1878,10 +2037,14 @@ def solve(data, settings: SolverSettings | None = None, warm_start=None,
     ``timings["equilibrate"]`` and ``timings["factorize"]`` of each
     program are the build time of the factor built here, shared out
     equally over the programs (0.0 when ``factor`` is given), plus, in
-    ``equilibrate``, an equal share of the batch's scaling of b and c.  ``timings["iterate"]``
-    of each is the loop's wall time, less every program's polish time,
-    shared out in proportion to the programs' iteration counts.  Every
-    warm start and the factor are checked before any program is solved.
+    ``equilibrate``, an equal share of the batch's scaling of b and c.
+    ``timings["polish"]`` of each is its equal share of every polish round
+    it took part in (``_Batch.polish``), and ``timings["iterate"]`` the
+    loop's wall time, less every program's polish time, shared out in
+    proportion to the programs' iteration counts.  Every result's
+    ``info["sizes"]`` is one dict, and so is an unaccelerated result's
+    ``info["acceleration"]``.  Every warm start and the factor are checked
+    before any program is solved.
     """
     if isinstance(data, ConeProgramData):
         return solve([data], settings, [warm_start], factor)[0]

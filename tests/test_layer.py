@@ -658,10 +658,11 @@ class TestBatching:
         """The same with every K factored by SuperLU: a layer whose A is
         fixed solves all its rows with its one factor in one
         multi-right-hand-side solve, any other layer each row with its
-        element's own factor.  With the plain splitting elements leave the
-        batch at different iterations, so the batch shrinks as it runs;
-        the accelerated splitting (``ANDERSON_MEMORY``) solves the same
-        bindings, bit for bit as their sequential solves too."""
+        element's own factor.  Without the polish, which would end every
+        element at the first check, elements of the plain splitting leave
+        the batch at different iterations, so the batch shrinks as it
+        runs; the accelerated splitting (``ANDERSON_MEMORY``) solves the
+        same bindings, bit for bit as their sequential solves too."""
         monkeypatch.setattr(solver, "K_DENSE_ORDER", 0)
         monkeypatch.setattr(solver, "REDUCED_ORDER", 0)
         for layer, whole in self.plain_and_accelerated(
@@ -688,29 +689,32 @@ class TestBatching:
                 {"reduced"}
 
     def plain_and_accelerated(self, fx, rng, monkeypatch):
-        """``check_batch_equals_sequential`` on the same bindings with the
-        plain splitting, whose batch shrinks as it runs, and then with the
-        accelerated one, whose elements accept accelerated points; the
-        (layer, results) of each."""
+        """``check_batch_equals_sequential`` on the same bindings, without
+        the polish, with the plain splitting, whose batch shrinks as it
+        runs, and then with the accelerated one, whose elements accept
+        accelerated points; the (layer, results) of each."""
         memory = solver.ANDERSON_MEMORY
         same = copy.deepcopy(rng)
+        unpolished = SolverSettings(refine=False)
         monkeypatch.setattr(solver, "ANDERSON_MEMORY", 0)
-        plain = self.check_batch_equals_sequential(fx, rng)
+        plain = self.check_batch_equals_sequential(fx, rng, unpolished)
         assert len({r.info["iterations"] for r in plain[1]}) > 1
         monkeypatch.setattr(solver, "ANDERSON_MEMORY", memory)
-        accelerated = self.check_batch_equals_sequential(fx, same)
+        accelerated = self.check_batch_equals_sequential(fx, same,
+                                                         unpolished)
         assert all(r.info["acceleration"]["accepted"] > 0
                    for r in accelerated[1])
         return plain, accelerated
 
     @staticmethod
-    def check_batch_equals_sequential(fx, rng):
-        """Run ``test_batch_equals_sequential`` on the fixture ``fx``;
-        returns the layer and the results of its first batch."""
+    def check_batch_equals_sequential(fx, rng, settings=None):
+        """Run ``test_batch_equals_sequential`` on the fixture ``fx``, its
+        layers compiled with ``settings``; returns the layer and the
+        results of its first batch."""
         batch = [fx.sample(rng) for _ in range(6)]
-        sequential = Layer.compile(fx.problem)
+        sequential = Layer.compile(fx.problem, settings)
         seq = [sequential.forward(v) for v in batch]
-        layer = Layer.compile(fx.problem)
+        layer = Layer.compile(fx.problem, settings)
         whole = layer.forward_batch(batch)
         if layer._a_fixed:
             assert layer._factor is not None
@@ -862,10 +866,10 @@ class TestBatching:
         settings = SolverSettings(refine_interval=125, eps_abs=1e-11,
                                   eps_rel=1e-11)
         layer = _status_layer(settings)
-        batch = STATUS_BATCH[1:4] + STATUS_BATCH[5:]
+        batch = STATUS_BATCH[1:3] + STATUS_BATCH[5:]
         results = layer.forward_batch(batch)
         assert [r.info["polishes"] > 0 for r in results] == [
-            False, False, False, True]
+            False, False, True]
         for values, r in zip(batch, results):
             assert_same_solve(layer.forward(values), r)
 
@@ -1036,6 +1040,23 @@ class TestInfo:
         assert res.info["iteration_system"] == "reduced"
         accepted = res.info["acceleration"]["accepted"]
         assert 0 < accepted < res.info["iterations"]
+
+    def test_batch_results_share_sizes(self, rng):
+        """One ``forward_batch``'s results share one ``sizes`` dict and, on
+        the unaccelerated ``"dense"`` K solve, one zero ``acceleration``
+        dict; another call builds its own."""
+        fx = relu_fixture()
+        layer = Layer.compile(fx.problem, TIGHT)
+        results = layer.forward_batch([fx.sample(rng) for _ in range(3)])
+        first = results[0].info
+        assert first["iteration_system"] == "dense"
+        for res in results[1:]:
+            assert res.info["sizes"] is first["sizes"]
+            assert res.info["acceleration"] is first["acceleration"]
+        self._check_sizes(results[0], layer)
+        again = layer.forward_batch([fx.sample(rng)])[0].info
+        assert again["sizes"] == first["sizes"]
+        assert again["sizes"] is not first["sizes"]
 
     def test_sizes_count_second_order_blocks(self, rng):
         layer, values = _sum_of_norms_layer(3, rng)

@@ -45,8 +45,10 @@ the objective offset map, the pattern of A, the cone spec and the three
 layouts), and ``--against`` prints an ASA line for each layer whose form
 differs in any of them, bit for bit, or is in one file only.
 ``--refine-interval N`` compiles every layer with
-``SolverSettings(refine_interval=N)``, so that the bindings polish (at
-the default settings few do); ``--save`` records N (0 without the flag),
+``SolverSettings(refine_interval=N)``, so that the soc-sum and
+sparse-qp bindings polish (at the default settings they do not; every
+fixture-train binding polishes from its first check on, whatever N);
+``--save`` records N (0 without the flag),
 and ``--against`` prints a SETTINGS line when the other file was saved
 at another N.
 It exits 1 when a status changed, a binding is in one file only, or an
