@@ -96,25 +96,32 @@ this reaches residuals near machine precision in a few steps.  The
 Jacobian of the residual map is M = (Q - I) DPi(z) + I.  A polish has
 two backends, chosen by N as ``MFactor``'s are:
 
+Both take Gauss-Newton steps for the normalized Jacobian J = M (I - z
+e_N') with one line search (``_refine``): the dense polish the exact
+least-squares step of least norm, the LSQR polish LSQR's solution of the
+right-preconditioned system, which differs from it only by a multiple of
+z, J's null space, so only in the length of the step once it is rescaled
+to a last entry of 1.
+
 - Up to ``DENSE_ORDER`` (a bound on N) one polish runs over every column
   whose polish is due in a check round (``_dense_refine``).  M is a dense
   (k, N, N) stack (``_dense_m``, which ``MFactor``'s dense backend
-  shares), and each step is least squares on its first N - 1 columns,
-  z_N fixed at 1: one stacked ``np.linalg.qr`` and one stacked inverse of
-  the triangular factors, and for a numerically rank-deficient column (a
-  degenerate point) the minimum-norm step of one stacked
-  ``np.linalg.pinv`` (``_least_squares_steps``).  The line search is
-  stacked too, and every polished candidate is checked in one
-  ``_Batch.evaluate``.  It ended 616 of the 640 minibatches of
-  perfbench's seed-3 fixture-train run at 25 iterations and the rest at
-  50-400, where the splitting alone ran 100-200 in the median minibatch;
-  on a 2-vCPU x86 host (OpenBLAS on one thread) the median forward took
-  x0.63.
+  shares), and the steps are exact: one stacked ``np.linalg.qr`` of M's
+  first N - 1 columns and one stacked inverse of its triangular factors,
+  and at a degenerate point, where those columns are numerically
+  rank-deficient, one stacked ``np.linalg.pinv`` of J
+  (``_dense_gauss_newton_steps``).  The line search is stacked too, and
+  every polished candidate is checked in one ``_Batch.evaluate``.  It
+  ended 618 of the 640 minibatches of perfbench's seed-3 fixture-train
+  run at 25 iterations, where the splitting alone ran 100-200 in the
+  median minibatch; on a 2-vCPU x86 host (OpenBLAS on one thread) the
+  median forward took x0.67.
 - Above it, each column is polished alone by LSQR (``_refine``):
   ``MFactor`` exactly factors the deflated M + zhat zhat' through
   SuperLU's factor of a sparse lifted matrix, at each Gauss-Newton step's
   own point, as a batch of one, and that factor is LSQR's right
-  preconditioner; the step's factor is freed before the next is built.
+  preconditioner, or LSQR runs on J alone where the factor is not
+  ``ok``; the step's factor is freed before the next is built.
   ``MFactor`` also serves the derivatives module, up to ``DENSE_ORDER``
   as a dense matrix with its inverse, a batch's as one (B, N, N) stack
   with one ``np.linalg.inv`` call.
@@ -122,14 +129,17 @@ two backends, chosen by N as ``MFactor``'s are:
 A polish falls due on a doubling schedule: at the first check whose
 iterate misses the tolerance from ``CHECK_INTERVAL`` on, up to
 ``DENSE_ORDER``, or from ``refine_interval`` on above it; then from twice
-the iteration of the last polish on; and always at ``max_iters``, so the
+the iteration of the last polish on, but never later than the first
+check from ``refine_interval`` on; and always at ``max_iters``, so the
 polishes' total cost stays logarithmic in the iteration count.  A column
-whose polish fails keeps iterating.  On the benchmark's soc-sum and
-sparse-qp (N above ``DENSE_ORDER``) the accelerated splitting meets the
-tolerance at 50 and 225 iterations, before the first polish is due at the
-default ``refine_interval`` of 250.  Statuses for infeasible and
-unbounded problems come from certificate residuals on the embedding
-iterates.
+whose polish fails keeps iterating, and a small program whose early
+polishes stall (at a point where the residual norm is stationary but not
+zero, as the LSQR polish stalls there too) is still polished where a
+large one would first be.  On the benchmark's soc-sum and sparse-qp (N
+above ``DENSE_ORDER``) the accelerated splitting meets the tolerance at
+50 and 225 iterations, before the first polish is due at the default
+``refine_interval`` of 250.  Statuses for infeasible and unbounded
+problems come from certificate residuals on the embedding iterates.
 
 ``solve`` takes one program or a batch of programs of one cone and one
 pattern of A, and a single program is the batch of one: there is one
@@ -256,7 +266,8 @@ class SolverSettings:
     (``refine``), and ``refine_interval``, the iteration from which the
     first LSQR polish of a program above ``DENSE_ORDER`` is due.  A
     program up to ``DENSE_ORDER`` takes the dense polish, due from the
-    first check (``CHECK_INTERVAL``) on, whatever ``refine_interval``."""
+    first check (``CHECK_INTERVAL``) on; its doubling schedule never
+    steps over the first check from ``refine_interval`` on."""
 
     max_iters: int = 100_000
     eps_abs: float = 1e-8
@@ -1347,17 +1358,33 @@ def _refine(z, data, Q, lsqr_iters, order):
     return best
 
 
-def _least_squares_steps(M: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """argmin_d |M_r d - r_r| of each matrix M_r of the (k, N, N - 1)
-    stack M and row r_r of R: R_r^{-1} Q_r' r_r from one stacked
-    ``np.linalg.qr`` M_r = Q_r R_r and one stacked inverse of the
-    triangular factors; or, where R_r's exact 1-norm reciprocal condition
-    number is below ``RCOND_MIN`` (M_r is numerically rank-deficient, as
-    at degenerate points), the minimum-norm step, from one stacked
-    ``np.linalg.pinv`` that drops singular values below ``RCOND_MIN``
-    times the largest.  LAPACK runs on each matrix alone, so a row's step
-    does not depend on the other rows."""
-    basis, tri = np.linalg.qr(M)
+def _dense_gauss_newton_steps(M: np.ndarray, Z: np.ndarray,
+                               R: np.ndarray) -> np.ndarray:
+    """The Gauss-Newton step of each row z of the (k, N) stack Z, whose
+    last entry is 1, for the residual of the same row of R, where M is
+    the (k, N, N) stack of M at the points (``_dense_m``): the
+    least-squares solution of least norm of J dz = r, with J = M (I - z
+    e_N') the normalized Jacobian (``_normalized_jacobian``), the step
+    LSQR converges to from zero in ``_gauss_newton_step`` without a
+    preconditioner.  (z spans J's null space, so a right preconditioner
+    P, of least-norm solution P^{-1} y, moves the step along z, which
+    changes the length of the step the line search rescales to a last
+    entry of 1.)
+
+    J's range is that of M's first N - 1 columns, so where those have
+    full rank, by one stacked ``np.linalg.qr`` and an exact 1-norm
+    reciprocal condition of its triangular factor of at least
+    ``RCOND_MIN``, the step is their least-squares solution d, from that
+    QR and one stacked inverse of the triangular factors, less its
+    projection on z.  Elsewhere (degenerate points) it comes from one
+    stacked ``np.linalg.pinv`` of J, which drops singular values below
+    ``RCOND_MIN`` times the largest.  pinv's SVD for every row cost the
+    polish of perfbench's fixture-train layers (N 14-21, up to 8 rows)
+    0.38 ms a step against 0.10 ms, and their median forward 6.92 ms
+    against 5.69 (three alternating 30 s perfbench pairs, 2-vCPU x86).
+    LAPACK runs on each matrix alone, so a row's step does not depend on
+    the other rows."""
+    basis, tri = np.linalg.qr(M[:, :, :-1])
     # an exactly singular factor would make the stacked inverse raise; its
     # NaN inverse gives a NaN condition, which is not full rank
     inverse = np.full(tri.shape, np.nan)
@@ -1365,32 +1392,41 @@ def _least_squares_steps(M: np.ndarray, R: np.ndarray) -> np.ndarray:
     if regular.any():
         inverse[regular] = np.linalg.inv(tri[regular])
     full = 1.0 / (_norm_1(tri) * _norm_1(inverse)) >= RCOND_MIN
-    steps = np.empty((len(M), M.shape[2]))
+    steps = np.zeros(Z.shape)
     if full.any():
         rhs = np.matmul(R[full][:, None, :], basis[full])
-        steps[full] = np.matmul(inverse[full], rhs.transpose(0, 2, 1)
-                                )[:, :, 0]
+        steps[full, :-1] = np.matmul(inverse[full], rhs.transpose(0, 2, 1)
+                                     )[:, :, 0]
+        Zf = Z[full]
+        steps[full] -= (_row_dots(Zf, steps[full])
+                        / _row_dots(Zf, Zf))[:, None] * Zf
     if not full.all():
-        steps[~full] = np.matmul(np.linalg.pinv(M[~full], rcond=RCOND_MIN),
-                                 R[~full][:, :, None])[:, :, 0]
+        J = M[~full]
+        J[:, :, -1] -= np.matmul(J, Z[~full][:, :, None])[:, :, 0]
+        rest = np.matmul(np.linalg.pinv(J, rcond=RCOND_MIN),
+                         R[~full][:, :, None])[:, :, 0]
+        # an entry no residual depends on steps by exactly 0, as in LSQR,
+        # not by the SVD's rounding: a variable absent from A and c stays 0
+        rest[~J.any(axis=1)] = 0.0
+        steps[~full] = rest
     return steps
 
 
 def _dense_refine(QI: np.ndarray, Z: np.ndarray, spec, n: int
                   ) -> np.ndarray:
-    """The dense polish of a stack: up to ``REFINE_STEPS`` damped
-    Gauss-Newton steps on the normalized residual map r(z) = (Q - I)
-    Pi(z) + z of the program of each row z of the (k, N) stack Z, whose
-    last entries are 1, with the programs' Q - I the (k, N, N) stack QI;
+    """``_refine`` of each row z of the (k, N) stack Z, whose last entries
+    are 1, for the program whose Q - I is the matrix of the same row of
+    the (k, N, N) stack QI (``_skew_minus_identity``), all rows at once;
     returns each row's best point.
 
-    A step keeps z_N at 1: it is least squares on the first N - 1 columns
-    of M = (Q - I) DPi(z) + I (``_dense_m``), for every row that still
-    steps at once (``_least_squares_steps``).  The line search halves the
-    step up to five times, all rows at each length at once, and a row
-    takes the first that lowers its residual norm; a row stops stepping
-    when none does or when the norm is at most 1e-15, as in ``_refine``.
-    Every operation is a row's own, so each row is its stack of one's."""
+    Each step is the exact unpreconditioned step of
+    ``_gauss_newton_step``, for every row that still steps at once
+    (``_dense_gauss_newton_steps``).  The line search is
+    ``_refine``'s, all rows at each length at once: a row takes the first
+    of up to five halvings whose point, rescaled to a last entry of 1,
+    lowers its residual norm, and stops stepping when none does or when
+    the norm is at most 1e-15.  Every operation is a row's own, so each
+    row is its stack of one's."""
     best = Z.copy()
     R = np.matmul(QI, project_embedding(best, spec, n)[:, :, None])[:, :, 0]
     R += best
@@ -1399,15 +1435,17 @@ def _dense_refine(QI: np.ndarray, Z: np.ndarray, spec, n: int
     for _ in range(REFINE_STEPS):
         if not live.size:
             break
-        steps = _least_squares_steps(
-            _dense_m(QI[live], best[live], spec, n)[:, :, :-1], R[live])
+        points = best[live]
+        steps = _dense_gauss_newton_steps(
+            _dense_m(QI[live], points, spec, n), points, R[live])
         improved = np.zeros(live.size, dtype=bool)
         searching = np.arange(live.size)  # places in live
         scale = 1.0
         for _ in range(5):
-            rows = live[searching]
-            cand = best[rows]
-            cand[:, :-1] -= scale * steps[searching]
+            cand = best[live[searching]] - scale * steps[searching]
+            valid = cand[:, -1] > 1e-12
+            rows = live[searching[valid]]
+            cand = cand[valid] / cand[valid, -1:]
             r_cand = np.matmul(QI[rows], project_embedding(
                 cand, spec, n)[:, :, None])[:, :, 0]
             r_cand += cand
@@ -1416,8 +1454,9 @@ def _dense_refine(QI: np.ndarray, Z: np.ndarray, spec, n: int
             took = rows[lower]
             best[took], R[took], norms[took] = \
                 cand[lower], r_cand[lower], cand_norms[lower]
-            improved[searching[lower]] = True
-            searching = searching[~lower]
+            valid[valid] = lower  # now: which of searching took a point
+            improved[searching[valid]] = True
+            searching = searching[~valid]
             if not searching.size:
                 break
             scale *= 0.5
@@ -1477,7 +1516,7 @@ class _Column:
         self.deferred = 0  # intervals run on since it met the tolerance
         # polish attempts are exponentially spaced so their total cost stays
         # logarithmic in the iteration count; the dense polish is due at the
-        # first check
+        # first check (``_Batch.polish`` sets the next)
         self.next_refine = CHECK_INTERVAL if batch.dense_polish \
             else self.settings.refine_interval
         # (iteration, ratio) of the last iterate check, from which
@@ -1749,30 +1788,41 @@ class _Batch:
         gives the iterates u = Pi(z) and v = Pi(z) - z, whose candidate is
         (x, y, s) = (z_x, Pi*(z_v), Pi*(z_v) - z_v), and every column's
         are checked in one ``evaluate``.  Each column counts one polish,
-        its next is due from twice ``it`` on, and its ``polish_s`` takes
-        an equal share of the wall time."""
+        and its next is due from twice ``it`` on, or from
+        ``refine_interval`` on when ``it`` is below it and twice ``it``
+        above.  Its ``polish_s`` takes its own LSQR polish's time and an
+        equal share of the rest of the wall time, the whole of the dense
+        polish's included."""
         start = time.perf_counter()
         n, m, spec = self.n, self.m, self.spec
+        interval = self.settings.refine_interval
         rows = np.array([col.index for col in cols])
         tau = U[:, -1:]
         Z = np.concatenate([U[:, :n] / tau, U[:, n:n + m] / tau
                             - V[:, n:n + m] / tau, np.ones((len(cols), 1))],
                            axis=1)
+        own = np.zeros(len(cols))  # each column's LSQR polish time
         if self.dense_polish:
             factor = self.factor
             Z = _dense_refine(_skew_minus_identity(
                 factor.pattern, factor.data[self.rows[rows]],
                 self.b_hat[rows], self.c_hat[rows]), Z, spec, n)
         else:
-            Z = np.array([col.refine(z) for col, z in zip(cols, Z)])
+            for r, col in enumerate(cols):
+                refining = time.perf_counter()
+                Z[r] = col.refine(Z[r])
+                own[r] = time.perf_counter() - refining
         P = project_embedding(Z, spec, n)
         ev = self.evaluate(rows, P, P - Z)
-        share = (time.perf_counter() - start) / len(cols)
+        share = (time.perf_counter() - start - own.sum()) / len(cols)
         for r, col in enumerate(cols):
             col.consider(ev.X[r], ev.Y[r], ev.S[r], ev.res[r])
             col.polishes += 1
-            col.next_refine = 2 * it
-            col.polish_s += share
+            # doubling, but never over refine_interval: a dense program
+            # whose early polishes fail polishes where an LSQR one would
+            col.next_refine = 2 * it if it >= interval \
+                else min(2 * it, interval)
+            col.polish_s += own[r] + share
         return ev.ok
 
 

@@ -492,7 +492,7 @@ def test_iteration_system_matches_direct_solve(program, kind, seed):
                     factor.scaled(j), h[c.size:], h[:c.size], spec))
                 want = spla.spsolve((sp.identity(w.size) + Q).tocsc(), w_row)
                 assert np.linalg.norm(row - want) <= \
-                    1e-8 * np.linalg.norm(want)
+                    1e-12 * np.linalg.norm(want)
                 lone = IterationFactor((A, other)[j], spec)
                 alone = solver._IterationSystem(lone, np.array([0]), h)(
                     w_row, np.empty(w.size))
@@ -688,9 +688,9 @@ class TestAnderson:
     Anderson accelerated (``_Anderson``), with two guards; ``"dense"``'s
     is not."""
 
-    # each ends optimal; lone and under TIGHT they take 25, 50, 25 and 25
-    # iterations, the second polishing at 25 and 50, and the guards reject
-    # 4 points of the second alone; without the polish 50, 125, 50 and 100
+    # each ends optimal; lone and under TIGHT each ends at its polish at 25;
+    # without the polish they take 50, 125, 50 and 100 iterations, and the
+    # guards reject 6-7 points of the second alone
     DATA = sparse_qp_data(n=12, seed=0)
 
     @classmethod
@@ -720,16 +720,20 @@ class TestAnderson:
         """A batch whose rows leave at different iterations, and in which
         the safeguard sends one row back to its plain point at iterations
         where the others keep their accelerated points, is its lone solves
-        bit for bit: with one factor per program, and with one shared."""
+        bit for bit: with one factor per program, and with one shared.  It
+        runs without the polish, which would end every row at the first
+        check."""
         self.force(monkeypatch, kind)
         datas = self.programs()
-        lone = [solve(data, TIGHT) for data in datas]
+        settings = dataclasses.replace(TIGHT, refine=False)
+        lone = [solve(data, settings) for data in datas]
         assert len({s.info["iterations"] for s in lone}) > 1
         rejected = [s.info["acceleration"]["rejected"] for s in lone]
         assert rejected[1] > 0 and rejected.count(0) == 3
         shared = IterationFactor(datas[0].A, datas[0].cones)
         for batch, factor in ((datas, None), (datas[:3], shared)):
-            for got, want in zip(solve(batch, TIGHT, factor=factor), lone):
+            for got, want in zip(solve(batch, settings, factor=factor),
+                                 lone):
                 assert got.info["iteration_system"] == kind
                 for key in ("iterations", "polishes", "acceleration"):
                     assert got.info[key] == want.info[key]
@@ -1037,7 +1041,7 @@ class TestReducedKSolve:
             got = self.system(lone, [0], H[j])._solve(R[j])
             want = dense_k_solve(lone, 0, R[j])
             assert np.linalg.norm(got - want) <= \
-                1e-8 * np.linalg.norm(want)
+                1e-12 * np.linalg.norm(want)
             alone.append(got)
 
         # three rows sharing the first program's inverse
@@ -1045,7 +1049,7 @@ class TestReducedKSolve:
         for r in range(3):
             want = dense_k_solve(lones[0], 0, R[r])
             assert np.linalg.norm(shared[r] - want) <= \
-                1e-8 * np.linalg.norm(want)
+                1e-12 * np.linalg.norm(want)
             assert np.array_equal(
                 shared[r], self.system(lones[0], [0], H[r])._solve(R[r]))
 
@@ -1360,10 +1364,11 @@ class TestPolishFactor:
 
 
 class TestPolishSchedule:
-    """Every program keeps one polish schedule: a polish is due at the first
-    check from ``refine_interval`` on whose iterate misses the tolerance,
-    then from twice the iteration of the last polish on, and always at
-    ``max_iters``."""
+    """The polish schedule: a polish is due at the first check whose
+    iterate misses the tolerance from ``refine_interval`` on (from the
+    first check on up to ``DENSE_ORDER``), then from twice the iteration
+    of the last polish on, never stepping over ``refine_interval``, and
+    always at ``max_iters``."""
 
     # N = n + m + 1 = 260, above DENSE_ORDER, so SuperLU
     # factors its polish; without one it ends optimal at 75 accelerated
@@ -1483,7 +1488,8 @@ def _binding(seed: int, stream: int, index: int):
 class TestDensePolish:
     """Programs up to ``DENSE_ORDER`` take one stacked dense Gauss-Newton
     polish per check round (``_dense_refine``), due from the first check
-    on; larger ones keep the LSQR polish (``_refine``)."""
+    on and never later than ``refine_interval``; larger ones keep the LSQR
+    polish (``_refine``).  Both take the same steps."""
 
     @staticmethod
     def record_polishes(monkeypatch, clock=None):
@@ -1502,30 +1508,39 @@ class TestDensePolish:
         monkeypatch.setattr(solver._Batch, "polish", wrapper)
         return calls
 
-    # nonneg_least_squares at seed 68 (perfbench's stream 4): binding 1
-    # ends at its polish at 25; binding 5's polish steps from a
-    # rank-deficient M and ends at 25; binding 55's first polish fails,
-    # and it ends at its second, at 50
-    BATCH = [1, 5, 55]
+    # nonneg_least_squares at seed 68 (perfbench's stream 4), N 14: binding
+    # 1 ends at its polish at 25; binding 0's normalized Jacobian has rank
+    # 11, two below the 13 of a regular point, and it ends at 25; binding
+    # 55's first polish fails, and it ends at its second, at 50
+    BATCH = [1, 0, 55]
 
     def test_mixed_batch_equals_lone_solves(self, monkeypatch):
         """One stacked polish per round, over the columns due: all three at
-        25, binding 55 alone at 50; the rank-deficient column takes the
-        minimum-norm least-squares step; every column is its lone solve
-        bit for bit, polish counts and timings' keys included."""
+        25, binding 55 alone at 50.  Each column's first step at 25 is the
+        step unpreconditioned LSQR finds (``_gauss_newton_step`` with a
+        factor that is not ``ok``), the least-squares step of least norm,
+        rank-deficient or not.  Every column is its lone solve bit for bit,
+        polish counts and timings' keys included."""
         fx, _ = _binding(68, 4, 0)
         assert fx.name == "nonneg_least_squares"
         values = [_binding(68, 4, i)[1] for i in self.BATCH]
         layer = Layer.compile(fx.problem)
-        steps = []
-        least_squares = solver._least_squares_steps
+        rounds, steps = [], []
+        polish = solver._Batch.polish
+        gauss_newton = solver._dense_gauss_newton_steps
 
-        def record_steps(M, R):
-            out = least_squares(M, R)
-            steps.append((M, R, out))
+        def record_round(batch, it, cols, U, V):
+            rounds.append((batch, [c.index for c in cols], len(steps)))
+            return polish(batch, it, cols, U, V)
+
+        def record_steps(M, Z, R):
+            out = gauss_newton(M, Z, R)
+            steps.append((Z, R, out))
             return out
 
-        monkeypatch.setattr(solver, "_least_squares_steps", record_steps)
+        monkeypatch.setattr(solver._Batch, "polish", record_round)
+        monkeypatch.setattr(solver, "_dense_gauss_newton_steps",
+                            record_steps)
         calls = self.record_polishes(monkeypatch)
         results = layer.forward_batch(values)
         assert [(it, cols) for it, cols, _ in calls] == [
@@ -1533,16 +1548,23 @@ class TestDensePolish:
         assert [(r.status, r.info["iterations"], r.info["polishes"])
                 for r in results] == [("optimal", 25, 1), ("optimal", 25, 1),
                                       ("optimal", 50, 2)]
-        # the second step of the round at 25 holds the three columns' M,
-        # binding 5's rank-deficient; every step is the least-squares step
-        # of least norm
-        M, R, got = steps[1]
-        full = M.shape[2]
-        assert [np.linalg.matrix_rank(m) for m in M] == [full, full - 1, full]
-        for m, r, step in zip(M, R, got):
-            want = np.linalg.lstsq(m, r, rcond=solver.RCOND_MIN)[0]
-            assert np.linalg.norm(step - want) <= \
-                1e-8 * np.linalg.norm(want)
+        batch, cols, first = rounds[0]
+        Z, R, got = steps[first]
+        ranks = []
+        for r, j in enumerate(cols):
+            program = ConeProgramData(
+                batch.factor.scaled(batch.rows[j]), batch.b_hat[j],
+                batch.c_hat[j], batch.spec)
+            P = solver.MFactor(program, Z[r])
+            J = np.column_stack([solver._normalized_jacobian(P).matvec(e)
+                                 for e in np.eye(Z.shape[1])])
+            ranks.append(np.linalg.matrix_rank(
+                J, tol=solver.RCOND_MIN * np.linalg.norm(J, 2)))
+            P.ok = False
+            want = solver._gauss_newton_step(P, R[r], 4 * Z.shape[1])
+            assert np.linalg.norm(got[r] - want) <= \
+                1e-10 * np.linalg.norm(want)
+        assert ranks == [13, 11, 13]
         monkeypatch.undo()
         for res, v in zip(results, values):
             alone = layer.forward(v)
@@ -1559,6 +1581,35 @@ class TestDensePolish:
             refine_interval=25)).forward(values)
         assert (res.status, res.info["iterations"], res.info["polishes"]) \
             == ("optimal", 25, 1)
+
+    def test_failing_polishes_reach_refine_interval(self, monkeypatch):
+        """A random program (``gen_random_dpp`` seed 199, N 26) whose
+        polish stalls at a point of nonzero residual at 25, 50, 100 and 200
+        polishes again at the default ``refine_interval`` of 250, where it
+        ends, as it does with the LSQR polish alone; the doubling from 200
+        would have run it to 400."""
+        problem = gen_random_dpp(199, n_vars=1 + 199 % 3, n_params=199 % 4)
+        rng = np.random.default_rng(199)
+        values = {}
+        for p in problem.parameters:
+            v = rng.standard_normal(p.shape.dims)
+            values[p.name] = np.abs(v) if p.nonneg else \
+                (-np.abs(v) if p.nonpos else v)
+        with monkeypatch.context() as mp:
+            mp.setattr(solver, "DENSE_ORDER", 0)
+            lsqr = Layer.compile(problem).forward(values)
+        assert (lsqr.status, lsqr.info["iterations"], lsqr.info["polishes"]) \
+            == ("optimal", 250, 1)
+        calls = self.record_polishes(monkeypatch)
+        res = Layer.compile(problem).forward(values)
+        assert res.info["sizes"]["N"] == 26
+        assert [it for it, _, _ in calls] == [25, 50, 100, 200, 250]
+        assert (res.status, res.info["iterations"], res.info["polishes"]) \
+            == ("optimal", 250, 5)
+        assert res.outputs.keys() == lsqr.outputs.keys()
+        for name, want in lsqr.outputs.items():
+            assert np.linalg.norm(res.outputs[name] - want) <= \
+                1e-6 * max(1.0, np.linalg.norm(want))
 
     def test_lsqr_polish_only_above_dense_order(self, monkeypatch, rng):
         """No program up to ``DENSE_ORDER`` reaches ``_refine``; a QP of N
@@ -1579,9 +1630,9 @@ class TestDensePolish:
         assert calls == [164] * sol.info["polishes"]
 
     def test_polish_time_is_shared_out(self, monkeypatch):
-        """Each polished column's ``timings["polish"]`` is an equal share
-        of the wall time of the stacked polishes it took part in, so the
-        shares add up to them.  The solver's clock ticks once per
+        """Each densely polished column's ``timings["polish"]`` is an equal
+        share of the wall time of the stacked polishes it took part in, so
+        the shares add up to them.  The solver's clock ticks once per
         embedding projection."""
         clock = [0.0]
         project = solver.project_embedding
@@ -1604,3 +1655,27 @@ class TestDensePolish:
         assert polish[:2] == [first / 3] * 2
         assert polish[2] == pytest.approx(first / 3 + second, rel=1e-12)
         assert sum(polish) == pytest.approx(first + second, rel=1e-12)
+
+    def test_lsqr_polish_time_is_each_columns_own(self, monkeypatch):
+        """Above ``DENSE_ORDER`` each column's ``timings["polish"]`` is its
+        own LSQR polish's time and an equal share of the rest of the
+        round: two copies of a QP of N 164, whose polishes the solver's
+        clock times at 10 and 20 ticks and nothing else moves, take 10 and
+        20 ticks a round."""
+        clock = [0.0]
+        refine = solver._Column.refine
+
+        def slow(column, z):
+            clock[0] += 10.0 * (1 + column.index)
+            return refine(column, z)
+
+        monkeypatch.setattr(solver, "time",
+                            SimpleNamespace(perf_counter=lambda: clock[0]))
+        monkeypatch.setattr(solver._Column, "refine", slow)
+        calls = self.record_polishes(monkeypatch, clock)
+        data = sparse_qp_data(n=40)
+        sols = solve([data, data], SolverSettings(refine_interval=25))
+        assert calls and all(cols == [0, 1] for _, cols, _ in calls)
+        assert [s.info["timings"]["polish"] for s in sols] == \
+            [10.0 * len(calls), 20.0 * len(calls)]
+        assert sum(ticks for _, _, ticks in calls) == 30.0 * len(calls)
