@@ -1582,12 +1582,12 @@ class TestDensePolish:
         assert (res.status, res.info["iterations"], res.info["polishes"]) \
             == ("optimal", 25, 1)
 
-    def test_failing_polishes_reach_refine_interval(self, monkeypatch):
-        """A random program (``gen_random_dpp`` seed 199, N 26) whose
-        polish stalls at a point of nonzero residual at 25, 50, 100 and 200
-        polishes again at the default ``refine_interval`` of 250, where it
-        ends, as it does with the LSQR polish alone; the doubling from 200
-        would have run it to 400."""
+    @staticmethod
+    def stalling_program():
+        """``gen_random_dpp`` seed 199 (N 26) and its parameter values: its
+        polishes at 25, 50, 100 and 200 stall at a point where the residual
+        norm is stationary (8.83e-3 from 50 on), and the one at 250 ends
+        it."""
         problem = gen_random_dpp(199, n_vars=1 + 199 % 3, n_params=199 % 4)
         rng = np.random.default_rng(199)
         values = {}
@@ -1595,6 +1595,15 @@ class TestDensePolish:
             v = rng.standard_normal(p.shape.dims)
             values[p.name] = np.abs(v) if p.nonneg else \
                 (-np.abs(v) if p.nonpos else v)
+        return problem, values
+
+    def test_failing_polishes_reach_refine_interval(self, monkeypatch):
+        """A random program (``stalling_program``) whose polish stalls at a
+        point of nonzero residual at 25, 50, 100 and 200 polishes again at
+        the default ``refine_interval`` of 250, where it ends, as it does
+        with the LSQR polish alone; the doubling from 200 would have run it
+        to 400."""
+        problem, values = self.stalling_program()
         with monkeypatch.context() as mp:
             mp.setattr(solver, "DENSE_ORDER", 0)
             lsqr = Layer.compile(problem).forward(values)
@@ -1610,6 +1619,41 @@ class TestDensePolish:
         for name, want in lsqr.outputs.items():
             assert np.linalg.norm(res.outputs[name] - want) <= \
                 1e-6 * max(1.0, np.linalg.norm(want))
+
+    @pytest.mark.parametrize("dense_order, interval, counts", [
+        (solver.DENSE_ORDER, 250, [3, 3, 3, 3, 3]),
+        (0, 25, [4, 3, 3, 3, 2])])
+    def test_stalled_polish_stops_stepping(self, monkeypatch, dense_order,
+                                           interval, counts):
+        """A polish stops once a step lowers the residual norm by less than
+        a thousandth, dense (``_dense_refine``) and LSQR (``_refine``,
+        ``DENSE_ORDER`` 0) alike: each stalled polish of
+        ``stalling_program`` takes three or four Gauss-Newton steps, where
+        running on to ``REFINE_STEPS`` or to a step no halving improves
+        took 8, 6, 6, 6 dense and 9, 4, 5, 7 LSQR steps.  The polishes and
+        the iterations stay as they were."""
+        problem, values = self.stalling_program()
+        monkeypatch.setattr(solver, "DENSE_ORDER", dense_order)
+        steps = []
+        for name in ("_dense_gauss_newton_steps", "_gauss_newton_step"):
+            step = getattr(solver, name)
+            monkeypatch.setattr(solver, name, lambda *a, step=step: (
+                steps.append(None), step(*a))[1])
+        counts_at = []
+        polish = solver._Batch.polish
+
+        def counted(batch, it, cols, U, V):
+            start = len(steps)
+            out = polish(batch, it, cols, U, V)
+            counts_at.append(len(steps) - start)
+            return out
+
+        monkeypatch.setattr(solver._Batch, "polish", counted)
+        res = Layer.compile(problem, SolverSettings(
+            refine_interval=interval)).forward(values)
+        assert counts_at == counts
+        assert (res.status, res.info["polishes"]) == ("optimal", 5)
+        assert res.info["iterations"] == (250 if dense_order else 400)
 
     def test_lsqr_polish_only_above_dense_order(self, monkeypatch, rng):
         """No program up to ``DENSE_ORDER`` reaches ``_refine``; a QP of N
