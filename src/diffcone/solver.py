@@ -85,65 +85,54 @@ it, extended by a fixed rule, with no ordering pass of its own; a pattern
 whose K is not factored by SuperLU computes it, once, when a lifted factor
 first needs it.
 
-Because splitting iterations gain accuracy slowly, candidate solutions are
-periodically polished by damped Gauss-Newton steps on the normalized
-residual map
+Because splitting iterations gain accuracy slowly, the candidate solutions
+of a program up to ``DENSE_ORDER`` (a bound on N) are periodically
+polished by damped Gauss-Newton steps on the normalized residual map
 
     N(z) = ((Q - I) Pi + I)(z / |w|),
 
 whose root encodes an exact primal-dual solution; on well-behaved problems
 this reaches residuals near machine precision in a few steps.  The
-Jacobian of the residual map is M = (Q - I) DPi(z) + I.  A polish has
-two backends, chosen by N as ``MFactor``'s are:
+Jacobian of the residual map is M = (Q - I) DPi(z) + I, and the steps
+are the exact least-squares steps of least norm for the normalized
+Jacobian J = M (I - z e_N'), with one line search.  One polish runs over
+every column whose polish is due in a check round (``_dense_refine``).
+M is a dense (k, N, N) stack (``_dense_m``, which ``MFactor``'s dense
+backend shares), and the steps are one stacked ``np.linalg.qr`` of M's
+first N - 1 columns and one stacked inverse of its triangular factors,
+and at a degenerate point, where those columns are numerically
+rank-deficient, one stacked ``np.linalg.pinv`` of J
+(``_dense_gauss_newton_steps``).  The line search is stacked too, and
+every polished candidate is checked in one ``_Batch.evaluate``.  It
+ended 618 of the 640 minibatches of perfbench's seed-3 fixture-train run
+at 25 iterations, where the splitting alone ran 100-200 in the median
+minibatch; on a 2-vCPU x86 host (OpenBLAS on one thread) the median
+forward took x0.67.  A polish stops stepping a program once a step
+lowers its residual norm by less than a thousandth: the norm is then
+stationary at a point that is no root, where each further step costs as
+much as the first and wins nothing.  The stalled polishes measured took
+three or four steps with the stop and four to ten without it, running on
+to ``REFINE_STEPS`` or to a step no halving improves.
 
-Both take Gauss-Newton steps for the normalized Jacobian J = M (I - z
-e_N') with one line search (``_refine``): the dense polish the exact
-least-squares step of least norm, the LSQR polish LSQR's solution of the
-right-preconditioned system, which differs from it only by a multiple of
-z, J's null space, so only in the length of the step once it is rescaled
-to a last entry of 1.  Both stop stepping a program once a step lowers
-its residual norm by less than a thousandth: the norm is then stationary
-at a point that is no root, where each further step costs as much as the
-first and wins nothing.  The stalled polishes measured took three or
-four steps with the stop and four to ten without it, running on to
-``REFINE_STEPS`` or to a step no halving improves.
-
-- Up to ``DENSE_ORDER`` (a bound on N) one polish runs over every column
-  whose polish is due in a check round (``_dense_refine``).  M is a dense
-  (k, N, N) stack (``_dense_m``, which ``MFactor``'s dense backend
-  shares), and the steps are exact: one stacked ``np.linalg.qr`` of M's
-  first N - 1 columns and one stacked inverse of its triangular factors,
-  and at a degenerate point, where those columns are numerically
-  rank-deficient, one stacked ``np.linalg.pinv`` of J
-  (``_dense_gauss_newton_steps``).  The line search is stacked too, and
-  every polished candidate is checked in one ``_Batch.evaluate``.  It
-  ended 618 of the 640 minibatches of perfbench's seed-3 fixture-train
-  run at 25 iterations, where the splitting alone ran 100-200 in the
-  median minibatch; on a 2-vCPU x86 host (OpenBLAS on one thread) the
-  median forward took x0.67.
-- Above it, each column is polished alone by LSQR (``_refine``):
-  ``MFactor`` exactly factors the deflated M + zhat zhat' through
-  SuperLU's factor of a sparse lifted matrix, at each Gauss-Newton step's
-  own point, as a batch of one, and that factor is LSQR's right
-  preconditioner, or LSQR runs on J alone where the factor is not
-  ``ok``; the step's factor is freed before the next is built.
-  ``MFactor`` also serves the derivatives module, up to ``DENSE_ORDER``
-  as a dense matrix with its inverse, a batch's as one (B, N, N) stack
-  with one ``np.linalg.inv`` call.
+Above ``DENSE_ORDER`` the splitting alone ends a solve: no polish is ever
+due.  A polish there, LSQR Gauss-Newton steps on SuperLU's lifted factor
+of M, was deleted: no benchmark binding reached one, and on 16 sparse
+QPs of N 260-2052 (``sparse_qp_data``, n 64-512, seeds 0-3) it ran on 2
+at tolerance 1e-8 and on 6 at 1e-10, and the 16 solves took 0.35 and
+0.52 s with it against 0.22 and 0.27 s without (2-vCPU x86, OpenBLAS on
+one thread); every solve ended optimal either way.  ``MFactor`` serves the
+derivatives module, up to ``DENSE_ORDER`` as a dense matrix with its
+inverse, a batch's as one (B, N, N) stack with one ``np.linalg.inv``
+call, and above it through SuperLU's factor of a sparse lifted matrix.
 
 A polish falls due on a doubling schedule: at the first check whose
-iterate misses the tolerance from ``CHECK_INTERVAL`` on, up to
-``DENSE_ORDER``, or from ``refine_interval`` on above it; then from twice
+iterate misses the tolerance from ``CHECK_INTERVAL`` on; then from twice
 the iteration of the last polish on, but never later than the first
-check from ``refine_interval`` on; and always at ``max_iters``, so the
+check from ``REFINE_CAP`` on; and always at ``max_iters``, so the
 polishes' total cost stays logarithmic in the iteration count.  A column
-whose polish fails keeps iterating, and a small program whose early
-polishes stall (at a point where the residual norm is stationary but not
-zero, as the LSQR polish stalls there too) is still polished where a
-large one would first be.  On the benchmark's soc-sum and sparse-qp (N
-above ``DENSE_ORDER``) the accelerated splitting meets the tolerance at
-50 and 225 iterations, before the first polish is due at the default
-``refine_interval`` of 250.  Statuses for infeasible and unbounded
+whose polish fails keeps iterating, and a program whose early polishes
+stall (at a point where the residual norm is stationary but not zero) is
+still polished at ``REFINE_CAP``.  Statuses for infeasible and unbounded
 problems come from certificate residuals on the embedding iterates.
 
 ``solve`` takes one program or a batch of programs of one cone and one
@@ -221,6 +210,12 @@ MAX_ITERS = "max_iters"
 OVER_RELAX = 1.5
 CHECK_INTERVAL = 25
 REFINE_STEPS = 10
+# The polishes' doubling from CHECK_INTERVAL never steps over the first
+# check from this iteration on (25, 50, 100, 200, 250, 500, ...): a polish
+# that stalls at 25-200 is tried again here, where perfbench's fixture
+# binding (68: 4, 845) and gen_random_dpp seeds 13, 30 and 199 end, and
+# the doubling from 200 would have run them to 275-400.
+REFINE_CAP = 250
 # Differences kept by the Anderson acceleration of the "reduced" and
 # "superlu" K solves' splitting (``_Anderson``); 0 switches it off.  On a
 # 2-vCPU x86 host (OpenBLAS on one thread) a whole forward took, against
@@ -267,18 +262,15 @@ def _is_int(value) -> bool:
 @dataclass(frozen=True)
 class SolverSettings:
     """What a caller sets of a solve: the iteration limit, the absolute
-    and relative tolerances, whether candidate points are polished
-    (``refine``), and ``refine_interval``, the iteration from which the
-    first LSQR polish of a program above ``DENSE_ORDER`` is due.  A
-    program up to ``DENSE_ORDER`` takes the dense polish, due from the
-    first check (``CHECK_INTERVAL``) on; its doubling schedule never
-    steps over the first check from ``refine_interval`` on."""
+    and relative tolerances, and whether the candidate points of a
+    program up to ``DENSE_ORDER`` are polished (``refine``), from the
+    first check (``CHECK_INTERVAL``) on; a larger program is never
+    polished."""
 
     max_iters: int = 100_000
     eps_abs: float = 1e-8
     eps_rel: float = 1e-8
     refine: bool = True
-    refine_interval: int = 250
 
     def __post_init__(self):
         if not (_is_int(self.max_iters) and self.max_iters >= 1):
@@ -286,9 +278,6 @@ class SolverSettings:
                              f"{self.max_iters!r}")
         if not isinstance(self.refine, (bool, np.bool_)):
             raise ShapeError(f"refine must be a bool, got {self.refine!r}")
-        if not (_is_int(self.refine_interval) and self.refine_interval >= 1):
-            raise ShapeError(f"refine_interval must be an integer >= 1, got "
-                             f"{self.refine_interval!r}")
         for name in ("eps_abs", "eps_rel"):
             eps = getattr(self, name)
             if not (isinstance(eps, numbers.Real) and math.isfinite(eps)
@@ -866,12 +855,6 @@ def residuals(data: ConeProgramData, sol: ConeSolution) -> tuple[float, float, f
         s[None])[:3])
 
 
-def _residual_map(z, Q, spec, n):
-    zn = z / abs(z[-1]) if z[-1] != 0 else z
-    pi = project_embedding(zn, spec, n)
-    return Q @ pi - pi + zn
-
-
 def _splu_lifted(S: sp.csc_matrix):
     """splu of a lifted M system already permuted into its elimination
     order, with diagonal pivots preferred."""
@@ -1168,10 +1151,11 @@ def _products(factors: list, X: np.ndarray, transpose: bool = False,
 class MFactor:
     """M + zhat zhat' at z, zhat = z / |z|, for the program ``data``, and
     its exact factor; M = (Q - I) DPi(z) + I is the Jacobian of the
-    residual map u -> Q Pi(u) - Pi(u) + u at z.  ``batch`` assembles the
-    factors of many programs of one cone and one pattern of A at once; a
-    single one is the batch of one.  Which of two backends holds it
-    depends on N alone, which every program of a batch shares.
+    residual map u -> Q Pi(u) - Pi(u) + u at z, which the derivatives
+    (``derivatives``) solve with.  ``batch`` assembles the factors of many
+    programs of one cone and one pattern of A at once; a single one is the
+    batch of one.  Which of two backends holds it depends on N alone,
+    which every program of a batch shares.
 
     Up to ``DENSE_ORDER`` it is held dense with its inverse (``_Dense``),
     one (B, N, N) stack and one ``np.linalg.inv`` call per batch; ``solve``
@@ -1292,94 +1276,14 @@ class MFactor:
         return y[head] + (L @ x)[head]
 
 
-def _normalized_jacobian(P: MFactor) -> spla.LinearOperator:
-    """Jacobian of the normalized residual map z -> N(z / |w|) at P's point,
-    which has w = 1: M composed with the normalization I - z e_N'."""
-    z, zhat = P.z, P.zhat
-
-    def matvec(dz):
-        v = dz - z * dz[-1]
-        return P.apply(v) - zhat * (zhat @ v)
-
-    def rmatvec(u):
-        w = P.apply(u, transpose=True) - zhat * (zhat @ u)
-        w[-1] -= z @ w
-        return w
-
-    return spla.LinearOperator((z.size, z.size), matvec=matvec,
-                               rmatvec=rmatvec, dtype=float)
-
-
-def _gauss_newton_step(P, r, lsqr_iters):
-    """LSQR's step for the normalized Jacobian J at P's point and residual
-    r: LSQR runs on J P^{-1}, or on J alone when P is not ``ok``."""
-    J = _normalized_jacobian(P)
-    if not P.ok:
-        return spla.lsqr(J, r, atol=1e-14, btol=1e-14,
-                         iter_lim=min(lsqr_iters, 1500))[0]
-    op = spla.LinearOperator(
-        J.shape, dtype=float, matvec=lambda w: J.matvec(P.solve(w)),
-        rmatvec=lambda u: P.solve(J.rmatvec(u), transpose=True))
-    return P.solve(spla.lsqr(op, r, atol=1e-14, btol=1e-14,
-                             iter_lim=300)[0])
-
-
-def _refine(z, data, Q, lsqr_iters, order):
-    """Up to ``REFINE_STEPS`` damped Gauss-Newton steps on the normalized
-    residual map of ``data`` (whose skew matrix is Q, and K's elimination
-    order ``order``, or a function that returns it; see ``MFactor``);
-    keeps the best z.  Each step factors the M system at its own point
-    (``MFactor``, a batch of one), after the last step's factor is freed,
-    so one factor is alive at a time.  It stops when no halving of a step
-    lowers the residual norm, when the norm is at most 1e-15, or when a
-    step lowered it by less than a thousandth: a stall at a stationary
-    point of the norm that is no root, where the steps that would follow
-    cost a factor each and win nothing."""
-    spec = data.cones
-    n = data.A.shape[1]
-    z = z / abs(z[-1])
-    best = z
-    r = _residual_map(z, Q, spec, n)
-    best_norm = np.linalg.norm(r)
-    for _ in range(REFINE_STEPS):
-        if best_norm <= 1e-15:
-            break
-        P = None  # freed before the next one is built
-        P = MFactor(data, best, order)
-        step = _gauss_newton_step(P, r, lsqr_iters)
-        last_norm = best_norm
-        improved = False
-        scale = 1.0
-        for _ in range(5):
-            cand = best - scale * step
-            if cand[-1] <= 1e-12:
-                scale *= 0.5
-                continue
-            cand = cand / abs(cand[-1])
-            r_cand = _residual_map(cand, Q, spec, n)
-            norm = np.linalg.norm(r_cand)
-            if norm < best_norm:
-                best, best_norm, r = cand, norm, r_cand
-                improved = True
-                break
-            scale *= 0.5
-        if not improved or best_norm > 0.999 * last_norm:
-            break
-    return best
-
-
 def _dense_gauss_newton_steps(M: np.ndarray, Z: np.ndarray,
                                R: np.ndarray) -> np.ndarray:
     """The Gauss-Newton step of each row z of the (k, N) stack Z, whose
     last entry is 1, for the residual of the same row of R, where M is
     the (k, N, N) stack of M at the points (``_dense_m``): the
     least-squares solution of least norm of J dz = r, with J = M (I - z
-    e_N') the normalized Jacobian (``_normalized_jacobian``), the step
-    LSQR converges to from zero in ``_gauss_newton_step`` without a
-    preconditioner.  (z spans J's null space, so a right preconditioner
-    P, of least-norm solution P^{-1} y, moves the step along z, which
-    changes the length of the step the line search rescales to a last
-    entry of 1.)
+    e_N') the Jacobian of the normalized residual map z -> N(z / |w|) at
+    a point with w = 1, the step LSQR converges to from zero.
 
     J's range is that of M's first N - 1 columns, so where those have
     full rank, by one stacked ``np.linalg.qr`` and an exact 1-norm
@@ -1424,20 +1328,20 @@ def _dense_gauss_newton_steps(M: np.ndarray, Z: np.ndarray,
 
 def _dense_refine(QI: np.ndarray, Z: np.ndarray, spec, n: int
                   ) -> np.ndarray:
-    """``_refine`` of each row z of the (k, N) stack Z, whose last entries
+    """Up to ``REFINE_STEPS`` damped Gauss-Newton steps on the normalized
+    residual map of each row z of the (k, N) stack Z, whose last entries
     are 1, for the program whose Q - I is the matrix of the same row of
     the (k, N, N) stack QI (``_skew_minus_identity``), all rows at once;
     returns each row's best point.
 
-    Each step is the exact unpreconditioned step of
-    ``_gauss_newton_step``, for every row that still steps at once
-    (``_dense_gauss_newton_steps``).  The line search is
-    ``_refine``'s, all rows at each length at once: a row takes the first
-    of up to five halvings whose point, rescaled to a last entry of 1,
-    lowers its residual norm, and stops stepping when none does, when the
-    norm is at most 1e-15, or when the step lowered it by less than a
-    thousandth (a stall).  Every operation is a row's own, so each row is
-    its stack of one's."""
+    Each step is the exact least-norm step, for every row that still
+    steps at once (``_dense_gauss_newton_steps``).  The line search takes
+    all rows at each length at once: a row takes the first of up to five
+    halvings whose point, rescaled to a last entry of 1, lowers its
+    residual norm, and stops stepping when none does, when the norm is at
+    most 1e-15, or when the step lowered it by less than a thousandth (a
+    stall).  Every operation is a row's own, so each row is its stack of
+    one's."""
     best = Z.copy()
     R = np.matmul(QI, project_embedding(best, spec, n)[:, :, None])[:, :, 0]
     R += best
@@ -1527,15 +1431,13 @@ class _Column:
         self.acceleration = batch.unaccelerated
         self.deferred = 0  # intervals run on since it met the tolerance
         # polish attempts are exponentially spaced so their total cost stays
-        # logarithmic in the iteration count; the dense polish is due at the
-        # first check (``_Batch.polish`` sets the next)
-        self.next_refine = CHECK_INTERVAL if batch.dense_polish \
-            else self.settings.refine_interval
+        # logarithmic in the iteration count; the first is due at the first
+        # check (``_Batch.polish`` sets the next)
+        self.next_refine = CHECK_INTERVAL
         # (iteration, ratio) of the last iterate check, from which
         # ``_runs_another_interval`` reads the last interval's drop; a
         # polish's candidate never enters it
         self.last_check = None
-        self.Q = None  # the skew matrix, built when an LSQR polish needs it
 
     def consider(self, x, y, s, res) -> None:
         """Keeps a candidate point, with its residuals ``res``, when it is
@@ -1546,23 +1448,11 @@ class _Column:
 
     def polish_due(self, it: int) -> bool:
         """Whether a polish runs at iteration ``it``, whose iterate does not
-        meet the tolerance: on the doubling schedule, and at
+        meet the tolerance: for a program that polishes
+        (``_Batch.polishing``), on the doubling schedule, and at
         ``max_iters``."""
-        settings = self.settings
-        return settings.refine and (it == settings.max_iters
-                                    or it >= self.next_refine)
-
-    def refine(self, z: np.ndarray) -> np.ndarray:
-        """The LSQR polish (``_refine``) of the point z of the program's
-        scaled embedding, for a program above ``DENSE_ORDER``."""
-        batch, j = self.batch, self.index
-        if self.Q is None:
-            self.program = ConeProgramData(
-                batch.factor.scaled(batch.rows[j]), batch.b_hat[j],
-                batch.c_hat[j], batch.spec)
-            self.Q = skew_matrix(self.program)
-        return _refine(z, self.program, self.Q, 4 * z.size,
-                       batch.factor.pattern.elimination_order)
+        return self.batch.polishing and (it == self.settings.max_iters
+                                         or it >= self.next_refine)
 
     def _runs_another_interval(self, it: int, q: float) -> bool:
         """Whether an accelerated solve whose iterate meets the tolerance at
@@ -1646,8 +1536,8 @@ class _Batch:
         self.sigma, self.D = sigma, D
         self.scaling_s = time.perf_counter() - scaling
         N = n + m + 1
-        # the polish of programs up to DENSE_ORDER (``_dense_refine``)
-        self.dense_polish = N <= DENSE_ORDER
+        # only programs up to DENSE_ORDER are polished (``_dense_refine``)
+        self.polishing = settings.refine and N <= DENSE_ORDER
         # every result of the solve shares these two dicts
         spec = self.spec
         self.sizes = {"n": n, "m": m, "N": N, "zero": spec.n_zero,
@@ -1794,47 +1684,33 @@ class _Batch:
         tolerance.
 
         The candidate of (u, v) is z = (u_x, u_y - v_s, tau) / tau in the
-        scaled embedding.  Up to ``DENSE_ORDER`` the columns' candidates
-        are polished as one stack (``_dense_refine``), above it each by
-        LSQR (``_Column.refine``).  A polished z, whose last entry is 1,
+        scaled embedding, and the columns' candidates are polished as one
+        stack (``_dense_refine``).  A polished z, whose last entry is 1,
         gives the iterates u = Pi(z) and v = Pi(z) - z, whose candidate is
         (x, y, s) = (z_x, Pi*(z_v), Pi*(z_v) - z_v), and every column's
         are checked in one ``evaluate``.  Each column counts one polish,
-        and its next is due from twice ``it`` on, or from
-        ``refine_interval`` on when ``it`` is below it and twice ``it``
-        above.  Its ``polish_s`` takes its own LSQR polish's time and an
-        equal share of the rest of the wall time, the whole of the dense
-        polish's included."""
+        and its next is due from twice ``it`` on, or from ``REFINE_CAP``
+        on when ``it`` is below it and twice ``it`` above.  Its
+        ``polish_s`` takes an equal share of the round's wall time."""
         start = time.perf_counter()
-        n, m, spec = self.n, self.m, self.spec
-        interval = self.settings.refine_interval
+        n, m, spec, factor = self.n, self.m, self.spec, self.factor
         rows = np.array([col.index for col in cols])
         tau = U[:, -1:]
         Z = np.concatenate([U[:, :n] / tau, U[:, n:n + m] / tau
                             - V[:, n:n + m] / tau, np.ones((len(cols), 1))],
                            axis=1)
-        own = np.zeros(len(cols))  # each column's LSQR polish time
-        if self.dense_polish:
-            factor = self.factor
-            Z = _dense_refine(_skew_minus_identity(
-                factor.pattern, factor.data[self.rows[rows]],
-                self.b_hat[rows], self.c_hat[rows]), Z, spec, n)
-        else:
-            for r, col in enumerate(cols):
-                refining = time.perf_counter()
-                Z[r] = col.refine(Z[r])
-                own[r] = time.perf_counter() - refining
+        Z = _dense_refine(_skew_minus_identity(
+            factor.pattern, factor.data[self.rows[rows]],
+            self.b_hat[rows], self.c_hat[rows]), Z, spec, n)
         P = project_embedding(Z, spec, n)
         ev = self.evaluate(rows, P, P - Z)
-        share = (time.perf_counter() - start - own.sum()) / len(cols)
+        share = (time.perf_counter() - start) / len(cols)
         for r, col in enumerate(cols):
             col.consider(ev.X[r], ev.Y[r], ev.S[r], ev.res[r])
             col.polishes += 1
-            # doubling, but never over refine_interval: a dense program
-            # whose early polishes fail polishes where an LSQR one would
-            col.next_refine = 2 * it if it >= interval \
-                else min(2 * it, interval)
-            col.polish_s += own[r] + share
+            col.next_refine = 2 * it if it >= REFINE_CAP \
+                else min(2 * it, REFINE_CAP)
+            col.polish_s += share
         return ev.ok
 
 
@@ -2101,9 +1977,10 @@ def solve(data, settings: SolverSettings | None = None, warm_start=None,
     equally over the programs (0.0 when ``factor`` is given), plus, in
     ``equilibrate``, an equal share of the batch's scaling of b and c.
     ``timings["polish"]`` of each is its equal share of every polish round
-    it took part in (``_Batch.polish``), and ``timings["iterate"]`` the
-    loop's wall time, less every program's polish time, shared out in
-    proportion to the programs' iteration counts.  Every result's
+    it took part in (``_Batch.polish``), 0.0 above ``DENSE_ORDER``, and
+    ``timings["iterate"]`` the loop's wall time, less every program's
+    polish time, shared out in proportion to the programs' iteration
+    counts.  Every result's
     ``info["sizes"]`` is one dict, and so is an unaccelerated result's
     ``info["acceleration"]``.  Every warm start and the factor are checked
     before any program is solved.

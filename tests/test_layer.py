@@ -603,8 +603,8 @@ def _status_layer(settings):
 
 
 # optimal (150 and 125 iterations), infeasible, unbounded, and max_iters
-# at max_iters=150 with no polish; at refine_interval=125 only the last
-# one polishes
+# at max_iters=150 with no polish; with it, the infeasible and the
+# unbounded one never polish and the last one does
 STATUS_BATCH = [{"c": np.array(c), "lo": lo, "hi": hi} for c, lo, hi in [
     ([1.0, 1.0], 0.0, 1.0), ([1.0, 1.0], 1.0, 0.0), ([1.0, -1.0], 0.0, 1.0),
     ([1.0, 0.3], -2.0, 3.0), ([1e-3, 2.0], 0.5, 300.0),
@@ -863,8 +863,7 @@ class TestBatching:
             assert_same_solve(layer.forward(values), r)
 
     def test_one_element_polishes(self):
-        settings = SolverSettings(refine_interval=125, eps_abs=1e-11,
-                                  eps_rel=1e-11)
+        settings = SolverSettings(eps_abs=1e-11, eps_rel=1e-11)
         layer = _status_layer(settings)
         batch = STATUS_BATCH[1:3] + STATUS_BATCH[5:]
         results = layer.forward_batch(batch)
@@ -935,7 +934,7 @@ class TestBatching:
         monkeypatch.setattr(solver, "time",
                             SimpleNamespace(perf_counter=lambda: clock[0]))
         monkeypatch.setattr(solver, "project_embedding", ticking)
-        layer = _status_layer(SolverSettings(refine_interval=125))
+        layer = _status_layer(SolverSettings())
         batch = STATUS_BATCH[1:4] + STATUS_BATCH[5:]
         results = layer.forward_batch(batch)
         timings = [r.info["timings"] for r in results]

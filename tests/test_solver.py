@@ -1,7 +1,6 @@
 """Solver correctness against analytic and enumeration oracles."""
 
 import dataclasses
-import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,7 +10,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import TIGHT, assert_same_solve, force_fallback
+from conftest import TIGHT, assert_same_solve
 from diffcone import Layer, solver
 from diffcone.canon import ConeProgramData
 from diffcone.cones import (
@@ -35,8 +34,6 @@ from diffcone.solver import (
     MFactor,
     Pattern,
     SolverSettings,
-    _normalized_jacobian,
-    _residual_map,
     normalized_point,
     residuals,
     skew_matrix,
@@ -318,38 +315,57 @@ class TestNormalizedResidual:
 
 
 class TestNormalizedJacobian:
-    """The polish step's operator: M composed with the normalization."""
+    """M = (Q - I) DPi(z) + I, the Jacobian of the residual map u -> (Q -
+    I) Pi(u) + u that the polish's normalized Jacobian M (I - z e_N') and
+    the derivatives build on, as ``MFactor.apply`` holds it (less zhat
+    zhat'), on both backends: dense (N up to ``DENSE_ORDER``) and
+    SuperLU's lifted matrix (above it)."""
 
-    def operator(self, rng):
-        n, mi, d = 3, 4, 4
-        A = sp.csr_matrix(rng.standard_normal((mi + d, n)))
-        data = ConeProgramData(A, rng.standard_normal(mi + d),
-                               rng.standard_normal(n), ConeSpec(0, mi, (d,)))
-        z = rng.standard_normal(n + mi + d + 1)
-        z[-1] = 1.0
-        assert smooth_margin(z, data.cones, n) > 1e-3
-        Q = skew_matrix(data)
-        J = _normalized_jacobian(MFactor(data, z))
-        return J, Q, data.cones, n, z
+    # (n, nonneg rows, second-order block): N 13 and N 96
+    SIZES = [(3, 4, 5), (30, 40, 25)]
+
+    def operators(self, rng):
+        """(M's product, the residual map, z) of a random program with an
+        orthant and a second-order block at a random point z, for each
+        size."""
+        for n, mi, d in self.SIZES:
+            A = sp.csr_matrix(rng.standard_normal((mi + d, n)))
+            data = ConeProgramData(A, rng.standard_normal(mi + d),
+                                   rng.standard_normal(n),
+                                   ConeSpec(0, mi, (d,)))
+            z = rng.standard_normal(n + mi + d + 1)
+            z[-1] = 1.0
+            while smooth_margin(z, data.cones, n) <= 1e-3:
+                z[:-1] = rng.standard_normal(z.size - 1)
+            QI = skew_matrix(data) - sp.identity(z.size)
+            P = MFactor(data, z)
+            assert (z.size <= solver.DENSE_ORDER) == (P.order == z.size)
+
+            def apply(u, transpose=False, P=P):
+                return P.apply(u, transpose) - P.zhat * (P.zhat @ u)
+
+            def residual(u, QI=QI, spec=data.cones, n=n):
+                return QI @ project_embedding(u, spec, n) + u
+
+            yield apply, residual, z
 
     def test_matches_central_difference_of_residual_map(self, rng):
-        J, Q, spec, n, z = self.operator(rng)
         h = 1e-6
-        for _ in range(10):
-            dz = rng.standard_normal(z.size)
-            fd = (_residual_map(z + h * dz, Q, spec, n)
-                  - _residual_map(z - h * dz, Q, spec, n)) / (2 * h)
-            np.testing.assert_allclose(J.matvec(dz), fd, rtol=1e-6,
-                                       atol=1e-8)
+        for apply, residual, z in self.operators(rng):
+            for _ in range(10):
+                dz = rng.standard_normal(z.size)
+                fd = (residual(z + h * dz) - residual(z - h * dz)) / (2 * h)
+                np.testing.assert_allclose(apply(dz), fd, rtol=1e-6,
+                                           atol=1e-8)
 
     def test_adjoint_pairing(self, rng):
-        J, *_, z = self.operator(rng)
-        for _ in range(20):
-            a = rng.standard_normal(z.size)
-            b = rng.standard_normal(z.size)
-            lhs = J.matvec(a) @ b
-            rhs = a @ J.rmatvec(b)
-            assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+        for apply, _, z in self.operators(rng):
+            for _ in range(20):
+                a = rng.standard_normal(z.size)
+                b = rng.standard_normal(z.size)
+                lhs = apply(a) @ b
+                rhs = a @ apply(b, transpose=True)
+                assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 
 class TestCertificates:
@@ -888,10 +904,9 @@ class TestAnderson:
         less than ``SETTLE_DROP``-fold), followed by one that does not,
         ends the solve optimal at the second, at its best point, before
         ``max_iters`` and at it, without a polish: on a QP above
-        ``DENSE_ORDER``, whose first polish is not due before
-        ``refine_interval``."""
+        ``DENSE_ORDER``, which is never polished."""
         self.force(monkeypatch, "reduced")
-        data = TestPolishSchedule.QP
+        data = sparse_qp_data(n=64, seed=0)
         assert sum(data.A.shape) + 1 > solver.DENSE_ORDER
         ratios = iter([50.0, 0.9, 2.0])
         evaluate = solver._Batch.evaluate
@@ -906,17 +921,6 @@ class TestAnderson:
         sol = solve(data, SolverSettings(max_iters=max_iters))
         assert (sol.status, sol.info["iterations"], sol.info["polishes"]) \
             == ("optimal", 75, 0)
-        assert sol.info["acceleration"]["accepted"] > 0
-
-    def test_accelerated_polish_is_not_skipped(self, monkeypatch):
-        """A polish due on an accelerated solve runs: due at 50, the QP of
-        N above ``DENSE_ORDER`` polishes there and ends."""
-        self.force(monkeypatch, "reduced")
-        data = sparse_qp_data(n=64, seed=0)
-        assert sum(data.A.shape) + 1 > solver.DENSE_ORDER
-        sol = solve(data, SolverSettings(refine_interval=50))
-        assert sol.status == "optimal"
-        assert (sol.info["iterations"], sol.info["polishes"]) == (50, 1)
         assert sol.info["acceleration"]["accepted"] > 0
 
     @pytest.mark.parametrize("kind", ["reduced", "superlu"])
@@ -1135,13 +1139,12 @@ class TestSettings:
 
     def test_fields(self):
         assert [f.name for f in dataclasses.fields(SolverSettings)] == [
-            "max_iters", "eps_abs", "eps_rel", "refine", "refine_interval"]
+            "max_iters", "eps_abs", "eps_rel", "refine"]
 
     def test_numpy_scalars_accepted(self):
         settings = SolverSettings(max_iters=np.int64(50),
                                   eps_abs=np.float64(1e-6), eps_rel=1e-6,
-                                  refine=np.bool_(True),
-                                  refine_interval=np.int32(25))
+                                  refine=np.bool_(True))
         data = lp_data(np.array([1.0]), np.array([[-1.0]]), np.array([-2.0]))
         assert solve(data, settings).status == "optimal"
 
@@ -1149,11 +1152,6 @@ class TestSettings:
     def test_max_iters_must_be_a_positive_integer(self, value):
         with pytest.raises(ShapeError, match="max_iters"):
             SolverSettings(max_iters=value)
-
-    @pytest.mark.parametrize("value", [2.5, "250", None, 0, -5])
-    def test_refine_interval_must_be_an_integer(self, value):
-        with pytest.raises(ShapeError, match="refine_interval"):
-            SolverSettings(refine_interval=value)
 
     @pytest.mark.parametrize("value", ["no", None, 1, 0, 1.0])
     def test_refine_must_be_a_bool(self, value):
@@ -1300,81 +1298,16 @@ class TestBatchCheck:
                           factor=IterationFactor(data.A, data.cones))
 
 
-class TestPolishFactor:
-    """Each Gauss-Newton step of the polish factors the lifted M system at
-    its own point, after the last step's factor is freed."""
-
-    # polishing from iteration 25, far from the solution, takes 3-4
-    # Gauss-Newton steps; N 260, above DENSE_ORDER, so SuperLU factors
-    # each step's lifted system (order 263)
-    EARLY = SolverSettings(refine_interval=25)
-
-    @staticmethod
-    def spy(monkeypatch, name, record=lambda args, out: (args, out)):
-        """Record each call of ``solver.<name>`` as ``record(args, out)``,
-        or ``record(args, None)`` when it raises."""
-        calls = []
-        inner = getattr(solver, name)
-
-        def wrapper(*args):
-            calls.append(record(args, None))
-            out = inner(*args)
-            calls[-1] = record(args, out)
-            return out
-
-        monkeypatch.setattr(solver, name, wrapper)
-        return calls
-
-    def test_one_factor_per_step(self, monkeypatch):
-        factors = self.spy(monkeypatch, "_splu_lifted", lambda *_: None)
-        steps = self.spy(monkeypatch, "_gauss_newton_step", lambda *_: None)
-        sol = solve(sparse_qp_data(n=64), self.EARLY)
-        assert sol.status == "optimal"
-        assert sol.info["polishes"] >= 1
-        assert len(steps) > sol.info["polishes"]
-        assert len(factors) == len(steps)
-
-    def test_one_factor_alive_at_a_time(self, monkeypatch):
-        """Every step's factor is built after the last step's is freed."""
-        live = weakref.WeakSet()
-
-        class OneAtATime(solver.MFactor):
-            def __init__(self, *args, **kwargs):
-                assert not live, "two lifted factors alive at once"
-                super().__init__(*args, **kwargs)
-                live.add(self)
-
-        monkeypatch.setattr(solver, "MFactor", OneAtATime)
-        # records nothing, so it holds no factor alive
-        steps = self.spy(monkeypatch, "_gauss_newton_step", lambda *_: None)
-        sol = solve(sparse_qp_data(n=64), self.EARLY)
-        assert sol.status == "optimal"
-        assert len(steps) > sol.info["polishes"] >= 1
-
-    def test_fallback_factors_at_every_step(self, monkeypatch):
-        """Without a usable factor every step tries to factor at its own
-        point and runs LSQR on J alone."""
-        force_fallback(monkeypatch)
-        factors = self.spy(monkeypatch, "_splu_lifted", lambda *_: None)
-        steps = self.spy(monkeypatch, "_gauss_newton_step")
-        sol = solve(sparse_qp_data(n=64), self.EARLY)
-        assert sol.status == "optimal"
-        assert steps and len(factors) == len(steps)
-        assert not any(args[0].ok for args, _ in steps)
-
-
 class TestPolishSchedule:
-    """The polish schedule: a polish is due at the first check whose
-    iterate misses the tolerance from ``refine_interval`` on (from the
-    first check on up to ``DENSE_ORDER``), then from twice the iteration
-    of the last polish on, never stepping over ``refine_interval``, and
-    always at ``max_iters``."""
+    """The polish schedule of a program up to ``DENSE_ORDER``: a polish is
+    due at the first check whose iterate misses the tolerance, then from
+    twice the iteration of the last polish on, never stepping over
+    ``REFINE_CAP``, and always at ``max_iters``."""
 
-    # N = n + m + 1 = 260, above DENSE_ORDER, so SuperLU
-    # factors its polish; without one it ends optimal at 75 accelerated
-    # iterations, or 150 plain ones
-    QP = sparse_qp_data(n=64, seed=0)
-    # its costs scaled by 1e-3: the splitting converges slowly
+    # N = n + m + 1 = 84; it ends optimal at its polish at 25
+    QP = sparse_qp_data(n=20, seed=0)
+    # its costs scaled by 1e-3: the splitting converges slowly, and it
+    # polishes six times, to 500
     SLOW = ConeProgramData(QP.A, QP.b, 1e-3 * QP.c, QP.cones)
 
     @staticmethod
@@ -1390,53 +1323,41 @@ class TestPolishSchedule:
         monkeypatch.setattr(solver._Batch, "polish", wrapper)
         return calls
 
-    @pytest.mark.parametrize("memory, refine_interval", [
-        (solver.ANDERSON_MEMORY, 50), (0, 100)])
-    def test_large_program_polishes_at_the_first_due_check(
-            self, memory, refine_interval, monkeypatch):
-        """The QP polishes at the first due check, where its iterate misses
-        the tolerance, and ends there: with the accelerated splitting and
-        with the plain one, whose steady rate no longer leaves a due polish
-        to the splitting."""
-        assert sum(self.QP.A.shape) + 1 > solver.DENSE_ORDER
-        monkeypatch.setattr(solver, "ANDERSON_MEMORY", memory)
-        unpolished = solve(self.QP, SolverSettings(refine=False))
-        assert unpolished.info["iterations"] > refine_interval
-        sol = solve(self.QP, SolverSettings(refine_interval=refine_interval))
-        assert sol.status == "optimal"
-        assert (sol.info["iterations"], sol.info["polishes"]) == \
-            (refine_interval, 1)
-
     def test_small_program_polishes_on_schedule(self, monkeypatch):
         """A program whose M system is held dense polishes at every due
         check: a polish of one Gauss-Newton step fails at 25, and the next
         is due at 50, where it ends."""
         monkeypatch.setattr(solver, "REFINE_STEPS", 1)
-        data = sparse_qp_data(n=20, seed=0)
+        data = self.QP
         assert sum(data.A.shape) + 1 <= solver.DENSE_ORDER
         calls = self.record_polishes(monkeypatch)
-        sol = solve(data, SolverSettings(eps_abs=1e-11, eps_rel=1e-11,
-                                         refine_interval=25))
+        sol = solve(data, SolverSettings(eps_abs=1e-11, eps_rel=1e-11))
         assert sol.status == "optimal"
         assert (sol.info["iterations"], sol.info["polishes"]) == (50, 2)
         assert calls == [25, 50]
 
     def test_max_iters_polishes(self, monkeypatch):
-        """The polish at max_iters runs, though none is due before it."""
+        """The polish at max_iters runs, though none is due before it: at
+        10, before the first check."""
         calls = self.record_polishes(monkeypatch)
-        sol = solve(self.QP, SolverSettings(max_iters=60,
-                                            refine_interval=1000))
-        assert (sol.info["iterations"], sol.info["polishes"]) == (60, 1)
-        assert calls == [60]
+        sol = solve(self.QP, SolverSettings(max_iters=10))
+        assert (sol.status, sol.info["iterations"], sol.info["polishes"]) \
+            == ("optimal", 10, 1)
+        assert calls == [10]
 
     def test_batch_of_a_polishing_and_a_plain_column_equals_lone_solves(
             self):
-        """The QP ends at 75 without a polish and the slow QP polishes at
-        100: together they are their lone solves bit for bit."""
-        settings = SolverSettings(refine_interval=100)
-        lone = [solve(data, settings) for data in (self.QP, self.SLOW)]
-        assert [s.info["polishes"] for s in lone] == [0, 1]
-        for got, want in zip(solve([self.QP, self.SLOW], settings), lone):
+        """The QP warm-started at its solution ends at 25 without a
+        polish, and the slow QP polishes at 25, 50, 100, 200, 250 and 500:
+        together they are their lone solves bit for bit."""
+        sol = solve(self.QP)
+        warm_starts = [(sol.x, sol.y, sol.s), None]
+        lone = [solve(data, warm_start=warm) for data, warm in
+                zip((self.QP, self.SLOW), warm_starts)]
+        assert [(s.info["iterations"], s.info["polishes"]) for s in lone] \
+            == [(25, 0), (500, 6)]
+        for got, want in zip(solve([self.QP, self.SLOW],
+                                   warm_start=warm_starts), lone):
             assert (got.status, got.info["iterations"],
                     got.info["polishes"]) == \
                 (want.status, want.info["iterations"], want.info["polishes"])
@@ -1444,12 +1365,14 @@ class TestPolishSchedule:
                 assert np.array_equal(getattr(got, part), getattr(want, part))
 
     def test_polish_candidate_stays_out_of_the_history(self, monkeypatch):
-        """A polish of one Gauss-Newton step fails at 25, and the iterate
-        meets the tolerance at 50.  Whether the accelerated solve runs on
-        there (``_Column._runs_another_interval``) is read from the ratio
-        of residual to tolerance of the iterate checked at 25, which fell
+        """On the accelerated splitting (the ``"reduced"`` K solve, forced),
+        a polish of one Gauss-Newton step fails at 25, and the iterate
+        meets the tolerance at 50.  Whether the solve runs on there
+        (``_Column._runs_another_interval``) is read from the ratio of
+        residual to tolerance of the iterate checked at 25, which fell
         more than ``SETTLE_DROP``-fold, so it ends; the failed polish's
         better candidate would have run it on."""
+        TestAnderson.force(monkeypatch, "reduced")
         monkeypatch.setattr(solver, "REFINE_STEPS", 1)
         ratios, calls = [], []
         evaluate = solver._Batch.evaluate
@@ -1467,8 +1390,8 @@ class TestPolishSchedule:
         monkeypatch.setattr(solver._Batch, "evaluate", record_ratios)
         monkeypatch.setattr(solver._Column, "_runs_another_interval",
                             record_history)
-        sol = solve(self.QP, SolverSettings(eps_abs=1e-6, eps_rel=1e-6,
-                                            refine_interval=25))
+        sol = solve(self.QP, SolverSettings(eps_abs=1e-10, eps_rel=1e-10))
+        assert sol.info["iteration_system"] == "reduced"
         assert (sol.status, sol.info["iterations"], sol.info["polishes"]) \
             == ("optimal", 50, 1)
         assert sol.info["acceleration"]["accepted"] > 0
@@ -1488,8 +1411,8 @@ def _binding(seed: int, stream: int, index: int):
 class TestDensePolish:
     """Programs up to ``DENSE_ORDER`` take one stacked dense Gauss-Newton
     polish per check round (``_dense_refine``), due from the first check
-    on and never later than ``refine_interval``; larger ones keep the LSQR
-    polish (``_refine``).  Both take the same steps."""
+    on and never later than ``REFINE_CAP``; larger ones are never
+    polished."""
 
     @staticmethod
     def record_polishes(monkeypatch, clock=None):
@@ -1517,10 +1440,10 @@ class TestDensePolish:
     def test_mixed_batch_equals_lone_solves(self, monkeypatch):
         """One stacked polish per round, over the columns due: all three at
         25, binding 55 alone at 50.  Each column's first step at 25 is the
-        step unpreconditioned LSQR finds (``_gauss_newton_step`` with a
-        factor that is not ``ok``), the least-squares step of least norm,
-        rank-deficient or not.  Every column is its lone solve bit for bit,
-        polish counts and timings' keys included."""
+        least-squares step of least norm (``np.linalg.lstsq``) of its
+        normalized Jacobian J = M (I - z e_N'), rank-deficient or not, with
+        M formed from ``MFactor.apply``.  Every column is its lone solve
+        bit for bit, polish counts and timings' keys included."""
         fx, _ = _binding(68, 4, 0)
         assert fx.name == "nonneg_least_squares"
         values = [_binding(68, 4, i)[1] for i in self.BATCH]
@@ -1556,12 +1479,13 @@ class TestDensePolish:
                 batch.factor.scaled(batch.rows[j]), batch.b_hat[j],
                 batch.c_hat[j], batch.spec)
             P = solver.MFactor(program, Z[r])
-            J = np.column_stack([solver._normalized_jacobian(P).matvec(e)
-                                 for e in np.eye(Z.shape[1])])
+            eye = np.eye(Z.shape[1])
+            M = np.column_stack([P.apply(e) for e in eye]) \
+                - np.outer(P.zhat, P.zhat)
+            J = M @ (eye - np.outer(Z[r], eye[-1]))
             ranks.append(np.linalg.matrix_rank(
                 J, tol=solver.RCOND_MIN * np.linalg.norm(J, 2)))
-            P.ok = False
-            want = solver._gauss_newton_step(P, R[r], 4 * Z.shape[1])
+            want = np.linalg.lstsq(J, R[r], rcond=solver.RCOND_MIN)[0]
             assert np.linalg.norm(got[r] - want) <= \
                 1e-10 * np.linalg.norm(want)
         assert ranks == [13, 11, 13]
@@ -1572,13 +1496,11 @@ class TestDensePolish:
 
     @pytest.mark.parametrize("stream, index", [(5, 103), (5, 60), (4, 5)])
     def test_degenerate_bindings_end_at_one_polish(self, stream, index):
-        """Bindings near degenerate points whose LSQR polish, with each
-        step's own factor as LSQR's preconditioner, stalled after one step
-        and polished again at 50 (``refine_interval=25``): the dense polish
-        ends them at 25."""
+        """Bindings near degenerate points where a Gauss-Newton step
+        preconditioned by its own factor of M stalled after one step, and
+        polished again at 50: the dense polish ends them at 25."""
         fx, values = _binding(68, stream, index)
-        res = Layer.compile(fx.problem, SolverSettings(
-            refine_interval=25)).forward(values)
+        res = Layer.compile(fx.problem).forward(values)
         assert (res.status, res.info["iterations"], res.info["polishes"]) \
             == ("optimal", 25, 1)
 
@@ -1600,45 +1522,36 @@ class TestDensePolish:
     def test_failing_polishes_reach_refine_interval(self, monkeypatch):
         """A random program (``stalling_program``) whose polish stalls at a
         point of nonzero residual at 25, 50, 100 and 200 polishes again at
-        the default ``refine_interval`` of 250, where it ends, as it does
-        with the LSQR polish alone; the doubling from 200 would have run it
-        to 400."""
+        ``REFINE_CAP`` (250), where it ends; the doubling from 200 would
+        have run it to 400, and the splitting alone runs it to 525, to the
+        same solution within 1e-6."""
         problem, values = self.stalling_program()
-        with monkeypatch.context() as mp:
-            mp.setattr(solver, "DENSE_ORDER", 0)
-            lsqr = Layer.compile(problem).forward(values)
-        assert (lsqr.status, lsqr.info["iterations"], lsqr.info["polishes"]) \
-            == ("optimal", 250, 1)
+        plain = Layer.compile(problem, SolverSettings(refine=False)).forward(
+            values)
+        assert (plain.status, plain.info["iterations"],
+                plain.info["polishes"]) == ("optimal", 525, 0)
         calls = self.record_polishes(monkeypatch)
         res = Layer.compile(problem).forward(values)
         assert res.info["sizes"]["N"] == 26
         assert [it for it, _, _ in calls] == [25, 50, 100, 200, 250]
         assert (res.status, res.info["iterations"], res.info["polishes"]) \
             == ("optimal", 250, 5)
-        assert res.outputs.keys() == lsqr.outputs.keys()
-        for name, want in lsqr.outputs.items():
+        assert res.outputs.keys() == plain.outputs.keys()
+        for name, want in plain.outputs.items():
             assert np.linalg.norm(res.outputs[name] - want) <= \
                 1e-6 * max(1.0, np.linalg.norm(want))
 
-    @pytest.mark.parametrize("dense_order, interval, counts", [
-        (solver.DENSE_ORDER, 250, [3, 3, 3, 3, 3]),
-        (0, 25, [4, 3, 3, 3, 2])])
-    def test_stalled_polish_stops_stepping(self, monkeypatch, dense_order,
-                                           interval, counts):
+    def test_stalled_polish_stops_stepping(self, monkeypatch):
         """A polish stops once a step lowers the residual norm by less than
-        a thousandth, dense (``_dense_refine``) and LSQR (``_refine``,
-        ``DENSE_ORDER`` 0) alike: each stalled polish of
-        ``stalling_program`` takes three or four Gauss-Newton steps, where
-        running on to ``REFINE_STEPS`` or to a step no halving improves
-        took 8, 6, 6, 6 dense and 9, 4, 5, 7 LSQR steps.  The polishes and
-        the iterations stay as they were."""
+        a thousandth: each stalled polish of ``stalling_program`` takes
+        three Gauss-Newton steps, where running on to ``REFINE_STEPS`` or
+        to a step no halving improves took 8, 6, 6 and 6.  The polishes
+        and the iterations stay as they were."""
         problem, values = self.stalling_program()
-        monkeypatch.setattr(solver, "DENSE_ORDER", dense_order)
         steps = []
-        for name in ("_dense_gauss_newton_steps", "_gauss_newton_step"):
-            step = getattr(solver, name)
-            monkeypatch.setattr(solver, name, lambda *a, step=step: (
-                steps.append(None), step(*a))[1])
+        step = solver._dense_gauss_newton_steps
+        monkeypatch.setattr(solver, "_dense_gauss_newton_steps", lambda *a: (
+            steps.append(None), step(*a))[1])
         counts_at = []
         polish = solver._Batch.polish
 
@@ -1649,29 +1562,30 @@ class TestDensePolish:
             return out
 
         monkeypatch.setattr(solver._Batch, "polish", counted)
-        res = Layer.compile(problem, SolverSettings(
-            refine_interval=interval)).forward(values)
-        assert counts_at == counts
-        assert (res.status, res.info["polishes"]) == ("optimal", 5)
-        assert res.info["iterations"] == (250 if dense_order else 400)
+        res = Layer.compile(problem).forward(values)
+        assert counts_at == [3, 3, 3, 3, 3]
+        assert (res.status, res.info["iterations"], res.info["polishes"]) \
+            == ("optimal", 250, 5)
 
-    def test_lsqr_polish_only_above_dense_order(self, monkeypatch, rng):
-        """No program up to ``DENSE_ORDER`` reaches ``_refine``; a QP of N
-        164 does."""
-        calls = []
-        refine = solver._refine
-        monkeypatch.setattr(solver, "_refine", lambda *a: calls.append(
-            a[0].size) or refine(*a))
-        for fx in gradient_fixtures():
-            res = Layer.compile(fx.problem).forward_batch(
-                [fx.sample(rng) for _ in range(4)])
-            assert all(r.info["sizes"]["N"] <= solver.DENSE_ORDER
-                       and r.info["polishes"] >= 1 for r in res)
-        assert calls == []
+    @pytest.mark.parametrize("max_iters", [30, 100_000])
+    def test_no_polish_above_dense_order(self, monkeypatch, max_iters):
+        """A QP of N 164, above ``DENSE_ORDER``, is never polished: its
+        solve is bit for bit its solve with ``refine=False``, one that ends
+        at ``max_iters`` included, with no polish and no polish time."""
+        calls = self.record_polishes(monkeypatch)
         data = sparse_qp_data(n=40)
-        sol = solve(data, SolverSettings(refine_interval=25))
-        assert sol.status == "optimal" and sol.info["polishes"] >= 1
-        assert calls == [164] * sol.info["polishes"]
+        assert sum(data.A.shape) + 1 == 164
+        sol = solve(data, SolverSettings(max_iters=max_iters))
+        plain = solve(data, SolverSettings(max_iters=max_iters,
+                                           refine=False))
+        assert sol.status == ("max_iters" if max_iters == 30 else "optimal")
+        assert (sol.status, sol.info["iterations"]) == \
+            (plain.status, plain.info["iterations"])
+        for part in "xys":
+            assert np.array_equal(getattr(sol, part), getattr(plain, part))
+        assert (sol.info["polishes"], sol.info["timings"]["polish"]) == \
+            (0, 0.0)
+        assert calls == []
 
     def test_polish_time_is_shared_out(self, monkeypatch):
         """Each densely polished column's ``timings["polish"]`` is an equal
@@ -1699,27 +1613,3 @@ class TestDensePolish:
         assert polish[:2] == [first / 3] * 2
         assert polish[2] == pytest.approx(first / 3 + second, rel=1e-12)
         assert sum(polish) == pytest.approx(first + second, rel=1e-12)
-
-    def test_lsqr_polish_time_is_each_columns_own(self, monkeypatch):
-        """Above ``DENSE_ORDER`` each column's ``timings["polish"]`` is its
-        own LSQR polish's time and an equal share of the rest of the
-        round: two copies of a QP of N 164, whose polishes the solver's
-        clock times at 10 and 20 ticks and nothing else moves, take 10 and
-        20 ticks a round."""
-        clock = [0.0]
-        refine = solver._Column.refine
-
-        def slow(column, z):
-            clock[0] += 10.0 * (1 + column.index)
-            return refine(column, z)
-
-        monkeypatch.setattr(solver, "time",
-                            SimpleNamespace(perf_counter=lambda: clock[0]))
-        monkeypatch.setattr(solver._Column, "refine", slow)
-        calls = self.record_polishes(monkeypatch, clock)
-        data = sparse_qp_data(n=40)
-        sols = solve([data, data], SolverSettings(refine_interval=25))
-        assert calls and all(cols == [0, 1] for _, cols, _ in calls)
-        assert [s.info["timings"]["polish"] for s in sols] == \
-            [10.0 * len(calls), 20.0 * len(calls)]
-        assert sum(ticks for _, _, ticks in calls) == 30.0 * len(calls)

@@ -44,15 +44,10 @@ iterations before and after.
 the objective offset map, the pattern of A, the cone spec and the three
 layouts), and ``--against`` prints an ASA line for each layer whose form
 differs in any of them, bit for bit, or is in one file only.
-``--refine-interval N`` compiles every layer with
-``SolverSettings(refine_interval=N)``, so that the soc-sum and
-sparse-qp bindings polish (at the default settings they do not; every
-fixture-train binding polishes from its first check on, whatever N);
-``--save`` records N (0 without the flag),
-and ``--against`` prints a SETTINGS line when the other file was saved
-at another N.
+A file saved by an older checkout may hold a record of the settings it
+ran at; ``--against`` skips it.
 It exits 1 when a status changed, a binding is in one file only, or an
-ASA or SETTINGS line was printed.
+ASA line was printed.
 
     python tools/iteration_parity.py --checkout ../parent --seed 1 \\
         --save parent.npz
@@ -63,8 +58,6 @@ ASA or SETTINGS line was printed.
     python tools/iteration_parity.py --seed 68 --extra 4,635 --only-extra
     python tools/iteration_parity.py --seed 1 --fixture-bindings 128 \\
         --timings
-    python tools/iteration_parity.py --seed 1 --refine-interval 25 \\
-        --save change.npz --against parent.npz
 """
 
 from __future__ import annotations
@@ -83,7 +76,7 @@ GRADIENT_MOVE = 1e-8
 ASA_MAPS = ("c_map", "_a_coeff", "_b_map", "retrieval")
 ASA_ARRAYS = ("objective_offset_map", "_a_rows", "_a_cols", "_a_indptr")
 ASA_SPECS = ("cones", "param_layout", "variable_layout", "cone_var_layout")
-# the key of the record that holds the run's --refine-interval
+# the key of the settings record that files saved by older checkouts hold
 SETTINGS = "settings"
 
 
@@ -120,21 +113,15 @@ def _selected(wl, per_layer, extra, only_extra):
 
 def run(seed: int, extra: set, only_extra: bool,
         fixture_bindings: int = PER_LAYER["fixture-train"],
-        timings: dict | None = None,
-        refine_interval: int | None = None) -> dict:
+        timings: dict | None = None) -> dict:
     """key -> record of every check binding of the three workloads, with
     the first ``fixture_bindings`` of each fixture-train layer, and of
     each layer's compiled form (``_asa_record``).  With a
     dict ``timings``, each minibatch's forward adds (wall time, results)
     under "workload:layer", and each minibatch's timed ``backward_batch``
-    (wall time, infos) under "backward:workload:layer".  With
-    ``refine_interval``, every layer is
-    compiled with ``SolverSettings(refine_interval=refine_interval)``."""
+    (wall time, infos) under "backward:workload:layer"."""
     import workloads
-    from diffcone import Layer, SolverSettings
-
-    settings = (None if refine_interval is None
-                else SolverSettings(refine_interval=refine_interval))
+    from diffcone import Layer
 
     records = {}
     per_layer = dict(PER_LAYER, **{"fixture-train": fixture_bindings})
@@ -159,7 +146,7 @@ def run(seed: int, extra: set, only_extra: bool,
                                  f"{sorted(missing)}")
         for layer_name, group in _selected(wl, per_layer[name], extra,
                                            only_extra).items():
-            layer = Layer.compile(wl.problems[layer_name], settings)
+            layer = Layer.compile(wl.problems[layer_name])
             records[f"asa:{name}:{layer_name}"] = _asa_record(layer.asa)
             output = wl.outputs[layer_name]
             size = 8 if wl.batch else 1
@@ -412,15 +399,10 @@ def compare(new: dict, old: dict) -> int:
 
 def _split(records: dict) -> tuple[dict, dict]:
     """The binding records and the compiled forms' records, without the
-    settings record."""
+    settings record of a file an older checkout saved."""
     forms = {k: r for k, r in records.items() if k.startswith("asa:")}
     return {k: r for k, r in records.items()
             if k not in forms and k != SETTINGS}, forms
-
-
-def _refine_interval(records: dict) -> int:
-    """The ``--refine-interval`` a file was saved at, 0 without one."""
-    return int(records.get(SETTINGS, {}).get("refine_interval", 0))
 
 
 def main(argv=None) -> int:
@@ -444,23 +426,17 @@ def main(argv=None) -> int:
                     default=PER_LAYER["fixture-train"], metavar="N",
                     help="the first N bindings of each fixture-train layer "
                          "(default: %(default)s)")
-    ap.add_argument("--refine-interval", type=int, metavar="N",
-                    help="compile every layer with "
-                         "SolverSettings(refine_interval=N)")
     args = ap.parse_args(argv)
     extra = {tuple(int(p) for p in e.split(",")) for e in args.extra}
     if args.only_extra and not extra:
         ap.error("--only-extra needs --extra")
     if args.fixture_bindings < 1:
         ap.error("--fixture-bindings must be at least 1")
-    if args.refine_interval is not None and args.refine_interval < 1:
-        ap.error("--refine-interval must be at least 1")
     checkout = args.checkout.resolve()
     sys.path[:0] = [str(checkout / "src"), str(checkout / "perfbench")]
     timings = {} if args.timings else None
     records = run(args.seed, extra, args.only_extra, args.fixture_bindings,
-                  timings, args.refine_interval)
-    records[SETTINGS] = {"refine_interval": args.refine_interval or 0}
+                  timings)
     bindings, forms = _split(records)
     for key, rec in bindings.items():
         print(f"{key} {rec['status']} {rec['iteration_system']} "
@@ -476,11 +452,6 @@ def main(argv=None) -> int:
         old_bindings, old_forms = _split(old)
         changed = compare(bindings, old_bindings)
         changed += compare_asa(forms, old_forms)
-        ours, theirs = _refine_interval(records), _refine_interval(old)
-        if ours != theirs:
-            changed += 1
-            print(f"SETTINGS refine_interval {theirs} -> {ours}: the files "
-                  f"were saved at different --refine-interval")
         return 1 if changed else 0
     return 0
 
