@@ -399,69 +399,43 @@ def dproject_embedding_parts(z: np.ndarray, spec: ConeSpec, n: int):
     ||x|| = |t|).  U is N x 2k for k boundary blocks, given as COO entries
     ``(rows, cols, vals)``: columns 2j and 2j + 1 are e_t and (0, x/||x||)
     on block j's rows.  C, block diagonal, is given as its (k, 2, 2) blocks
-    [[1/2 - beta, 1/2], [1/2, 1/2 - beta]].
-
-    z may also be a (B, N) stack, read as one vector of its B N rows: D
-    comes back (B, N), U's rows index the flattened stack and its columns
-    number the boundary blocks element by element, so U and C are block
-    diagonal over the elements, and each element's part is its own
-    vector's, bit for bit and in the same order.
+    [[1/2 - beta, 1/2], [1/2, 1/2 - beta]].  z is one vector of length N.
     """
     z = np.asarray(z, dtype=float)
     N = n + spec.total_dim + 1
-    if z.ndim not in (1, 2) or z.shape[-1] != N:
-        raise ShapeError(f"expected vectors of length {N}, got an array of "
+    if z.shape != (N,):
+        raise ShapeError(f"expected a vector of length {N}, got an array of "
                          f"shape {z.shape}")
-    Z = z.reshape(-1, N)
-    count = Z.shape[0]
-    D = np.ones((count, N))
+    D = np.ones(N)
     lo = n + spec.n_zero
-    D[:, lo:lo + spec.n_nonneg] = Z[:, lo:lo + spec.n_nonneg] > 0.0
-    D[:, -1] = Z[:, -1] > 0.0
-    # per run, entry by entry: the rows, U values and blocks (numbered run
-    # by run) of its boundary blocks, with each block's element and beta
-    rows, vals, blocks = [np.zeros(0, dtype=np.int64)], [np.zeros(0)], [
-        np.zeros(0, dtype=np.int64)]
-    elems, betas, t_rows = [np.zeros(0, dtype=np.int64)], [np.zeros(0)], [
-        np.zeros(0, dtype=bool)]
-    count_blocks = 0
+    D[lo:lo + spec.n_nonneg] = z[lo:lo + spec.n_nonneg] > 0.0
+    D[-1] = z[-1] > 0.0
+    # per run: the rows, columns and U values of its boundary blocks, and
+    # each block's beta; blocks are numbered run by run
+    rows, cols, vals, betas = [np.zeros(0, dtype=np.int64)], [
+        np.zeros(0, dtype=np.int64)], [np.zeros(0)], [np.zeros(0)]
+    blocks = 0
     for start, stop, run, d in spec.soc_runs:
         seg = slice(n + start, n + stop)
         if d == 1:
-            D[:, seg] = Z[:, seg] > 0.0
+            D[seg] = z[seg] > 0.0
             continue
-        inside, polar, apex, U, beta = _boundary_frame(
-            Z[:, seg].reshape(count * run, d))
-        D[:, seg].reshape(count, run, d)[...] = np.where(
-            inside, 1.0, np.where(polar, 0.0, np.where(apex, 0.5, beta))
-        ).reshape(count, run, 1)
+        inside, polar, apex, U, beta = _boundary_frame(z[seg].reshape(run, d))
+        D[seg].reshape(run, d)[...] = np.where(
+            inside, 1.0, np.where(polar, 0.0, np.where(apex, 0.5, beta)))
         edge = np.flatnonzero(~(inside | polar | apex))
-        elem = edge // run
-        rows.append((N * elem + n + start + d * (edge - run * elem))[:, None]
-                    + np.arange(d))
+        rows.append((n + start + d * edge)[:, None] + np.arange(d))
+        cols.append(2 * (blocks + np.arange(edge.size))[:, None]
+                    + (np.arange(d) > 0))
         vals.append(np.concatenate([np.ones((edge.size, 1)), U[edge]], 1))
-        blocks.append(np.repeat(count_blocks + np.arange(edge.size), d))
-        t_rows.append(np.arange(edge.size * d) % d == 0)
-        elems.append(elem)
         betas.append(beta[edge, 0])
-        count_blocks += edge.size
-    rows, vals, blocks, t_rows = (np.concatenate([a.ravel() for a in parts])
-                                  for parts in (rows, vals, blocks, t_rows))
+        blocks += edge.size
+    rows, cols, vals = (np.concatenate([a.ravel() for a in parts])
+                        for parts in (rows, cols, vals))
     beta = np.concatenate(betas)
-    if count > 1:
-        # blocks are gathered run by run; number them element by element
-        order = np.argsort(np.concatenate(elems), kind="stable")
-        place = np.empty_like(order)
-        place[order] = np.arange(order.size)
-        blocks = place[blocks]
-        entries = np.argsort(blocks, kind="stable")
-        rows, vals, blocks, t_rows = (a[entries] for a in (
-            rows, vals, blocks, t_rows))
-        beta = beta[order]
     C = np.full((beta.size, 2, 2), 0.5)
     C[:, 0, 0] = C[:, 1, 1] = 0.5 - beta
-    return D if z.ndim == 2 else D[0], (rows, 2 * blocks + ~t_rows,
-                                        vals), C
+    return D, (rows, cols, vals), C
 
 
 def smooth_margin(z: np.ndarray, spec: ConeSpec, n: int) -> float:

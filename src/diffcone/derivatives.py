@@ -18,15 +18,17 @@ or so ill-conditioned that its dense inverse is not trusted
 
 The adjoint direction also runs over a batch of programs of one cone and
 one pattern of A, as ``solver.solve`` does over a list: the points are
-projected as one (B, N) stack, missing factors are built as one
+projected as one (B, N) stack, missing factors are built by one
 ``MFactor.batch`` (for programs up to ``solver.DENSE_ORDER``, one stack of
-dense matrices and one inverse call), the direct solves and their
-residual checks are stacked products (``solver._products``), LSQR runs
-program by program where a factor fails, and dA (on A's stored
-pattern), db and dc are read off the stacked solutions at once.  A single program is the batch of one, so a batch
-element's cotangents equal its lone call's bit for bit.  Arguments of the
-wrong kind raise ``ShapeError``, and a non-finite or zero point, at which
-M is not defined, ``SolverInputError``.
+dense matrices and one inverse call; above it, each program's lifted
+system factored alone under one elimination order of K), the direct
+solves and their residual checks are stacked products
+(``solver._products``), LSQR runs program by program where a factor
+fails, and dA (on A's stored pattern), db and dc are read off the
+stacked solutions at once.  A single program is the batch of one, so a
+batch element's cotangents equal its lone call's bit for bit.  Arguments
+of the wrong kind raise ``ShapeError``, and a non-finite or zero point,
+at which M is not defined, ``SolverInputError``.
 """
 
 from __future__ import annotations

@@ -15,8 +15,9 @@ pattern, which the layer keeps (``solver.Pattern``), and retrieves the
 outputs in one product.
 ``backward_batch`` checks every tape and cotangent, maps the stacked
 cotangents through the retrieval adjoint (a CSR matrix kept per layer) in
-one product, builds the missing derivative factors in one assembly, runs
-one batched ``adjoint_derivative``, and maps every (dA, db, dc) to theta
+one product, builds the missing derivative factors by one
+``MFactor.batch`` under the layer's pattern, runs one batched
+``adjoint_derivative``, and maps every (dA, db, dc) to theta
 in one product with the per-layer ``AsaForm._adjoint_map``.
 """
 
@@ -231,11 +232,6 @@ class Layer:
                              outputs[j], objectives.get(j), retrieve_s)
                 for j, (data, sol) in enumerate(zip(datas, sols))]
 
-    @property
-    def _order(self) -> np.ndarray | None:
-        """K's elimination order, once the layer's pattern holds it."""
-        return None if self._pattern is None else self._pattern._order
-
     def _result(self, data, sol, bind_s, materialize_s, built, outputs,
                 objective, retrieve_s) -> ForwardResult:
         info = dict(sol.info, status=sol.status,
@@ -325,7 +321,7 @@ class Layer:
         if built:
             for r, factor in zip(built, MFactor.batch(
                     [r._data for r in built], [r._z for r in built],
-                    self._pattern.elimination_order)):
+                    self._pattern)):
                 r._cache["m_factor"] = factor
             factored = clock()
         factors = [r._cache["m_factor"] for r in results]

@@ -911,8 +911,8 @@ RCOND_MIN = 1e-12
 
 
 def _nonzero(*entries):
-    """COO entries (elems, rows, cols, vals) less those whose value is
-    exactly zero."""
+    """COO entries (rows, cols, vals) less those whose value is exactly
+    zero."""
     keep = entries[-1] != 0
     return entries if keep.all() else tuple(a[keep] for a in entries)
 
@@ -955,8 +955,7 @@ class _Dense:
     def __init__(self, datas: list, Z: np.ndarray):
         A, a_data, b, c = _stacked(datas)
         self.N, self.Z = Z.shape[1], Z
-        # each |z| is np.linalg.norm's, sqrt(z @ z)
-        self.zhat = Z / np.sqrt(_row_dots(Z, Z))[:, None]
+        self.zhat = _unit_rows(Z)
         M = _dense_m(_skew_minus_identity(A, a_data, b, c), Z,
                      datas[0].cones, A.shape[1])
         M += self.zhat[:, :, None] * self.zhat[:, None, :]
@@ -1035,97 +1034,71 @@ def _norm_1(X: np.ndarray) -> np.ndarray:
     return np.abs(X).sum(axis=1).max(axis=1)
 
 
-class _Lifted:
-    """The lifted matrices (see ``MFactor``) of a batch of programs of one
-    cone and one pattern of A, program j at row j of the (B, N) stack Z,
-    as the COO entries of their block diagonal: ``elems`` holds each
-    entry's program, ``rows`` and ``cols`` its place in that program's
-    matrix, of order ``orders[j]``.  The entries are gathered kind by kind
-    over the whole batch, with one ``dproject_embedding_parts`` of the
-    stack, so each program's entries, duplicates included, come in the
-    order of its batch of one.
-    """
-
-    def __init__(self, datas: list, Z: np.ndarray):
-        count, N = Z.shape
-        A, a_data, b, c = _stacked(datas)
-        n = A.shape[1]
-        self.N, self.Z = N, Z
-        # each |z| is np.linalg.norm's, sqrt(z @ z)
-        self.zhat = Z / np.sqrt(_row_dots(Z, Z))[:, None]
-        D, (urow, gcol, uval), C = dproject_embedding_parts(
-            Z, datas[0].cones, n)
-        ue, urow = np.divmod(urow, N)
-        blocks = np.bincount(ue[gcol % 2 == 0], minlength=count)
-        first = np.cumsum(blocks) - blocks
-        ucol = gcol - 2 * first[ue]  # U's columns within each program
-        r = 2 * blocks
-        edge = N + r
-        self.orders = edge + 1
-        self.blocks, self._u = blocks, (ue, urow, ucol)
-        qe, qrow, qcol, qval = _skew_entries(A, a_data, b, c)
-        # (Q - I) U: U's rows are second-order rows n + i, whose columns of
-        # Q hold row i of A above -b_i
-        i = urow - n
-        starts, counts = A.indptr[i], np.diff(A.indptr)[i]
-        ends = np.cumsum(counts)
-        gather = np.repeat(starts - ends + counts, counts) + np.arange(
-            ends[-1] if ends.size else 0)
-        ge = np.repeat(ue, counts)
-        # C U': U's entry (j, c) meets both rows of c's 2 x 2 block of C
-        block = N + ucol - ucol % 2
-        every = np.repeat(np.arange(count), N)
-        diag = np.arange(count * N) % N
-        lifted = np.repeat(np.arange(count), r)
-        lift = N + np.arange(lifted.size) - np.repeat(2 * first, r)
-        # D's zeros leave exact zeros in (Q - I) D, in every column where D
-        # = 0, and on the diagonal 1 - D where D = 1.  They are left out,
-        # since SuperLU would keep them as structure and fill around them.
-        self.elems, self.rows, self.cols, self.vals = (
-            np.concatenate(a) for a in zip(
-                _nonzero(qe, qrow, qcol, qval * D.ravel()[qe * N + qcol]),
-                _nonzero(every, diag, diag, (1.0 - D).ravel()),
-                (ge, A.indices[gather], N + np.repeat(ucol, counts),
-                 a_data.ravel()[ge * A.nnz + gather]
-                 * np.repeat(uval, counts)),
-                (ue, np.full(i.size, N - 1), N + ucol, -b[ue, i] * uval),
-                (ue, urow, N + ucol, -uval),
-                (np.repeat(ue, 2), (block[:, None] + [0, 1]).ravel(),
-                 np.repeat(urow, 2),
-                 (uval[:, None] * C[gcol // 2, :, ucol % 2]).ravel()),
-                (lifted, lift, lift, np.full(lift.size, -1.0)),
-                (every, diag, edge[every], self.zhat.ravel()),
-                (every, edge[every], diag, self.zhat.ravel()),
-                (np.arange(count), edge, edge, np.full(count, -1.0))))
-
-    def entries(self, j: int):
-        """(rows, cols, vals) of program j's lifted matrix."""
-        if len(self.orders) == 1:
-            return self.rows, self.cols, self.vals
-        keep = self.elems == j
-        return self.rows[keep], self.cols[keep], self.vals[keep]
-
-    def lift_rows(self, j: int):
-        """U's (rows, cols) entries of program j, and its boundary blocks."""
-        ue, urow, ucol = self._u
-        keep = ue == j
-        return urow[keep], ucol[keep], int(self.blocks[j])
+def _unit_rows(Z: np.ndarray) -> np.ndarray:
+    """Each row z of the (B, N) stack Z over |z|, np.linalg.norm's
+    sqrt(z @ z)."""
+    return Z / np.sqrt(_row_dots(Z, Z))[:, None]
 
 
-def _assembly(datas: list, zs):
-    """The M systems of a batch of programs at their points: a ``_Dense``
-    stack when their N is up to ``DENSE_ORDER``, else their ``_Lifted``
-    entries.  Raises ``ShapeError`` unless every program is a
-    ``ConeProgramData`` of the first one's cone and pattern of A and the
-    points are a (B, N) array, and ``SolverInputError`` for a non-finite
-    or zero point."""
+def _lifted(data: ConeProgramData, z: np.ndarray, zhat: np.ndarray,
+            order: np.ndarray):
+    """The lifted matrix L (see ``MFactor``) of the program ``data`` at z,
+    in CSC form, assembled already permuted under K's elimination
+    ``order``; and each row's place in L (``_lifted_places``)."""
+    A, a_data, b, c = _stacked([data])
+    _, qrow, qcol, qval = _skew_entries(A, a_data, b, c)
+    a_data, b = a_data[0], b[0]
+    N, n = z.size, A.shape[1]
+    D, (urow, ucol, uval), C = dproject_embedding_parts(z, data.cones, n)
+    edge = N + 2 * len(C)
+    # (Q - I) U: U's rows are second-order rows n + i, whose columns of Q
+    # hold row i of A above -b_i
+    i = urow - n
+    starts, counts = A.indptr[i], np.diff(A.indptr)[i]
+    ends = np.cumsum(counts)
+    gather = np.repeat(starts - ends + counts, counts) + np.arange(
+        ends[-1] if ends.size else 0)
+    # C U': U's entry (j, c) meets both rows of c's 2 x 2 block of C
+    block = N + ucol - ucol % 2
+    diag = np.arange(N)
+    lift = np.arange(N, edge)
+    # D's zeros leave exact zeros in (Q - I) D, in every column where D =
+    # 0, and on the diagonal 1 - D where D = 1.  They are left out, since
+    # SuperLU would keep them as structure and fill around them.
+    rows, cols, vals = (np.concatenate(a) for a in zip(
+        _nonzero(qrow, qcol, qval * D[qcol]),
+        _nonzero(diag, diag, 1.0 - D),
+        (A.indices[gather], N + np.repeat(ucol, counts),
+         a_data[gather] * np.repeat(uval, counts)),
+        (np.full(i.size, N - 1), N + ucol, -b[i] * uval),
+        (urow, N + ucol, -uval),
+        ((block[:, None] + [0, 1]).ravel(), np.repeat(urow, 2),
+         (uval[:, None] * C[ucol // 2, :, ucol % 2]).ravel()),
+        (lift, lift, np.full(lift.size, -1.0)),
+        (diag, np.full(N, edge), zhat),
+        (np.full(N, edge), diag, zhat),
+        ([edge], [edge], [-1.0])))
+    places = _lifted_places(order, urow, ucol, N, len(C))
+    return sp.csc_matrix((vals, (places[rows], places[cols])),
+                         shape=(edge + 1, edge + 1)), places
+
+
+def _checked_points(datas: list, zs, pattern) -> np.ndarray:
+    """The points ``zs`` of the programs ``datas`` as a (B, N) stack
+    (``_points``).  Raises ``ShapeError`` unless every program is a
+    ``ConeProgramData`` and ``pattern`` is None or a ``Pattern`` of the
+    first one's shape of A, and ``SolverInputError`` for a non-finite or
+    zero point."""
     for d in datas:
         if not isinstance(d, ConeProgramData):
             raise ShapeError(f"an M system needs a ConeProgramData, got "
                              f"{type(d).__name__}")
-    N = sum(datas[0].A.shape) + 1
-    Z = _points(zs, len(datas), N)
-    return (_Dense if N <= DENSE_ORDER else _Lifted)(datas, Z)
+    shape = datas[0].A.shape
+    if pattern is not None and not (isinstance(pattern, Pattern)
+                                    and pattern.shape == shape):
+        raise ShapeError(f"the pattern must be a Pattern of A's shape "
+                         f"{shape}")
+    return _points(zs, len(datas), sum(shape) + 1)
 
 
 def _products(factors: list, X: np.ndarray, transpose: bool = False,
@@ -1152,10 +1125,9 @@ class MFactor:
     """M + zhat zhat' at z, zhat = z / |z|, for the program ``data``, and
     its exact factor; M = (Q - I) DPi(z) + I is the Jacobian of the
     residual map u -> Q Pi(u) - Pi(u) + u at z, which the derivatives
-    (``derivatives``) solve with.  ``batch`` assembles the factors of many
-    programs of one cone and one pattern of A at once; a single one is the
-    batch of one.  Which of two backends holds it depends on N alone,
-    which every program of a batch shares.
+    (``derivatives``) solve with.  ``batch`` builds the factors of many
+    programs of one cone and one pattern of A.  Which of two backends
+    holds it depends on N alone, which every program of a batch shares.
 
     Up to ``DENSE_ORDER`` it is held dense with its inverse (``_Dense``),
     one (B, N, N) stack and one ``np.linalg.inv`` call per batch; ``solve``
@@ -1165,7 +1137,7 @@ class MFactor:
     ``_products`` runs a list of factors on the rows of a stack, the dense
     ones in one stacked product.
 
-    Above it, SuperLU factors the lifted matrix (``_Lifted``)
+    Above it, SuperLU factors each program's lifted matrix (``_lifted``)
 
         L = [[(Q - I) D + I, (Q - I) U, zhat],
              [C U',          -I,        0   ],
@@ -1178,54 +1150,47 @@ class MFactor:
     U: (Q - I) D scales Q's entries by D at their column, and (Q - I) U
     gathers rows of A, with no sparse product.  L is factored with no
     ordering pass: it is assembled already permuted, row i at
-    ``places[i]``, under ``order``, the elimination order of K = [[I,
-    A'], [-A, I]], which depends on A's pattern alone (from ``_factor_k``
-    when not given), or a function that returns it, called only by a
-    SuperLU factor: a layer passes its ``Pattern.elimination_order``,
-    which computes it once; see ``_lifted_places``.  ``order`` is L's
-    order, N plus 2 per boundary block plus 1, and ``nnz`` the factor's
-    stored entries, 0 when SuperLU found an exactly zero pivot, which
-    leaves ``ok`` False.  The SuperLU factor keeps no condition guard:
-    reading U's diagonal out of SuperLU caches CSC copies of L and U on
-    the factor.
+    ``places[i]``, under the elimination order of K = [[I, A'], [-A, I]],
+    which depends on A's pattern alone: ``Pattern.elimination_order`` of
+    ``pattern``, A's ``Pattern`` when the caller keeps one (a layer does,
+    so the order is computed once per layer), else one built for the
+    call; see ``_lifted_places``.  ``order`` is L's order, N plus 2 per
+    boundary block plus 1, and ``nnz`` the factor's stored entries, 0 when
+    SuperLU found an exactly zero pivot, which leaves ``ok`` False.  The
+    SuperLU factor keeps no condition guard: reading U's diagonal out of
+    SuperLU caches CSC copies of L and U on the factor.
 
     Callers fall back to least squares on ``apply`` when ``ok`` is False.
-    A ``data`` that is not a ``ConeProgramData``, or a point of the wrong
-    length, raises ``ShapeError``; a non-finite or zero point raises
-    ``SolverInputError``.
+    A ``data`` that is not a ``ConeProgramData``, a ``pattern`` that is
+    not a ``Pattern`` of A's shape, or a point of the wrong length, raises
+    ``ShapeError``; a non-finite or zero point raises ``SolverInputError``.
     """
 
     def __init__(self, data: ConeProgramData, z: np.ndarray,
-                 order: np.ndarray | None = None, assembly=None,
-                 index: int = 0):
-        """``assembly``, when given, is the ``_assembly`` of a batch whose
+                 pattern: Pattern | None = None,
+                 dense: _Dense | None = None, index: int = 0):
+        """``dense``, when given, is the ``_Dense`` stack of a batch whose
         program ``index`` is (data, z); ``batch`` passes it."""
-        if assembly is None:
-            assembly = _assembly([data], [z])
-        self.z = assembly.Z[index]
-        N = self.size = assembly.N
-        self.zhat = assembly.zhat[index]
+        if dense is None:
+            Z = _checked_points([data], [z], pattern)
+            if Z.shape[1] <= DENSE_ORDER:
+                dense = _Dense([data], Z)
         self._M = self._inverse = None
-        if isinstance(assembly, _Dense):
-            self.order, self.nnz = N, N * N
-            self.ok = bool(assembly.ok[index])
-            self._M, self._inverse = assembly.M[index], assembly.inverse[index]
+        if dense is not None:
+            N = self.size = self.order = dense.N
+            self.z, self.zhat = dense.Z[index], dense.zhat[index]
+            self.nnz, self.ok = N * N, bool(dense.ok[index])
+            self._M, self._inverse = dense.M[index], dense.inverse[index]
             return
-        if order is None:
-            order = _factor_k(data.A.tocsr())[1]
-        elif callable(order):
-            order = order()
-        if len(order) != N - 1:
-            raise ShapeError(f"order of length {len(order)} given for a "
-                             f"K of order {N - 1}")
-        size = self.order = int(assembly.orders[index])
-        urow, ucol, blocks = assembly.lift_rows(index)
-        places = _lifted_places(order, urow, ucol, N, blocks)
+        N = self.size = Z.shape[1]
+        self.z, self.zhat = Z[0], _unit_rows(Z)[0]
+        if pattern is None:
+            pattern = Pattern(data.A, data.cones)
+        self._L, places = _lifted(data, self.z, self.zhat,
+                                  pattern.elimination_order())
+        self.order = self._L.shape[0]
         # where the rows of M + zhat zhat' and the lift rows sit in L
         self._head, self._tail = places[:N], places[N:]
-        rows, cols, vals = assembly.entries(index)
-        self._L = sp.csc_matrix((vals, (places[rows], places[cols])),
-                                shape=(size, size))
         try:
             self._lu = _splu_lifted(self._L)
         except RuntimeError:  # the factor is exactly singular
@@ -1234,14 +1199,14 @@ class MFactor:
         self.nnz = self._lu.nnz if self.ok else 0
 
     @classmethod
-    def batch(cls, datas: list, zs, order: np.ndarray | None = None
+    def batch(cls, datas: list, zs, pattern: Pattern | None = None
               ) -> list["MFactor"]:
-        """``MFactor(data, z, order)`` of every program of ``datas`` (of one
-        cone and one pattern of A, else ``ShapeError``) at its point in
-        ``zs``, with one assembly of them all: on the dense backend one
-        stack and one inverse call, on SuperLU one gathering of every
-        lifted matrix's entries, each then factored alone.  Each factor is
-        its batch of one's, bit for bit."""
+        """``MFactor(data, z, pattern)`` of every program of ``datas`` (of
+        one cone and one pattern of A, else ``ShapeError``) at its point in
+        ``zs``: on the dense backend from one stack and one inverse call,
+        on SuperLU each factored alone under the one elimination order of
+        ``pattern``, or of a ``Pattern`` built once for the batch.  Each
+        factor is its lone one's, bit for bit."""
         try:
             datas = list(datas)
         except TypeError:
@@ -1249,9 +1214,16 @@ class MFactor:
                              f"{type(datas).__name__}") from None
         if not datas:
             return []
-        assembly = _assembly(datas, zs)
-        return [cls(data, z, order, assembly, j)
-                for j, (data, z) in enumerate(zip(datas, assembly.Z))]
+        Z = _checked_points(datas, zs, pattern)
+        dense = None
+        if Z.shape[1] <= DENSE_ORDER:
+            dense = _Dense(datas, Z)
+        else:
+            _batch_matrices(datas)
+            if pattern is None:
+                pattern = Pattern(datas[0].A, datas[0].cones)
+        return [cls(data, z, pattern, dense, j)
+                for j, (data, z) in enumerate(zip(datas, Z))]
 
     def solve(self, rhs: np.ndarray, transpose: bool = False) -> np.ndarray:
         """g with (M + zhat zhat') g = rhs, or its transpose; needs ``ok``."""

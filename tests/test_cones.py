@@ -234,6 +234,17 @@ class TestEmbedding:
         with pytest.raises(ShapeError):
             project_embedding(np.zeros(3), self.spec(), 2)
 
+    @pytest.mark.parametrize("shape", [
+        lambda N: (2, N), lambda N: (1, N), lambda N: (N - 1,)],
+        ids=["stack", "stack-of-one", "short"])
+    def test_parts_take_one_vector(self, shape, rng):
+        """``dproject_embedding_parts`` takes one vector of length N and
+        refuses a (B, N) stack, a stack of one included."""
+        spec, n = self.spec(), 2
+        z = rng.standard_normal(shape(n + spec.total_dim + 1))
+        with pytest.raises(ShapeError):
+            dproject_embedding_parts(z, spec, n)
+
     def test_smooth_margin_flags_boundary(self):
         spec = ConeSpec(0, 2, ())
         z = np.array([0.5, 1.0, 0.0, 1.0])  # one orthant row exactly at 0

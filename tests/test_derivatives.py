@@ -25,6 +25,7 @@ from diffcone.errors import ShapeError, SolverInputError, SolveStatusError
 from diffcone.fixtures import sparse_qp_data
 from diffcone.solver import (
     MFactor,
+    Pattern,
     SolverSettings,
     normalized_point,
     skew_matrix,
@@ -598,6 +599,11 @@ class TestInputValidation:
         lambda data, sol, z, dx, rhs: MFactor.batch(["x"], [z]),
         lambda data, sol, z, dx, rhs: MFactor.batch(data, [z]),
         lambda data, sol, z, dx, rhs: MFactor(data, z[:-1]),
+        lambda data, sol, z, dx, rhs: MFactor(data, z, np.arange(1)),
+        lambda data, sol, z, dx, rhs: MFactor(data, z, Pattern(
+            sp.csr_matrix(np.ones((2, 1))), ConeSpec(0, 2, ()))),
+        lambda data, sol, z, dx, rhs: MFactor.batch([data], [z], Pattern(
+            sp.csr_matrix((1, 2)), ConeSpec(0, 1, ()))),
         lambda data, sol, z, dx, rhs: adjoint_derivative(data, sol, dx,
                                                          factor="x"),
         lambda data, sol, z, dx, rhs: adjoint_derivative(data, 5, dx),
@@ -610,8 +616,10 @@ class TestInputValidation:
         lambda data, sol, z, dx, rhs: forward_derivative(
             "x", sol, [[0.0]], [0.0], [0.0]),
     ], ids=["solve-int", "solve-ints", "factor-str", "batch-strs",
-            "batch-not-a-list", "factor-short-point", "adjoint-factor-str",
-            "adjoint-sol-int", "adjoint-sol-not-a-list", "adjoint-data-strs",
+            "batch-not-a-list", "factor-short-point", "factor-order",
+            "factor-foreign-pattern", "batch-foreign-pattern",
+            "adjoint-factor-str", "adjoint-sol-int", "adjoint-sol-not-a-list",
+            "adjoint-data-strs",
             "forward-factor-str", "forward-data-str"])
     def test_malformed_arguments(self, call):
         """Arguments of the wrong kind raise ``ShapeError``, not the

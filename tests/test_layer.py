@@ -484,10 +484,11 @@ class TestIterationFactorCache:
         res = layer.forward(values)
         assert res.ok and layer._factor is None
         assert res.info["iteration_system"] == "reduced"
-        assert layer._order is None and calls == []
+        assert layer._pattern._order is None and calls == []
         cot = rng.standard_normal(3)
         grads, info = layer.backward(res, {"x": cot})
-        assert layer._order is not None and layer._order.base is None
+        order = layer._pattern._order
+        assert order is not None and order.base is None
         assert info["mode"] == "direct"
         assert info["m_factor_order"] > 300
         layer.backward(layer.forward(values), {"x": cot})
@@ -590,7 +591,7 @@ class TestDenseIterationSystem:
             assert not any(isinstance(r._cache["m_factor"]._head, slice)
                            for r in tapes)
         assert len(calls) == 1
-        assert layer._order is not None
+        assert layer._pattern._order is not None
 
 
 def _status_layer(settings):
@@ -735,7 +736,23 @@ class TestBatching:
         and residual exactly, however the batch is split (8 + 5 + 3 + 1,
         or empty).  A second batch on the same tapes reuses their
         factors and gives the same gradients."""
-        fx = BATCH_FIXTURES[name]
+        self.check_backward_batch_equals_sequential(BATCH_FIXTURES[name], rng)
+
+    @pytest.mark.parametrize("name", list(BATCH_FIXTURES))
+    def test_lifted_backward_batch_equals_sequential(self, name, rng,
+                                                     monkeypatch):
+        """The same with every derivative factor on SuperLU
+        (``DENSE_ORDER`` 0), where a batch's factors are each built alone
+        under the layer's one elimination order of K."""
+        monkeypatch.setattr(solver, "DENSE_ORDER", 0)
+        tapes = self.check_backward_batch_equals_sequential(
+            BATCH_FIXTURES[name], rng)
+        assert all(r._cache["m_factor"]._M is None for r in tapes)
+
+    @staticmethod
+    def check_backward_batch_equals_sequential(fx, rng):
+        """Run ``test_backward_batch_equals_sequential`` on the fixture
+        ``fx``; returns the batch's tapes."""
         batch = [fx.sample(rng) for _ in range(17)]
         layer = Layer.compile(fx.problem)
         tapes = [r for r in layer.forward_batch(batch) if r.ok]
@@ -755,6 +772,7 @@ class TestBatching:
         for a, b in zip(want, again):
             assert_same_backward(a, b)
             assert b[1]["timings"]["m_factor"] == 0.0
+        return tapes
 
     def test_backward_batch_with_fallback_elements(self):
         """Elements whose derivative system is singular take LSQR inside a
